@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    ScalarField,
-    VectorField,
-    _raw_gradient,
-    gradient,
-    star,
-    xstar_field,
-)
+from .fields import ScalarField, VectorField, difference_operator, gradient, star, xstar_field
 from .geometry import BoundaryDatum, BoundaryFaces, Grid, boundary_faces
 
 __all__ = [
@@ -95,8 +88,8 @@ def area_energy(u: ScalarField, mode: EnergyMode = EnergyMode.ISOTROPIC) -> floa
     """Interior area term: sum of h^2 * norm(horizontal vector) over cells."""
     mode = EnergyMode.parse(mode)
     g = u.grid
-    n = _cell_norms(horizontal_field(u).values, mode)
-    return float(g.h**2 * np.sum(n[g.interior_mask]))
+    H = difference_operator(g).grad(u.interior()) + xstar_field(g).interior()
+    return float(g.h**2 * np.sum(_cell_norms(H, mode)))
 
 
 def penalized_energy(

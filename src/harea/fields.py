@@ -1,17 +1,26 @@
 """Scalar and vector fields on cell grids, and the discrete differential ops.
 
-The gradient takes a forward difference along each axis; where the forward
-neighbor is exterior it falls back to a backward difference, and only cells
-isolated along an axis get a zero component.  The divergence is assembled as
-the exact negative adjoint of that stencil, so ``<grad u, p> = -<u, div p>``
-holds to rounding for every pair.  Boundary attachment is never encoded in the
-stencils; it enters the model only through the boundary penalty.
+All difference arithmetic goes through one operator ``K`` per grid
+(:func:`difference_operator`), built once over the n interior cells in
+row-major order and cached on the grid.  It is two ``(n, 2)`` index arrays,
+``plus`` and ``minus``: along each axis a cell differences its forward
+neighbor against itself, falls back to itself against its backward neighbor
+where the forward one is exterior, and uses itself twice (a zero component)
+where it is isolated along that axis.  The gradient is
+``(u[plus] - u[minus]) / h``.  The divergence scatters each component back to
+the same two cells with opposite signs, ``(bincount(minus, p) -
+bincount(plus, p)) / h``, so it is ``-K^T`` by construction and
+``<grad u, p> = -<u, div p>`` holds to rounding for every pair.  Boundary
+attachment is never encoded in the operator; it enters the model only through
+the boundary penalty.  The public :func:`gradient`, :func:`divergence` and
+:func:`operator_norm_sq` apply ``K`` to the interior values of full-grid
+fields; the solver applies it to interior vectors directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,6 +32,8 @@ __all__ = [
     "VectorField",
     "star",
     "xstar_field",
+    "DiffOperator",
+    "difference_operator",
     "gradient",
     "divergence",
     "vee_wedge",
@@ -60,11 +71,9 @@ class ScalarField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.nx, self.grid.ny):
             raise FieldError(f"values shape {v.shape} != grid shape")
-        m = self.grid.interior_mask
-        if not np.all(np.isfinite(v[m])):
+        out = np.where(self.grid.interior_mask, v, 0.0)
+        if not np.all(np.isfinite(out)):
             raise FieldError("non-finite value on an interior cell")
-        out = np.zeros_like(v)
-        out[m] = v[m]
         self.values = out
 
     # constructors ---------------------------------------------------------
@@ -81,6 +90,13 @@ class ScalarField:
     def from_function(grid: Grid, f: Callable) -> "ScalarField":
         X, Y = grid.cell_centers()
         return ScalarField(grid, np.asarray(f(X, Y), dtype=float))
+
+    @staticmethod
+    def from_interior(grid: Grid, v: np.ndarray) -> "ScalarField":
+        """Scatter interior values (row-major cell order) onto the grid."""
+        out = np.zeros((grid.nx, grid.ny))
+        out[grid.interior_mask] = v
+        return ScalarField(grid, out)
 
     # helpers --------------------------------------------------------------
 
@@ -124,19 +140,29 @@ class VectorField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.nx, self.grid.ny, 2):
             raise FieldError(f"values shape {v.shape} != grid vector shape")
-        m = self.grid.interior_mask
-        if not np.all(np.isfinite(v[m])):
+        out = np.where(self.grid.interior_mask[..., None], v, 0.0)
+        if not np.all(np.isfinite(out)):
             raise FieldError("non-finite vector on an interior cell")
-        out = np.zeros_like(v)
-        out[m] = v[m]
         self.values = out
 
     @staticmethod
     def zeros(grid: Grid) -> "VectorField":
         return VectorField(grid, np.zeros((grid.nx, grid.ny, 2)))
 
+    @staticmethod
+    def from_interior(grid: Grid, v: np.ndarray) -> "VectorField":
+        """Scatter interior vectors (row-major cell order) onto the grid."""
+        out = np.zeros((grid.nx, grid.ny, 2))
+        for a in (0, 1):
+            out[..., a][grid.interior_mask] = v[:, a]
+        return VectorField(grid, out)
+
     def interior(self) -> np.ndarray:
-        return self.values[self.grid.interior_mask]
+        """Interior vectors, shape (n, 2), in row-major cell order."""
+        # per component: masking the (nx, ny, 2) array by the (nx, ny) mask
+        # takes NumPy's slow path, several times slower than two 2d masks
+        m = self.grid.interior_mask
+        return np.stack((self.values[..., 0][m], self.values[..., 1][m]), axis=-1)
 
     def copy(self) -> "VectorField":
         return VectorField(self.grid, self.values.copy())
@@ -184,53 +210,59 @@ def xstar_field(grid: Grid) -> VectorField:
 # difference operators
 
 
-def _raw_gradient(grid: Grid, v: np.ndarray) -> np.ndarray:
-    h = grid.h
-    fwd = np.zeros_like(v)
-    fwd[:-1, :] = v[1:, :] - v[:-1, :]
-    bwd = np.zeros_like(v)
-    bwd[1:, :] = v[1:, :] - v[:-1, :]
-    gx = np.where(grid.fwd_x, fwd, np.where(grid.bwd_x, bwd, 0.0)) / h
-    fwd = np.zeros_like(v)
-    fwd[:, :-1] = v[:, 1:] - v[:, :-1]
-    bwd = np.zeros_like(v)
-    bwd[:, 1:] = v[:, 1:] - v[:, :-1]
-    gy = np.where(grid.fwd_y, fwd, np.where(grid.bwd_y, bwd, 0.0)) / h
-    return np.stack((gx, gy), axis=-1)
+class DiffOperator(NamedTuple):
+    """The difference operator K on the n interior cells, row-major order.
+
+    ``plus[c, a]`` and ``minus[c, a]`` are the interior indices whose values
+    difference to component ``a`` of the gradient at cell ``c``: (next, c) for
+    a forward difference, (c, previous) for the backward fallback, (c, c) for
+    a cell isolated along that axis.
+    """
+
+    plus: np.ndarray
+    minus: np.ndarray
+    h: float
+
+    def grad(self, u: np.ndarray) -> np.ndarray:
+        """K u: interior values (n,) to interior gradients (n, 2)."""
+        return (u[self.plus] - u[self.minus]) / self.h
+
+    def div(self, p: np.ndarray) -> np.ndarray:
+        """-K^T p: interior vectors (n, 2) to interior values (n,)."""
+        n, w = len(self.plus), p.ravel()
+        return (
+            np.bincount(self.minus.ravel(), w, n) - np.bincount(self.plus.ravel(), w, n)
+        ) / self.h
 
 
-def _raw_divergence(grid: Grid, p: np.ndarray) -> np.ndarray:
-    h = grid.h
-    out = np.zeros((grid.nx, grid.ny))
-    px, py = p[..., 0], p[..., 1]
-
-    t = np.where(grid.fwd_x, px, 0.0)
-    out += t
-    out[1:, :] -= t[:-1, :]
-    t = np.where(grid.bwd_x, px, 0.0)
-    out -= t
-    out[:-1, :] += t[1:, :]
-
-    t = np.where(grid.fwd_y, py, 0.0)
-    out += t
-    out[:, 1:] -= t[:, :-1]
-    t = np.where(grid.bwd_y, py, 0.0)
-    out -= t
-    out[:, :-1] += t[:, 1:]
-
-    out /= h
-    out[~grid.interior_mask] = 0.0
-    return out
+def difference_operator(grid: Grid) -> DiffOperator:
+    """The grid's difference operator, built once and cached on the grid."""
+    cached = getattr(grid, "_K", None)
+    if cached is not None:
+        return cached
+    m = grid.interior_mask
+    cell = np.arange(int(m.sum()))
+    local = np.full(m.shape, -1, dtype=np.intp)
+    local[m] = cell
+    plus = np.stack((cell, cell), axis=-1)
+    minus = plus.copy()
+    for a, (fwd, bwd) in enumerate(((grid.fwd_x, grid.bwd_x), (grid.fwd_y, grid.bwd_y))):
+        # fwd/bwd hold only where that neighbor is interior, so roll's wrap is never read
+        plus[fwd[m], a] = np.roll(local, -1, axis=a)[fwd]
+        minus[bwd[m], a] = np.roll(local, 1, axis=a)[bwd]
+    K = DiffOperator(plus, minus, grid.h)
+    object.__setattr__(grid, "_K", K)
+    return K
 
 
 def gradient(u: ScalarField) -> VectorField:
     """Per-cell difference gradient (forward, with backward fallback at the rim)."""
-    return VectorField(u.grid, _raw_gradient(u.grid, u.values))
+    return VectorField.from_interior(u.grid, difference_operator(u.grid).grad(u.interior()))
 
 
 def divergence(p: VectorField) -> ScalarField:
     """Exact negative adjoint of :func:`gradient` under the cell inner product."""
-    return ScalarField(p.grid, _raw_divergence(p.grid, p.values))
+    return ScalarField.from_interior(p.grid, difference_operator(p.grid).div(p.interior()))
 
 
 def vee_wedge(u: ScalarField, v: ScalarField) -> tuple[ScalarField, ScalarField]:
@@ -259,17 +291,16 @@ def operator_norm_sq(grid: Grid, iters: int = 60) -> float:
     cached = getattr(grid, "_opnorm_sq", None)
     if cached is not None:
         return cached
-    m = grid.interior_mask
+    K = difference_operator(grid)
     rng = np.random.default_rng(1234)
-    v = np.zeros((grid.nx, grid.ny))
-    v[m] = rng.standard_normal(int(m.sum()))
+    v = rng.standard_normal(len(K.plus))
     nrm = np.linalg.norm(v)
     if nrm == 0:
         return 8.0 / grid.h**2
     v /= nrm
     lam = 0.0
     for _ in range(iters):
-        w = -_raw_divergence(grid, _raw_gradient(grid, v))
+        w = -K.div(K.grad(v))
         lam = float(np.sqrt(np.sum(w * w)))
         if lam == 0:
             break

@@ -33,7 +33,6 @@ __all__ = [
     "rasterize",
     "boundary_faces",
     "sample_datum",
-    "domain_from_config",
 ]
 
 
@@ -220,35 +219,6 @@ class DomainSpec:
         return {"kind": self.name}
 
 
-def domain_from_config(cfg: dict) -> DomainSpec:
-    """Build a DomainSpec from its JSON dictionary form."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise DomainError("domain config must be an object with a 'kind' key")
-    kind = cfg["kind"]
-    allowed = {
-        "disk": {"kind", "center", "radius"},
-        "polygon": {"kind", "vertices"},
-    }
-    if kind == "disk":
-        unknown = set(cfg) - allowed["disk"]
-        if unknown:
-            raise DomainError(f"unknown disk keys: {sorted(unknown)}")
-        return DomainSpec.disk(cfg.get("center", (0.0, 0.0)), cfg.get("radius", 1.0))
-    if kind == "polygon":
-        unknown = set(cfg) - allowed["polygon"]
-        if unknown:
-            raise DomainError(f"unknown polygon keys: {sorted(unknown)}")
-        if "vertices" not in cfg:
-            raise DomainError("polygon config needs 'vertices'")
-        return DomainSpec.polygon(cfg["vertices"])
-    if kind in _ANALYTIC:
-        unknown = set(cfg) - {"kind"}
-        if unknown:
-            raise DomainError(f"unknown keys for {kind!r} domain: {sorted(unknown)}")
-        return DomainSpec.analytic(kind)
-    raise DomainError(f"unknown domain kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # grids
 
@@ -290,7 +260,7 @@ class Grid:
         self.interior_mask = _lock(m.copy())
         self.xs = _lock(self.origin[0] + (np.arange(self.nx) + 0.5) * self.h)
         self.ys = _lock(self.origin[1] + (np.arange(self.ny) + 0.5) * self.h)
-        # neighbor availability, used by the difference stencils
+        # neighbor availability, read by fields.difference_operator
         east = np.zeros_like(m)
         east[:-1, :] = m[:-1, :] & m[1:, :]
         north = np.zeros_like(m)
@@ -304,8 +274,6 @@ class Grid:
         self.fwd_y = _lock(north)
         self.bwd_x = _lock(m & ~east & west)
         self.bwd_y = _lock(m & ~north & south)
-        self.has_x = _lock(east | west)
-        self.has_y = _lock(north | south)
 
     @property
     def interior_count(self) -> int:
@@ -389,6 +357,8 @@ class BoundaryFaces:
         self.owner_flat = _lock(
             np.ravel_multi_index((self.owner[:, 0], self.owner[:, 1]), (self.grid.nx, self.grid.ny))
         )
+        # owner's position among the interior cells in row-major order
+        self.owner_cell = _lock(np.cumsum(self.grid.interior_mask.ravel())[self.owner_flat] - 1)
 
     def __len__(self) -> int:
         return len(self.measure)

@@ -1,10 +1,16 @@
 """Primal-dual minimization of the boundary-penalized area functional.
 
-The scheme is the standard splitting for ``min_u F(K u) + G(u)`` with
-``K = gradient``, ``F(p) = sum_c h^2 |p_c + X*_c|`` and ``G`` the boundary
-penalty (or the pinning constraint): dual ascent with projection onto the
-per-cell ball of radius h^2, primal descent with a soft threshold toward the
-face-averaged boundary value, and overrelaxation of the primal iterate.
+The scheme is the standard splitting for ``min_u F(K u) + G(u)`` with ``K``
+the grid's difference operator (:func:`harea.fields.difference_operator`),
+``F(p) = sum_c h^2 |p_c + X*_c|`` and ``G`` the boundary penalty (or the
+pinning constraint): dual ascent with projection onto the per-cell ball of
+radius h^2, primal descent with a soft threshold toward the face-averaged
+boundary value, and overrelaxation of the primal iterate.
+
+The iteration state lives on the n interior cells only: the primal ``u`` is
+an ``(n,)`` vector and the dual ``P`` and drift ``X*`` are ``(n, 2)``, and
+boundary faces name their owners by interior index (``owner_cell``).
+Full-grid fields are built only for the returned :class:`SolveReport`.
 
 The iteration is not energy-monotone, so the solver tracks the best-energy
 iterate seen and returns that; the recorded energy trace is therefore
@@ -14,19 +20,12 @@ non-increasing and never exceeds the energy of the constant initial guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import EnergyBreakdown, EnergyMode, penalized_energy
-from .fields import (
-    ScalarField,
-    VectorField,
-    _raw_divergence,
-    _raw_gradient,
-    operator_norm_sq,
-    xstar_field,
-)
+from .energy import EnergyBreakdown, EnergyMode, _cell_norms
+from .fields import ScalarField, VectorField, difference_operator, operator_norm_sq, xstar_field
 from .geometry import BoundaryDatum, DomainSpec, Grid, boundary_faces, rasterize, sample_datum
 
 __all__ = [
@@ -168,22 +167,21 @@ def prox_dual(q: VectorField, sigma: float, mode: EnergyMode = EnergyMode.ISOTRO
     each cell onto the ball of radius h^2 (componentwise box for the l1 norm)."""
     mode = EnergyMode.parse(mode)
     g = q.grid
-    shifted = q.values + sigma * xstar_field(g).values
-    out = _project_dual(shifted, g.h**2, mode)
-    out[~g.interior_mask] = 0.0
-    return VectorField(g, out)
+    shifted = q.interior() + sigma * xstar_field(g).interior()
+    return VectorField.from_interior(g, _project_dual(shifted, g.h**2, mode))
 
 
 class _Penalty:
-    """Per-cell aggregation of the boundary faces for the primal prox."""
+    """Per-cell aggregation of the boundary faces for the primal prox;
+    ``idx`` holds the owner cells as interior indices."""
 
     def __init__(self, grid: Grid, datum: BoundaryDatum):
         faces = datum.faces
-        n = grid.nx * grid.ny
+        n = grid.interior_count
         wsum = np.zeros(n)
         vsum = np.zeros(n)
-        np.add.at(wsum, faces.owner_flat, faces.measure)
-        np.add.at(vsum, faces.owner_flat, faces.measure * datum.values)
+        np.add.at(wsum, faces.owner_cell, faces.measure)
+        np.add.at(vsum, faces.owner_cell, faces.measure * datum.values)
         idx = np.nonzero(wsum > 0)[0]
         self.idx = idx
         self.weight = wsum[idx]
@@ -192,12 +190,11 @@ class _Penalty:
 
 def _prox_primal_raw(v: np.ndarray, tau: float, pen: _Penalty, mode: str) -> np.ndarray:
     out = v.copy()
-    flat = out.reshape(-1)
     if mode == "constrained":
-        flat[pen.idx] = pen.mean
+        out[pen.idx] = pen.mean
         return out
-    d = flat[pen.idx] - pen.mean
-    flat[pen.idx] = pen.mean + np.sign(d) * np.maximum(np.abs(d) - tau * pen.weight, 0.0)
+    d = out[pen.idx] - pen.mean
+    out[pen.idx] = pen.mean + np.sign(d) * np.maximum(np.abs(d) - tau * pen.weight, 0.0)
     return out
 
 
@@ -217,7 +214,7 @@ def prox_primal(
     if mode not in ("penalized", "constrained"):
         raise SolverError(f"unknown mode {mode!r}")
     pen = _Penalty(v.grid, datum)
-    return ScalarField(v.grid, _prox_primal_raw(v.values, tau, pen, mode))
+    return ScalarField.from_interior(v.grid, _prox_primal_raw(v.interior(), tau, pen, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +233,24 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     sigma, tau = cfg.resolved_steps(grid)
     theta = cfg.theta
     mode = cfg.energy_mode
-    m = grid.interior_mask
-    h = grid.h
-    h2 = h * h
-    XS = xstar_field(grid).values
+    h2 = grid.h * grid.h
+    K = difference_operator(grid)
+    XS = xstar_field(grid).interior()
     pen = _Penalty(grid, datum)
-    owner_flat = datum.faces.owner_flat
+    owner = datum.faces.owner_cell
     measures = datum.faces.measure
     phi = datum.values
 
     def energy_of(vals: np.ndarray, grads: np.ndarray) -> tuple[float, float]:
-        Hx = grads[..., 0] + XS[..., 0]
-        Hy = grads[..., 1] + XS[..., 1]
-        if mode is EnergyMode.ISOTROPIC:
-            nrm = np.hypot(Hx, Hy)
-        else:
-            nrm = np.abs(Hx) + np.abs(Hy)
-        interior = h2 * float(np.sum(nrm[m]))
-        penalty = float(np.sum(measures * np.abs(vals.reshape(-1)[owner_flat] - phi)))
+        interior = h2 * float(np.sum(_cell_norms(grads + XS, mode)))
+        penalty = float(np.sum(measures * np.abs(vals[owner] - phi)))
         return interior, penalty
 
     # constant start at the measure-weighted mean of the boundary values
     u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
-    u = np.zeros((grid.nx, grid.ny))
-    u[m] = u0
-    u = _prox_primal_raw(u, tau, pen, cfg.mode)
-    P = np.zeros((grid.nx, grid.ny, 2))
-    G_u = _raw_gradient(grid, u)
+    u = _prox_primal_raw(np.full(len(XS), u0), tau, pen, cfg.mode)
+    P = np.zeros_like(XS)
+    G_u = K.grad(u)
     G_bar = G_u.copy()
 
     ei, ep = energy_of(u, G_u)
@@ -278,9 +266,9 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     for k in range(1, cfg.max_iters + 1):
         P += sigma * (G_bar + XS)
         P = _project_dual(P, h2, mode)
-        v = u + tau * _raw_divergence(grid, P)
+        v = u + tau * K.div(P)
         u_new = _prox_primal_raw(v, tau, pen, cfg.mode)
-        G_new = _raw_gradient(grid, u_new)
+        G_new = K.grad(u_new)
         ei, ep = energy_of(u_new, G_new)
         total = ei + ep
         if not math.isfinite(total):
@@ -307,8 +295,8 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
         mode=mode,
     )
     return SolveReport(
-        u=ScalarField(grid, best_u),
-        dual=VectorField(grid, P),
+        u=ScalarField.from_interior(grid, best_u),
+        dual=VectorField.from_interior(grid, P),
         iterations=iterations,
         converged=converged,
         stagnation=float(stagnation),

@@ -16,6 +16,9 @@ the slope, hence convex; that structure gives three solver-free referees:
   only sound way to confirm infeasibility: scans give upper bounds only, and
   near-degenerate data produces slope valleys so flat that a scan's stall is
   indistinguishable from a genuinely positive minimum.
+
+``loop_gradient`` referees the difference operator the same way: a per-cell
+Python loop that reads nothing but the interior mask.
 """
 
 import numpy as np
@@ -121,3 +124,24 @@ def prove_infeasible_below(samples, Q, eps):
             if proved:
                 return True, {"anchor": i, "side": side, "best_defect": best}
     return False, {}
+
+
+def loop_gradient(mask, h, values):
+    """Per-cell gradient of ``values`` (shape (nx, ny)) on the interior cells
+    of ``mask``: along each axis the forward difference when the next cell is
+    interior, else the backward difference when the previous one is, else 0.
+    Exterior cells get (0, 0)."""
+    mask = np.asarray(mask, dtype=bool)
+    nx, ny = mask.shape
+    out = np.zeros((nx, ny, 2))
+    for i in range(nx):
+        for j in range(ny):
+            if not mask[i, j]:
+                continue
+            for a, (di, dj) in enumerate(((1, 0), (0, 1))):
+                fi, fj, bi, bj = i + di, j + dj, i - di, j - dj
+                if fi < nx and fj < ny and mask[fi, fj]:
+                    out[i, j, a] = (values[fi, fj] - values[i, j]) / h
+                elif bi >= 0 and bj >= 0 and mask[bi, bj]:
+                    out[i, j, a] = (values[i, j] - values[bi, bj]) / h
+    return out

@@ -14,6 +14,8 @@ from harea import (
     star,
     xstar_field,
 )
+from harea.fields import FieldError
+from oracles import loop_gradient
 
 
 def full_grid(n, h=1.0, origin=(0.0, 0.0)):
@@ -80,6 +82,66 @@ def test_divergence_is_negative_adjoint():
         assert abs(lhs + rhs) <= 1e-12 * scale
 
 
+# Hand-drawn masks, row k of a picture holding the cells (k, j); the shapes
+# are not square so a swapped axis shows.
+HAND_MASKS = {
+    # every cell isolated along both axes
+    "diagonal": ["#....", ".#...", "..#..", "...#."],
+    # one cell wide: isolated along x, forward/backward along y
+    "column": ["......", "######", "......"],
+    # backward fallback on the far rim of each run, plus isolated cells
+    "ragged": ["##.#..", "###.##", ".#..#.", "##.###", "#....#"],
+}
+
+
+def hand_grid(name, h=0.25):
+    mask = np.array([[c == "#" for c in row] for row in HAND_MASKS[name]])
+    return Grid(h=h, origin=np.zeros(2), nx=mask.shape[0], ny=mask.shape[1], interior_mask=mask)
+
+
+def random_pair(grid, rng):
+    m = grid.interior_mask
+    uv = np.zeros((grid.nx, grid.ny))
+    uv[m] = rng.standard_normal(m.sum())
+    pv = np.zeros((grid.nx, grid.ny, 2))
+    pv[m] = rng.standard_normal((m.sum(), 2))
+    return ScalarField(grid, uv), VectorField(grid, pv)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MASKS))
+def test_gradient_matches_loop_referee(name):
+    grid = hand_grid(name)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        u, _ = random_pair(grid, rng)
+        ref = loop_gradient(grid.interior_mask, grid.h, u.values)
+        assert np.array_equal(gradient(u).values, ref)
+
+
+def test_hand_masks_cover_every_stencil_branch():
+    """Forward, backward-fallback and isolated cells occur along both axes."""
+    for a in (0, 1):
+        kinds = set()
+        for name in HAND_MASKS:
+            m = np.moveaxis(hand_grid(name).interior_mask, a, 0)
+            fwd = m & np.pad(m[1:], ((0, 1), (0, 0)))
+            prev = np.pad(m[:-1], ((1, 0), (0, 0)))
+            branches = {"forward": fwd, "backward": m & ~fwd & prev, "isolated": m & ~fwd & ~prev}
+            kinds |= {kind for kind, sel in branches.items() if sel.any()}
+        assert kinds == {"forward", "backward", "isolated"}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MASKS))
+def test_divergence_is_negative_adjoint_on_hand_masks(name):
+    grid = hand_grid(name)
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        u, p = random_pair(grid, rng)
+        lhs = float(np.sum(gradient(u).values * p.values))
+        rhs = float(np.sum(u.values * divergence(p).values))
+        assert abs(lhs + rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
 def test_divergence_supported_on_interior():
     grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 8)
     p = VectorField(grid, np.ones((grid.nx, grid.ny, 2)))
@@ -123,3 +185,17 @@ def test_field_values_zeroed_outside():
     u = ScalarField(grid, np.full((grid.nx, grid.ny), 7.0))
     assert np.all(u.values[~grid.interior_mask] == 0.0)
     assert np.all(u.values[grid.interior_mask] == 7.0)
+
+
+def test_vector_field_masks_exterior_and_rejects_nan_inside():
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.25)
+    m = grid.interior_mask
+    v = np.full((grid.nx, grid.ny, 2), np.nan)
+    v[m] = (1.0, -2.0)
+    p = VectorField(grid, v)
+    assert np.all(p.values[~m] == 0.0)
+    assert np.array_equal(p.interior(), np.tile((1.0, -2.0), (m.sum(), 1)))
+    i, j = np.argwhere(m)[0]
+    v[i, j, 1] = np.nan
+    with pytest.raises(FieldError, match="non-finite"):
+        VectorField(grid, v)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import harea
 from harea import (
     BoundaryDatum,
     DomainSpec,
@@ -22,7 +28,7 @@ from harea import (
     solve,
     solver_tolerance,
 )
-from harea.surfaces import Affine
+from harea.surfaces import Affine, es1_datum
 
 
 def one_cell_grid(center, h=1.0):
@@ -182,6 +188,37 @@ def test_solve_deterministic_bitwise():
     assert r1.energy.total == r2.energy.total
     assert r1.iterations == r2.iterations
     assert r1.stagnation == r2.stagnation
+
+
+@pytest.mark.parametrize(
+    "mode, iterations, energy",
+    [("iso", 421, 3.698630360771103), ("aniso", 245, 4.198444463067632)],
+)
+def test_es1_lens_iteration_pinned(mode, iterations, energy):
+    """es1 on the lens at h = 1/32 with the suite's tuned steps.  The pinned
+    iteration counts and energies are those of the full-grid stencil solver
+    that the interior-cell operator replaced; a change of representation
+    must reproduce them."""
+    grid = rasterize(DomainSpec.parabolic(), 1 / 32)
+    datum = sample_datum(boundary_faces(grid), es1_datum)
+    s, t = balanced_steps(grid, grid.h / 2)
+    cfg = SolverConfig(max_iters=30000, tol=1e-10, step_sigma=s, step_tau=t, energy_mode=mode)
+    rep = solve(grid, datum, cfg)
+    assert rep.converged
+    assert rep.iterations == iterations
+    assert rep.energy.total == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
+def test_solver_import_leaves_scipy_unloaded():
+    """SciPy's import costs a large share of a solve's set-up time, so the
+    solve path must not pull it in."""
+    env = dict(os.environ)
+    package_root = str(Path(harea.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    code = "import sys, harea.solver; print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_nonconvergence_reports_instead_of_raising():
