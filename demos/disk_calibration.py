@@ -8,7 +8,6 @@ from harea import (
     DomainSpec,
     ScalarField,
     SolverConfig,
-    balanced_steps,
     boundary_faces,
     certificate_gap,
     rasterize,
@@ -20,8 +19,7 @@ grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1.0 / 64.0)
 faces = boundary_faces(grid)
 datum = BoundaryDatum(faces, np.zeros(len(faces)))
 
-sigma, tau = balanced_steps(grid, grid.h / 2.0)
-rep = solve(grid, datum, SolverConfig(max_iters=20000, tol=1e-9, step_sigma=sigma, step_tau=tau))
+rep = solve(grid, datum, SolverConfig(max_iters=20000, tol=1e-9))
 
 target = 4.0 * np.pi / 3.0
 print("solver energy %.6f vs 4*pi/3 = %.6f (rel err %.2e)" % (

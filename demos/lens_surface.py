@@ -10,7 +10,6 @@ import numpy as np
 from harea import (
     DomainSpec,
     SolverConfig,
-    balanced_steps,
     boundary_faces,
     char_set,
     es1_datum,
@@ -27,9 +26,7 @@ grid = rasterize(DomainSpec.parabolic(), h)
 faces = boundary_faces(grid)
 datum = sample_datum(faces, es1_datum)
 
-sigma, tau = balanced_steps(grid, grid.h / 2.0)
-cfg = SolverConfig(max_iters=30000, tol=1e-9, step_sigma=sigma, step_tau=tau)
-rep = solve(grid, datum, cfg)
+rep = solve(grid, datum, SolverConfig(max_iters=30000, tol=1e-9))
 print("converged: %s after %d iterations" % (rep.converged, rep.iterations))
 print(
     "energy: interior %.6f + penalty %.6f = %.6f"

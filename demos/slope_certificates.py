@@ -6,7 +6,6 @@ import numpy as np
 from harea import (
     DomainSpec,
     SolverConfig,
-    balanced_steps,
     barriers,
     boundary_faces,
     boundary_samples,
@@ -33,8 +32,7 @@ def main():
 
     grid = rasterize(dom, 1.0 / 32.0)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    sigma, tau = balanced_steps(grid, grid.h / 2.0)
-    rep = solve(grid, datum, SolverConfig(max_iters=20000, tol=1e-9, step_sigma=sigma, step_tau=tau))
+    rep = solve(grid, datum, SolverConfig(max_iters=20000, tol=1e-9))
 
     f, g = barriers(samples, report, grid)
     m = grid.interior_mask

@@ -5,15 +5,17 @@ recorded thresholds; a report passes iff every metric is at or below its
 threshold.  Checks are independent and deterministic: identical configuration
 reproduces identical metrics on the same machine.  Expensive shared artifacts
 (the certified datum-pair family, the reference solve used by the barrier and
-slope-bound checks) are memoized so a full-suite run does not repeat work,
-without affecting single-check results.
+slope-bound checks) are memoized per solver configuration, so a full-suite
+run does not repeat work and every check solves with the configuration it is
+given.  Without one, each solve runs its check's own budget with the default
+step rule.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -30,6 +32,7 @@ from .energy import (
     translate_problem,
     unit_rotation_certificate,
 )
+# Not called here: perfbench's verify workload wraps gradient, divergence and balanced_steps by name.
 from .fields import ScalarField, gradient, divergence, lipschitz_estimate
 from .geometry import BoundaryDatum, DomainSpec, boundary_faces, rasterize, sample_datum
 from .solver import SolverConfig, SolverError, balanced_steps, solve, solver_tolerance
@@ -86,19 +89,6 @@ _VEEWEDGE_SEED = 7
 _CALIBRATION_SEED = 99
 _PAIR_Q = 20.0
 _CURVE_SAMPLES = 200
-
-
-def _cfg_for(grid, user_cfg: SolverConfig | None, max_iters: int, tol: float) -> SolverConfig:
-    """Per-check tuned solver configuration.
-
-    The tuned configs use asymmetric steps (dual step shrunk by h/2, primal
-    grown accordingly), which converge orders of magnitude faster than the
-    symmetric default on fine grids.  A user-supplied config is honored as-is.
-    """
-    if user_cfg is not None:
-        return user_cfg
-    s, t = balanced_steps(grid, grid.h / 2.0)
-    return SolverConfig(max_iters=max_iters, tol=tol, step_sigma=s, step_tau=t)
 
 
 def _erode(mask: np.ndarray, layers: int) -> np.ndarray:
@@ -167,13 +157,13 @@ def _is_certified(domain, expr, Q: float, n: int = 160) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _pair_artifacts():
+def _pair_artifacts(user_cfg: SolverConfig | None):
     """Twenty certified ordered datum pairs on the disk, solved both ways,
     plus shifted re-solves of the first datum for the equivariance check."""
     h = 1.0 / 24.0
     grid = rasterize(_DISK, h)
     faces = boundary_faces(grid)
-    cfg = _cfg_for(grid, None, 20000, 1e-9)
+    cfg = user_cfg or SolverConfig(max_iters=20000, tol=1e-9)
     rng = np.random.default_rng(_PAIR_SEED)
     pairs = []
     first = None
@@ -219,13 +209,13 @@ def _pair_artifacts():
 
 
 @lru_cache(maxsize=1)
-def _es1_reference_solve():
+def _es1_reference_solve(user_cfg: SolverConfig | None):
     """The es1 solve at h=1/32 with its slope certificate and envelopes,
     shared by the sandwich and slope-bound checks."""
     h = 1.0 / 32.0
     grid = rasterize(_PARABOLIC, h)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    cfg = _cfg_for(grid, None, 30000, 1e-10)
+    cfg = user_cfg or SolverConfig(max_iters=30000, tol=1e-10)
     rep = solve(grid, datum, cfg)
     samples = boundary_samples(_PARABOLIC, es1_datum, _CURVE_SAMPLES)
     bsc_rep = minimal_Q(samples, grid=grid)
@@ -246,7 +236,7 @@ def _es1_reference_solve():
 # individual checks
 
 
-def _check_affine_unique(user_cfg, params):
+def _check_affine_unique(user_cfg):
     slope = (1.0, -2.0)
     offset = 0.5
     L = Affine(slope, offset)
@@ -255,7 +245,7 @@ def _check_affine_unique(user_cfg, params):
     for h in hs:
         grid = rasterize(_DISK, h)
         datum = sample_datum(boundary_faces(grid), L)
-        rep = solve(grid, datum, _cfg_for(grid, user_cfg, 30000, 1e-9))
+        rep = solve(grid, datum, user_cfg or SolverConfig(max_iters=30000, tol=1e-9))
         errs.append(_sup_err(rep.u, L))
     bound = 0.05 * (1.0 + math.hypot(*slope) + abs(offset))
     metrics = {
@@ -268,8 +258,8 @@ def _check_affine_unique(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_comparison(user_cfg, params):
-    art = _pair_artifacts()
+def _check_comparison(user_cfg):
+    art = _pair_artifacts(user_cfg)
     uncert = sum(1 for p in art["pairs"] if not p["certified"])
     excess = max(p["comp"] - p["tol"] for p in art["pairs"])
     metrics = {"uncertified_pairs": float(uncert), "order_excess": excess}
@@ -278,8 +268,8 @@ def _check_comparison(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_contraction(user_cfg, params):
-    art = _pair_artifacts()
+def _check_contraction(user_cfg):
+    art = _pair_artifacts(user_cfg)
     uncert = sum(1 for p in art["pairs"] if not p["certified"])
     excess = max(p["contr"] - p["datum_gap"] - 2.0 * p["tol"] for p in art["pairs"])
     metrics = {"uncertified_pairs": float(uncert), "contraction_excess": excess}
@@ -288,19 +278,19 @@ def _check_contraction(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_shift_equivariance(user_cfg, params):
-    art = _pair_artifacts()
+def _check_shift_equivariance(user_cfg):
+    art = _pair_artifacts(user_cfg)
     metrics = {"shift_sup": max(art["shift_sup"])}
     thresholds = {"shift_sup": art["shift_tol"]}
     config = {"h": art["h"], "alphas": (-1.0, 0.3), "seed": _PAIR_SEED, "solver": art["solver"]}
     return metrics, thresholds, config
 
 
-def _check_translation_covariance(user_cfg, params):
+def _check_translation_covariance(user_cfg):
     h = 1.0 / 32.0
     grid = rasterize(_DISK, h)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    cfg = _cfg_for(grid, user_cfg, 20000, 1e-9)
+    cfg = user_cfg or SolverConfig(max_iters=20000, tol=1e-9)
     rep = solve(grid, datum, cfg)
     tau = (4 * h, -7 * h)
     xi = 0.37
@@ -325,7 +315,7 @@ def _random_field_and_datum(grid, faces, rng):
     return ScalarField(grid, u), BoundaryDatum(faces, rng.standard_normal(len(faces)))
 
 
-def _check_submodularity_aniso(user_cfg, params):
+def _check_submodularity_aniso(user_cfg):
     h = 1.0 / 16.0
     grid = rasterize(_DISK, h)
     faces = boundary_faces(grid)
@@ -351,7 +341,7 @@ def _check_submodularity_aniso(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_vee_wedge_iso(user_cfg, params):
+def _check_vee_wedge_iso(user_cfg):
     rng = np.random.default_rng(_VEEWEDGE_SEED)
 
     def rand_smooth():
@@ -388,13 +378,11 @@ def _check_vee_wedge_iso(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_lavrentiev(user_cfg, params):
+def _check_lavrentiev(user_cfg):
     h = 1.0 / 64.0
     grid = rasterize(_PARABOLIC, h)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    base = _cfg_for(grid, user_cfg, 30000, 1e-10)
-    from dataclasses import replace
-
+    base = user_cfg or SolverConfig(max_iters=30000, tol=1e-10)
     rp = solve(grid, datum, replace(base, mode="penalized"))
     rc = solve(grid, datum, replace(base, mode="constrained"))
     rel = abs(rp.energy.total - rc.energy.total) / max(abs(rp.energy.total), 1e-30)
@@ -404,8 +392,8 @@ def _check_lavrentiev(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_barrier_sandwich(user_cfg, params):
-    art = _es1_reference_solve()
+def _check_barrier_sandwich(user_cfg):
+    art = _es1_reference_solve(user_cfg)
     grid, rep = art["grid"], art["report"]
     m = grid.interior_mask
     u = rep.u.values
@@ -427,8 +415,8 @@ def _check_barrier_sandwich(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_lipschitz_bound(user_cfg, params):
-    art = _es1_reference_solve()
+def _check_lipschitz_bound(user_cfg):
+    art = _es1_reference_solve(user_cfg)
     grid, rep, datum = art["grid"], art["report"], art["datum"]
     m = grid.interior_mask
     X, Y = grid.cell_centers()
@@ -468,7 +456,7 @@ def _char_band_metrics_es1(u: ScalarField):
     return float(off_band), float(missing)
 
 
-def _check_euler_residual_es1(user_cfg, params):
+def _check_euler_residual_es1(user_cfg):
     h = 1.0 / 64.0
     grid = rasterize(_PARABOLIC, h)
     u = ScalarField.from_function(grid, es1_surface)
@@ -491,14 +479,14 @@ def _check_euler_residual_es1(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_example_es1(user_cfg, params):
+def _check_example_es1(user_cfg):
     hs = (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0)
     errs = []
     mid_solve = None
     for h in hs:
         grid = rasterize(_PARABOLIC, h)
         datum = sample_datum(boundary_faces(grid), es1_datum)
-        rep = solve(grid, datum, _cfg_for(grid, user_cfg, 30000, 1e-10))
+        rep = solve(grid, datum, user_cfg or SolverConfig(max_iters=30000, tol=1e-10))
         errs.append(_rel_l1(rep.u, es1_surface))
         if abs(h - 1.0 / 64.0) < 1e-12:
             mid_solve = rep.u
@@ -521,14 +509,14 @@ def _check_example_es1(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_example_es2(user_cfg, params):
+def _check_example_es2(user_cfg):
     hs = (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0)
     errs = []
     mid_solve = None
     for h in hs:
         grid = rasterize(_SQUARE, h)
         datum = sample_datum(boundary_faces(grid), es2_surface)
-        rep = solve(grid, datum, _cfg_for(grid, user_cfg, 25000, 1e-9))
+        rep = solve(grid, datum, user_cfg or SolverConfig(max_iters=25000, tol=1e-9))
         errs.append(_rel_l1(rep.u, es2_surface))
         if abs(h - 1.0 / 64.0) < 1e-12:
             mid_solve = rep.u
@@ -565,11 +553,11 @@ def _check_example_es2(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_restriction(user_cfg, params):
+def _check_restriction(user_cfg):
     h = 1.0 / 32.0
     grid = rasterize(_DISK, h)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    cfg = _cfg_for(grid, user_cfg, 30000, 1e-10)
+    cfg = user_cfg or SolverConfig(max_iters=30000, tol=1e-10)
     rep = solve(grid, datum, cfg)
 
     sub = DomainSpec.polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
@@ -602,12 +590,12 @@ def _check_restriction(user_cfg, params):
     return metrics, thresholds, config
 
 
-def _check_calibration_disk(user_cfg, params):
+def _check_calibration_disk(user_cfg):
     h = 1.0 / 64.0
     grid = rasterize(_DISK, h)
     faces = boundary_faces(grid)
     datum = BoundaryDatum(faces, np.zeros(len(faces)))
-    cfg = _cfg_for(grid, user_cfg, 20000, 1e-9)
+    cfg = user_cfg or SolverConfig(max_iters=20000, tol=1e-9)
     rep = solve(grid, datum, cfg)
     target = 4.0 * np.pi / 3.0
     V = unit_rotation_certificate(grid)
@@ -652,7 +640,7 @@ _CHECKS = {
 }
 
 
-def run_check(check_id, solver_cfg: SolverConfig | None = None, params: dict | None = None) -> TestReport:
+def run_check(check_id, solver_cfg: SolverConfig | None = None) -> TestReport:
     """Execute one named check and summarize it as a TestReport.
 
     Solver divergence or a failed certification is reported as a failed check
@@ -661,7 +649,7 @@ def run_check(check_id, solver_cfg: SolverConfig | None = None, params: dict | N
     cid = CheckId(check_id)
     start = time.perf_counter()
     try:
-        metrics, thresholds, config = _CHECKS[cid](solver_cfg, params or {})
+        metrics, thresholds, config = _CHECKS[cid](solver_cfg)
     except (SolverError, BscViolation) as exc:
         runtime = time.perf_counter() - start
         return TestReport(

@@ -122,14 +122,12 @@ def _check_datum_block(block) -> None:
 
 
 def _build_solver(block, args):
+    from dataclasses import fields
+
     from .solver import SolverConfig
 
     block = dict(block or {})
-    _reject_unknown(
-        block,
-        {"mode", "energy_mode", "max_iters", "tol", "step_sigma", "step_tau", "theta", "seed"},
-        "solver",
-    )
+    _reject_unknown(block, {f.name for f in fields(SolverConfig)}, "solver")
     if getattr(args, "mode", None):
         block["mode"] = args.mode
     if getattr(args, "energy", None):
@@ -232,28 +230,12 @@ def _echo(cfg, h, solver=None) -> dict:
 # subcommands
 
 
-def _with_tuned_steps(scfg, grid):
-    """Fill omitted steps with the fast asymmetric pair.
-
-    The library's symmetric default is a safe but slow regime; runs launched
-    from a config deserve the tuned steps unless the config pins its own.
-    """
-    if scfg.step_sigma is not None or scfg.step_tau is not None:
-        return scfg
-    from dataclasses import replace
-
-    from .solver import balanced_steps
-
-    s, t = balanced_steps(grid, grid.h / 2.0)
-    return replace(scfg, step_sigma=s, step_tau=t)
-
-
 def _cmd_solve(args) -> int:
     from .fileio import write_field, write_json, write_pgm, write_vector_field
 
     cfg, domain, h, out = _resolve(args, need=("domain", "h", "datum"))
     grid = _rasterized(domain, h)
-    scfg = _with_tuned_steps(_build_solver(cfg.get("solver"), args), grid)
+    scfg = _build_solver(cfg.get("solver"), args)
     datum = _datum_on_faces(grid, cfg["datum"])
     from .solver import solve
 
@@ -381,11 +363,11 @@ def _reproduce_metrics(example: str):
     """Solve the named worked example and derive its comparison metrics."""
     import numpy as np
 
-    from .checks import _cfg_for, _erode
+    from .checks import _erode
     from .energy import char_set, euler_residual
     from .fields import ScalarField
     from .geometry import DomainSpec, boundary_faces, rasterize, sample_datum
-    from .solver import solve
+    from .solver import SolverConfig, solve
     from .surfaces import es1_datum, es1_surface, es2_surface
 
     h = 1.0 / 64.0
@@ -398,7 +380,7 @@ def _reproduce_metrics(example: str):
         )
         expr, exact = es2_surface, es2_surface
     datum = sample_datum(boundary_faces(grid), expr)
-    rep = solve(grid, datum, _cfg_for(grid, None, 30000, 1e-9))
+    rep = solve(grid, datum, SolverConfig(max_iters=30000, tol=1e-9))
     ref = ScalarField.from_function(grid, exact)
     m = grid.interior_mask
     rel_l1 = float(

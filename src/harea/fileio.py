@@ -70,13 +70,11 @@ def write_field(u: ScalarField, path: str) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_field(path: str, grid: Grid | None = None) -> ScalarField:
-    """Inverse of :func:`write_field`.
-
-    The grid is rebuilt from the metadata line and the listed cells; values
-    off the listed cells are zero, as in every solver-produced field.  When
-    ``grid`` is supplied the file must describe that exact lattice and mask.
-    """
+def _read_lattice(path: str, grid: Grid | None, header: str, ncols: int):
+    """Shared parser of :func:`read_field` and :func:`read_vector_field`:
+    ``header`` is the column row and ``ncols`` the column count.  Returns the
+    grid (``grid`` itself when given) and the values, ``(nx, ny)`` for one
+    value column and ``(nx, ny, 2)`` for two."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith(_MAGIC):
@@ -91,41 +89,53 @@ def read_field(path: str, grid: Grid | None = None) -> ScalarField:
         nx, ny = int(meta["nx"]), int(meta["ny"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad metadata line: {exc}") from exc
-    if len(lines) < 2 or lines[1].strip() != "x,y,value":
-        raise FormatError(f"{path}: missing 'x,y,value' header row")
+    if len(lines) < 2 or lines[1].strip() != header:
+        raise FormatError(f"{path}: missing '{header}' header row")
 
+    width = ncols - 2
     mask = np.zeros((nx, ny), dtype=bool)
-    vals = np.zeros((nx, ny))
+    vals = np.zeros((nx, ny) if width == 1 else (nx, ny, width))
     for ln, row in enumerate(lines[2:], start=3):
         if not row.strip():
             continue
         parts = row.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{ln}: expected 3 comma-separated values")
-        x, y, v = (float(p) for p in parts)
+        if len(parts) != ncols:
+            raise FormatError(f"{path}:{ln}: expected {ncols} comma-separated values")
+        x, y, *v = (float(p) for p in parts)
         i = int(round((x - origin[0]) / h - 0.5))
         j = int(round((y - origin[1]) / h - 0.5))
         if not (0 <= i < nx and 0 <= j < ny):
             raise FormatError(f"{path}:{ln}: point ({x}, {y}) outside the declared lattice")
         mask[i, j] = True
-        vals[i, j] = v
+        vals[i, j] = v[0] if width == 1 else v
 
-    g = Grid(h=h, origin=np.asarray(origin), nx=nx, ny=ny, interior_mask=mask)
-    if grid is not None:
-        if not (
-            grid.nx == nx
-            and grid.ny == ny
-            and abs(grid.h - h) <= 1e-15 * max(h, 1.0)
-            and np.allclose(grid.origin, origin, atol=1e-12)
-            and np.array_equal(grid.interior_mask, mask)
-        ):
+    if grid is None:
+        return Grid(h=h, origin=np.asarray(origin), nx=nx, ny=ny, interior_mask=mask), vals
+    if not (
+        grid.nx == nx
+        and grid.ny == ny
+        and abs(grid.h - h) <= 1e-15 * max(h, 1.0)
+        and np.allclose(grid.origin, origin, atol=1e-12)
+        and np.array_equal(grid.interior_mask, mask)
+    ):
+        if width == 1:
             raise FormatError(
                 f"{path}: field lattice (h={h}, {nx}x{ny} at {origin}) does not match "
                 f"the expected grid (h={grid.h}, {grid.nx}x{grid.ny} at "
                 f"{tuple(grid.origin)})"
             )
-        g = grid
-    return ScalarField(g, vals)
+        raise FormatError(f"{path}: vector field lattice does not match the expected grid")
+    return grid, vals
+
+
+def read_field(path: str, grid: Grid | None = None) -> ScalarField:
+    """Inverse of :func:`write_field`.
+
+    The grid is rebuilt from the metadata line and the listed cells; values
+    off the listed cells are zero, as in every solver-produced field.  When
+    ``grid`` is supplied the file must describe that exact lattice and mask.
+    """
+    return ScalarField(*_read_lattice(path, grid, "x,y,value", 3))
 
 
 def write_vector_field(p: VectorField, path: str) -> None:
@@ -146,49 +156,7 @@ def write_vector_field(p: VectorField, path: str) -> None:
 def read_vector_field(path: str, grid: Grid | None = None) -> VectorField:
     """Inverse of :func:`write_vector_field`; same lattice rules as
     :func:`read_field`."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith(_MAGIC):
-        raise FormatError(f"{path}: missing field header line '{_MAGIC} ...'")
-    meta = {}
-    for tok in lines[0][len(_MAGIC) :].split():
-        k, _, v = tok.partition("=")
-        meta[k] = v
-    try:
-        h = float(meta["h"])
-        origin = (float(meta["ox"]), float(meta["oy"]))
-        nx, ny = int(meta["nx"]), int(meta["ny"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: bad metadata line: {exc}") from exc
-    if len(lines) < 2 or lines[1].strip() != "x,y,px,py":
-        raise FormatError(f"{path}: missing 'x,y,px,py' header row")
-    mask = np.zeros((nx, ny), dtype=bool)
-    vals = np.zeros((nx, ny, 2))
-    for ln, row in enumerate(lines[2:], start=3):
-        if not row.strip():
-            continue
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"{path}:{ln}: expected 4 comma-separated values")
-        x, y, px, py = (float(p) for p in parts)
-        i = int(round((x - origin[0]) / h - 0.5))
-        j = int(round((y - origin[1]) / h - 0.5))
-        if not (0 <= i < nx and 0 <= j < ny):
-            raise FormatError(f"{path}:{ln}: point ({x}, {y}) outside the declared lattice")
-        mask[i, j] = True
-        vals[i, j] = (px, py)
-    g = Grid(h=h, origin=np.asarray(origin), nx=nx, ny=ny, interior_mask=mask)
-    if grid is not None:
-        if not (
-            grid.nx == nx
-            and grid.ny == ny
-            and abs(grid.h - h) <= 1e-15 * max(h, 1.0)
-            and np.allclose(grid.origin, origin, atol=1e-12)
-            and np.array_equal(grid.interior_mask, mask)
-        ):
-            raise FormatError(f"{path}: vector field lattice does not match the expected grid")
-        g = grid
-    return VectorField(g, vals)
+    return VectorField(*_read_lattice(path, grid, "x,y,px,py", 4))
 
 
 def write_pgm(values: np.ndarray, path: str, mask: np.ndarray | None = None) -> None:

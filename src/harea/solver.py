@@ -20,7 +20,7 @@ non-increasing and never exceeds the energy of the constant initial guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +52,10 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Solver knobs.
 
-    ``step_sigma``/``step_tau`` default to the saturating symmetric choice
-    0.99/sqrt(L2) where L2 is the measured squared operator norm of the
-    gradient (8/h^2 on bulk-dominated grids).  ``mode`` selects the penalized
-    boundary term or hard pinning of boundary-owner cells; ``energy_mode``
-    selects the cell norm.  ``seed`` is recorded for reproducibility; the
-    default initialization is deterministic and does not consume it.
+    ``step_sigma``/``step_tau`` are set together or not at all; left out, they
+    come from :func:`balanced_steps`.  ``mode`` selects the penalized boundary
+    term or hard pinning of boundary-owner cells; ``energy_mode`` selects the
+    cell norm.
     """
 
     mode: str = "penalized"
@@ -66,8 +64,6 @@ class SolverConfig:
     tol: float = 1e-7
     step_sigma: float | None = None
     step_tau: float | None = None
-    theta: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("penalized", "constrained"):
@@ -77,20 +73,18 @@ class SolverConfig:
             raise SolverError("max_iters must be at least 1")
         if not (self.tol > 0):
             raise SolverError("tol must be positive")
-        if not (0.0 <= self.theta <= 1.0):
-            raise SolverError("theta must lie in [0, 1]")
+        if (self.step_sigma is None) != (self.step_tau is None):
+            raise SolverError("step_sigma and step_tau must be set together")
         for name in ("step_sigma", "step_tau"):
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise SolverError(f"{name} must be positive")
 
     def resolved_steps(self, grid: Grid) -> tuple[float, float]:
+        if self.step_sigma is None:
+            return balanced_steps(grid)
+        sigma, tau = self.step_sigma, self.step_tau
         L2 = operator_norm_sq(grid)
-        base = 0.99 / math.sqrt(L2)
-        sigma = base if self.step_sigma is None else self.step_sigma
-        tau = base if self.step_tau is None else self.step_tau
-        if not (sigma > 0 and tau > 0):
-            raise SolverError("step sizes must be positive")
         if sigma * tau * L2 > 1.0 + 1e-9:
             raise SolverError(
                 f"step product {sigma * tau:.3e} violates the bound 1/L2 = {1.0 / L2:.3e}"
@@ -105,8 +99,6 @@ class SolverConfig:
             "tol": self.tol,
             "step_sigma": self.step_sigma,
             "step_tau": self.step_tau,
-            "theta": self.theta,
-            "seed": self.seed,
         }
 
 
@@ -114,11 +106,11 @@ def balanced_steps(grid: Grid, gamma: float | None = None) -> tuple[float, float
     """Asymmetric steps sigma = 0.99 g / sqrt(L2), tau = 0.99 / (g sqrt(L2)).
 
     The dual ball has radius h^2 while the primal travels O(1), so shrinking
-    sigma by g = h (the default) and growing tau accordingly speeds the primal
-    up by 1/h without leaving the convergent regime.
+    sigma by g = h/2 (the default) and growing tau accordingly speeds the
+    primal up without leaving the convergent regime sigma tau L2 < 1.
     """
     if gamma is None:
-        gamma = grid.h
+        gamma = grid.h / 2.0
     L2 = operator_norm_sq(grid)
     base = 0.99 / math.sqrt(L2)
     return base * gamma, base / gamma
@@ -132,7 +124,12 @@ def solver_tolerance(grid: Grid, datum: BoundaryDatum) -> float:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Returned by :func:`solve`; ``u`` is the best-energy iterate."""
+    """Returned by :func:`solve`.
+
+    ``u`` is the best-energy iterate, while ``dual`` is the dual of the last
+    iterate.  A converged solve stops 50 iterations after its best energy, so
+    ``u`` and ``dual`` are not a matching primal-dual pair.
+    """
 
     u: ScalarField
     dual: VectorField
@@ -231,7 +228,6 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     """
     cfg = cfg or SolverConfig()
     sigma, tau = cfg.resolved_steps(grid)
-    theta = cfg.theta
     mode = cfg.energy_mode
     h2 = grid.h * grid.h
     K = difference_operator(grid)
@@ -278,7 +274,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
             best_interior, best_penalty = ei, ep
             best_u[...] = u_new
         trace[k] = best_total
-        G_bar = (1.0 + theta) * G_new - theta * G_u
+        G_bar = 2.0 * G_new - G_u
         u, G_u = u_new, G_new
         iterations = k
         if k >= _STAGNATION_WINDOW:
@@ -335,14 +331,13 @@ def refine_study(
     cfg: SolverConfig | None = None,
     exact=None,
     error_norm: str = "sup",
-    step_gamma: float | None = "auto",
 ) -> tuple[list[RefineRow], bool]:
     """Solve the same problem across grid resolutions.
 
     With a closed-form reference the per-level error (sup or mean-l1 against
     the sampled reference) is recorded; the returned flag is True when those
-    errors strictly decrease along the list.  ``step_gamma="auto"`` applies
-    :func:`balanced_steps` per level.
+    errors strictly decrease along the list.  Every level runs with ``cfg``
+    (default :class:`SolverConfig`), whose steps resolve per grid.
     """
     if error_norm not in ("sup", "l1"):
         raise SolverError(f"unknown error norm {error_norm!r}")
@@ -351,12 +346,7 @@ def refine_study(
     for h in h_list:
         grid = rasterize(domain, h)
         datum = sample_datum(boundary_faces(grid), datum_expr)
-        level_cfg = cfg or SolverConfig()
-        if step_gamma is not None:
-            g = None if step_gamma == "auto" else step_gamma
-            s, t = balanced_steps(grid, g)
-            level_cfg = replace(level_cfg, step_sigma=s, step_tau=t)
-        rep = solve(grid, datum, level_cfg)
+        rep = solve(grid, datum, cfg)
         err = None
         if exact is not None:
             ref = ScalarField.from_function(grid, exact)

@@ -96,3 +96,8 @@ def test_user_solver_config_is_honored():
     rep = run_check(CheckId.AFFINE_UNIQUE, solver_cfg=cfg)
     assert not rep.passed
     assert rep.metrics["sup_err_h64"] > rep.thresholds["sup_err_h64"]
+    # the memoized reference solve is keyed on the config, so the override
+    # reaches it too instead of reusing the default solve
+    rep = run_check(CheckId.BARRIER_SANDWICH, solver_cfg=cfg)
+    assert rep.config["solver"]["max_iters"] == 2
+    assert not rep.passed

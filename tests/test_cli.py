@@ -61,6 +61,10 @@ def test_missing_config_file(tmp_path):
 def test_unknown_config_key_rejected(tmp_path):
     cfg = write_cfg(tmp_path, typo_key=1)
     assert dispatch(["solve", "-c", cfg]) == 2
+    # the solver block takes exactly the SolverConfig fields
+    for key in ("seed", "theta"):
+        cfg = write_cfg(tmp_path, solver={key: 1})
+        assert dispatch(["solve", "-c", cfg]) == 2
 
 
 def test_unknown_datum_kind_rejected(tmp_path):
