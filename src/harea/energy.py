@@ -73,10 +73,15 @@ class EnergyBreakdown:
         }
 
 
-def _cell_norms(v: np.ndarray, mode: EnergyMode) -> np.ndarray:
+def _cell_norms(v: np.ndarray, mode: EnergyMode, scratch=None) -> np.ndarray:
+    """Per-cell norms (n,) of component-major vectors ``v`` (2, n):
+    ``sqrt(x*x + y*y)`` or ``|x| + |y|``.  The result is ``scratch[0]`` when
+    a (2, n) scratch buffer is given, so nothing is allocated."""
+    s = np.square(v, out=scratch) if mode is EnergyMode.ISOTROPIC else np.abs(v, out=scratch)
+    np.add(s[0], s[1], out=s[0])
     if mode is EnergyMode.ISOTROPIC:
-        return np.hypot(v[..., 0], v[..., 1])
-    return np.abs(v[..., 0]) + np.abs(v[..., 1])
+        np.sqrt(s[0], out=s[0])
+    return s[0]
 
 
 def horizontal_field(u: ScalarField) -> VectorField:
@@ -88,7 +93,7 @@ def area_energy(u: ScalarField, mode: EnergyMode = EnergyMode.ISOTROPIC) -> floa
     """Interior area term: sum of h^2 * norm(horizontal vector) over cells."""
     mode = EnergyMode.parse(mode)
     g = u.grid
-    H = difference_operator(g).grad(u.interior()) + xstar_field(g).interior()
+    H = difference_operator(g).grad(u.interior()) + xstar_field(g).interior().T
     return float(g.h**2 * np.sum(_cell_norms(H, mode)))
 
 

@@ -2,19 +2,20 @@
 
 All difference arithmetic goes through one operator ``K`` per grid
 (:func:`difference_operator`), built once over the n interior cells in
-row-major order and cached on the grid.  It is two ``(n, 2)`` index arrays,
-``plus`` and ``minus``: along each axis a cell differences its forward
-neighbor against itself, falls back to itself against its backward neighbor
-where the forward one is exterior, and uses itself twice (a zero component)
-where it is isolated along that axis.  The gradient is
-``(u[plus] - u[minus]) / h``.  The divergence scatters each component back to
-the same two cells with opposite signs, ``(bincount(minus, p) -
-bincount(plus, p)) / h``, so it is ``-K^T`` by construction and
-``<grad u, p> = -<u, div p>`` holds to rounding for every pair.  Boundary
-attachment is never encoded in the operator; it enters the model only through
-the boundary penalty.  The public :func:`gradient`, :func:`divergence` and
-:func:`operator_norm_sq` apply ``K`` to the interior values of full-grid
-fields; the solver applies it to interior vectors directly.
+row-major order and cached on the grid.  It is two component-major ``(2, n)``
+index arrays, ``plus`` and ``minus``: along each axis a cell differences its
+forward neighbor against itself, falls back to itself against its backward
+neighbor where the forward one is exterior, and uses itself twice (a zero
+component) where it is isolated along that axis.  The gradient is
+``(u[plus] - u[minus]) / h``, a ``(2, n)`` array.  The divergence scatters
+each component back to the same two cells with opposite signs,
+``(bincount(minus, p) - bincount(plus, p)) / h``, so it is ``-K^T`` by
+construction and ``<grad u, p> = -<u, div p>`` holds to rounding for every
+pair.  Boundary attachment is never encoded in the operator; it enters the
+model only through the boundary penalty.  The public :func:`gradient` and
+:func:`divergence` apply ``K`` to the interior values of full-grid fields,
+whose interior vectors are ``(n, 2)``; the solver applies it to
+component-major interior vectors directly.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def xstar_field(grid: Grid) -> VectorField:
 class DiffOperator(NamedTuple):
     """The difference operator K on the n interior cells, row-major order.
 
-    ``plus[c, a]`` and ``minus[c, a]`` are the interior indices whose values
+    ``plus[a, c]`` and ``minus[a, c]`` are the interior indices whose values
     difference to component ``a`` of the gradient at cell ``c``: (next, c) for
     a forward difference, (c, previous) for the backward fallback, (c, c) for
     a cell isolated along that axis.
@@ -224,15 +225,27 @@ class DiffOperator(NamedTuple):
     h: float
 
     def grad(self, u: np.ndarray) -> np.ndarray:
-        """K u: interior values (n,) to interior gradients (n, 2)."""
-        return (u[self.plus] - u[self.minus]) / self.h
+        """K u: interior values (n,) to interior gradients (2, n)."""
+        return self.hgrad(u) / self.h
 
     def div(self, p: np.ndarray) -> np.ndarray:
-        """-K^T p: interior vectors (n, 2) to interior values (n,)."""
-        n, w = len(self.plus), p.ravel()
-        return (
-            np.bincount(self.minus.ravel(), w, n) - np.bincount(self.plus.ravel(), w, n)
-        ) / self.h
+        """-K^T p: interior vectors (2, n) to interior values (n,)."""
+        return self.hdiv(p) / self.h
+
+    def hgrad(self, u: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """h K u = u[plus] - u[minus], written into ``out`` (2, n) when given;
+        with ``scratch`` (2, n) as well, nothing is allocated."""
+        # mode="clip" lets take write straight into out; the indices are in range
+        out = np.take(u, self.plus, out=out, mode="clip")
+        out -= np.take(u, self.minus, out=scratch, mode="clip")
+        return out
+
+    def hdiv(self, p: np.ndarray) -> np.ndarray:
+        """h times the divergence, bincount(minus, p) - bincount(plus, p)."""
+        n, w = self.plus.shape[1], p.ravel()
+        out = np.bincount(self.minus.ravel(), w, n)
+        out -= np.bincount(self.plus.ravel(), w, n)
+        return out
 
 
 def difference_operator(grid: Grid) -> DiffOperator:
@@ -244,12 +257,12 @@ def difference_operator(grid: Grid) -> DiffOperator:
     cell = np.arange(int(m.sum()))
     local = np.full(m.shape, -1, dtype=np.intp)
     local[m] = cell
-    plus = np.stack((cell, cell), axis=-1)
+    plus = np.stack((cell, cell))
     minus = plus.copy()
     for a, (fwd, bwd) in enumerate(((grid.fwd_x, grid.bwd_x), (grid.fwd_y, grid.bwd_y))):
         # fwd/bwd hold only where that neighbor is interior, so roll's wrap is never read
-        plus[fwd[m], a] = np.roll(local, -1, axis=a)[fwd]
-        minus[bwd[m], a] = np.roll(local, 1, axis=a)[bwd]
+        plus[a, fwd[m]] = np.roll(local, -1, axis=a)[fwd]
+        minus[a, bwd[m]] = np.roll(local, 1, axis=a)[bwd]
     K = DiffOperator(plus, minus, grid.h)
     object.__setattr__(grid, "_K", K)
     return K
@@ -257,12 +270,12 @@ def difference_operator(grid: Grid) -> DiffOperator:
 
 def gradient(u: ScalarField) -> VectorField:
     """Per-cell difference gradient (forward, with backward fallback at the rim)."""
-    return VectorField.from_interior(u.grid, difference_operator(u.grid).grad(u.interior()))
+    return VectorField.from_interior(u.grid, difference_operator(u.grid).grad(u.interior()).T)
 
 
 def divergence(p: VectorField) -> ScalarField:
     """Exact negative adjoint of :func:`gradient` under the cell inner product."""
-    return ScalarField.from_interior(p.grid, difference_operator(p.grid).div(p.interior()))
+    return ScalarField.from_interior(p.grid, difference_operator(p.grid).div(p.interior().T))
 
 
 def vee_wedge(u: ScalarField, v: ScalarField) -> tuple[ScalarField, ScalarField]:
@@ -293,7 +306,7 @@ def operator_norm_sq(grid: Grid, iters: int = 60) -> float:
         return cached
     K = difference_operator(grid)
     rng = np.random.default_rng(1234)
-    v = rng.standard_normal(len(K.plus))
+    v = rng.standard_normal(K.plus.shape[1])
     nrm = np.linalg.norm(v)
     if nrm == 0:
         return 8.0 / grid.h**2

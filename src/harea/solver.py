@@ -8,9 +8,12 @@ radius h^2, primal descent with a soft threshold toward the face-averaged
 boundary value, and overrelaxation of the primal iterate.
 
 The iteration state lives on the n interior cells only: the primal ``u`` is
-an ``(n,)`` vector and the dual ``P`` and drift ``X*`` are ``(n, 2)``, and
-boundary faces name their owners by interior index (``owner_cell``).
-Full-grid fields are built only for the returned :class:`SolveReport`.
+an ``(n,)`` vector, and the dual ``P`` and the horizontal vector
+``H = h (K u + X*)`` are contiguous component-major ``(2, n)`` arrays;
+boundary faces name their owners by interior index (``owner_cell``).  Every
+update writes into buffers allocated once per solve, and the factor 1/h of
+``K`` is folded into the steps.  Full-grid fields are built only for the
+returned :class:`SolveReport`.
 
 The iteration is not energy-monotone, so the solver tracks the best-energy
 iterate seen and returns that; the recorded energy trace is therefore
@@ -126,9 +129,8 @@ def solver_tolerance(grid: Grid, datum: BoundaryDatum) -> float:
 class SolveReport:
     """Returned by :func:`solve`.
 
-    ``u`` is the best-energy iterate, while ``dual`` is the dual of the last
-    iterate.  A converged solve stops 50 iterations after its best energy, so
-    ``u`` and ``dual`` are not a matching primal-dual pair.
+    ``u`` is the best-energy iterate and ``dual`` the dual iterate it was
+    computed from.
     """
 
     u: ScalarField
@@ -151,12 +153,16 @@ class SolveReport:
 # proximal maps
 
 
-def _project_dual(p: np.ndarray, radius: float, mode: EnergyMode) -> np.ndarray:
+def _project_dual(p: np.ndarray, radius: float, mode: EnergyMode, scratch=None) -> np.ndarray:
+    """Project each cell of ``p`` (2, n) in place onto the ball of ``radius``
+    (the box for the l1 norm); ``scratch`` (2, n) spares the allocation."""
     if mode is EnergyMode.ISOTROPIC:
-        n = np.hypot(p[..., 0], p[..., 1])
-        factor = radius / np.maximum(n, radius)
-        return p * factor[..., None]
-    return np.clip(p, -radius, radius)
+        factor = _cell_norms(p, mode, scratch)
+        np.maximum(factor, radius, out=factor)
+        np.divide(radius, factor, out=factor)
+        p *= factor
+        return p
+    return np.clip(p, -radius, radius, out=p)
 
 
 def prox_dual(q: VectorField, sigma: float, mode: EnergyMode = EnergyMode.ISOTROPIC) -> VectorField:
@@ -165,7 +171,7 @@ def prox_dual(q: VectorField, sigma: float, mode: EnergyMode = EnergyMode.ISOTRO
     mode = EnergyMode.parse(mode)
     g = q.grid
     shifted = q.interior() + sigma * xstar_field(g).interior()
-    return VectorField.from_interior(g, _project_dual(shifted, g.h**2, mode))
+    return VectorField.from_interior(g, _project_dual(shifted.T, g.h**2, mode).T)
 
 
 class _Penalty:
@@ -186,13 +192,17 @@ class _Penalty:
 
 
 def _prox_primal_raw(v: np.ndarray, tau: float, pen: _Penalty, mode: str) -> np.ndarray:
-    out = v.copy()
+    """The primal prox applied to interior values ``v`` in place."""
     if mode == "constrained":
-        out[pen.idx] = pen.mean
-        return out
-    d = out[pen.idx] - pen.mean
-    out[pen.idx] = pen.mean + np.sign(d) * np.maximum(np.abs(d) - tau * pen.weight, 0.0)
-    return out
+        v[pen.idx] = pen.mean
+        return v
+    vi = v[pen.idx]
+    d = vi - pen.mean
+    t = tau * pen.weight
+    # move a far value by exactly t: mean + sign(d) (|d| - t) rounds at the
+    # scale of |d|, which on data of size 1e200 is a jump of about 1e184
+    v[pen.idx] = np.where(np.abs(d) <= t, pen.mean, vi - np.sign(d) * t)
+    return v
 
 
 def prox_primal(
@@ -229,30 +239,43 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     cfg = cfg or SolverConfig()
     sigma, tau = cfg.resolved_steps(grid)
     mode = cfg.energy_mode
-    h2 = grid.h * grid.h
+    h = grid.h
+    h2 = h * h
     K = difference_operator(grid)
-    XS = xstar_field(grid).interior()
+    hXS = np.ascontiguousarray(h * xstar_field(grid).interior().T)
+    # K = hgrad / h and div = hdiv / h: the 1/h goes into the steps
+    sigma_h, tau_h = sigma / h, tau / h
     pen = _Penalty(grid, datum)
     owner = datum.faces.owner_cell
     measures = datum.faces.measure
     phi = datum.values
+    n = grid.interior_count
+    P = np.zeros((2, n))
+    H = np.empty((2, n))
+    scratch = np.empty((2, n))
 
-    def energy_of(vals: np.ndarray, grads: np.ndarray) -> tuple[float, float]:
-        interior = h2 * float(np.sum(_cell_norms(grads + XS, mode)))
-        penalty = float(np.sum(measures * np.abs(vals[owner] - phi)))
+    def horizontal(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        K.hgrad(u, out, scratch)
+        out += hXS
+        return out
+
+    def energy_of(u: np.ndarray, H: np.ndarray) -> tuple[float, float]:
+        # h^2 |K u + X*| = h |H| per cell
+        interior = h * float(np.sum(_cell_norms(H, mode, scratch)))
+        penalty = float(np.sum(measures * np.abs(u[owner] - phi)))
         return interior, penalty
 
     # constant start at the measure-weighted mean of the boundary values
     u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
-    u = _prox_primal_raw(np.full(len(XS), u0), tau, pen, cfg.mode)
-    P = np.zeros_like(XS)
-    G_u = K.grad(u)
-    G_bar = G_u.copy()
+    u = _prox_primal_raw(np.full(n, u0), tau, pen, cfg.mode)
+    horizontal(u, H)
+    H_bar = H.copy()
 
-    ei, ep = energy_of(u, G_u)
+    ei, ep = energy_of(u, H)
     best_interior, best_penalty = ei, ep
     best_total = ei + ep
     best_u = u.copy()
+    best_P = P.copy()
     trace = np.full(cfg.max_iters + 1, np.nan)
     trace[0] = best_total
 
@@ -260,22 +283,28 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     stagnation = math.inf
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
-        P += sigma * (G_bar + XS)
-        P = _project_dual(P, h2, mode)
-        v = u + tau * K.div(P)
-        u_new = _prox_primal_raw(v, tau, pen, cfg.mode)
-        G_new = K.grad(u_new)
-        ei, ep = energy_of(u_new, G_new)
+        np.multiply(H_bar, sigma_h, out=scratch)
+        P += scratch
+        _project_dual(P, h2, mode, scratch)
+        step = K.hdiv(P)
+        step *= tau_h
+        u += step
+        _prox_primal_raw(u, tau, pen, cfg.mode)
+        horizontal(u, H_bar)  # the extrapolation is spent; H_bar holds the new H
+        ei, ep = energy_of(u, H_bar)
         total = ei + ep
         if not math.isfinite(total):
             raise SolverError(f"divergence: non-finite energy at iteration {k}")
         if total < best_total:
             best_total = total
             best_interior, best_penalty = ei, ep
-            best_u[...] = u_new
+            best_u[...] = u
+            best_P[...] = P
         trace[k] = best_total
-        G_bar = 2.0 * G_new - G_u
-        u, G_u = u_new, G_new
+        # extrapolate 2 H_new - H_old into the old buffer, then swap roles
+        np.multiply(H_bar, 2.0, out=scratch)
+        np.subtract(scratch, H, out=H)
+        H, H_bar = H_bar, H
         iterations = k
         if k >= _STAGNATION_WINDOW:
             prev = trace[k - _STAGNATION_WINDOW]
@@ -292,7 +321,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     )
     return SolveReport(
         u=ScalarField.from_interior(grid, best_u),
-        dual=VectorField.from_interior(grid, P),
+        dual=VectorField.from_interior(grid, best_P.T),
         iterations=iterations,
         converged=converged,
         stagnation=float(stagnation),

@@ -29,6 +29,8 @@ from harea import (
     solve,
     solver_tolerance,
 )
+from harea.energy import _cell_norms
+from harea.solver import _project_dual
 from harea.surfaces import Affine, es1_datum
 
 
@@ -191,24 +193,105 @@ def test_solve_deterministic_bitwise():
     assert r1.stagnation == r2.stagnation
 
 
+def mode_config(mode, **kw):
+    """``mode`` is an energy mode, or "constrained" for pinned owner cells
+    under the isotropic norm."""
+    if mode == "constrained":
+        return SolverConfig(mode="constrained", **kw)
+    return SolverConfig(energy_mode=mode, **kw)
+
+
 @pytest.mark.parametrize(
     "mode, iterations, energy",
-    [("iso", 421, 3.698630360771103), ("aniso", 245, 4.198444463067632)],
+    [
+        ("iso", 421, 3.698630360771103),
+        ("aniso", 245, 4.198444463067632),
+        ("constrained", 1051, 3.7155600548451044),
+    ],
 )
 def test_es1_lens_iteration_pinned(mode, iterations, energy):
     """es1 on the lens at h = 1/32 with the h/2 step split, given explicitly
     and left to the default rule.  The pinned iteration counts and energies
     are those of the full-grid stencil solver that the interior-cell
-    operator replaced; a change of representation must reproduce them."""
+    operator replaced (constrained: of the (n, 2) interior-vector solver that
+    the component-major one replaced); a change of representation must
+    reproduce them."""
     grid = rasterize(DomainSpec.parabolic(), 1 / 32)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    default = SolverConfig(max_iters=30000, tol=1e-10, energy_mode=mode)
+    default = mode_config(mode, max_iters=30000, tol=1e-10)
     s, t = balanced_steps(grid, grid.h / 2)
     for cfg in (replace(default, step_sigma=s, step_tau=t), default):
         rep = solve(grid, datum, cfg)
         assert rep.converged
         assert rep.iterations == iterations
         assert rep.energy.total == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mode", ["iso", "aniso", "constrained"])
+def test_reported_energy_matches_penalized_energy(mode):
+    """The loop sums h |h (K u + X*)| per cell; ``penalized_energy`` sums
+    h^2 |K u + X*|.  The two formulas must agree on the returned iterate."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
+    datum = sample_datum(boundary_faces(grid), lambda x, y: np.sin(3 * x) + y)
+    rep = solve(grid, datum, mode_config(mode, max_iters=20000, tol=1e-9))
+    want = penalized_energy(rep.u, datum, rep.energy.mode)
+    assert rep.energy.total == pytest.approx(want.total, rel=1e-12, abs=0.0)
+    assert rep.energy.interior == pytest.approx(want.interior, rel=1e-12, abs=0.0)
+    assert rep.energy.penalty == pytest.approx(want.penalty, rel=1e-12, abs=0.0)
+
+
+def test_dual_is_the_best_iterates_dual():
+    """``dual`` pairs with ``u``.  A converged solve stops 50 iterations after
+    its best iterate k; a solve cut at k - 1 has not reached the best energy,
+    and one cut at k (with a tol that cannot fire sooner) returns the same u
+    and dual bit for bit."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
+    datum = sample_datum(boundary_faces(grid), lambda x, y: np.sin(3 * x) + y)
+    rep = solve(grid, datum, tuned())
+    assert rep.converged
+    k = rep.iterations - 50
+    before = solve(grid, datum, tuned(max_iters=k - 1, tol=1e-300))
+    assert before.energy.total > rep.energy.total
+    cut = solve(grid, datum, tuned(max_iters=k, tol=1e-300))
+    assert cut.iterations == k
+    assert cut.energy.total == rep.energy.total
+    assert np.array_equal(cut.u.values, rep.u.values)
+    assert np.array_equal(cut.dual.values, rep.dual.values)
+
+
+def test_norm_and_projection_kernels_match_hypot_reference():
+    """The one cell-norm kernel (sqrt(x*x + y*y)) and the one dual projection
+    against np.hypot, on component-major vectors spanning 1e-150..1e150."""
+    rng = np.random.default_rng(7)
+    n = 20000
+    v = rng.choice((-1.0, 1.0), (2, n)) * 10.0 ** rng.uniform(-150, 150, (2, n))
+    ref = np.hypot(v[0], v[1])
+    norms = _cell_norms(v.copy(), EnergyMode.ISOTROPIC)
+    np.testing.assert_array_max_ulp(norms, ref, maxulp=2)
+    assert np.array_equal(_cell_norms(v.copy(), EnergyMode.ANISOTROPIC), np.abs(v[0]) + np.abs(v[1]))
+
+    radius = 1.0
+    inside = ref < radius
+    assert 0.2 * n < inside.sum() < 0.8 * n
+    got = _project_dual(v.copy(), radius, EnergyMode.ISOTROPIC, np.empty_like(v))
+    assert np.array_equal(got[:, inside], v[:, inside])
+    want = v * (radius / np.maximum(ref, radius))
+    np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    got = _project_dual(v.copy(), radius, EnergyMode.ANISOTROPIC)
+    assert np.array_equal(got, np.clip(v, -radius, radius))
+
+
+def test_huge_finite_datum_solves():
+    """Data of size 1e200 stay far from overflow: the cell norm squares only
+    differences of neighboring values, and the primal prox moves an owner
+    cell by its threshold instead of rebuilding it from the face mean."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.25)
+    faces = boundary_faces(grid)
+    datum = BoundaryDatum(faces, 1e200 * np.cos(np.arange(len(faces))))
+    rep = solve(grid, datum, SolverConfig(max_iters=50))
+    assert rep.converged
+    assert np.isfinite(rep.energy.total)
+    assert rep.energy.total == pytest.approx(penalized_energy(rep.u, datum).total, rel=1e-12)
 
 
 def test_solver_import_leaves_scipy_unloaded():
