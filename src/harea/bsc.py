@@ -140,8 +140,10 @@ def _minimize_side(
     sign: float,
     eps: float,
     iters: int = _SUBGRAD_ITERS,
+    rows=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize, for every anchor i at once, the worst signed support defect
+    """Minimize, for every anchor i in ``rows`` (default: all) at once, the
+    worst signed support defect
 
         g_i(a) = max_k  sign * (phi_i + <a, z_k - z_i> - phi_k)   over |a| <= Q.
 
@@ -149,36 +151,50 @@ def _minimize_side(
     converge sharply and exit early.  Infeasible anchors never reach level 0;
     a second phase re-aims each step slightly below the best value seen, which
     shrinks the steps and polishes the positive minimum instead of bouncing.
-    Returns the best slopes and values.
+    Anchors are independent, and the best value never increases, so an anchor
+    whose best value reaches eps is frozen and leaves the batch for good: each
+    step costs only the anchors still open.  Returns the best slopes and
+    values of ``rows``, in its order.
     """
-    n = len(Z)
-    A = _project_ball(_ls_slopes(Z, phi), Q)
-
-    def g_and_arg(A):
-        # W[i, k] = phi_i + <a_i, z_k> - <a_i, z_i> - phi_k
-        az = A @ Z.T
-        W = sign * (phi[:, None] + az - np.diag(az)[:, None] - phi[None, :])
-        kstar = np.argmax(W, axis=1)
-        return W[np.arange(n), kstar], kstar
-
-    best_g, _ = g_and_arg(A)
-    best_A = A.copy()
+    idx = np.arange(len(Z)) if rows is None else np.asarray(rows, dtype=np.intp)
+    best_A = _project_ball(_ls_slopes(Z, phi)[idx], Q)
+    best_g, _ = _side_defects(best_A, Z, phi, idx, sign)
+    live = np.flatnonzero(best_g > eps)
+    # compacted state of the live anchors, gathered again only when it shrinks
+    rows_l, A, bg, bA = idx[live], best_A[live], best_g[live], best_A[live]
     phase1 = (7 * iters) // 10
     for it in range(iters):
-        live = best_g > eps
-        if not np.any(live):
+        if not len(live):
             break
-        g, kstar = g_and_arg(A)
-        improved = g < best_g
-        best_g = np.where(improved, g, best_g)
-        best_A[improved] = A[improved]
-        live = best_g > eps
-        level = 0.0 if it < phase1 else 0.9 * best_g
-        d = sign * (Z[kstar] - Z)
+        g, kstar = _side_defects(A, Z, phi, rows_l, sign)
+        improved = g < bg
+        bg[improved] = g[improved]
+        bA[improved] = A[improved]
+        keep = bg > eps
+        level = 0.0 if it < phase1 else 0.9 * bg
+        d = sign * (Z[kstar] - Z[rows_l])
         dn2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-30)
-        step = np.where(live, np.maximum(g - level, 0.0) / dn2, 0.0)
+        step = np.where(keep, np.maximum(g - level, 0.0) / dn2, 0.0)
         A = _project_ball(A - step[:, None] * d, Q)
+        if not keep.all():
+            best_g[live], best_A[live] = bg, bA
+            live, rows_l, A, bg = live[keep], rows_l[keep], A[keep], bg[keep]
+            bA = bA[keep]
+    best_g[live], best_A[live] = bg, bA
     return best_A, best_g
+
+
+def _side_defects(A, Z, phi, rows, sign):
+    """g_j = max_k sign * (phi_i + <a_j, z_k - z_i> - phi_k) for anchors
+    i = rows[j] with slopes A[j], and its argmax k."""
+    m = len(rows)
+    # a one-row product goes through BLAS gemv, which rounds differently from
+    # gemm; two rows keep an anchor's arithmetic independent of how many
+    # anchors are still open
+    az = ((np.repeat(A, 2, axis=0) if m == 1 else A) @ Z.T)[:m]
+    W = sign * (phi[rows, None] + az - az[np.arange(m), rows][:, None] - phi[None, :])
+    kstar = np.argmax(W, axis=1)
+    return W[np.arange(m), kstar], kstar
 
 
 def _lp_polish(Z: np.ndarray, phi: np.ndarray, i: int, sign: float, Q: float):
@@ -236,8 +252,8 @@ def support_feasibility(samples, z0_index: int, Q: float, side: str = "both") ->
     slack = 0.0
 
     def one_side(sign):
-        A, g = _minimize_side(Z, phi, Q, sign, eps)
-        a, v = A[z0_index], float(g[z0_index])
+        A, g = _minimize_side(Z, phi, Q, sign, eps, rows=[z0_index])
+        a, v = A[0], float(g[0])
         if v > eps:
             polished = _lp_polish(Z, phi, z0_index, sign, Q)
             if polished is not None and polished[1] < v:
@@ -260,22 +276,28 @@ def support_feasibility(samples, z0_index: int, Q: float, side: str = "both") ->
 
 
 def _certify_all(Z, phi, Q, eps, early_exit=False):
-    """Defects for all anchors and sides; LP-polish everything the batch
-    leaves above tolerance.  With early_exit a single exactly-confirmed
-    violation settles the (infeasible) verdict without polishing the rest."""
-    Al, gl = _minimize_side(Z, phi, Q, +1.0, eps)
-    Au, gu = _minimize_side(Z, phi, Q, -1.0, eps)
-    for sign, A, g in ((+1.0, Al, gl), (-1.0, Au, gu)):
-        order = np.argsort(g)[::-1]
-        for i in order:
+    """Defects for all anchors and sides, one side at a time; LP-polish
+    everything the batch leaves above tolerance.  With early_exit a single
+    exactly-confirmed violation settles the (infeasible) verdict without
+    polishing the rest or running the upper side after a lower violation; the
+    slopes of a side not run are None and ``worst`` covers the sides run."""
+    slopes = [None, None]
+    worst = np.full(len(Z), -np.inf)
+    for j, sign in enumerate((+1.0, -1.0)):
+        A, g = _minimize_side(Z, phi, Q, sign, eps)
+        for i in np.argsort(g)[::-1]:
             if g[i] <= eps:
                 break
             polished = _lp_polish(Z, phi, int(i), sign, Q)
             if polished is not None and polished[1] < g[i]:
                 A[i], g[i] = polished
             if early_exit and g[i] > eps:
-                return Al, Au, np.maximum(gl, gu)
-    return Al, Au, np.maximum(gl, gu)
+                break
+        slopes[j] = A
+        worst = np.maximum(worst, g)
+        if early_exit and np.max(g) > eps:
+            break
+    return slopes[0], slopes[1], worst
 
 
 def minimal_Q(samples, grid: Grid | None = None) -> BscReport:
@@ -295,7 +317,8 @@ def minimal_Q(samples, grid: Grid | None = None) -> BscReport:
     hi = 1.0
     lo = 0.0
     while True:
-        Al, Au, worst = _certify_all(Z, phi, hi, eps, early_exit=True)
+        certified = _certify_all(Z, phi, hi, eps, early_exit=True)
+        worst = certified[2]
         if np.max(worst) <= eps:
             break
         if hi > _Q_CAP:
@@ -312,12 +335,14 @@ def minimal_Q(samples, grid: Grid | None = None) -> BscReport:
     # finite when the infeasible bracket stays at zero (constant-like data)
     while hi - lo > 1e-3 * max(hi, 1e-3):
         mid = 0.5 * (hi + lo)
-        _, _, worst = _certify_all(Z, phi, mid, eps, early_exit=True)
-        if np.max(worst) <= eps:
-            hi = mid
+        trial = _certify_all(Z, phi, mid, eps, early_exit=True)
+        if np.max(trial[2]) <= eps:
+            hi, certified = mid, trial
         else:
             lo = mid
-    Al, Au, worst = _certify_all(Z, phi, hi, eps)
+    # early_exit never fires on a feasible Q, so the kept certification of hi
+    # is the full one
+    Al, Au, worst = certified
     per_point = [
         BscCertificate(
             point=(float(Z[i, 0]), float(Z[i, 1])),
