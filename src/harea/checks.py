@@ -644,7 +644,8 @@ def run_check(check_id, solver_cfg: SolverConfig | None = None) -> TestReport:
     """Execute one named check and summarize it as a TestReport.
 
     Solver divergence or a failed certification is reported as a failed check
-    (with the reason echoed in the config), not as an exception.
+    (metric ``aborted`` = 1 against a threshold of 0, with the reason echoed
+    in the config), not as an exception.
     """
     cid = CheckId(check_id)
     start = time.perf_counter()
@@ -655,7 +656,7 @@ def run_check(check_id, solver_cfg: SolverConfig | None = None) -> TestReport:
         return TestReport(
             check_id=cid,
             passed=False,
-            metrics={"aborted": float("inf")},
+            metrics={"aborted": 1.0},
             thresholds={"aborted": 0.0},
             config={"reason": str(exc)},
             runtime=runtime,

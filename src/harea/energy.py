@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, difference_operator, gradient, star, xstar_field
+from .fields import (
+    ScalarField,
+    VectorField,
+    difference_operator,
+    gradient,
+    interior_xstar,
+    star,
+    xstar_field,
+)
 from .geometry import BoundaryDatum, BoundaryFaces, Grid, boundary_faces
 
 __all__ = [
@@ -93,7 +101,7 @@ def area_energy(u: ScalarField, mode: EnergyMode = EnergyMode.ISOTROPIC) -> floa
     """Interior area term: sum of h^2 * norm(horizontal vector) over cells."""
     mode = EnergyMode.parse(mode)
     g = u.grid
-    H = difference_operator(g).grad(u.interior()) + xstar_field(g).interior().T
+    H = difference_operator(g).grad(u.interior()) + interior_xstar(g)
     return float(g.h**2 * np.sum(_cell_norms(H, mode)))
 
 

@@ -2,20 +2,30 @@
 
 All difference arithmetic goes through one operator ``K`` per grid
 (:func:`difference_operator`), built once over the n interior cells in
-row-major order and cached on the grid.  It is two component-major ``(2, n)``
-index arrays, ``plus`` and ``minus``: along each axis a cell differences its
-forward neighbor against itself, falls back to itself against its backward
-neighbor where the forward one is exterior, and uses itself twice (a zero
-component) where it is isolated along that axis.  The gradient is
-``(u[plus] - u[minus]) / h``, a ``(2, n)`` array.  The divergence scatters
-each component back to the same two cells with opposite signs,
-``(bincount(minus, p) - bincount(plus, p)) / h``, so it is ``-K^T`` by
-construction and ``<grad u, p> = -<u, div p>`` holds to rounding for every
-pair.  Boundary attachment is never encoded in the operator; it enters the
-model only through the boundary penalty.  The public :func:`gradient` and
-:func:`divergence` apply ``K`` to the interior values of full-grid fields,
-whose interior vectors are ``(n, 2)``; the solver applies it to
-component-major interior vectors directly.
+row-major order and cached on the grid.  Along each axis a cell differences
+its forward neighbor against itself, falls back to itself against its
+backward neighbor where the forward one is exterior, and gives a zero
+component where it is isolated along that axis.  The divergence scatters
+each component back to the same two cells with opposite signs, so it is
+``-K^T`` by construction and ``<grad u, p> = -<u, div p>`` holds to rounding
+for every pair.
+
+The kernels read a regular stencil plus an exact rim.  In row-major order
+the axis-1 neighbors of a cell are ``c - 1`` and ``c + 1``, so axis 1 is a
+slice difference and only the axis-0 neighbors need an index array.  A cell
+is *regular* when it differences forward on both axes, both its predecessors
+are interior, and no backward fallback lands on it; its divergence is then
+``(p0[c] + p1[c]) - (p0[prev0[c]] + p1[c - 1])``.  The gradient entries that
+are not forward differences, and the divergence at the remaining *rim* cells,
+are rewritten from index arrays, the rim by a bincount over exactly the
+entries that target it in ascending order.  Every value is therefore the
+same sum of the same operands, in the same order, as the gather
+``u[plus] - u[minus]`` and scatter ``bincount(minus, p) - bincount(plus, p)``
+over all 2n entries would give.  Boundary attachment is never encoded in the
+operator; it enters the model only through the boundary penalty.  The public
+:func:`gradient` and :func:`divergence` apply ``K`` to the interior values of
+full-grid fields, whose interior vectors are ``(n, 2)``; the solver applies
+it to component-major interior vectors directly.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ __all__ = [
     "xstar_field",
     "DiffOperator",
     "difference_operator",
+    "interior_xstar",
     "gradient",
     "divergence",
     "vee_wedge",
@@ -214,15 +225,37 @@ def xstar_field(grid: Grid) -> VectorField:
 class DiffOperator(NamedTuple):
     """The difference operator K on the n interior cells, row-major order.
 
-    ``plus[a, c]`` and ``minus[a, c]`` are the interior indices whose values
-    difference to component ``a`` of the gradient at cell ``c``: (next, c) for
-    a forward difference, (c, previous) for the backward fallback, (c, c) for
-    a cell isolated along that axis.
+    A regular cell (see the module docstring) is computed from slices and one
+    gather; every other entry is rewritten exactly from index arrays:
+
+    * ``next0`` (n,): the forward neighbor along axis 0, the cell itself where
+      there is none (the entry is then rewritten).
+    * ``prev0`` (n,): the backward neighbor along axis 0 of a regular cell,
+      the cell itself elsewhere.
+    * ``edge`` with ``edge_plus``/``edge_minus``: the flat indices into a
+      (2, n) gradient of the entries that are not forward differences, and the
+      cells they difference: (c, previous) for the backward fallback, (c, c)
+      for a cell isolated along that axis.
+    * ``rim`` (the cells that are not regular) with ``rim_entries`` and
+      ``rim_bins``: the flat indices into a (2, n) vector field of the
+      entries the divergence sums at rim cells, ascending, and their bins in
+      a bincount of length ``2 len(rim)``: bin ``r`` sums the entries added
+      at ``rim[r]``, bin ``len(rim) + r`` those subtracted there.
     """
 
-    plus: np.ndarray
-    minus: np.ndarray
+    next0: np.ndarray
+    prev0: np.ndarray
+    edge: np.ndarray
+    edge_plus: np.ndarray
+    edge_minus: np.ndarray
+    rim: np.ndarray
+    rim_entries: np.ndarray
+    rim_bins: np.ndarray
     h: float
+
+    @property
+    def n(self) -> int:
+        return self.next0.size
 
     def grad(self, u: np.ndarray) -> np.ndarray:
         """K u: interior values (n,) to interior gradients (2, n)."""
@@ -232,19 +265,31 @@ class DiffOperator(NamedTuple):
         """-K^T p: interior vectors (2, n) to interior values (n,)."""
         return self.hdiv(p) / self.h
 
-    def hgrad(self, u: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """h K u = u[plus] - u[minus], written into ``out`` (2, n) when given;
-        with ``scratch`` (2, n) as well, nothing is allocated."""
-        # mode="clip" lets take write straight into out; the indices are in range
-        out = np.take(u, self.plus, out=out, mode="clip")
-        out -= np.take(u, self.minus, out=scratch, mode="clip")
+    def hgrad(self, u: np.ndarray, out=None) -> np.ndarray:
+        """h K u, written into the C-contiguous ``out`` (2, n) when given."""
+        if out is None:
+            out = np.empty((2, self.n))
+        # mode="clip" lets take write straight into out; the indices are in range.
+        # Method calls, not np.take/np.put: their Python wrappers cost about 1 us
+        # a call, which is felt on small grids.
+        u.take(self.next0, out=out[0], mode="clip")
+        out[0] -= u
+        np.subtract(u[1:], u[:-1], out=out[1, :-1])
+        out.put(self.edge, u[self.edge_plus] - u[self.edge_minus])
         return out
 
-    def hdiv(self, p: np.ndarray) -> np.ndarray:
-        """h times the divergence, bincount(minus, p) - bincount(plus, p)."""
-        n, w = self.plus.shape[1], p.ravel()
-        out = np.bincount(self.minus.ravel(), w, n)
-        out -= np.bincount(self.plus.ravel(), w, n)
+    def hdiv(self, p: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """h times the divergence of ``p`` (2, n), written into ``out`` (n,)
+        when given; with ``scratch`` (n,) as well, no n-long array is
+        allocated."""
+        p0, p1 = p[0], p[1]
+        out = np.add(p0, p1, out=out)
+        back = p0.take(self.prev0, out=scratch, mode="clip")
+        back[1:] += p1[:-1]
+        out -= back
+        nr = self.rim.size
+        s = np.bincount(self.rim_bins, p.ravel()[self.rim_entries], 2 * nr)
+        out[self.rim] = s[:nr] - s[nr:]
         return out
 
 
@@ -257,15 +302,55 @@ def difference_operator(grid: Grid) -> DiffOperator:
     cell = np.arange(int(m.sum()))
     local = np.full(m.shape, -1, dtype=np.intp)
     local[m] = cell
+    # plus[a, c] - minus[a, c] is component a of the gradient at c
     plus = np.stack((cell, cell))
     minus = plus.copy()
     for a, (fwd, bwd) in enumerate(((grid.fwd_x, grid.bwd_x), (grid.fwd_y, grid.bwd_y))):
         # fwd/bwd hold only where that neighbor is interior, so roll's wrap is never read
         plus[a, fwd[m]] = np.roll(local, -1, axis=a)[fwd]
         minus[a, bwd[m]] = np.roll(local, 1, axis=a)[bwd]
-    K = DiffOperator(plus, minus, grid.h)
+    forward = plus != cell
+    # prev[a, c]: the cell whose forward difference along a lands on c, or -1
+    prev = np.full_like(plus, -1)
+    for a in (0, 1):
+        prev[a, plus[a, forward[a]]] = cell[forward[a]]
+    regular = forward.all(axis=0) & (prev >= 0).all(axis=0)
+    regular[minus[minus != cell]] = False  # targets of a backward fallback
+    rim = np.flatnonzero(~regular)
+    slot = np.full(cell.size, -1, dtype=np.intp)
+    slot[rim] = np.arange(rim.size)
+    entries, bins = [], []
+    for half, idx in enumerate((minus.ravel(), plus.ravel())):
+        sel = np.flatnonzero(~regular[idx])
+        entries.append(sel)
+        bins.append(slot[idx[sel]] + half * rim.size)
+    edge = np.flatnonzero(~forward)
+    K = DiffOperator(
+        next0=plus[0].copy(),  # a view would keep all of plus alive
+        prev0=np.where(regular, prev[0], cell),
+        edge=edge,
+        edge_plus=plus.ravel()[edge],
+        edge_minus=minus.ravel()[edge],
+        rim=rim,
+        rim_entries=np.concatenate(entries),
+        rim_bins=np.concatenate(bins),
+        h=grid.h,
+    )
     object.__setattr__(grid, "_K", K)
     return K
+
+
+def interior_xstar(grid: Grid) -> np.ndarray:
+    """X* at the interior cell centers, component-major (2, n), read-only;
+    equal to ``xstar_field(grid).interior().T`` and cached on the grid."""
+    cached = getattr(grid, "_xstar", None)
+    if cached is not None:
+        return cached
+    x, y = grid.interior_centers().T
+    xs = np.stack((-2.0 * y, 2.0 * x))
+    xs.setflags(write=False)
+    object.__setattr__(grid, "_xstar", xs)
+    return xs
 
 
 def gradient(u: ScalarField) -> VectorField:
@@ -306,7 +391,7 @@ def operator_norm_sq(grid: Grid, iters: int = 60) -> float:
         return cached
     K = difference_operator(grid)
     rng = np.random.default_rng(1234)
-    v = rng.standard_normal(K.plus.shape[1])
+    v = rng.standard_normal(K.n)
     nrm = np.linalg.norm(v)
     if nrm == 0:
         return 8.0 / grid.h**2

@@ -186,7 +186,13 @@ def write_pgm(values: np.ndarray, path: str, mask: np.ndarray | None = None) -> 
 
 
 def write_json(obj: dict, path: str) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as strict JSON; a NaN or an infinity raises FormatError
+    and leaves no file."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    _atomic_write(path, text + "\n")
 
 
 def read_json(path: str) -> dict:

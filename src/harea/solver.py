@@ -23,12 +23,13 @@ non-increasing and never exceeds the energy of the constant initial guess.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import EnergyBreakdown, EnergyMode, _cell_norms
-from .fields import ScalarField, VectorField, difference_operator, operator_norm_sq, xstar_field
+from .fields import ScalarField, VectorField, difference_operator, interior_xstar, operator_norm_sq
 from .geometry import BoundaryDatum, DomainSpec, Grid, boundary_faces, rasterize, sample_datum
 
 __all__ = [
@@ -144,7 +145,8 @@ class SolveReport:
         return {
             "iterations": self.iterations,
             "converged": self.converged,
-            "stagnation": self.stagnation,
+            # a solve stopped before the window fills has no stagnation yet
+            "stagnation": self.stagnation if math.isfinite(self.stagnation) else None,
             "energy": self.energy.to_json(),
         }
 
@@ -170,7 +172,7 @@ def prox_dual(q: VectorField, sigma: float, mode: EnergyMode = EnergyMode.ISOTRO
     each cell onto the ball of radius h^2 (componentwise box for the l1 norm)."""
     mode = EnergyMode.parse(mode)
     g = q.grid
-    shifted = q.interior() + sigma * xstar_field(g).interior()
+    shifted = q.interior() + sigma * interior_xstar(g).T
     return VectorField.from_interior(g, _project_dual(shifted.T, g.h**2, mode).T)
 
 
@@ -242,7 +244,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     h = grid.h
     h2 = h * h
     K = difference_operator(grid)
-    hXS = np.ascontiguousarray(h * xstar_field(grid).interior().T)
+    hXS = h * interior_xstar(grid)
     # K = hgrad / h and div = hdiv / h: the 1/h goes into the steps
     sigma_h, tau_h = sigma / h, tau / h
     pen = _Penalty(grid, datum)
@@ -253,9 +255,10 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     P = np.zeros((2, n))
     H = np.empty((2, n))
     scratch = np.empty((2, n))
+    step = scratch[1]  # the primal step borrows a row of scratch
 
     def horizontal(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        K.hgrad(u, out, scratch)
+        K.hgrad(u, out)
         out += hXS
         return out
 
@@ -276,8 +279,8 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     best_total = ei + ep
     best_u = u.copy()
     best_P = P.copy()
-    trace = np.full(cfg.max_iters + 1, np.nan)
-    trace[0] = best_total
+    # the best energies of the last window + 1 iterations, oldest first
+    trace = deque([best_total], maxlen=_STAGNATION_WINDOW + 1)
 
     converged = False
     stagnation = math.inf
@@ -286,7 +289,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
         np.multiply(H_bar, sigma_h, out=scratch)
         P += scratch
         _project_dual(P, h2, mode, scratch)
-        step = K.hdiv(P)
+        K.hdiv(P, step, scratch[0])
         step *= tau_h
         u += step
         _prox_primal_raw(u, tau, pen, cfg.mode)
@@ -300,19 +303,21 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
             best_interior, best_penalty = ei, ep
             best_u[...] = u
             best_P[...] = P
-        trace[k] = best_total
+        trace.append(best_total)
         # extrapolate 2 H_new - H_old into the old buffer, then swap roles
         np.multiply(H_bar, 2.0, out=scratch)
         np.subtract(scratch, H, out=H)
         H, H_bar = H_bar, H
         iterations = k
         if k >= _STAGNATION_WINDOW:
-            prev = trace[k - _STAGNATION_WINDOW]
+            prev = trace[0]  # the best energy at iteration k - window
             stagnation = (prev - best_total) / max(abs(best_total), 1.0)
             if stagnation <= cfg.tol:
                 converged = True
                 break
 
+    # release the loop state before the full-grid report fields are built
+    del P, H, H_bar, scratch, step, hXS
     energy = EnergyBreakdown(
         interior=best_interior,
         penalty=best_penalty,

@@ -22,7 +22,10 @@ the slope, hence convex; that structure gives three solver-free referees:
 every anchor's defect row on every step, frozen anchors included.
 
 ``loop_gradient`` referees the difference operator the same way: a per-cell
-Python loop that reads nothing but the interior mask.
+Python loop that reads nothing but the interior mask.  ``index_operator``,
+``take_hgrad`` and ``bincount_hdiv`` are the operator's original form, two
+(2, n) index arrays with a gather and a scatter over all 2n entries; the
+library's slice-and-rim kernels must match them bit for bit.
 """
 
 import numpy as np
@@ -186,3 +189,35 @@ def dense_minimize_side(Z, phi, Q, sign, eps, iters=500):
         step = np.where(live, np.maximum(g - level, 0.0) / dn2, 0.0)
         A = _project_ball(A - step[:, None] * d, Q)
     return best_A, best_g
+
+
+def index_operator(grid):
+    """``plus`` and ``minus`` (2, n): the interior indices whose values
+    difference to each gradient component, (next, c) for a forward difference,
+    (c, previous) for the backward fallback, (c, c) for an isolated cell."""
+    m = grid.interior_mask
+    cell = np.arange(int(m.sum()))
+    local = np.full(m.shape, -1, dtype=np.intp)
+    local[m] = cell
+    plus = np.stack((cell, cell))
+    minus = plus.copy()
+    for a, (fwd, bwd) in enumerate(((grid.fwd_x, grid.bwd_x), (grid.fwd_y, grid.bwd_y))):
+        # fwd/bwd hold only where that neighbor is interior, so roll's wrap is never read
+        plus[a, fwd[m]] = np.roll(local, -1, axis=a)[fwd]
+        minus[a, bwd[m]] = np.roll(local, 1, axis=a)[bwd]
+    return plus, minus
+
+
+def take_hgrad(plus, minus, u):
+    """h K u = u[plus] - u[minus], shape (2, n)."""
+    out = np.take(u, plus, mode="clip")
+    out -= np.take(u, minus, mode="clip")
+    return out
+
+
+def bincount_hdiv(plus, minus, p):
+    """h times the divergence, bincount(minus, p) - bincount(plus, p)."""
+    n, w = plus.shape[1], p.ravel()
+    out = np.bincount(minus.ravel(), w, n)
+    out -= np.bincount(plus.ravel(), w, n)
+    return out

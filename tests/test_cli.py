@@ -46,6 +46,21 @@ def test_solve_happy_path_affine(tmp_path):
     assert rep["result"]["converged"] is True
 
 
+def test_solve_report_is_strict_json_when_stopped_early(tmp_path):
+    """A solve cut off before the 50-iteration stagnation window fills has no
+    stagnation figure; report.json must still be valid JSON (no Infinity)."""
+    cfg = write_cfg(tmp_path, out=str(tmp_path / "run"), solver={"max_iters": 10})
+    assert dispatch(["solve", "-c", cfg]) == 1  # not converged
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    text = (tmp_path / "run" / "report.json").read_text()
+    rep = json.loads(text, parse_constant=reject)
+    assert rep["result"]["iterations"] == 10
+    assert rep["result"]["stagnation"] is None
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"domain": {"kind": "disk"},\n  "h": }')

@@ -14,8 +14,8 @@ from harea import (
     star,
     xstar_field,
 )
-from harea.fields import FieldError
-from oracles import loop_gradient
+from harea.fields import FieldError, difference_operator, interior_xstar
+from oracles import bincount_hdiv, index_operator, loop_gradient, take_hgrad
 
 
 def full_grid(n, h=1.0, origin=(0.0, 0.0)):
@@ -36,6 +36,15 @@ def test_xstar_field_values():
     xs = xstar_field(grid)
     # cell (0, 1): center (0.25, 1.25); X* = 2*(-y, x)
     assert np.allclose(xs.values[0, 1], (-2.5, 0.5))
+
+
+def test_interior_xstar_is_the_field_on_interior_cells():
+    grid = rasterize(DomainSpec.parabolic(), 1 / 32)
+    xs = interior_xstar(grid)
+    ref = xstar_field(grid).interior().T
+    assert xs.shape == (2, grid.interior_count)
+    assert np.array_equal(xs.view(np.int64), ref.view(np.int64))
+    assert interior_xstar(grid) is xs and not xs.flags.writeable
 
 
 def test_gradient_forward_difference_hand_case():
@@ -140,6 +149,39 @@ def test_divergence_is_negative_adjoint_on_hand_masks(name):
         lhs = float(np.sum(gradient(u).values * p.values))
         rhs = float(np.sum(u.values * divergence(p).values))
         assert abs(lhs + rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
+OPERATOR_GRIDS = {
+    **{name: lambda name=name: hand_grid(name) for name in HAND_MASKS},
+    "lens32": lambda: rasterize(DomainSpec.parabolic(), 1 / 32),
+    "lens64": lambda: rasterize(DomainSpec.parabolic(), 1 / 64),
+    "disk24": lambda: rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_GRIDS))
+def test_operator_matches_index_referee(name):
+    """The slice-and-rim kernels give the index-array forms' results exactly,
+    on inputs with zeros and with entries near 1e150."""
+    grid = OPERATOR_GRIDS[name]()
+    K = difference_operator(grid)
+    plus, minus = index_operator(grid)
+    rng = np.random.default_rng(13)
+    n = grid.interior_count
+    for scale in (1.0, 1e150):
+        for _ in range(3):
+            u = scale * rng.standard_normal(n)
+            u[rng.random(n) < 0.2] = 0.0
+            p = scale * rng.standard_normal((2, n))
+            p[rng.random((2, n)) < 0.2] = 0.0
+            assert np.array_equal(K.hgrad(u), take_hgrad(plus, minus, u))
+            assert np.array_equal(K.hdiv(p), bincount_hdiv(plus, minus, p))
+            # into caller buffers, as solve uses them
+            out, step, scratch = np.full((2, n), np.nan), np.full(n, np.nan), np.empty(n)
+            assert K.hgrad(u, out) is out
+            assert np.array_equal(out, take_hgrad(plus, minus, u))
+            assert K.hdiv(p, step, scratch) is step
+            assert np.array_equal(step, bincount_hdiv(plus, minus, p))
 
 
 def test_divergence_supported_on_interior():

@@ -9,6 +9,7 @@ from harea.fileio import (
     read_field,
     read_vector_field,
     write_field,
+    write_json,
     write_pgm,
     write_vector_field,
 )
@@ -134,3 +135,11 @@ def test_writes_are_atomic_no_temp_left(grid, tmp_path):
         write_field(random_field(grid, np.random.default_rng(seed)), path)
     leftovers = [n for n in os.listdir(tmp_path) if n != "f.csv"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_write_json_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "r.json"
+    with pytest.raises(FormatError, match="r.json"):
+        write_json({"ok": 1.0, "nested": {"bad": bad}}, str(path))
+    assert list(tmp_path.iterdir()) == []
