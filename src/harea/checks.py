@@ -35,7 +35,7 @@ from .energy import (
 # Not called here: perfbench's verify workload wraps gradient, divergence and balanced_steps by name.
 from .fields import ScalarField, gradient, divergence, lipschitz_estimate
 from .geometry import BoundaryDatum, DomainSpec, boundary_faces, rasterize, sample_datum
-from .solver import SolverConfig, SolverError, balanced_steps, solve, solver_tolerance
+from .solver import SolverConfig, SolverError, balanced_steps, refine_study, solve, solver_tolerance
 from .surfaces import Affine, es1_datum, es1_surface, es2_surface
 
 __all__ = ["CheckId", "TestReport", "run_check", "run_suite"]
@@ -101,18 +101,6 @@ def _erode(mask: np.ndarray, layers: int) -> np.ndarray:
         inner[:, :-1] &= m[:, 1:]
         m = inner
     return m
-
-
-def _sup_err(u: ScalarField, exact) -> float:
-    ref = ScalarField.from_function(u.grid, exact)
-    return float(np.max(np.abs(u.values - ref.values)[u.grid.interior_mask]))
-
-
-def _rel_l1(u: ScalarField, exact) -> float:
-    ref = ScalarField.from_function(u.grid, exact)
-    m = u.grid.interior_mask
-    denom = float(np.sum(np.abs(ref.values)[m]))
-    return float(np.sum(np.abs(u.values - ref.values)[m]) / max(denom, 1e-30))
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +229,9 @@ def _check_affine_unique(user_cfg):
     offset = 0.5
     L = Affine(slope, offset)
     hs = (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)
-    errs = []
-    for h in hs:
-        grid = rasterize(_DISK, h)
-        datum = sample_datum(boundary_faces(grid), L)
-        rep = solve(grid, datum, user_cfg or SolverConfig(max_iters=30000, tol=1e-9))
-        errs.append(_sup_err(rep.u, L))
+    cfg = user_cfg or SolverConfig(max_iters=30000, tol=1e-9)
+    rows, _ = refine_study(_DISK, L, hs, cfg, exact=L)
+    errs = [r.error for r in rows]
     bound = 0.05 * (1.0 + math.hypot(*slope) + abs(offset))
     metrics = {
         "sup_err_h32": errs[1],
@@ -444,16 +429,22 @@ def _check_lipschitz_bound(user_cfg):
     return metrics, thresholds, config
 
 
+def _char_band_metrics(u: ScalarField, in_band: np.ndarray, band: np.ndarray):
+    """Characteristic cells (away from the rim) outside ``in_band``, and the
+    fraction of the ``band`` cells the characteristic set misses."""
+    cs = char_set(u) & _erode(u.grid.interior_mask, 4)
+    off_band = int(np.sum(cs & ~in_band))
+    missing = 1.0 - float(np.sum(cs & band)) / max(int(np.sum(band)), 1)
+    return float(off_band), float(missing)
+
+
 def _char_band_metrics_es1(u: ScalarField):
     grid = u.grid
     h = grid.h
     X, Y = grid.cell_centers()
-    cs = char_set(u) & _erode(grid.interior_mask, 4)
     in_band = ((np.abs(X) <= 5 * h) & (Y > 0)) | (np.hypot(X, Y) <= 12 * h)
-    off_band = int(np.sum(cs & ~in_band))
     spine = grid.interior_mask & (np.abs(X) <= 2 * h) & (Y >= 2 * h) & (Y <= 1 - 6 * h)
-    missing = 1.0 - float(np.sum(cs & spine)) / max(int(np.sum(spine)), 1)
-    return float(off_band), float(missing)
+    return _char_band_metrics(u, in_band, spine)
 
 
 def _check_euler_residual_es1(user_cfg):
@@ -481,16 +472,10 @@ def _check_euler_residual_es1(user_cfg):
 
 def _check_example_es1(user_cfg):
     hs = (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0)
-    errs = []
-    mid_solve = None
-    for h in hs:
-        grid = rasterize(_PARABOLIC, h)
-        datum = sample_datum(boundary_faces(grid), es1_datum)
-        rep = solve(grid, datum, user_cfg or SolverConfig(max_iters=30000, tol=1e-10))
-        errs.append(_rel_l1(rep.u, es1_surface))
-        if abs(h - 1.0 / 64.0) < 1e-12:
-            mid_solve = rep.u
-    off_band, missing = _char_band_metrics_es1(mid_solve)
+    cfg = user_cfg or SolverConfig(max_iters=30000, tol=1e-10)
+    rows, _ = refine_study(_PARABOLIC, es1_datum, hs, cfg, exact=es1_surface, error_norm="l1")
+    errs = [r.error for r in rows]
+    off_band, missing = _char_band_metrics_es1(rows[1].report.u)
     metrics = {
         "rel_l1_h64": errs[1],
         "rel_l1_finest": errs[2],
@@ -511,23 +496,16 @@ def _check_example_es1(user_cfg):
 
 def _check_example_es2(user_cfg):
     hs = (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0)
-    errs = []
-    mid_solve = None
-    for h in hs:
-        grid = rasterize(_SQUARE, h)
-        datum = sample_datum(boundary_faces(grid), es2_surface)
-        rep = solve(grid, datum, user_cfg or SolverConfig(max_iters=25000, tol=1e-9))
-        errs.append(_rel_l1(rep.u, es2_surface))
-        if abs(h - 1.0 / 64.0) < 1e-12:
-            mid_solve = rep.u
+    cfg = user_cfg or SolverConfig(max_iters=25000, tol=1e-9)
+    rows, _ = refine_study(_SQUARE, es2_surface, hs, cfg, exact=es2_surface, error_norm="l1")
+    errs = [r.error for r in rows]
     # characteristic band of the solved field
+    mid_solve = rows[1].report.u
     grid_m = mid_solve.grid
     h_m = grid_m.h
     X, Y = grid_m.cell_centers()
-    cs = char_set(mid_solve) & _erode(grid_m.interior_mask, 4)
-    off_band = int(np.sum(cs & (np.abs(Y) > 5 * h_m)))
     band = grid_m.interior_mask & (np.abs(Y) <= 2 * h_m) & (np.abs(X) <= 1 - 6 * h_m)
-    missing = 1.0 - float(np.sum(cs & band)) / max(int(np.sum(band)), 1)
+    off_band, missing = _char_band_metrics(mid_solve, np.abs(Y) <= 5 * h_m, band)
     # interior equation residual of the closed form itself
     u_exact = ScalarField.from_function(grid_m, es2_surface)
     res = euler_residual(u_exact)
@@ -538,7 +516,7 @@ def _check_example_es2(user_cfg):
         "rel_l1_finest": errs[2],
         "decrease_violation": max(errs[1] - errs[0], errs[2] - errs[1]),
         "residual_max": residual_max,
-        "char_off_band_cells": float(off_band),
+        "char_off_band_cells": off_band,
         "char_band_missing_frac": missing,
     }
     thresholds = {

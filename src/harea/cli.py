@@ -363,35 +363,26 @@ def _reproduce_metrics(example: str):
     """Solve the named worked example and derive its comparison metrics."""
     import numpy as np
 
-    from .checks import _erode
+    from .checks import _PARABOLIC, _SQUARE, _erode
     from .energy import char_set, euler_residual
-    from .fields import ScalarField
-    from .geometry import DomainSpec, boundary_faces, rasterize, sample_datum
-    from .solver import SolverConfig, solve
+    from .solver import SolverConfig, refine_study
     from .surfaces import es1_datum, es1_surface, es2_surface
 
-    h = 1.0 / 64.0
-    if example == "es1":
-        grid = rasterize(DomainSpec.parabolic(), h)
-        expr, exact = es1_datum, es1_surface
-    else:
-        grid = rasterize(
-            DomainSpec.polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]), h
-        )
-        expr, exact = es2_surface, es2_surface
-    datum = sample_datum(boundary_faces(grid), expr)
-    rep = solve(grid, datum, SolverConfig(max_iters=30000, tol=1e-9))
-    ref = ScalarField.from_function(grid, exact)
+    domain, expr, exact = {
+        "es1": (_PARABOLIC, es1_datum, es1_surface),
+        "es2": (_SQUARE, es2_surface, es2_surface),
+    }[example]
+    cfg = SolverConfig(max_iters=30000, tol=1e-9)
+    (row,), _ = refine_study(domain, expr, [1.0 / 64.0], cfg, exact=exact, error_norm="l1")
+    rep = row.report
+    grid = rep.u.grid
     m = grid.interior_mask
-    rel_l1 = float(
-        np.sum(np.abs(rep.u.values - ref.values)[m]) / np.sum(np.abs(ref.values)[m])
-    )
     cs = char_set(rep.u) & _erode(m, 4)
     res = euler_residual(rep.u)
     core = _erode(m, 2)
     metrics = {
         "energy_total": float(rep.energy.total),
-        "rel_l1": rel_l1,
+        "rel_l1": row.error,
         "sup_abs": float(np.max(np.abs(rep.u.values[m]))),
         "char_cells": float(int(np.sum(cs))),
         "residual_core_max": float(np.max(np.abs(res.values[core]))),
@@ -450,7 +441,7 @@ def _cmd_refine(args) -> int:
     levels = int(cfg.get("levels", 3))
     if levels < 2:
         raise UsageError("refine needs at least 2 levels")
-    scfg = _build_solver(cfg.get("solver"), args) if cfg.get("solver") else None
+    scfg = _build_solver(cfg.get("solver"), args)
     expr = named_datum(block["kind"], block.get("a"), block.get("b", 0.0))
     exact = exact_surface_for(block["kind"], block.get("a"), block.get("b", 0.0))
     norm = "l1" if block["kind"] in ("es1", "es2") else "sup"
@@ -468,7 +459,7 @@ def _cmd_refine(args) -> int:
 
     _atomic_write(os.path.join(out, "refine.csv"), "\n".join(lines) + "\n")
     write_json(
-        {"run": _echo(cfg, h), "monotone": monotone, "norm": norm},
+        {"run": _echo(cfg, h, scfg), "monotone": monotone, "norm": norm},
         os.path.join(out, "refine.json"),
     )
     print(f"monotone decrease: {monotone}")

@@ -195,10 +195,7 @@ def euler_residual(u: ScalarField, eps_reg: float = 1e-12) -> ScalarField:
     if not (eps_reg > 0):
         raise EnergyError(f"eps_reg must be positive, got {eps_reg}")
     g = u.grid
-    H = _sym_diff(g, u.values)
-    X, Y = g.cell_centers()
-    H[..., 0] -= 2.0 * Y
-    H[..., 1] += 2.0 * X
+    H = _sym_diff(g, u.values) + xstar_field(g).values
     H[~g.interior_mask] = 0.0
     n = np.hypot(H[..., 0], H[..., 1])
     N = H / np.maximum(n, eps_reg)[..., None]

@@ -91,14 +91,6 @@ class ScalarField:
     # constructors ---------------------------------------------------------
 
     @staticmethod
-    def zeros(grid: Grid) -> "ScalarField":
-        return ScalarField(grid, np.zeros((grid.nx, grid.ny)))
-
-    @staticmethod
-    def constant(grid: Grid, c: float) -> "ScalarField":
-        return ScalarField(grid, np.full((grid.nx, grid.ny), float(c)))
-
-    @staticmethod
     def from_function(grid: Grid, f: Callable) -> "ScalarField":
         X, Y = grid.cell_centers()
         return ScalarField(grid, np.asarray(f(X, Y), dtype=float))
@@ -115,13 +107,6 @@ class ScalarField:
     def interior(self) -> np.ndarray:
         """Interior values as a 1d array in row-major cell order."""
         return self.values[self.grid.interior_mask]
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
-    def sup_norm(self) -> float:
-        v = self.interior()
-        return float(np.max(np.abs(v))) if v.size else 0.0
 
     def __add__(self, other):
         if isinstance(other, ScalarField):
@@ -176,9 +161,6 @@ class VectorField:
         m = self.grid.interior_mask
         return np.stack((self.values[..., 0][m], self.values[..., 1][m]), axis=-1)
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy())
-
     def norms(self) -> np.ndarray:
         """Euclidean length per cell, shape (nx, ny), zero outside."""
         return np.hypot(self.values[..., 0], self.values[..., 1])
@@ -213,9 +195,7 @@ def star(z: np.ndarray) -> np.ndarray:
 
 def xstar_field(grid: Grid) -> VectorField:
     """The drift field X*(x, y) = 2(-y, x) sampled at interior cell centers."""
-    X, Y = grid.cell_centers()
-    v = np.stack((-2.0 * Y, 2.0 * X), axis=-1)
-    return VectorField(grid, v)
+    return VectorField.from_interior(grid, interior_xstar(grid).T)
 
 
 # ---------------------------------------------------------------------------

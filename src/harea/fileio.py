@@ -26,7 +26,6 @@ __all__ = [
     "write_vector_field",
     "write_pgm",
     "write_json",
-    "read_json",
 ]
 
 _MAGIC = "# harea field v1"
@@ -193,8 +192,3 @@ def write_json(obj: dict, path: str) -> None:
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     _atomic_write(path, text + "\n")
-
-
-def read_json(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)

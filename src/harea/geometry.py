@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "DomainError",
     "DomainSpec",
     "Grid",
-    "BoundaryFace",
     "BoundaryFaces",
     "BoundaryDatum",
     "rasterize",
@@ -211,13 +210,6 @@ class DomainSpec:
             return v[k] + local[:, None] * seg[k]
         return _ANALYTIC[self.name]["boundary"](t)
 
-    def to_config(self) -> dict:
-        if self.kind == "disk":
-            return {"kind": "disk", "center": list(self.center), "radius": self.radius}
-        if self.kind == "polygon":
-            return {"kind": "polygon", "vertices": [list(p) for p in self.vertices]}
-        return {"kind": self.name}
-
 
 # ---------------------------------------------------------------------------
 # grids
@@ -330,13 +322,6 @@ def rasterize(domain: DomainSpec, h: float) -> Grid:
 # boundary faces
 
 
-class BoundaryFace(NamedTuple):
-    owner: tuple[int, int]
-    normal: tuple[float, float]
-    midpoint: tuple[float, float]
-    measure: float
-
-
 @dataclass(eq=False)
 class BoundaryFaces:
     """All boundary faces of a grid, stored as parallel arrays.
@@ -362,17 +347,6 @@ class BoundaryFaces:
 
     def __len__(self) -> int:
         return len(self.measure)
-
-    def __getitem__(self, k: int) -> BoundaryFace:
-        return BoundaryFace(
-            owner=(int(self.owner[k, 0]), int(self.owner[k, 1])),
-            normal=(float(self.normal[k, 0]), float(self.normal[k, 1])),
-            midpoint=(float(self.midpoint[k, 0]), float(self.midpoint[k, 1])),
-            measure=float(self.measure[k]),
-        )
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
 
 def boundary_faces(grid: Grid) -> BoundaryFaces:

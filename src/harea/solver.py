@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -264,8 +264,8 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
 
     def energy_of(u: np.ndarray, H: np.ndarray) -> tuple[float, float]:
         # h^2 |K u + X*| = h |H| per cell
-        interior = h * float(np.sum(_cell_norms(H, mode, scratch)))
-        penalty = float(np.sum(measures * np.abs(u[owner] - phi)))
+        interior = h * float(_cell_norms(H, mode, scratch).sum())
+        penalty = float((measures * np.abs(u[owner] - phi)).sum())
         return interior, penalty
 
     # constant start at the measure-weighted mean of the boundary values
@@ -346,6 +346,7 @@ class RefineRow:
     converged: bool
     energy_total: float
     error: float | None
+    report: SolveReport = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -368,10 +369,11 @@ def refine_study(
 ) -> tuple[list[RefineRow], bool]:
     """Solve the same problem across grid resolutions.
 
-    With a closed-form reference the per-level error (sup or mean-l1 against
+    With a closed-form reference the per-level error (sup or relative l1 against
     the sampled reference) is recorded; the returned flag is True when those
     errors strictly decrease along the list.  Every level runs with ``cfg``
-    (default :class:`SolverConfig`), whose steps resolve per grid.
+    (default :class:`SolverConfig`), whose steps resolve per grid, and its
+    row carries the level's :class:`SolveReport`.
     """
     if error_norm not in ("sup", "l1"):
         raise SolverError(f"unknown error norm {error_norm!r}")
@@ -399,6 +401,7 @@ def refine_study(
                 converged=rep.converged,
                 energy_total=rep.energy.total,
                 error=err,
+                report=rep,
             )
         )
     monotone = all(b < a for a, b in zip(errors, errors[1:])) if len(errors) > 1 else True

@@ -169,9 +169,10 @@ def test_verify_unknown_check_is_usage_error(tmp_path):
     assert dispatch(["verify", "--check", "nonsense", "--out", str(tmp_path)]) == 2
 
 
-def test_reproduce_es1_matches_golden(tmp_path):
+@pytest.mark.parametrize("example", ["es1", "es2"])
+def test_reproduce_matches_golden(tmp_path, example):
     out = str(tmp_path / "rep")
-    assert dispatch(["reproduce", "es1", "--out", out]) == 0
+    assert dispatch(["reproduce", example, "--out", out]) == 0
     rep = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert rep["match"] is True
     assert (tmp_path / "rep" / "char.pgm").exists()
@@ -187,6 +188,23 @@ def test_refine_subcommand(tmp_path):
     assert len(table) == 4  # header + 3 levels
     meta = json.loads((tmp_path / "r" / "refine.json").read_text())
     assert meta["monotone"] is True
+
+
+def test_refine_applies_mode_and_energy_flags(tmp_path):
+    """The flags reach every level without a solver block in the config."""
+
+    def iterations(name, *flags):
+        out = tmp_path / name
+        cfg = write_cfg(tmp_path, name=f"{name}.json", h=0.25, out=str(out))
+        assert dispatch(["refine", "-c", cfg, *flags]) == 0
+        rows = (out / "refine.csv").read_text().splitlines()[1:]
+        return [row.split(",")[2] for row in rows], json.loads((out / "refine.json").read_text())
+
+    plain, _ = iterations("plain")
+    flagged, meta = iterations("flagged", "--mode", "constrained", "--energy", "aniso")
+    assert meta["run"]["solver"]["mode"] == "constrained"
+    assert meta["run"]["solver"]["energy_mode"] == "aniso"
+    assert flagged != plain
 
 
 def declared_scripts():

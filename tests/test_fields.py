@@ -45,6 +45,10 @@ def test_interior_xstar_is_the_field_on_interior_cells():
     assert xs.shape == (2, grid.interior_count)
     assert np.array_equal(xs.view(np.int64), ref.view(np.int64))
     assert interior_xstar(grid) is xs and not xs.flags.writeable
+    # the full-grid field is the closed form 2(-y, x) bit for bit, zero outside
+    X, Y = grid.cell_centers()
+    inline = np.where(grid.interior_mask[..., None], np.stack((-2.0 * Y, 2.0 * X), axis=-1), 0.0)
+    assert np.array_equal(xstar_field(grid).values.view(np.int64), inline.view(np.int64))
 
 
 def test_gradient_forward_difference_hand_case():
