@@ -21,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bsc import BscViolation, barriers, boundary_samples, feasibility_tolerance, minimal_Q
-from .bsc import _certify_all, _samples_arrays  # certification sweep for datum pairs
+from .bsc import BscViolation, barriers, boundary_samples, minimal_Q
 from .energy import (
     EnergyMode,
     certificate_gap,
@@ -138,10 +137,10 @@ def _positive_offset(rng):
 
 
 def _is_certified(domain, expr, Q: float, n: int = 160) -> bool:
-    Z, vals = _samples_arrays(boundary_samples(domain, expr, n))
-    eps = feasibility_tolerance(vals)
-    _, _, worst = _certify_all(Z, vals, Q, eps, early_exit=True)
-    return bool(np.max(worst) <= eps)
+    try:
+        return minimal_Q(boundary_samples(domain, expr, n)).Q_min <= Q
+    except BscViolation:
+        return False
 
 
 @lru_cache(maxsize=1)

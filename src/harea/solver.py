@@ -366,12 +366,13 @@ def refine_study(
     cfg: SolverConfig | None = None,
     exact=None,
     error_norm: str = "sup",
-) -> tuple[list[RefineRow], bool]:
+) -> tuple[list[RefineRow], bool | None]:
     """Solve the same problem across grid resolutions.
 
     With a closed-form reference the per-level error (sup or relative l1 against
     the sampled reference) is recorded; the returned flag is True when those
-    errors strictly decrease along the list.  Every level runs with ``cfg``
+    errors strictly decrease along the list, and None without a reference,
+    when every error is None.  Every level runs with ``cfg``
     (default :class:`SolverConfig`), whose steps resolve per grid, and its
     row carries the level's :class:`SolveReport`.
     """
@@ -404,5 +405,5 @@ def refine_study(
                 report=rep,
             )
         )
-    monotone = all(b < a for a, b in zip(errors, errors[1:])) if len(errors) > 1 else True
+    monotone = None if exact is None else all(b < a for a, b in zip(errors, errors[1:]))
     return rows, monotone

@@ -17,10 +17,6 @@ the slope, hence convex; that structure gives three solver-free referees:
   near-degenerate data produces slope valleys so flat that a scan's stall is
   indistinguishable from a genuinely positive minimum.
 
-``dense_minimize_side`` referees the live-row subgradient batch of
-``harea.bsc._minimize_side``: it is the original dense loop, which evaluates
-every anchor's defect row on every step, frozen anchors included.
-
 ``loop_gradient`` referees the difference operator the same way: a per-cell
 Python loop that reads nothing but the interior mask.  ``index_operator``,
 ``take_hgrad`` and ``bincount_hdiv`` are the operator's original form, two
@@ -152,43 +148,6 @@ def loop_gradient(mask, h, values):
                 elif bi >= 0 and bj >= 0 and mask[bi, bj]:
                     out[i, j, a] = (values[i, j] - values[bi, bj]) / h
     return out
-
-
-def dense_minimize_side(Z, phi, Q, sign, eps, iters=500):
-    """The dense projected-subgradient batch: every anchor's full defect row
-    and slope update on every step.  Only the warm start and the ball
-    projection are the library's; any start and the exact projection give
-    the same loop."""
-    from harea.bsc import _ls_slopes, _project_ball
-
-    n = len(Z)
-    A = _project_ball(_ls_slopes(Z, phi), Q)
-
-    def g_and_arg(A):
-        # W[i, k] = phi_i + <a_i, z_k> - <a_i, z_i> - phi_k
-        az = A @ Z.T
-        W = sign * (phi[:, None] + az - np.diag(az)[:, None] - phi[None, :])
-        kstar = np.argmax(W, axis=1)
-        return W[np.arange(n), kstar], kstar
-
-    best_g, _ = g_and_arg(A)
-    best_A = A.copy()
-    phase1 = (7 * iters) // 10
-    for it in range(iters):
-        live = best_g > eps
-        if not np.any(live):
-            break
-        g, kstar = g_and_arg(A)
-        improved = g < best_g
-        best_g = np.where(improved, g, best_g)
-        best_A[improved] = A[improved]
-        live = best_g > eps
-        level = 0.0 if it < phase1 else 0.9 * best_g
-        d = sign * (Z[kstar] - Z)
-        dn2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-30)
-        step = np.where(live, np.maximum(g - level, 0.0) / dn2, 0.0)
-        A = _project_ball(A - step[:, None] * d, Q)
-    return best_A, best_g
 
 
 def index_operator(grid):

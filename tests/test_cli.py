@@ -207,6 +207,38 @@ def test_refine_applies_mode_and_energy_flags(tmp_path):
     assert flagged != plain
 
 
+def test_refine_under_aniso_has_no_reference(tmp_path, capsys):
+    """The closed forms minimize the isotropic energy, so an aniso ladder
+    reports no error and no monotonicity verdict."""
+    out = tmp_path / "r"
+    cfg = write_cfg(tmp_path, h=0.25, out=str(out), levels=2)
+    assert dispatch(["refine", "-c", cfg, "--energy", "aniso"]) == 0
+    rows = (out / "refine.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.split(",")[1] == "" for row in rows)
+    assert json.loads((out / "refine.json").read_text())["monotone"] is None
+    assert "no closed-form minimizer of the aniso energy" in capsys.readouterr().out
+
+
+def test_closed_stdout_ends_without_traceback(tmp_path):
+    """`harea refine -c cfg.json | head` with the reader gone before the
+    report is printed: no traceback, and the files are still written."""
+    out = tmp_path / "r"
+    cfg = write_cfg(tmp_path, h=0.25, out=str(out), levels=2)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", WRAPPER, "harea.cli:main", "refine", "-c", cfg],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=entry_point_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert json.loads((out / "refine.json").read_text())["monotone"] is True
+
+
 def declared_scripts():
     if sys.version_info >= (3, 11):
         import tomllib
@@ -216,18 +248,23 @@ def declared_scripts():
         return tomllib.load(fh)["project"]["scripts"]
 
 
-def run_entry_point(spec, *args):
-    """Run `spec` ("module:attr") in a fresh interpreter as the `harea` script."""
+def entry_point_env():
+    """The environment of a fresh interpreter that imports this checkout's harea."""
     package_root = str(Path(harea.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_entry_point(spec, *args):
+    """Run `spec` ("module:attr") in a fresh interpreter as the `harea` script."""
     return subprocess.run(
         [sys.executable, "-c", WRAPPER, spec, *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=entry_point_env(),
     )
 
 

@@ -294,13 +294,14 @@ def test_huge_finite_datum_solves():
     assert rep.energy.total == pytest.approx(penalized_energy(rep.u, datum).total, rel=1e-12)
 
 
-def test_solver_import_leaves_scipy_unloaded():
-    """SciPy's import costs a large share of a solve's set-up time, so the
-    solve path must not pull it in."""
+@pytest.mark.parametrize("module", ["harea.solver", "harea.bsc", "harea.checks"])
+def test_solver_import_leaves_scipy_unloaded(module):
+    """SciPy's import costs a large share of a solve's set-up time, so neither
+    the solve path nor the slope certificates and checks may pull it in."""
     env = dict(os.environ)
     package_root = str(Path(harea.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-    code = "import sys, harea.solver; print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
+    code = f"import sys, {module}; print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
