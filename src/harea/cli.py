@@ -169,15 +169,19 @@ def _read_samples_file(path: str):
 def _datum_on_faces(grid, block):
     import numpy as np
 
-    from .geometry import BoundaryDatum, boundary_faces, sample_datum
+    from .geometry import BoundaryDatum, _row_blocks, boundary_faces, sample_datum
     from .surfaces import named_datum
 
     faces = boundary_faces(grid)
     if block["kind"] == "samples":
         pts, vals = _read_samples_file(block["path"])
-        mid = faces.midpoint
-        d2 = (mid[:, 0, None] - pts[None, :, 0]) ** 2 + (mid[:, 1, None] - pts[None, :, 1]) ** 2
-        return BoundaryDatum(faces, vals[np.argmin(d2, axis=1)])
+        mx, my = faces.midpoint.T
+        px, py = pts.T
+        # nearest sample per face (the first on ties), by row blocks of faces
+        nearest = np.empty(len(faces), dtype=np.intp)
+        for b in _row_blocks(len(faces), len(vals)):
+            nearest[b] = np.argmin((mx[b, None] - px) ** 2 + (my[b, None] - py) ** 2, axis=1)
+        return BoundaryDatum(faces, vals[nearest])
     expr = named_datum(block["kind"], block.get("a"), block.get("b", 0.0))
     return sample_datum(faces, expr, provenance=block["kind"])
 

@@ -359,8 +359,12 @@ def lipschitz_estimate(u: ScalarField) -> float:
     return float(np.max(n)) if n.size else 0.0
 
 
-def operator_norm_sq(grid: Grid, iters: int = 60) -> float:
-    """Deterministic power estimate of ||gradient||^2 for the step-size rule.
+_POWER_STEPS = 60
+
+
+def operator_norm_sq(grid: Grid) -> float:
+    """Deterministic power estimate of ||gradient||^2 for the step-size rule,
+    ``_POWER_STEPS`` steps from a fixed random start, cached per grid.
 
     The uniform-grid bound 8/h^2 is used as a floor; the backward fallback at
     the rim can push the true norm slightly above it, so the estimate carries a
@@ -377,7 +381,7 @@ def operator_norm_sq(grid: Grid, iters: int = 60) -> float:
         return 8.0 / grid.h**2
     v /= nrm
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_STEPS):
         w = -K.div(K.grad(v))
         lam = float(np.sqrt(np.sum(w * w)))
         if lam == 0:

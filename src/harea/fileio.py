@@ -92,7 +92,7 @@ def _read_lattice(path: str, grid: Grid | None, header: str, ncols: int):
         raise FormatError(f"{path}: missing '{header}' header row")
 
     width = ncols - 2
-    mask = np.zeros((nx, ny), dtype=bool)
+    listed_on = np.zeros((nx, ny), dtype=np.int64)  # line number per listed cell, 0 if none
     vals = np.zeros((nx, ny) if width == 1 else (nx, ny, width))
     for ln, row in enumerate(lines[2:], start=3):
         if not row.strip():
@@ -105,8 +105,14 @@ def _read_lattice(path: str, grid: Grid | None, header: str, ncols: int):
         j = int(round((y - origin[1]) / h - 0.5))
         if not (0 <= i < nx and 0 <= j < ny):
             raise FormatError(f"{path}:{ln}: point ({x}, {y}) outside the declared lattice")
-        mask[i, j] = True
+        if listed_on[i, j]:
+            raise FormatError(
+                f"{path}:{ln}: point ({x}, {y}) lists cell ({i}, {j}) again, "
+                f"first listed on line {listed_on[i, j]}"
+            )
+        listed_on[i, j] = ln
         vals[i, j] = v[0] if width == 1 else v
+    mask = listed_on > 0
 
     if grid is None:
         return Grid(h=h, origin=np.asarray(origin), nx=nx, ny=ny, interior_mask=mask), vals
@@ -131,8 +137,9 @@ def read_field(path: str, grid: Grid | None = None) -> ScalarField:
     """Inverse of :func:`write_field`.
 
     The grid is rebuilt from the metadata line and the listed cells; values
-    off the listed cells are zero, as in every solver-produced field.  When
-    ``grid`` is supplied the file must describe that exact lattice and mask.
+    off the listed cells are zero, as in every solver-produced field.  A cell
+    listed twice raises FormatError naming both lines.  When ``grid`` is
+    supplied the file must describe that exact lattice and mask.
     """
     return ScalarField(*_read_lattice(path, grid, "x,y,value", 3))
 

@@ -349,6 +349,18 @@ class BoundaryFaces:
         return len(self.measure)
 
 
+# Largest temporary, in doubles, of a points-by-faces computation.  Streaming
+# row blocks of this size keeps its peak memory independent of the row count.
+_BLOCK_DOUBLES = 1 << 15
+
+
+def _row_blocks(rows: int, cols: int):
+    """Slices covering ``range(rows)`` whose ``(block, cols)`` temporaries hold
+    at most ``_BLOCK_DOUBLES`` doubles, or one row when a row alone is larger."""
+    step = max(1, _BLOCK_DOUBLES // cols)
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
 def boundary_faces(grid: Grid) -> BoundaryFaces:
     """Enumerate the faces separating interior cells from exterior neighbors."""
     m = grid.interior_mask

@@ -22,6 +22,9 @@ Python loop that reads nothing but the interior mask.  ``index_operator``,
 ``take_hgrad`` and ``bincount_hdiv`` are the operator's original form, two
 (2, n) index arrays with a gather and a scatter over all 2n entries; the
 library's slice-and-rim kernels must match them bit for bit.
+
+``dense_lipschitz_bound`` recomputes the ``lipschitz_bound`` check's metrics
+from the whole cell-by-face matrix and the loop gradient.
 """
 
 import numpy as np
@@ -180,3 +183,18 @@ def bincount_hdiv(plus, minus, p):
     out = np.bincount(minus.ravel(), w, n)
     out -= np.bincount(plus.ravel(), w, n)
     return out
+
+
+def dense_lipschitz_bound(grid, u, datum, Q_min, K, tol):
+    """``(boundary_excess, lipschitz_excess)`` of the ``lipschitz_bound`` check
+    for interior values ``u`` (shape (nx, ny)): the max over every cell c and
+    face f of ``|u_c - phi_f| - Q_min |z_c - m_f|`` in one matrix, and the
+    largest loop-gradient length minus ``K + tol``."""
+    m = grid.interior_mask
+    X, Y = grid.cell_centers()
+    mid = datum.faces.midpoint
+    dist = np.hypot(X[m][:, None] - mid[None, :, 0], Y[m][:, None] - mid[None, :, 1])
+    excess = np.abs(u[m][:, None] - datum.values[None, :]) - Q_min * dist
+    g = loop_gradient(m, grid.h, u)
+    lip = np.max(np.hypot(g[..., 0], g[..., 1])[m])
+    return float(np.max(excess)), float(lip - K - tol)

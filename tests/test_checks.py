@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
+from oracles import dense_lipschitz_bound
 
 from harea import CheckId, SolverConfig, run_check, run_suite
+from harea.checks import _check_lipschitz_bound, _es1_reference_solve
 
 
 def test_check_ids_are_exhaustive_and_ordered():
@@ -101,6 +104,22 @@ def test_user_solver_config_is_honored():
     rep = run_check(CheckId.BARRIER_SANDWICH, solver_cfg=cfg)
     assert rep.config["solver"]["max_iters"] == 2
     assert not rep.passed
+
+
+def test_lipschitz_bound_matches_dense_referee_in_bounded_memory():
+    art = _es1_reference_solve(None)
+    tracemalloc.start()
+    try:
+        metrics, _, _ = _check_lipschitz_bound(None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = dense_lipschitz_bound(
+        art["grid"], art["report"].u.values, art["datum"], art["bsc"].Q_min, art["bsc"].K, art["tol"]
+    )
+    assert (metrics["boundary_excess"], metrics["lipschitz_excess"]) == ref
+    # the dense cell-by-face matrices peaked at 16 MiB on this 2,728-cell grid
+    assert peak < 4 * 2**20
 
 
 def test_checks_module_keeps_names_perfbench_wraps():

@@ -3,13 +3,16 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import harea
-from harea.cli import dispatch
+from harea import DomainSpec, geometry, rasterize
+from harea.cli import _datum_on_faces, dispatch
+from harea.geometry import boundary_faces
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -137,11 +140,50 @@ def test_bsc_subcommand_flags_violation(tmp_path):
     assert "witness" in rep
 
 
+def write_samples(path, pts, vals):
+    rows = ["x,y,value"] + [f"{x:.17g},{y:.17g},{v:.17g}" for (x, y), v in zip(pts, vals)]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def circle_samples(n, seed):
+    t = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n)
+    return np.stack((np.cos(t), np.sin(t)), axis=1), np.sin(3.0 * t)
+
+
+def test_samples_datum_takes_the_first_nearest_sample(tmp_path):
+    pts, vals = circle_samples(150, seed=5)
+    # every point listed twice with another value: the first copy wins the tie
+    pts, vals = np.concatenate((pts, pts)), np.concatenate((vals, vals + 1.0))
+    path = write_samples(tmp_path / "s.csv", pts, vals)
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1.0 / 32.0)
+    mid = boundary_faces(grid).midpoint
+    assert len(mid) * len(vals) > 2 * geometry._BLOCK_DOUBLES  # several row blocks
+    datum = _datum_on_faces(grid, {"kind": "samples", "path": path})
+    d2 = (mid[:, 0, None] - pts[None, :, 0]) ** 2 + (mid[:, 1, None] - pts[None, :, 1]) ** 2
+    nearest = np.argmin(d2, axis=1)
+    assert np.all(nearest < 150)
+    assert np.array_equal(datum.values, vals[nearest])
+
+
+def test_samples_datum_memory_stays_bounded(tmp_path):
+    path = write_samples(tmp_path / "s.csv", *circle_samples(10_000, seed=6))
+    # 512 faces: one dense faces-by-samples float64 array would take 39 MiB
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1.0 / 64.0)
+    tracemalloc.start()
+    try:
+        datum = _datum_on_faces(grid, {"kind": "samples", "path": path})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(datum.values) == 512
+    assert peak < 8 * 2**20
+
+
 def test_barriers_subcommand_writes_envelopes(tmp_path):
     out = str(tmp_path / "run")
     cfg = write_cfg(tmp_path, out=out)
     assert dispatch(["barriers", "-c", cfg]) == 0
-    from harea import DomainSpec, rasterize
     from harea.fileio import read_field
 
     grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.125)

@@ -84,6 +84,19 @@ def test_malformed_row_rejected(grid, tmp_path):
         read_field(path)
 
 
+def test_cell_listed_twice_rejected_naming_both_lines(grid, tmp_path):
+    path = str(tmp_path / "f.csv")
+    write_field(random_field(grid, np.random.default_rng(0)), path)
+    with open(path) as f:
+        lines = f.read().splitlines()
+    x, y, _ = lines[2].split(",")
+    lines.append(f"{x},{y},123.0")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=rf":{len(lines)}: .* first listed on line 3$"):
+        read_field(path)
+
+
 def test_grid_mismatch_described(grid, tmp_path):
     path = str(tmp_path / "f.csv")
     write_field(random_field(grid, np.random.default_rng(0)), path)
