@@ -33,14 +33,8 @@ from .energy import (
 )
 # Not called here: perfbench's verify workload wraps gradient, divergence and balanced_steps by name.
 from .fields import ScalarField, gradient, divergence, lipschitz_estimate
-from .geometry import (
-    BoundaryDatum,
-    DomainSpec,
-    _row_blocks,
-    boundary_faces,
-    rasterize,
-    sample_datum,
-)
+from .geometry import BoundaryDatum, DomainSpec, boundary_faces, rasterize, sample_datum
+from .geometry import _row_blocks
 from .solver import SolverConfig, SolverError, balanced_steps, refine_study, solve, solver_tolerance
 from .surfaces import Affine, es1_datum, es1_surface, es2_surface
 

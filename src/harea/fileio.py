@@ -107,8 +107,7 @@ def _read_lattice(path: str, grid: Grid | None, header: str, ncols: int):
             raise FormatError(f"{path}:{ln}: point ({x}, {y}) outside the declared lattice")
         if listed_on[i, j]:
             raise FormatError(
-                f"{path}:{ln}: point ({x}, {y}) lists cell ({i}, {j}) again, "
-                f"first listed on line {listed_on[i, j]}"
+                f"{path}:{ln}: cell ({i}, {j}) already listed on line {listed_on[i, j]}"
             )
         listed_on[i, j] = ln
         vals[i, j] = v[0] if width == 1 else v

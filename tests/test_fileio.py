@@ -93,7 +93,7 @@ def test_cell_listed_twice_rejected_naming_both_lines(grid, tmp_path):
     lines.append(f"{x},{y},123.0")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match=rf":{len(lines)}: .* first listed on line 3$"):
+    with pytest.raises(FormatError, match=rf":{len(lines)}: cell .* already listed on line 3$"):
         read_field(path)
 
 
