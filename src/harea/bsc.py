@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import BoundaryDatum, DomainSpec, Grid
+from .geometry import DomainSpec, Grid
 
 __all__ = [
     "BscError",
@@ -76,9 +76,7 @@ class BscReport:
 
 
 def _samples_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a BoundaryDatum or a sequence of ((x, y), value) pairs."""
-    if isinstance(samples, BoundaryDatum):
-        return samples.faces.midpoint.copy(), samples.values.copy()
+    """Points (n, 2) and values (n,) of a sequence of ((x, y), value) pairs."""
     pts = np.array([[s[0][0], s[0][1]] for s in samples], dtype=float)
     vals = np.array([s[1] for s in samples], dtype=float)
     return pts, vals

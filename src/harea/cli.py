@@ -10,6 +10,11 @@ verify     run named property checks and write their reports
 reproduce  regenerate a worked example and compare against golden metrics
 refine     solve across grid refinements and tabulate the errors
 
+All but verify and reproduce read a JSON run config (-c/--config) and take
+the --out and --h overrides.  Solver overrides go only where a solve or an
+energy reads them: --mode (penalized or constrained) on solve and refine,
+--energy (iso or aniso) on solve, energy and refine.
+
 Exit codes: 0 success / all checks passed; 1 a check failed, the solver did
 not converge, a slope certificate was refused, or stdout was closed before
 the report was printed; 2 usage or config errors.
@@ -65,13 +70,10 @@ def _reject_unknown(block: dict, allowed: set, where: str) -> None:
 
 
 def _load_config(path: str) -> dict:
+    from .fileio import _read_text
+
     try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc.strerror or exc}")
-    try:
-        cfg = json.loads(text)
+        cfg = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -103,23 +105,18 @@ def _build_domain(block):
 
 
 def _check_datum_block(block) -> None:
+    from .surfaces import DATUM_KINDS
+
     if not isinstance(block, dict) or "kind" not in block:
         raise UsageError("datum block must be an object with a 'kind'")
-    kind = block["kind"]
-    if kind == "affine":
-        _reject_unknown(block, {"kind", "a", "b"}, "datum")
-        if "a" not in block:
-            raise UsageError("affine datum needs slope 'a': [ax, ay]")
-    elif kind in ("zero", "es1", "es2"):
-        _reject_unknown(block, {"kind"}, "datum")
-    elif kind == "samples":
-        _reject_unknown(block, {"kind", "path"}, "datum")
-        if "path" not in block:
-            raise UsageError("samples datum needs 'path'")
-    else:
-        raise UsageError(
-            f"unknown datum kind {kind!r} (zero, affine, es1, es2, samples)"
-        )
+    name = block["kind"]
+    kind = DATUM_KINDS.get(name) if isinstance(name, str) else None
+    if kind is None:
+        raise UsageError(f"unknown datum kind {name!r} ({', '.join(DATUM_KINDS)})")
+    _reject_unknown(block, {"kind", *kind.keys}, "datum")
+    for key, what in kind.keys.items():
+        if what is not None and key not in block:
+            raise UsageError(f"{name} datum needs {what}")
 
 
 def _build_solver(block, args):
@@ -139,68 +136,25 @@ def _build_solver(block, args):
         raise UsageError(f"solver block: {exc}")
 
 
-def _read_samples_file(path: str):
-    import numpy as np
-
-    try:
-        with open(path) as f:
-            rows = f.read().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read samples {path}: {exc.strerror or exc}")
-    pts, vals = [], []
-    for ln, row in enumerate(rows, start=1):
-        s = row.strip()
-        if not s or s.startswith("#") or s.lower() == "x,y,value":
-            continue
-        parts = s.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"{path}:{ln}: expected 'x,y,value'")
-        try:
-            x, y, v = (float(p) for p in parts)
-        except ValueError:
-            raise UsageError(f"{path}:{ln}: non-numeric entry")
-        pts.append((x, y))
-        vals.append(v)
-    if len(pts) < 3:
-        raise UsageError(f"{path}: need at least 3 samples")
-    return np.asarray(pts), np.asarray(vals)
-
-
 def _datum_on_faces(grid, block):
-    import numpy as np
+    from .geometry import boundary_faces, sample_datum
+    from .surfaces import DATUM_KINDS
 
-    from .geometry import BoundaryDatum, _row_blocks, boundary_faces, sample_datum
-    from .surfaces import named_datum
-
-    faces = boundary_faces(grid)
-    if block["kind"] == "samples":
-        pts, vals = _read_samples_file(block["path"])
-        mx, my = faces.midpoint.T
-        px, py = pts.T
-        # nearest sample per face (the first on ties), by row blocks of faces
-        nearest = np.empty(len(faces), dtype=np.intp)
-        for b in _row_blocks(len(faces), len(vals)):
-            nearest[b] = np.argmin((mx[b, None] - px) ** 2 + (my[b, None] - py) ** 2, axis=1)
-        return BoundaryDatum(faces, vals[nearest])
-    expr = named_datum(block["kind"], block.get("a"), block.get("b", 0.0))
-    return sample_datum(faces, expr, provenance=block["kind"])
+    return sample_datum(boundary_faces(grid), DATUM_KINDS[block["kind"]].expression(block))
 
 
-def _bsc_samples(domain, block, n: int):
+def _bsc_samples(domain, cfg):
     from .bsc import boundary_samples
-    from .surfaces import named_datum
+    from .surfaces import DATUM_KINDS, Samples
 
-    if block["kind"] == "samples":
-        pts, vals = _read_samples_file(block["path"])
-        return [((float(p[0]), float(p[1])), float(v)) for p, v in zip(pts, vals)]
-    expr = named_datum(block["kind"], block.get("a"), block.get("b", 0.0))
-    return boundary_samples(domain, expr, n)
+    expr = DATUM_KINDS[cfg["datum"]["kind"]].expression(cfg["datum"])
+    if isinstance(expr, Samples):  # certified at the listed points themselves
+        return list(zip(map(tuple, expr.points.tolist()), expr.values.tolist()))
+    return boundary_samples(domain, expr, int(cfg.get("samples", 200)))
 
 
 def _resolve(args, need):
     """Load + override the run config; returns (cfg_dict, domain, h, out)."""
-    if not getattr(args, "config", None):
-        raise UsageError("this subcommand requires -c/--config")
     cfg = _load_config(args.config)
     for key in need:
         if key not in cfg:
@@ -211,17 +165,6 @@ def _resolve(args, need):
         _check_datum_block(cfg["datum"])
     out = args.out or cfg.get("out", "results")
     return cfg, domain, h, out
-
-
-def _rasterized(domain, h):
-    from .geometry import DomainError, rasterize
-
-    if h <= 0:
-        raise UsageError(f"grid spacing h must be positive, got {h}")
-    try:
-        return rasterize(domain, h)
-    except DomainError as exc:
-        raise UsageError(str(exc))
 
 
 def _echo(cfg, h, solver=None) -> dict:
@@ -237,9 +180,10 @@ def _echo(cfg, h, solver=None) -> dict:
 
 def _cmd_solve(args) -> int:
     from .fileio import write_field, write_json, write_pgm, write_vector_field
+    from .geometry import rasterize
 
     cfg, domain, h, out = _resolve(args, need=("domain", "h", "datum"))
-    grid = _rasterized(domain, h)
+    grid = rasterize(domain, h)
     scfg = _build_solver(cfg.get("solver"), args)
     datum = _datum_on_faces(grid, cfg["datum"])
     from .solver import solve
@@ -264,10 +208,11 @@ def _cmd_solve(args) -> int:
 def _cmd_energy(args) -> int:
     from .energy import penalized_energy
     from .fileio import read_field, write_json
+    from .geometry import rasterize
 
     cfg, domain, h, out = _resolve(args, need=("domain", "h", "datum"))
     scfg = _build_solver(cfg.get("solver"), args)
-    grid = _rasterized(domain, h)
+    grid = rasterize(domain, h)
     datum = _datum_on_faces(grid, cfg["datum"])
     path = args.field or os.path.join(out, "solution.csv")
     u = read_field(path, grid)
@@ -282,11 +227,11 @@ def _cmd_energy(args) -> int:
 def _cmd_bsc(args) -> int:
     from .bsc import BscViolation, minimal_Q
     from .fileio import write_json
+    from .geometry import rasterize
 
     cfg, domain, h, out = _resolve(args, need=("domain", "datum"))
-    n = int(cfg.get("samples", 200))
-    samples = _bsc_samples(domain, cfg["datum"], n)
-    grid = _rasterized(domain, h) if h > 0 else None
+    samples = _bsc_samples(domain, cfg)
+    grid = rasterize(domain, h) if h > 0 else None
     os.makedirs(out, exist_ok=True)
     try:
         rep = minimal_Q(samples, grid=grid)
@@ -312,11 +257,11 @@ def _cmd_bsc(args) -> int:
 def _cmd_barriers(args) -> int:
     from .bsc import BscViolation, barriers, minimal_Q
     from .fileio import write_field, write_json
+    from .geometry import rasterize
 
     cfg, domain, h, out = _resolve(args, need=("domain", "h", "datum"))
-    n = int(cfg.get("samples", 200))
-    samples = _bsc_samples(domain, cfg["datum"], n)
-    grid = _rasterized(domain, h)
+    samples = _bsc_samples(domain, cfg)
+    grid = rasterize(domain, h)
     os.makedirs(out, exist_ok=True)
     try:
         rep = minimal_Q(samples, grid=grid)
@@ -371,14 +316,13 @@ def _reproduce_metrics(example: str):
     from .checks import _PARABOLIC, _SQUARE, _erode
     from .energy import char_set, euler_residual
     from .solver import SolverConfig, refine_study
-    from .surfaces import es1_datum, es1_surface, es2_surface
+    from .surfaces import DATUM_KINDS
 
-    domain, expr, exact = {
-        "es1": (_PARABOLIC, es1_datum, es1_surface),
-        "es2": (_SQUARE, es2_surface, es2_surface),
-    }[example]
+    domain = {"es1": _PARABOLIC, "es2": _SQUARE}[example]
+    kind = DATUM_KINDS[example]
+    expr, exact, norm = kind.expression({}), kind.minimizer({}), kind.error_norm
     cfg = SolverConfig(max_iters=30000, tol=1e-9)
-    (row,), _ = refine_study(domain, expr, [1.0 / 64.0], cfg, exact=exact, error_norm="l1")
+    (row,), _ = refine_study(domain, expr, [1.0 / 64.0], cfg, exact=exact, error_norm=norm)
     rep = row.report
     grid = rep.u.grid
     m = grid.interior_mask
@@ -438,23 +382,24 @@ def _cmd_refine(args) -> int:
     from .energy import EnergyMode
     from .fileio import _atomic_write, write_json
     from .solver import refine_study
-    from .surfaces import exact_surface_for, named_datum
+    from .surfaces import DATUM_KINDS, DATUM_NAMES
 
     cfg, domain, h, out = _resolve(args, need=("domain", "h", "datum"))
     block = cfg["datum"]
-    if block["kind"] == "samples":
-        raise UsageError("refine needs a closed-form datum (zero, affine, es1, es2)")
+    kind = DATUM_KINDS[block["kind"]]
+    if kind.error_norm is None:
+        raise UsageError(f"refine needs a closed-form datum ({', '.join(DATUM_NAMES)})")
     levels = int(cfg.get("levels", 3))
     if levels < 2:
         raise UsageError("refine needs at least 2 levels")
     scfg = _build_solver(cfg.get("solver"), args)
-    expr = named_datum(block["kind"], block.get("a"), block.get("b", 0.0))
+    expr = kind.expression(block)
     exact = None
-    if scfg.energy_mode is EnergyMode.ISOTROPIC:  # the closed forms minimize this energy only
-        exact = exact_surface_for(block["kind"], block.get("a"), block.get("b", 0.0))
-    norm = "l1" if block["kind"] in ("es1", "es2") else "sup"
+    # the closed forms minimize the isotropic energy only
+    if scfg.energy_mode is EnergyMode.ISOTROPIC and kind.minimizer is not None:
+        exact = kind.minimizer(block)
     hs = [h / 2**k for k in range(levels)]
-    rows, monotone = refine_study(domain, expr, hs, scfg, exact=exact, error_norm=norm)
+    rows, monotone = refine_study(domain, expr, hs, scfg, exact=exact, error_norm=kind.error_norm)
     os.makedirs(out, exist_ok=True)
     lines = ["h,error,iterations,converged"]
     for r in rows:
@@ -462,7 +407,7 @@ def _cmd_refine(args) -> int:
         lines.append(f"{format(r.h, '.17g')},{err},{r.iterations},{int(r.converged)}")
     _atomic_write(os.path.join(out, "refine.csv"), "\n".join(lines) + "\n")
     write_json(
-        {"run": _echo(cfg, h, scfg), "monotone": monotone, "norm": norm},
+        {"run": _echo(cfg, h, scfg), "monotone": monotone, "norm": kind.error_norm},
         os.path.join(out, "refine.json"),
     )
     print(f"{'h':>12s} {'error':>14s} {'iters':>8s}  converged")
@@ -487,20 +432,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("-c", "--config", help="JSON run config")
+    overrides = {
+        "--mode": dict(choices=("penalized", "constrained"), help="solver mode override"),
+        "--energy": dict(choices=("iso", "aniso"), help="energy mode override"),
+    }
+
+    def common(sp, *flags):
+        sp.add_argument("-c", "--config", required=True, help="JSON run config")
         sp.add_argument("--out", help="output directory (default: config 'out' or results/)")
         sp.add_argument("--h", type=float, help="grid spacing override")
-        sp.add_argument("--mode", choices=("penalized", "constrained"), help="solver mode override")
-        sp.add_argument("--energy", choices=("iso", "aniso"), help="energy mode override")
+        for flag in flags:  # only the overrides the subcommand reads
+            sp.add_argument(flag, **overrides[flag])
 
     sp = sub.add_parser("solve", help="minimize the penalized area functional")
-    common(sp)
+    common(sp, "--mode", "--energy")
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("energy", help="evaluate the energy of a stored field")
-    common(sp)
+    common(sp, "--energy")
     sp.add_argument("field", nargs="?", help="field CSV (default: <out>/solution.csv)")
     sp.set_defaults(func=_cmd_energy)
 
@@ -523,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_reproduce)
 
     sp = sub.add_parser("refine", help="error table across grid refinements")
-    common(sp)
+    common(sp, "--mode", "--energy")
     sp.set_defaults(func=_cmd_refine)
     return p
 
@@ -549,10 +498,7 @@ def dispatch(argv=None) -> int:
 
     try:
         return int(args.func(args))
-    except (UsageError, FormatError, DomainError, BscError, EnergyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, FormatError, DomainError, BscError, EnergyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, BscViolation) as exc:

@@ -17,6 +17,7 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorField,
+    _check_same_grid,
     difference_operator,
     gradient,
     interior_xstar,
@@ -94,7 +95,7 @@ def _cell_norms(v: np.ndarray, mode: EnergyMode, scratch=None) -> np.ndarray:
 
 def horizontal_field(u: ScalarField) -> VectorField:
     """The per-cell horizontal vector (grad u)_c + X*(z_c)."""
-    return gradient(u) + xstar_field(u.grid)
+    return VectorField(u.grid, gradient(u).values + xstar_field(u.grid).values)
 
 
 def area_energy(u: ScalarField, mode: EnergyMode = EnergyMode.ISOTROPIC) -> float:
@@ -113,8 +114,7 @@ def penalized_energy(
     """Area term plus the boundary penalty sum_f h * |u_owner(f) - value_f|."""
     mode = EnergyMode.parse(mode)
     faces = datum.faces
-    if faces.grid is not u.grid and not u.grid.same_lattice(faces.grid):
-        raise EnergyError("datum faces belong to a different grid")
+    _check_same_grid(u.grid, faces.grid, EnergyError, "datum faces belong to a different grid")
     interior = area_energy(u, mode)
     owner_vals = u.values.reshape(-1)[faces.owner_flat]
     penalty = float(np.sum(faces.measure * np.abs(owner_vals - datum.values)))
@@ -227,11 +227,10 @@ def certificate_gap(
 
     gap = penalized total - sum_c h^2 <H_c, V_c>; Cauchy-Schwarz per cell
     gives gap >= 0 up to rounding whenever |V_c| <= 1.  A certificate with
-    |V_c| > 1 + 1e-12 on some cell is rejected.
+    |V_c| > 1 + 1e-12 on some cell, or on another grid than ``u``, is rejected.
     """
     g = u.grid
-    if V.grid is not g and not g.same_lattice(V.grid):
-        raise EnergyError("certificate lives on a different grid")
+    _check_same_grid(g, V.grid, EnergyError, "certificate lives on a different grid")
     vn = V.norms()[g.interior_mask]
     if vn.size and float(np.max(vn)) > 1.0 + 1e-12:
         raise EnergyError(
@@ -285,9 +284,5 @@ def translate_problem(
     faces_t = boundary_faces(grid_t)
     own = faces_t.owner
     tilt_owner = tilt[own[:, 0], own[:, 1]]
-    datum_t = BoundaryDatum(
-        faces=faces_t,
-        values=datum.values + tilt_owner,
-        provenance=f"translated({datum.provenance})",
-    )
+    datum_t = BoundaryDatum(faces=faces_t, values=datum.values + tilt_owner)
     return grid_t, u_t, datum_t

@@ -58,14 +58,14 @@ class FieldError(ValueError):
     """Raised for malformed fields or mismatched grids."""
 
 
-def _check_same_grid(a, b):
-    ga, gb = a.grid, b.grid
+def _check_same_grid(ga, gb, error=FieldError, message="fields live on different grids"):
+    """Raise ``error(message)`` unless the grids have the same h, origin and mask."""
     if ga is gb:
         return
     if ga.nx != gb.nx or ga.ny != gb.ny or ga.h != gb.h or not np.array_equal(
         ga.interior_mask, gb.interior_mask
     ) or not np.array_equal(ga.origin, gb.origin):
-        raise FieldError("fields live on different grids")
+        raise error(message)
 
 
 @dataclass(eq=False)
@@ -108,23 +108,6 @@ class ScalarField:
         """Interior values as a 1d array in row-major cell order."""
         return self.values[self.grid.interior_mask]
 
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return ScalarField(self.grid, self.values + other.values)
-        return ScalarField(self.grid, self.values + float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return ScalarField(self.grid, self.values - other.values)
-        return ScalarField(self.grid, self.values - float(other))
-
-    def __mul__(self, c):
-        return ScalarField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
 
 @dataclass(eq=False)
 class VectorField:
@@ -164,19 +147,6 @@ class VectorField:
     def norms(self) -> np.ndarray:
         """Euclidean length per cell, shape (nx, ny), zero outside."""
         return np.hypot(self.values[..., 0], self.values[..., 1])
-
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        return VectorField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +315,7 @@ def divergence(p: VectorField) -> ScalarField:
 
 def vee_wedge(u: ScalarField, v: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Pointwise maximum and minimum of two fields on the same grid."""
-    _check_same_grid(u, v)
+    _check_same_grid(u.grid, v.grid)
     return (
         ScalarField(u.grid, np.maximum(u.values, v.values)),
         ScalarField(u.grid, np.minimum(u.values, v.values)),

@@ -1,8 +1,10 @@
-"""Plain-text artifact formats: CSV fields, PGM images, JSON reports.
+"""Plain-text formats: CSV fields and boundary samples, PGM images, JSON reports.
 
 Every format is readable without libraries: fields are ``x,y,value`` CSV with
-a metadata comment carrying the lattice, images are ASCII PGM, reports are
-JSON.  Values are serialized with 17 significant digits so a write/read cycle
+a metadata comment carrying the lattice, boundary samples are ``x,y,value``
+CSV, images are ASCII PGM, reports are JSON.  Both CSV readers parse rows
+the same way, and a file they cannot open or parse raises FormatError.
+Values are serialized with 17 significant digits so a write/read cycle
 reproduces each double bit-exactly.  All writers go through a temp file and
 an atomic rename, so a crash never leaves a half-written artifact.
 """
@@ -24,6 +26,7 @@ __all__ = [
     "write_field",
     "read_vector_field",
     "write_vector_field",
+    "read_samples",
     "write_pgm",
     "write_json",
 ]
@@ -54,28 +57,59 @@ def _g17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def write_field(u: ScalarField, path: str) -> None:
-    """One CSV row per interior cell, row-major; lattice in a comment line."""
-    g = u.grid
+def _write_lattice(path: str, grid: Grid, header: str, values: np.ndarray) -> None:
+    """Shared writer of :func:`write_field` and :func:`write_vector_field`:
+    one row per interior cell, row-major, of its center and ``values[i, j]``."""
     lines = [
-        f"{_MAGIC} h={_g17(g.h)} ox={_g17(g.origin[0])} oy={_g17(g.origin[1])}"
-        f" nx={g.nx} ny={g.ny}",
-        "x,y,value",
+        f"{_MAGIC} h={_g17(grid.h)} ox={_g17(grid.origin[0])} oy={_g17(grid.origin[1])}"
+        f" nx={grid.nx} ny={grid.ny}",
+        header,
     ]
-    X, Y = g.cell_centers()
-    m = g.interior_mask
-    for x, y, v in zip(X[m], Y[m], u.values[m]):
-        lines.append(f"{_g17(x)},{_g17(y)},{_g17(v)}")
+    X, Y = grid.cell_centers()
+    m = grid.interior_mask
+    for x, y, v in zip(X[m], Y[m], values[m]):
+        lines.append(",".join(map(_g17, (x, y, *v))))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _read_lattice(path: str, grid: Grid | None, header: str, ncols: int):
+def _read_text(path: str, what: str) -> str:
+    """The file's text; an unreadable path raises FormatError naming ``what``."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+
+
+def _rows(path: str, lines: list[str], header: str):
+    """Yield ``(line number, values)`` per data row, skipping blank lines,
+    ``#`` comments and the column row ``header``."""
+    ncols = header.count(",") + 1
+    for ln, row in enumerate(lines, start=1):
+        s = row.strip()
+        if not s or s.startswith("#") or s.lower() == header:
+            continue
+        parts = s.split(",")
+        if len(parts) != ncols:
+            raise FormatError(f"{path}:{ln}: expected {ncols} comma-separated values")
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: non-numeric entry") from None
+        yield ln, vals
+
+
+def write_field(u: ScalarField, path: str) -> None:
+    """One CSV row per interior cell, row-major; lattice in a comment line."""
+    _write_lattice(path, u.grid, "x,y,value", u.values[..., None])
+
+
+def _read_lattice(path: str, grid: Grid | None, header: str):
     """Shared parser of :func:`read_field` and :func:`read_vector_field`:
-    ``header`` is the column row and ``ncols`` the column count.  Returns the
-    grid (``grid`` itself when given) and the values, ``(nx, ny)`` for one
-    value column and ``(nx, ny, 2)`` for two."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    ``header`` is the column row.  Returns the grid (``grid`` itself when
+    given) and the values, ``(nx, ny)`` for one value column and
+    ``(nx, ny, 2)`` for two."""
+    lines = _read_text(path, "field").splitlines()
     if not lines or not lines[0].startswith(_MAGIC):
         raise FormatError(f"{path}: missing field header line '{_MAGIC} ...'")
     meta = {}
@@ -91,16 +125,10 @@ def _read_lattice(path: str, grid: Grid | None, header: str, ncols: int):
     if len(lines) < 2 or lines[1].strip() != header:
         raise FormatError(f"{path}: missing '{header}' header row")
 
-    width = ncols - 2
+    width = header.count(",") - 1
     listed_on = np.zeros((nx, ny), dtype=np.int64)  # line number per listed cell, 0 if none
     vals = np.zeros((nx, ny) if width == 1 else (nx, ny, width))
-    for ln, row in enumerate(lines[2:], start=3):
-        if not row.strip():
-            continue
-        parts = row.split(",")
-        if len(parts) != ncols:
-            raise FormatError(f"{path}:{ln}: expected {ncols} comma-separated values")
-        x, y, *v = (float(p) for p in parts)
+    for ln, (x, y, *v) in _rows(path, lines, header):
         i = int(round((x - origin[0]) / h - 0.5))
         j = int(round((y - origin[1]) / h - 0.5))
         if not (0 <= i < nx and 0 <= j < ny):
@@ -122,13 +150,10 @@ def _read_lattice(path: str, grid: Grid | None, header: str, ncols: int):
         and np.allclose(grid.origin, origin, atol=1e-12)
         and np.array_equal(grid.interior_mask, mask)
     ):
-        if width == 1:
-            raise FormatError(
-                f"{path}: field lattice (h={h}, {nx}x{ny} at {origin}) does not match "
-                f"the expected grid (h={grid.h}, {grid.nx}x{grid.ny} at "
-                f"{tuple(grid.origin)})"
-            )
-        raise FormatError(f"{path}: vector field lattice does not match the expected grid")
+        raise FormatError(
+            f"{path}: field lattice (h={h}, {nx}x{ny} at {origin}) does not match "
+            f"the expected grid (h={grid.h}, {grid.nx}x{grid.ny} at {tuple(grid.origin)})"
+        )
     return grid, vals
 
 
@@ -140,28 +165,30 @@ def read_field(path: str, grid: Grid | None = None) -> ScalarField:
     listed twice raises FormatError naming both lines.  When ``grid`` is
     supplied the file must describe that exact lattice and mask.
     """
-    return ScalarField(*_read_lattice(path, grid, "x,y,value", 3))
+    return ScalarField(*_read_lattice(path, grid, "x,y,value"))
 
 
 def write_vector_field(p: VectorField, path: str) -> None:
     """Like :func:`write_field` with two value columns, ``x,y,px,py``."""
-    g = p.grid
-    lines = [
-        f"{_MAGIC} h={_g17(g.h)} ox={_g17(g.origin[0])} oy={_g17(g.origin[1])}"
-        f" nx={g.nx} ny={g.ny}",
-        "x,y,px,py",
-    ]
-    X, Y = g.cell_centers()
-    m = g.interior_mask
-    for x, y, (px, py) in zip(X[m], Y[m], p.values[m]):
-        lines.append(f"{_g17(x)},{_g17(y)},{_g17(px)},{_g17(py)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lattice(path, p.grid, "x,y,px,py", p.values)
 
 
 def read_vector_field(path: str, grid: Grid | None = None) -> VectorField:
     """Inverse of :func:`write_vector_field`; same lattice rules as
     :func:`read_field`."""
-    return VectorField(*_read_lattice(path, grid, "x,y,px,py", 4))
+    return VectorField(*_read_lattice(path, grid, "x,y,px,py"))
+
+
+def read_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary samples from a CSV of ``x,y,value`` rows; an ``x,y,value``
+    header and ``#`` comment lines are skipped.  Returns the points (n, 2)
+    and the values (n,); fewer than 3 samples raise FormatError."""
+    lines = _read_text(path, "samples").splitlines()
+    rows = [vals for _, vals in _rows(path, lines, "x,y,value")]
+    if len(rows) < 3:
+        raise FormatError(f"{path}: need at least 3 samples")
+    table = np.asarray(rows)
+    return table[:, :2], table[:, 2]
 
 
 def write_pgm(values: np.ndarray, path: str, mask: np.ndarray | None = None) -> None:

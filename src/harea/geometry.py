@@ -40,29 +40,7 @@ class DomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# named analytic domains
-
-
-def _parabolic_predicate(x, y):
-    return (x * x - 1.0 < y) & (y < 1.0 - x * x)
-
-
-def _parabolic_boundary(t):
-    """Boundary point at parameter t in [0, 1): upper arc then lower arc."""
-    t = np.asarray(t, dtype=float)
-    upper = t < 0.5
-    x = np.where(upper, -1.0 + 4.0 * t, 1.0 - 4.0 * (t - 0.5))
-    y = np.where(upper, 1.0 - x * x, x * x - 1.0)
-    return np.stack((x, y), axis=-1)
-
-
-_ANALYTIC = {
-    "parabolic": {
-        "predicate": _parabolic_predicate,
-        "boundary": _parabolic_boundary,
-        "bbox": (-1.0, 1.0, -1.0, 1.0),
-    },
-}
+# domains
 
 
 def _polygon_even_odd(vertices: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -113,13 +91,12 @@ def _polygon_is_simple(v: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """A planar domain: a disk, a simple polygon, or a named analytic shape."""
+    """A planar domain: a disk, a simple polygon, or the parabolic lens."""
 
     kind: str
     center: tuple[float, float] | None = None
     radius: float | None = None
     vertices: tuple[tuple[float, float], ...] | None = None
-    name: str | None = None
 
     def __post_init__(self):
         if self.kind == "disk":
@@ -138,12 +115,7 @@ class DomainSpec:
                 raise DomainError("polygon vertices must wind counterclockwise")
             if not _polygon_is_simple(v):
                 raise DomainError("polygon must be simple (no self-intersections)")
-        elif self.kind == "analytic":
-            if self.name not in _ANALYTIC:
-                raise DomainError(
-                    f"unknown analytic domain {self.name!r}; known: {sorted(_ANALYTIC)}"
-                )
-        else:
+        elif self.kind != "parabolic":
             raise DomainError(f"unknown domain kind {self.kind!r}")
 
     # constructors ---------------------------------------------------------
@@ -158,13 +130,9 @@ class DomainSpec:
         return DomainSpec(kind="polygon", vertices=vs)
 
     @staticmethod
-    def analytic(name: str) -> "DomainSpec":
-        return DomainSpec(kind="analytic", name=name)
-
-    @staticmethod
     def parabolic() -> "DomainSpec":
         """The region between the parabolas y = x^2 - 1 and y = 1 - x^2."""
-        return DomainSpec.analytic("parabolic")
+        return DomainSpec(kind="parabolic")
 
     # geometry -------------------------------------------------------------
 
@@ -177,7 +145,7 @@ class DomainSpec:
             return (x - cx) ** 2 + (y - cy) ** 2 < self.radius**2
         if self.kind == "polygon":
             return _polygon_even_odd(np.asarray(self.vertices, float), x, y)
-        return _ANALYTIC[self.name]["predicate"](x, y)
+        return (x * x - 1.0 < y) & (y < 1.0 - x * x)
 
     def bbox(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) bounding box."""
@@ -188,7 +156,7 @@ class DomainSpec:
         if self.kind == "polygon":
             v = np.asarray(self.vertices, float)
             return (v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
-        return _ANALYTIC[self.name]["bbox"]
+        return (-1.0, 1.0, -1.0, 1.0)
 
     def boundary_points(self, n: int) -> np.ndarray:
         """n points tracing the boundary (used by tests and demos)."""
@@ -208,7 +176,11 @@ class DomainSpec:
             k = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(v) - 1)
             local = (s - cum[k]) / lens[k]
             return v[k] + local[:, None] * seg[k]
-        return _ANALYTIC[self.name]["boundary"](t)
+        # the upper arc left to right, then the lower arc right to left
+        upper = t < 0.5
+        x = np.where(upper, -1.0 + 4.0 * t, 1.0 - 4.0 * (t - 0.5))
+        y = np.where(upper, 1.0 - x * x, x * x - 1.0)
+        return np.stack((x, y), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +252,6 @@ class Grid:
         X, Y = self.cell_centers()
         m = self.interior_mask
         return np.stack((X[m], Y[m]), axis=-1)
-
-    def same_lattice(self, other: "Grid") -> bool:
-        if abs(self.h - other.h) > 1e-15 * max(self.h, 1.0):
-            return False
-        k = (self.origin - other.origin) / self.h
-        return bool(np.all(np.abs(k - np.round(k)) < 1e-9))
 
 
 def rasterize(domain: DomainSpec, h: float) -> Grid:
@@ -399,7 +365,6 @@ class BoundaryDatum:
 
     faces: BoundaryFaces
     values: np.ndarray
-    provenance: str = "samples"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -421,9 +386,7 @@ class BoundaryDatum:
 
 
 def sample_datum(
-    faces: BoundaryFaces,
-    expr: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    provenance: str = "expr",
+    faces: BoundaryFaces, expr: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> BoundaryDatum:
     """Sample a boundary expression at the face midpoints.
 
@@ -435,4 +398,4 @@ def sample_datum(
     )
     if vals.shape == ():
         vals = np.full(len(faces), float(vals))
-    return BoundaryDatum(faces=faces, values=vals, provenance=provenance)
+    return BoundaryDatum(faces=faces, values=vals)

@@ -1,7 +1,8 @@
-"""Named closed-form surfaces and boundary expressions.
+"""Named closed-form surfaces and boundary expressions, and the datum kinds.
 
-These are the data the config format accepts by name.  Two of them are known
-exact minimizers used as references by the checks:
+:data:`DATUM_KINDS` is the one table of the config's datum kinds: the named
+closed forms and ``samples``, values listed in a CSV file.  Two of the closed
+forms are known exact minimizers used as references by the checks:
 
 * ``es1``: boundary expression x(y - x^2 + 1); over the parabolic domain its
   minimizer is the half-plane-kinked saddle 2xy for y > 0, 0 for y <= 0.
@@ -12,8 +13,11 @@ exact minimizers used as references by the checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .geometry import _row_blocks
 
 __all__ = [
     "Affine",
@@ -21,9 +25,11 @@ __all__ = [
     "es1_datum",
     "es1_surface",
     "es2_surface",
+    "Samples",
+    "DATUM_KINDS",
+    "DATUM_NAMES",
     "named_datum",
     "exact_surface_for",
-    "DATUM_NAMES",
 ]
 
 
@@ -63,34 +69,69 @@ def es2_surface(x, y):
     return -2.0 * x * y + y * np.abs(y)
 
 
-DATUM_NAMES = ("zero", "affine", "es1", "es2")
+@dataclass(eq=False)
+class Samples:
+    """Values listed at boundary points, as an expression: a point takes the
+    value of its nearest listed point, the first on ties."""
+
+    points: np.ndarray  # (n, 2)
+    values: np.ndarray  # (n,)
+
+    def __call__(self, x, y):
+        """Values at 1-d coordinate arrays, found by row blocks of points."""
+        px, py = self.points.T
+        nearest = np.empty(len(x), dtype=np.intp)
+        for b in _row_blocks(len(x), len(px)):
+            nearest[b] = np.argmin((x[b, None] - px) ** 2 + (y[b, None] - py) ** 2, axis=1)
+        return self.values[nearest]
+
+
+def _affine(block) -> Affine:
+    a = block.get("a")
+    if a is None:
+        raise ValueError("affine datum needs slope 'a'")
+    return Affine((float(a[0]), float(a[1])), float(block.get("b", 0.0)))
+
+
+def _listed(block) -> Samples:
+    from .fileio import read_samples
+
+    return Samples(*read_samples(block["path"]))
+
+
+class DatumKind(NamedTuple):
+    """One kind of the config's ``datum`` block; the callables take the block."""
+
+    keys: dict  # key besides "kind" -> how its absence is reported; None if optional
+    expression: Callable[[dict], Callable]  # the boundary expression
+    minimizer: Callable[[dict], Callable] | None  # closed-form isotropic minimizer
+    error_norm: str | None  # refine's error norm; None: no closed form, refine refuses
+
+
+DATUM_KINDS = {
+    "zero": DatumKind({}, lambda block: zero, None, "sup"),
+    "affine": DatumKind({"a": "slope 'a': [ax, ay]", "b": None}, _affine, _affine, "sup"),
+    "es1": DatumKind({}, lambda block: es1_datum, lambda block: es1_surface, "l1"),
+    "es2": DatumKind({}, lambda block: es2_surface, lambda block: es2_surface, "l1"),
+    "samples": DatumKind({"path": "'path'"}, _listed, None, None),
+}
+
+# the kinds given in closed form
+DATUM_NAMES = tuple(k for k, kind in DATUM_KINDS.items() if kind.error_norm is not None)
 
 
 def named_datum(kind: str, a=None, b=0.0):
     """Return the boundary expression for a named datum kind."""
-    if kind == "zero":
-        return zero
-    if kind == "affine":
-        if a is None:
-            raise ValueError("affine datum needs slope 'a'")
-        return Affine((float(a[0]), float(a[1])), float(b))
-    if kind == "es1":
-        return es1_datum
-    if kind == "es2":
-        return es2_surface
-    raise ValueError(f"unknown datum kind {kind!r}; known: {DATUM_NAMES}")
+    if kind not in DATUM_NAMES:
+        raise ValueError(f"unknown datum kind {kind!r}; known: {DATUM_NAMES}")
+    return DATUM_KINDS[kind].expression({"a": a, "b": b})
 
 
 def exact_surface_for(kind: str, a=None, b=0.0):
     """Exact minimizer surface for data whose minimizer is known in closed
     form (affine on any domain; es1 on the parabolic domain; es2 anywhere
     under its own trace).  Returns None when no closed form is available."""
-    if kind == "zero":
+    entry = DATUM_KINDS.get(kind)
+    if entry is None or entry.minimizer is None:
         return None
-    if kind == "affine":
-        return Affine((float(a[0]), float(a[1])), float(b))
-    if kind == "es1":
-        return es1_surface
-    if kind == "es2":
-        return es2_surface
-    return None
+    return entry.minimizer({"a": a, "b": b})

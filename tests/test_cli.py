@@ -112,6 +112,25 @@ def test_energy_reads_back_solution(tmp_path):
     )
 
 
+def test_unreadable_field_path_is_a_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, out=str(tmp_path / "run"))
+    assert dispatch(["energy", "-c", cfg, str(tmp_path)]) == 2
+    assert f"error: cannot read field {tmp_path}: " in capsys.readouterr().err
+
+
+def test_subcommands_reject_flags_they_do_not_read(tmp_path):
+    cfg = write_cfg(tmp_path, out=str(tmp_path / "run"))
+    assert dispatch(["solve", "-c", cfg]) == 0  # so energy has a field to read
+    for argv in (
+        ["bsc", "--mode", "constrained"],
+        ["bsc", "--energy", "aniso"],
+        ["barriers", "--mode", "constrained"],
+        ["barriers", "--energy", "aniso"],
+        ["energy", "--mode", "constrained"],
+    ):
+        assert dispatch([*argv, "-c", cfg]) == 2, argv
+
+
 def test_bsc_subcommand_certifies_affine(tmp_path):
     out = str(tmp_path / "run")
     cfg = write_cfg(tmp_path, out=out)
@@ -164,6 +183,22 @@ def test_samples_datum_takes_the_first_nearest_sample(tmp_path):
     nearest = np.argmin(d2, axis=1)
     assert np.all(nearest < 150)
     assert np.array_equal(datum.values, vals[nearest])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["1,0,1", "0,1", "-1,0,3"], ":3: expected 3 comma-separated values"),
+        (["1,0,1", "0,1,two", "-1,0,3"], ":3: non-numeric entry"),
+        (["1,0,1", "0,1,2"], ": need at least 3 samples"),
+    ],
+)
+def test_samples_file_errors_name_the_file(tmp_path, capsys, rows, message):
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(["x,y,value", *rows]) + "\n")
+    cfg = write_cfg(tmp_path, datum={"kind": "samples", "path": str(path)}, out=str(tmp_path))
+    assert dispatch(["solve", "-c", cfg]) == 2
+    assert f"error: {path}{message}\n" in capsys.readouterr().err
 
 
 def test_samples_datum_memory_stays_bounded(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from harea import (
     BoundaryDatum,
     DomainSpec,
+    EnergyError,
     EnergyMode,
     Grid,
     ScalarField,
@@ -113,6 +114,29 @@ def test_certificate_gap_nonnegative_for_unit_rotation():
         uv = np.zeros((grid.nx, grid.ny))
         uv[grid.interior_mask] = rng.standard_normal(grid.interior_count)
         assert certificate_gap(ScalarField(grid, uv), V, datum) >= -1e-9
+
+
+def test_penalized_energy_rejects_datum_from_another_grid():
+    """The penalty indexes the field through the datum's owner cells, so a
+    datum on another grid of the same lattice must be refused, not misread."""
+    h = 1 / 16
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), h)
+    u = ScalarField.from_function(grid, es1_surface)
+    square = DomainSpec.polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
+    sub_datum = sample_datum(boundary_faces(rasterize(square, h)), es1_surface)
+    with pytest.raises(EnergyError, match="datum faces belong to a different grid"):
+        penalized_energy(u, sub_datum)
+
+
+def test_certificate_gap_rejects_certificate_on_a_translated_grid():
+    h = 1 / 16
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), h)
+    u = ScalarField.from_function(grid, es1_surface)
+    datum = sample_datum(boundary_faces(grid), es1_surface)
+    moved = Grid(h=h, origin=grid.origin + (4 * h, -7 * h), nx=grid.nx, ny=grid.ny,
+                 interior_mask=grid.interior_mask)
+    with pytest.raises(EnergyError, match="certificate lives on a different grid"):
+        certificate_gap(u, unit_rotation_certificate(moved), datum)
 
 
 def test_translation_identity_is_exact():

@@ -7,6 +7,7 @@ from harea import DomainSpec, ScalarField, VectorField, rasterize
 from harea.fileio import (
     FormatError,
     read_field,
+    read_samples,
     read_vector_field,
     write_field,
     write_json,
@@ -34,7 +35,7 @@ def test_roundtrip_100_random_fields(grid, tmp_path):
         write_field(u, path)
         back = read_field(path)
         assert np.array_equal(back.values, u.values)  # bit-exact
-        assert back.grid.same_lattice(grid)
+        assert back.grid.h == grid.h and np.array_equal(back.grid.origin, grid.origin)
         assert np.array_equal(back.grid.interior_mask, grid.interior_mask)
 
 
@@ -82,6 +83,23 @@ def test_malformed_row_rejected(grid, tmp_path):
         f.write(text + "not,enough\n")
     with pytest.raises(FormatError, match="3 comma-separated"):
         read_field(path)
+
+
+def test_non_numeric_row_rejected(grid, tmp_path):
+    path = str(tmp_path / "f.csv")
+    write_field(random_field(grid, np.random.default_rng(0)), path)
+    with open(path, "a") as f:
+        f.write("0.125,0.125,nine\n")
+    with pytest.raises(FormatError, match=r":\d+: non-numeric entry$"):
+        read_field(path)
+
+
+def test_samples_skip_comments_header_and_blank_lines(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("# a circle\nX,Y,Value\n1,0,1.5\n# north\n0,1,2\n\n-1,0,-3\n")
+    points, values = read_samples(str(path))
+    assert points.tolist() == [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
+    assert values.tolist() == [1.5, 2.0, -3.0]
 
 
 def test_cell_listed_twice_rejected_naming_both_lines(grid, tmp_path):
