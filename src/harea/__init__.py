@@ -42,7 +42,6 @@ _EXPORTS = {
     "area_energy": "energy",
     "default_char_threshold": "energy",
     "penalized_energy": "energy",
-    "horizontal_field": "energy",
     "char_set": "energy",
     "euler_residual": "energy",
     "unit_rotation_certificate": "energy",
@@ -75,8 +74,6 @@ _EXPORTS = {
     "es1_datum": "surfaces",
     "es1_surface": "surfaces",
     "es2_surface": "surfaces",
-    "named_datum": "surfaces",
-    "exact_surface_for": "surfaces",
     # checks
     "CheckId": "checks",
     "TestReport": "checks",

@@ -34,7 +34,7 @@ from .energy import (
 # Not called here: perfbench's verify workload wraps gradient, divergence and balanced_steps by name.
 from .fields import ScalarField, gradient, divergence, lipschitz_estimate, vee_wedge
 from .geometry import BoundaryDatum, DomainSpec, boundary_faces, rasterize, sample_datum
-from .geometry import _row_blocks
+from .geometry import _neighbor, _row_blocks
 from .solver import SolverConfig, SolverError, balanced_steps, refine_study, solve, solver_tolerance
 from .surfaces import Affine, es1_datum, es1_surface, es2_surface
 
@@ -92,15 +92,12 @@ _CURVE_SAMPLES = 200
 
 
 def _erode(mask: np.ndarray, layers: int) -> np.ndarray:
-    m = mask.copy()
+    """The cells of ``mask`` at least ``layers`` steps inside it."""
     for _ in range(layers):
-        inner = m.copy()
-        inner[1:, :] &= m[:-1, :]
-        inner[:-1, :] &= m[1:, :]
-        inner[:, 1:] &= m[:, :-1]
-        inner[:, :-1] &= m[:, 1:]
-        m = inner
-    return m
+        mask = mask & np.logical_and.reduce(
+            [_neighbor(mask, a, s) for a in (0, 1) for s in (1, -1)]
+        )
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +542,9 @@ def _check_restriction(user_cfg):
     dj = round((grid_s.origin[1] - grid.origin[1]) / h)
     U = rep.u.values
     # datum on the sub-boundary: average of the parent solution across each face
-    vals = np.empty(len(faces_s))
-    for k in range(len(faces_s)):
-        oi, oj = faces_s.owner[k]
-        ni = oi + int(round(faces_s.normal[k, 0]))
-        nj = oj + int(round(faces_s.normal[k, 1]))
-        vals[k] = 0.5 * (U[oi + di, oj + dj] + U[ni + di, nj + dj])
-    datum_s = BoundaryDatum(faces_s, vals)
+    own = faces_s.owner + (di, dj)
+    across = own + faces_s.normal.astype(int)  # the exterior cell across each face
+    datum_s = BoundaryDatum(faces_s, 0.5 * (U[own[:, 0], own[:, 1]] + U[across[:, 0], across[:, 1]]))
     rep_s = solve(grid_s, datum_s, cfg)
     parent_patch = U[di : di + grid_s.nx, dj : dj + grid_s.ny]
     sup = float(np.max(np.abs(rep_s.u.values - parent_patch)[grid_s.interior_mask]))

@@ -69,6 +69,20 @@ def _reject_unknown(block: dict, allowed: set, where: str) -> None:
         raise UsageError(f"{where}: unknown keys {unknown}")
 
 
+def _convert(value, key, kind=float, what="a number"):
+    """``kind(value)`` for the config key ``key``; a value of the wrong type
+    is a usage error naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"config key '{key}' must be {what}, got {value!r}") from None
+
+
+def _xy(v):
+    x, y = v
+    return float(x), float(y)
+
+
 def _load_config(path: str) -> dict:
     from .fileio import _read_text
 
@@ -92,12 +106,14 @@ def _build_domain(block):
     kind = block["kind"]
     if kind == "disk":
         _reject_unknown(block, {"kind", "center", "radius"}, "domain")
-        return DomainSpec.disk(tuple(block.get("center", (0.0, 0.0))), float(block.get("radius", 1.0)))
+        center = _convert(block.get("center", (0.0, 0.0)), "center", _xy, "[x, y]")
+        return DomainSpec.disk(center, _convert(block.get("radius", 1.0), "radius"))
     if kind == "polygon":
         _reject_unknown(block, {"kind", "vertices"}, "domain")
         if "vertices" not in block:
             raise UsageError("polygon domain needs 'vertices'")
-        return DomainSpec.polygon([tuple(v) for v in block["vertices"]])
+        vertices = _convert(block["vertices"], "vertices", lambda vs: list(map(_xy, vs)), "[[x, y], ...]")
+        return DomainSpec.polygon(vertices)
     if kind == "parabolic":
         _reject_unknown(block, {"kind"}, "domain")
         return DomainSpec.parabolic()
@@ -150,7 +166,7 @@ def _bsc_samples(domain, cfg):
     expr = DATUM_KINDS[cfg["datum"]["kind"]].expression(cfg["datum"])
     if isinstance(expr, Samples):  # certified at the listed points themselves
         return list(zip(map(tuple, expr.points.tolist()), expr.values.tolist()))
-    return boundary_samples(domain, expr, int(cfg.get("samples", 200)))
+    return boundary_samples(domain, expr, _convert(cfg.get("samples", 200), "samples", int, "an integer"))
 
 
 def _resolve(args, need):
@@ -160,7 +176,7 @@ def _resolve(args, need):
         if key not in cfg:
             raise UsageError(f"{args.config}: missing required key '{key}'")
     domain = _build_domain(cfg["domain"]) if "domain" in cfg else None
-    h = float(args.h) if args.h is not None else float(cfg.get("h", 0.0))
+    h = args.h if args.h is not None else _convert(cfg.get("h", 0.0), "h")
     if "datum" in cfg:
         _check_datum_block(cfg["datum"])
     out = args.out or cfg.get("out", "results")
@@ -389,7 +405,7 @@ def _cmd_refine(args) -> int:
     kind = DATUM_KINDS[block["kind"]]
     if kind.error_norm is None:
         raise UsageError(f"refine needs a closed-form datum ({', '.join(DATUM_NAMES)})")
-    levels = int(cfg.get("levels", 3))
+    levels = _convert(cfg.get("levels", 3), "levels", int, "an integer")
     if levels < 2:
         raise UsageError("refine needs at least 2 levels")
     scfg = _build_solver(cfg.get("solver"), args)
@@ -495,10 +511,12 @@ def dispatch(argv=None) -> int:
     from .fileio import FormatError
     from .geometry import DomainError
     from .solver import SolverError
+    from .surfaces import DatumError
 
     try:
         return int(args.func(args))
-    except (UsageError, FormatError, DomainError, BscError, EnergyError, FileNotFoundError) as exc:
+    except (UsageError, FormatError, DomainError, DatumError, BscError, EnergyError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, BscViolation) as exc:

@@ -5,32 +5,38 @@ with ``X*(x, y) = 2(-y, x)``; the boundary term adds ``h * |u_owner - value|``
 per boundary face.  Two cell norms are supported: the Euclidean norm
 (isotropic, the model's own) and the l1 norm (anisotropic, which makes the
 functional exactly submodular under pointwise max/min).
+
+The energy and the diagnostics work on interior ``(2, n)`` vectors and
+measure them with the solver's cell norm, which lives in :mod:`harea.fields`
+with :class:`EnergyMode`.  The characteristic set and the duality
+certificate read the solver's own ``K u + X*``; the Euler residual uses
+centered differences, whose stencil follows the package's one neighbor rule
+(``geometry._neighbor``).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import (
+    EnergyError,
+    EnergyMode,
     ScalarField,
     VectorField,
+    _cell_norms,
     _check_same_grid,
     difference_operator,
-    gradient,
     interior_xstar,
     star,
-    xstar_field,
 )
-from .geometry import BoundaryDatum, BoundaryFaces, Grid, boundary_faces
+from .geometry import BoundaryDatum, Grid, _neighbor, boundary_faces
 
 __all__ = [
     "EnergyMode",
     "EnergyBreakdown",
     "EnergyError",
-    "horizontal_field",
     "area_energy",
     "penalized_energy",
     "char_set",
@@ -40,28 +46,6 @@ __all__ = [
     "unit_rotation_certificate",
     "translate_problem",
 ]
-
-
-class EnergyError(ValueError):
-    """Raised for inadmissible certificates or malformed energy inputs."""
-
-
-class EnergyMode(enum.Enum):
-    """Cell norm used by the area term: Euclidean or l1."""
-
-    ISOTROPIC = "iso"
-    ANISOTROPIC = "aniso"
-
-    @staticmethod
-    def parse(s) -> "EnergyMode":
-        if isinstance(s, EnergyMode):
-            return s
-        key = str(s).lower()
-        if key in ("iso", "isotropic"):
-            return EnergyMode.ISOTROPIC
-        if key in ("aniso", "anisotropic", "l1"):
-            return EnergyMode.ANISOTROPIC
-        raise EnergyError(f"unknown energy mode {s!r} (expected 'iso' or 'aniso')")
 
 
 @dataclass(frozen=True)
@@ -82,28 +66,16 @@ class EnergyBreakdown:
         }
 
 
-def _cell_norms(v: np.ndarray, mode: EnergyMode, scratch=None) -> np.ndarray:
-    """Per-cell norms (n,) of component-major vectors ``v`` (2, n):
-    ``sqrt(x*x + y*y)`` or ``|x| + |y|``.  The result is ``scratch[0]`` when
-    a (2, n) scratch buffer is given, so nothing is allocated."""
-    s = np.square(v, out=scratch) if mode is EnergyMode.ISOTROPIC else np.abs(v, out=scratch)
-    np.add(s[0], s[1], out=s[0])
-    if mode is EnergyMode.ISOTROPIC:
-        np.sqrt(s[0], out=s[0])
-    return s[0]
-
-
-def horizontal_field(u: ScalarField) -> VectorField:
-    """The per-cell horizontal vector (grad u)_c + X*(z_c)."""
-    return VectorField(u.grid, gradient(u).values + xstar_field(u.grid).values)
+def _horizontal(u: ScalarField) -> np.ndarray:
+    """The horizontal vectors K u + X* on the interior cells, (2, n)."""
+    g = u.grid
+    return difference_operator(g).grad(u.interior()) + interior_xstar(g)
 
 
 def area_energy(u: ScalarField, mode: EnergyMode = EnergyMode.ISOTROPIC) -> float:
     """Interior area term: sum of h^2 * norm(horizontal vector) over cells."""
     mode = EnergyMode.parse(mode)
-    g = u.grid
-    H = difference_operator(g).grad(u.interior()) + interior_xstar(g)
-    return float(g.h**2 * np.sum(_cell_norms(H, mode)))
+    return float(u.grid.h**2 * np.sum(_cell_norms(_horizontal(u), mode)))
 
 
 def penalized_energy(
@@ -130,8 +102,7 @@ def penalized_energy(
 def default_char_threshold(grid: Grid) -> float:
     """Heuristic threshold for the small-horizontal-vector set: grows with h
     and with the magnitude of the drift field over the grid."""
-    xs = xstar_field(grid)
-    mx = float(np.max(xs.norms()[grid.interior_mask]))
+    mx = float(np.max(_cell_norms(interior_xstar(grid), EnergyMode.ISOTROPIC)))
     return 10.0 * grid.h * max(1.0, 0.5 * mx)
 
 
@@ -145,42 +116,24 @@ def char_set(u: ScalarField, eps: float | None = None) -> np.ndarray:
         eps = default_char_threshold(u.grid)
     if not (eps >= 0):
         raise EnergyError(f"char threshold must be nonnegative, got {eps}")
-    n = horizontal_field(u).norms()
-    return (n <= eps) & u.grid.interior_mask
+    n = ScalarField.from_interior(u.grid, _cell_norms(_horizontal(u), EnergyMode.ISOTROPIC))
+    return (n.values <= eps) & u.grid.interior_mask
 
 
-def _sym_diff(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Centered difference per axis with one-sided fallback at mask edges.
+def _sym_diff(grid: Grid, v: np.ndarray, axis: int) -> np.ndarray:
+    """Centered difference of ``v`` (nx, ny) along ``axis``, with the one-sided
+    difference where only one neighbor is interior; zero outside.
 
     Exact on fields whose restriction to the three-cell stencil is affine,
     which makes the residual vanish identically wherever the normalized
     horizontal field is locally constant.
     """
-    h = grid.h
     m = grid.interior_mask
-    out = np.zeros((grid.nx, grid.ny, 2))
-    for axis in (0, 1):
-        plus = np.zeros_like(m)
-        minus = np.zeros_like(m)
-        dplus = np.zeros_like(v)
-        dminus = np.zeros_like(v)
-        if axis == 0:
-            plus[:-1, :] = m[:-1, :] & m[1:, :]
-            minus[1:, :] = m[1:, :] & m[:-1, :]
-            dplus[:-1, :] = v[1:, :] - v[:-1, :]
-            dminus[1:, :] = v[1:, :] - v[:-1, :]
-        else:
-            plus[:, :-1] = m[:, :-1] & m[:, 1:]
-            minus[:, 1:] = m[:, 1:] & m[:, :-1]
-            dplus[:, :-1] = v[:, 1:] - v[:, :-1]
-            dminus[:, 1:] = v[:, 1:] - v[:, :-1]
-        both = plus & minus
-        one_sided = (plus | minus) & ~both
-        d = np.where(both, 0.5 * (dplus + dminus), 0.0)
-        d += np.where(one_sided, np.where(plus, dplus, dminus), 0.0)
-        out[..., axis] = d / h
-    out[~m] = 0.0
-    return out
+    plus, minus = m & _neighbor(m, axis, 1), m & _neighbor(m, axis, -1)
+    dplus, dminus = _neighbor(v, axis, 1) - v, v - _neighbor(v, axis, -1)
+    d = np.where(plus & minus, 0.5 * (dplus + dminus), 0.0)
+    d += np.where(plus ^ minus, np.where(plus, dplus, dminus), 0.0)
+    return d / grid.h
 
 
 def euler_residual(u: ScalarField, eps_reg: float = 1e-12) -> ScalarField:
@@ -195,16 +148,10 @@ def euler_residual(u: ScalarField, eps_reg: float = 1e-12) -> ScalarField:
     if not (eps_reg > 0):
         raise EnergyError(f"eps_reg must be positive, got {eps_reg}")
     g = u.grid
-    H = _sym_diff(g, u.values) + xstar_field(g).values
-    H[~g.interior_mask] = 0.0
-    n = np.hypot(H[..., 0], H[..., 1])
-    N = H / np.maximum(n, eps_reg)[..., None]
-    N[~g.interior_mask] = 0.0
-    dNx = _sym_diff(g, N[..., 0])[..., 0]
-    dNy = _sym_diff(g, N[..., 1])[..., 1]
-    res = dNx + dNy
-    res[~g.interior_mask] = 0.0
-    return ScalarField(g, res)
+    H = np.stack([_sym_diff(g, u.values, a)[g.interior_mask] for a in (0, 1)]) + interior_xstar(g)
+    N = H / np.maximum(_cell_norms(H, EnergyMode.ISOTROPIC), eps_reg)
+    dNx, dNy = (_sym_diff(g, ScalarField.from_interior(g, N[a]).values, a) for a in (0, 1))
+    return ScalarField(g, dNx + dNy)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +162,10 @@ def unit_rotation_certificate(grid: Grid, eps: float = 1e-12) -> VectorField:
     """The normalized drift field X*/max(|X*|, eps), an admissible certificate
     that is asymptotically divergence-free; on a disk centered at the origin it
     calibrates the zero-datum problem."""
-    xs = xstar_field(grid)
-    n = np.maximum(xs.norms(), eps)
-    return VectorField(grid, xs.values / n[..., None])
+    xs = interior_xstar(grid)
+    return VectorField.from_interior(
+        grid, (xs / np.maximum(_cell_norms(xs, EnergyMode.ISOTROPIC), eps)).T
+    )
 
 
 def certificate_gap(
@@ -231,18 +179,13 @@ def certificate_gap(
     """
     g = u.grid
     _check_same_grid(g, V.grid, EnergyError, "certificate lives on a different grid")
-    vn = V.norms()[g.interior_mask]
-    if vn.size and float(np.max(vn)) > 1.0 + 1e-12:
-        raise EnergyError(
-            f"inadmissible certificate: cell norm {float(np.max(vn)):.6g} exceeds 1"
-        )
+    v = V.interior().T
+    vn = float(np.max(_cell_norms(v, EnergyMode.ISOTROPIC), initial=0.0))
+    if vn > 1.0 + 1e-12:
+        raise EnergyError(f"inadmissible certificate: cell norm {vn:.6g} exceeds 1")
     total = penalized_energy(u, datum, EnergyMode.ISOTROPIC).total
-    H = horizontal_field(u).values
-    pair = float(
-        g.h**2
-        * np.sum(np.sum(H * V.values, axis=-1)[g.interior_mask])
-    )
-    return total - pair
+    H = _horizontal(u)
+    return total - float(g.h**2 * np.sum(H[0] * v[0] + H[1] * v[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +225,5 @@ def translate_problem(
     tilt = 2.0 * (taustar[0] * Xt + taustar[1] * Yt) + xi
     u_t = ScalarField(grid_t, u.values + tilt)
     faces_t = boundary_faces(grid_t)
-    own = faces_t.owner
-    tilt_owner = tilt[own[:, 0], own[:, 1]]
-    datum_t = BoundaryDatum(faces=faces_t, values=datum.values + tilt_owner)
+    datum_t = BoundaryDatum(faces=faces_t, values=datum.values + tilt.ravel()[faces_t.owner_flat])
     return grid_t, u_t, datum_t

@@ -26,19 +26,27 @@ operator; it enters the model only through the boundary penalty.  The public
 :func:`gradient` and :func:`divergence` apply ``K`` to the interior values of
 full-grid fields, whose interior vectors are ``(n, 2)``; the solver applies
 it to component-major interior vectors directly.
+
+The operator's forward and fallback masks come from the package's one
+neighbor rule, ``geometry._neighbor``.  The one cell norm, ``sqrt(x*x + y*y)``
+or ``|x| + |y|`` as :class:`EnergyMode` selects, is :func:`_cell_norms` on
+``(2, n)`` vectors; the solver and every diagnostic measure lengths with it.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import Grid
+from .geometry import Grid, _neighbor
 
 __all__ = [
     "FieldError",
+    "EnergyError",
+    "EnergyMode",
     "ScalarField",
     "VectorField",
     "star",
@@ -143,10 +151,6 @@ class VectorField:
         # takes NumPy's slow path, several times slower than two 2d masks
         m = self.grid.interior_mask
         return np.stack((self.values[..., 0][m], self.values[..., 1][m]), axis=-1)
-
-    def norms(self) -> np.ndarray:
-        """Euclidean length per cell, shape (nx, ny), zero outside."""
-        return np.hypot(self.values[..., 0], self.values[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +259,12 @@ def difference_operator(grid: Grid) -> DiffOperator:
     # plus[a, c] - minus[a, c] is component a of the gradient at c
     plus = np.stack((cell, cell))
     minus = plus.copy()
-    for a, (fwd, bwd) in enumerate(((grid.fwd_x, grid.bwd_x), (grid.fwd_y, grid.bwd_y))):
-        # fwd/bwd hold only where that neighbor is interior, so roll's wrap is never read
-        plus[a, fwd[m]] = np.roll(local, -1, axis=a)[fwd]
-        minus[a, bwd[m]] = np.roll(local, 1, axis=a)[bwd]
+    for a in (0, 1):
+        # forward difference where possible, backward fallback otherwise
+        fwd = m & _neighbor(m, a, 1)
+        bwd = m & ~fwd & _neighbor(m, a, -1)
+        plus[a, fwd[m]] = _neighbor(local, a, 1)[fwd]
+        minus[a, bwd[m]] = _neighbor(local, a, -1)[bwd]
     forward = plus != cell
     # prev[a, c]: the cell whose forward difference along a lands on c, or -1
     prev = np.full_like(plus, -1)
@@ -303,6 +309,39 @@ def interior_xstar(grid: Grid) -> np.ndarray:
     return xs
 
 
+class EnergyError(ValueError):
+    """Raised for inadmissible certificates or malformed energy inputs."""
+
+
+class EnergyMode(enum.Enum):
+    """Cell norm used by the area term: Euclidean or l1."""
+
+    ISOTROPIC = "iso"
+    ANISOTROPIC = "aniso"
+
+    @staticmethod
+    def parse(s) -> "EnergyMode":
+        if isinstance(s, EnergyMode):
+            return s
+        key = str(s).lower()
+        if key in ("iso", "isotropic"):
+            return EnergyMode.ISOTROPIC
+        if key in ("aniso", "anisotropic", "l1"):
+            return EnergyMode.ANISOTROPIC
+        raise EnergyError(f"unknown energy mode {s!r} (expected 'iso' or 'aniso')")
+
+
+def _cell_norms(v: np.ndarray, mode: EnergyMode, scratch=None) -> np.ndarray:
+    """Per-cell norms (n,) of component-major vectors ``v`` (2, n):
+    ``sqrt(x*x + y*y)`` or ``|x| + |y|``.  The result is ``scratch[0]`` when
+    a (2, n) scratch buffer is given, so nothing is allocated."""
+    s = np.square(v, out=scratch) if mode is EnergyMode.ISOTROPIC else np.abs(v, out=scratch)
+    np.add(s[0], s[1], out=s[0])
+    if mode is EnergyMode.ISOTROPIC:
+        np.sqrt(s[0], out=s[0])
+    return s[0]
+
+
 def gradient(u: ScalarField) -> VectorField:
     """Per-cell difference gradient (forward, with backward fallback at the rim)."""
     return VectorField.from_interior(u.grid, difference_operator(u.grid).grad(u.interior()).T)
@@ -324,9 +363,8 @@ def vee_wedge(u: ScalarField, v: ScalarField) -> tuple[ScalarField, ScalarField]
 
 def lipschitz_estimate(u: ScalarField) -> float:
     """Largest Euclidean gradient length over interior cells."""
-    g = gradient(u)
-    n = g.norms()[u.grid.interior_mask]
-    return float(np.max(n)) if n.size else 0.0
+    K = difference_operator(u.grid)
+    return float(np.max(_cell_norms(K.grad(u.interior()), EnergyMode.ISOTROPIC), initial=0.0))
 
 
 _POWER_STEPS = 60

@@ -192,6 +192,17 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _neighbor(a: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """Each cell's neighbor at ``step`` (+1 or -1) along ``axis``, zero (False)
+    past the grid edge; on a mask, the cells whose neighbor there is set.  The
+    package's one neighbor rule: faces, stencils and erosion all read it."""
+    out = np.zeros_like(a)
+    # step +1 copies a[i + 1] into out[i]; step -1 copies a[i - 1]
+    src, dst = (slice(1, None), slice(None, -1))[::step]
+    np.moveaxis(out, axis, 0)[dst] = np.moveaxis(a, axis, 0)[src]
+    return out
+
+
 @dataclass(eq=False)
 class Grid:
     """A uniform cell grid with an interior mask.
@@ -224,20 +235,6 @@ class Grid:
         self.interior_mask = _lock(m.copy())
         self.xs = _lock(self.origin[0] + (np.arange(self.nx) + 0.5) * self.h)
         self.ys = _lock(self.origin[1] + (np.arange(self.ny) + 0.5) * self.h)
-        # neighbor availability, read by fields.difference_operator
-        east = np.zeros_like(m)
-        east[:-1, :] = m[:-1, :] & m[1:, :]
-        north = np.zeros_like(m)
-        north[:, :-1] = m[:, :-1] & m[:, 1:]
-        west = np.zeros_like(m)
-        west[1:, :] = m[1:, :] & m[:-1, :]
-        south = np.zeros_like(m)
-        south[:, 1:] = m[:, 1:] & m[:, :-1]
-        # forward difference where possible, backward fallback otherwise
-        self.fwd_x = _lock(east)
-        self.fwd_y = _lock(north)
-        self.bwd_x = _lock(m & ~east & west)
-        self.bwd_y = _lock(m & ~north & south)
 
     @property
     def interior_count(self) -> int:
@@ -330,21 +327,10 @@ def _row_blocks(rows: int, cols: int):
 def boundary_faces(grid: Grid) -> BoundaryFaces:
     """Enumerate the faces separating interior cells from exterior neighbors."""
     m = grid.interior_mask
-    nx, ny = grid.nx, grid.ny
     X, Y = grid.cell_centers()
     owners, normals = [], []
     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        nb = np.zeros_like(m)
-        if dx == 1:
-            nb[:-1, :] = m[1:, :]
-        elif dx == -1:
-            nb[1:, :] = m[:-1, :]
-        elif dy == 1:
-            nb[:, :-1] = m[:, 1:]
-        else:
-            nb[:, 1:] = m[:, :-1]
-        sel = m & ~nb
-        ii, jj = np.nonzero(sel)
+        ii, jj = np.nonzero(m & ~_neighbor(m, 0 if dx else 1, dx + dy))
         owners.append(np.stack((ii, jj), axis=-1))
         normals.append(np.tile(np.array([float(dx), float(dy)]), (len(ii), 1)))
     owner = np.concatenate(owners, axis=0)

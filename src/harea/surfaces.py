@@ -28,9 +28,12 @@ __all__ = [
     "Samples",
     "DATUM_KINDS",
     "DATUM_NAMES",
-    "named_datum",
-    "exact_surface_for",
+    "DatumError",
 ]
+
+
+class DatumError(ValueError):
+    """Raised for a datum block whose values have the wrong type."""
 
 
 def zero(x, y):
@@ -87,10 +90,13 @@ class Samples:
 
 
 def _affine(block) -> Affine:
-    a = block.get("a")
-    if a is None:
-        raise ValueError("affine datum needs slope 'a'")
-    return Affine((float(a[0]), float(a[1])), float(block.get("b", 0.0)))
+    a, b = block.get("a"), block.get("b", 0.0)
+    try:
+        ax, ay = a
+        return Affine((float(ax), float(ay)), float(b))
+    except (TypeError, ValueError):
+        msg = f"affine datum needs slope 'a': [ax, ay] and a number 'b', got a={a!r}, b={b!r}"
+        raise DatumError(msg) from None
 
 
 def _listed(block) -> Samples:
@@ -118,20 +124,3 @@ DATUM_KINDS = {
 
 # the kinds given in closed form
 DATUM_NAMES = tuple(k for k, kind in DATUM_KINDS.items() if kind.error_norm is not None)
-
-
-def named_datum(kind: str, a=None, b=0.0):
-    """Return the boundary expression for a named datum kind."""
-    if kind not in DATUM_NAMES:
-        raise ValueError(f"unknown datum kind {kind!r}; known: {DATUM_NAMES}")
-    return DATUM_KINDS[kind].expression({"a": a, "b": b})
-
-
-def exact_surface_for(kind: str, a=None, b=0.0):
-    """Exact minimizer surface for data whose minimizer is known in closed
-    form (affine on any domain; es1 on the parabolic domain; es2 anywhere
-    under its own trace).  Returns None when no closed form is available."""
-    entry = DATUM_KINDS.get(kind)
-    if entry is None or entry.minimizer is None:
-        return None
-    return entry.minimizer({"a": a, "b": b})

@@ -23,11 +23,19 @@ Python loop that reads nothing but the interior mask.  ``index_operator``,
 (2, n) index arrays with a gather and a scatter over all 2n entries; the
 library's slice-and-rim kernels must match them bit for bit.
 
+``hypot_lipschitz``, ``hypot_char_set`` and ``hypot_certificate_gap`` are
+the diagnostics' former full-grid formulas: the horizontal vector as
+``gradient(u).values + xstar_field(grid).values`` on the whole (nx, ny, 2)
+array, its length by ``np.hypot``.  The library computes them on interior
+(2, n) vectors with the solver's ``sqrt(x*x + y*y)``.
+
 ``dense_lipschitz_bound`` recomputes the ``lipschitz_bound`` check's metrics
 from the whole cell-by-face matrix and the loop gradient.
 """
 
 import numpy as np
+
+from harea import EnergyMode, gradient, penalized_energy, xstar_field
 
 
 def _sample_arrays(samples):
@@ -156,17 +164,22 @@ def loop_gradient(mask, h, values):
 def index_operator(grid):
     """``plus`` and ``minus`` (2, n): the interior indices whose values
     difference to each gradient component, (next, c) for a forward difference,
-    (c, previous) for the backward fallback, (c, c) for an isolated cell."""
+    (c, previous) for the backward fallback, (c, c) for an isolated cell.
+    The neighbors are looked up cell by cell, as in ``loop_gradient``."""
     m = grid.interior_mask
+    nx, ny = m.shape
     cell = np.arange(int(m.sum()))
     local = np.full(m.shape, -1, dtype=np.intp)
     local[m] = cell
     plus = np.stack((cell, cell))
     minus = plus.copy()
-    for a, (fwd, bwd) in enumerate(((grid.fwd_x, grid.bwd_x), (grid.fwd_y, grid.bwd_y))):
-        # fwd/bwd hold only where that neighbor is interior, so roll's wrap is never read
-        plus[a, fwd[m]] = np.roll(local, -1, axis=a)[fwd]
-        minus[a, bwd[m]] = np.roll(local, 1, axis=a)[bwd]
+    for c, (i, j) in enumerate(np.argwhere(m)):  # row-major, the interior order
+        for a, (di, dj) in enumerate(((1, 0), (0, 1))):
+            fi, fj, bi, bj = i + di, j + dj, i - di, j - dj
+            if fi < nx and fj < ny and m[fi, fj]:
+                plus[a, c] = local[fi, fj]
+            elif bi >= 0 and bj >= 0 and m[bi, bj]:
+                minus[a, c] = local[bi, bj]
     return plus, minus
 
 
@@ -198,3 +211,35 @@ def dense_lipschitz_bound(grid, u, datum, Q_min, K, tol):
     g = loop_gradient(m, grid.h, u)
     lip = np.max(np.hypot(g[..., 0], g[..., 1])[m])
     return float(np.max(excess)), float(lip - K - tol)
+
+
+def full_grid_horizontal(u):
+    """``(grad u)_c + X*(z_c)`` on the whole grid, shape (nx, ny, 2)."""
+    return gradient(u).values + xstar_field(u.grid).values
+
+
+def hypot_norms(values):
+    """Euclidean length per cell of a (nx, ny, 2) array, by ``np.hypot``."""
+    return np.hypot(values[..., 0], values[..., 1])
+
+
+def hypot_lipschitz(u):
+    """Largest gradient length over the interior cells."""
+    return float(np.max(hypot_norms(gradient(u).values)[u.grid.interior_mask]))
+
+
+def hypot_char_set(u, eps=None):
+    """Interior cells whose horizontal vector is at most ``eps`` long; by
+    default ``eps`` is ``10 h max(1, max|X*| / 2)``."""
+    g = u.grid
+    if eps is None:
+        eps = 10.0 * g.h * max(1.0, 0.5 * float(np.max(hypot_norms(xstar_field(g).values))))
+    return (hypot_norms(full_grid_horizontal(u)) <= eps) & g.interior_mask
+
+
+def hypot_certificate_gap(u, V, datum):
+    """Penalized isotropic energy minus ``sum_c h^2 <H_c, V_c>``."""
+    g = u.grid
+    total = penalized_energy(u, datum, EnergyMode.ISOTROPIC).total
+    pair = np.sum(full_grid_horizontal(u) * V.values, axis=-1)[g.interior_mask]
+    return total - float(g.h**2 * np.sum(pair))

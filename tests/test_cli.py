@@ -95,6 +95,25 @@ def test_unresolvable_h_rejected(tmp_path):
     assert dispatch(["solve", "-c", cfg, "--h", "2.5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("solve", {"domain": {"kind": "disk", "radius": "big"}}, "'radius'"),
+        ("solve", {"datum": {"kind": "affine", "a": 3}}, "'a'"),
+        ("solve", {"domain": {"kind": "disk", "center": [0]}}, "'center'"),
+        ("solve", {"h": "fine"}, "'h'"),
+        ("bsc", {"samples": "many"}, "'samples'"),
+        ("refine", {"levels": "x"}, "'levels'"),
+    ],
+    ids=["radius", "affine-a", "center", "h", "samples", "levels"],
+)
+def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, command, overrides, key):
+    cfg = write_cfg(tmp_path, out=str(tmp_path / "run"), **overrides)
+    assert dispatch([command, "-c", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_no_subcommand_is_usage_error():
     assert dispatch([]) == 2
 
@@ -352,6 +371,16 @@ def test_console_script_entry_point():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: harea")
     assert "solve" in out.stdout and "verify" in out.stdout
+
+
+def test_cli_parser_leaves_numpy_unloaded():
+    """The thread cap reaches BLAS only if NumPy loads after it is applied, so
+    importing the package and the CLI and building the parser must not load it."""
+    code = "import sys, harea, harea.cli; harea.cli._build_parser(); print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=entry_point_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(shutil.which("harea") is None, reason="harea is not on PATH")

@@ -8,6 +8,7 @@ from harea import (
     EnergyMode,
     Grid,
     ScalarField,
+    SolverConfig,
     area_energy,
     boundary_faces,
     certificate_gap,
@@ -15,13 +16,16 @@ from harea import (
     es1_surface,
     es2_surface,
     euler_residual,
+    lipschitz_estimate,
     penalized_energy,
     rasterize,
     sample_datum,
+    solve,
     translate_problem,
     unit_rotation_certificate,
     vee_wedge,
 )
+from oracles import hypot_certificate_gap, hypot_char_set, hypot_lipschitz
 
 
 def one_cell_grid(center, h=1.0):
@@ -213,3 +217,37 @@ def test_char_set_of_es2_is_the_y_band():
     assert np.max(np.abs(Y[cs])) <= 2.5 * grid.h
     band = grid.interior_mask & (np.abs(Y) <= 0.5 * grid.h)
     assert np.all(cs[band])
+
+
+def test_certificate_gap_matches_full_grid_oracle_on_calibration_disk_inputs():
+    """The interior (2, n) computation sums the same products in the same
+    order as the full-grid formula, so the gap is equal bit for bit: on the
+    calibration_disk check's solve and its twenty seeded random fields."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 64)
+    faces = boundary_faces(grid)
+    datum = BoundaryDatum(faces, np.zeros(len(faces)))
+    V = unit_rotation_certificate(grid)
+    fields = [solve(grid, datum, SolverConfig(max_iters=20000, tol=1e-9)).u]
+    rng = np.random.default_rng(99)
+    for _ in range(20):
+        w = np.zeros((grid.nx, grid.ny))
+        w[grid.interior_mask] = rng.standard_normal(grid.interior_count)
+        fields.append(ScalarField(grid, w))
+    for u in fields:
+        assert certificate_gap(u, V, datum) == hypot_certificate_gap(u, V, datum)
+
+
+def test_char_set_and_lipschitz_estimate_match_full_grid_hypot_oracles():
+    """sqrt(x*x + y*y) and np.hypot differ by at most an ulp or two: the es1
+    characteristic set at h = 1/64 is the same mask, and the Lipschitz
+    estimates agree to 2 ulp."""
+    grid = rasterize(DomainSpec.parabolic(), 1 / 64)
+    u = ScalarField.from_function(grid, es1_surface)
+    assert char_set(u).any()
+    assert np.array_equal(char_set(u), hypot_char_set(u))
+    rng = np.random.default_rng(4)
+    w = np.zeros((grid.nx, grid.ny))
+    w[grid.interior_mask] = rng.standard_normal(grid.interior_count)
+    for field in (u, ScalarField(grid, w)):
+        ref = hypot_lipschitz(field)
+        assert abs(lipschitz_estimate(field) - ref) <= 2 * np.spacing(ref)
