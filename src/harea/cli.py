@@ -69,7 +69,14 @@ def _reject_unknown(block: dict, allowed: set, where: str) -> None:
         raise UsageError(f"{where}: unknown keys {unknown}")
 
 
-def _convert(value, key, kind=float, what="a number"):
+def _number(v) -> float:
+    """``float(v)``; a boolean is refused rather than read as 0 or 1."""
+    if isinstance(v, bool):
+        raise TypeError(v)
+    return float(v)
+
+
+def _convert(value, key, kind=_number, what="a number"):
     """``kind(value)`` for the config key ``key``; a value of the wrong type
     is a usage error naming the key."""
     try:
@@ -80,7 +87,20 @@ def _convert(value, key, kind=float, what="a number"):
 
 def _xy(v):
     x, y = v
-    return float(x), float(y)
+    return _number(x), _number(y)
+
+
+def _whole(v) -> int:
+    """``int(v)`` for a whole number; booleans and fractions are refused."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(v)
+    return int(v)
+
+
+def _text(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(v)
+    return v
 
 
 def _load_config(path: str) -> dict:
@@ -166,7 +186,7 @@ def _bsc_samples(domain, cfg):
     expr = DATUM_KINDS[cfg["datum"]["kind"]].expression(cfg["datum"])
     if isinstance(expr, Samples):  # certified at the listed points themselves
         return list(zip(map(tuple, expr.points.tolist()), expr.values.tolist()))
-    return boundary_samples(domain, expr, _convert(cfg.get("samples", 200), "samples", int, "an integer"))
+    return boundary_samples(domain, expr, _convert(cfg.get("samples", 200), "samples", _whole, "an integer"))
 
 
 def _resolve(args, need):
@@ -179,7 +199,7 @@ def _resolve(args, need):
     h = args.h if args.h is not None else _convert(cfg.get("h", 0.0), "h")
     if "datum" in cfg:
         _check_datum_block(cfg["datum"])
-    out = args.out or cfg.get("out", "results")
+    out = args.out or _convert(cfg.get("out", "results"), "out", _text, "a string")
     return cfg, domain, h, out
 
 
@@ -405,7 +425,7 @@ def _cmd_refine(args) -> int:
     kind = DATUM_KINDS[block["kind"]]
     if kind.error_norm is None:
         raise UsageError(f"refine needs a closed-form datum ({', '.join(DATUM_NAMES)})")
-    levels = _convert(cfg.get("levels", 3), "levels", int, "an integer")
+    levels = _convert(cfg.get("levels", 3), "levels", _whole, "an integer")
     if levels < 2:
         raise UsageError("refine needs at least 2 levels")
     scfg = _build_solver(cfg.get("solver"), args)

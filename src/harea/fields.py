@@ -186,10 +186,10 @@ class DiffOperator(NamedTuple):
       there is none (the entry is then rewritten).
     * ``prev0`` (n,): the backward neighbor along axis 0 of a regular cell,
       the cell itself elsewhere.
-    * ``edge`` with ``edge_plus``/``edge_minus``: the flat indices into a
-      (2, n) gradient of the entries that are not forward differences, and the
-      cells they difference: (c, previous) for the backward fallback, (c, c)
-      for a cell isolated along that axis.
+    * ``edge`` with ``edge_cells`` (2, m): the flat indices into a (2, n)
+      gradient of the entries that are not forward differences, and the
+      cells they difference, row 0 minus row 1: (c, previous) for the
+      backward fallback, (c, c) for a cell isolated along that axis.
     * ``rim`` (the cells that are not regular) with ``rim_entries`` and
       ``rim_bins``: the flat indices into a (2, n) vector field of the
       entries the divergence sums at rim cells, ascending, and their bins in
@@ -200,8 +200,7 @@ class DiffOperator(NamedTuple):
     next0: np.ndarray
     prev0: np.ndarray
     edge: np.ndarray
-    edge_plus: np.ndarray
-    edge_minus: np.ndarray
+    edge_cells: np.ndarray
     rim: np.ndarray
     rim_entries: np.ndarray
     rim_bins: np.ndarray
@@ -229,7 +228,8 @@ class DiffOperator(NamedTuple):
         u.take(self.next0, out=out[0], mode="clip")
         out[0] -= u
         np.subtract(u[1:], u[:-1], out=out[1, :-1])
-        out.put(self.edge, u[self.edge_plus] - u[self.edge_minus])
+        ends = u.take(self.edge_cells)
+        out.put(self.edge, np.subtract(ends[0], ends[1]))
         return out
 
     def hdiv(self, p: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -242,7 +242,7 @@ class DiffOperator(NamedTuple):
         back[1:] += p1[:-1]
         out -= back
         nr = self.rim.size
-        s = np.bincount(self.rim_bins, p.ravel()[self.rim_entries], 2 * nr)
+        s = np.bincount(self.rim_bins, p.take(self.rim_entries), 2 * nr)
         out[self.rim] = s[:nr] - s[nr:]
         return out
 
@@ -285,8 +285,7 @@ def difference_operator(grid: Grid) -> DiffOperator:
         next0=plus[0].copy(),  # a view would keep all of plus alive
         prev0=np.where(regular, prev[0], cell),
         edge=edge,
-        edge_plus=plus.ravel()[edge],
-        edge_minus=minus.ravel()[edge],
+        edge_cells=np.stack((plus.ravel()[edge], minus.ravel()[edge])),
         rim=rim,
         rim_entries=np.concatenate(entries),
         rim_bins=np.concatenate(bins),

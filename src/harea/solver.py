@@ -8,12 +8,15 @@ radius h^2, primal descent with a soft threshold toward the face-averaged
 boundary value, and overrelaxation of the primal iterate.
 
 The iteration state lives on the n interior cells only: the primal ``u`` is
-an ``(n,)`` vector, and the dual ``P`` and the horizontal vector
+an ``(n,)`` vector, and the dual and the horizontal vector
 ``H = h (K u + X*)`` are contiguous component-major ``(2, n)`` arrays;
 boundary faces name their owners by interior index (``owner_cell``).  Every
-update writes into buffers allocated once per solve, and the factor 1/h of
-``K`` is folded into the steps.  Full-grid fields are built only for the
-returned :class:`SolveReport`.
+update writes into buffers allocated once per solve.  The factor 1/h of
+``K`` goes into the steps sigma_h = sigma/h and tau_h = tau/h, and the loop
+carries the dual divided by sigma_h: its step is ``+= H_bar``, its ball has
+radius h^2/sigma_h, and the primal step is sigma_h tau_h times its
+divergence.  Full-grid fields are built only for the returned
+:class:`SolveReport`.
 
 The iteration is not energy-monotone, so the solver tracks the best-energy
 iterate seen and returns that; the recorded energy trace is therefore
@@ -23,6 +26,7 @@ non-increasing and never exceeds the energy of the constant initial guess.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -73,16 +77,17 @@ class SolverConfig:
         if self.mode not in ("penalized", "constrained"):
             raise SolverError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "energy_mode", EnergyMode.parse(self.energy_mode))
-        if self.max_iters < 1:
-            raise SolverError("max_iters must be at least 1")
-        if not (self.tol > 0):
-            raise SolverError("tol must be positive")
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise SolverError(f"max_iters must be a positive integer, got {n!r}")
         if (self.step_sigma is None) != (self.step_tau is None):
             raise SolverError("step_sigma and step_tau must be set together")
-        for name in ("step_sigma", "step_tau"):
+        for name in ("tol", "step_sigma", "step_tau"):
             v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise SolverError(f"{name} must be positive")
+            if v is None and name != "tol":
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not v > 0:
+                raise SolverError(f"{name} must be a positive number, got {v!r}")
 
     def resolved_steps(self, grid: Grid) -> tuple[float, float]:
         if self.step_sigma is None:
@@ -93,6 +98,7 @@ class SolverConfig:
             raise SolverError(
                 f"step product {sigma * tau:.3e} violates the bound 1/L2 = {1.0 / L2:.3e}"
             )
+        _folded_steps(sigma, tau, grid.h)
         return sigma, tau
 
     def to_json(self) -> dict:
@@ -118,6 +124,21 @@ def balanced_steps(grid: Grid, gamma: float | None = None) -> tuple[float, float
     L2 = operator_norm_sq(grid)
     base = 0.99 / math.sqrt(L2)
     return base * gamma, base / gamma
+
+
+def _folded_steps(sigma: float, tau: float, h: float) -> tuple[float, float, float]:
+    """sigma_h = sigma/h, and for the dual carried as P/sigma_h the projection
+    radius h^2/sigma_h and the primal step factor sigma_h tau_h; both must be
+    finite and positive."""
+    sigma_h = sigma / h
+    radius = h * h / sigma_h if sigma_h else math.inf
+    factor = sigma_h * (tau / h)
+    if not (0 < radius < math.inf and 0 < factor < math.inf):
+        raise SolverError(
+            f"step_sigma {sigma:.3e} with step_tau {tau:.3e} gives a dual radius "
+            f"{radius:.3e} and a step factor {factor:.3e}; both must be finite and positive"
+        )
+    return sigma_h, radius, factor
 
 
 def solver_tolerance(grid: Grid, datum: BoundaryDatum) -> float:
@@ -164,7 +185,8 @@ def _project_dual(p: np.ndarray, radius: float, mode: EnergyMode, scratch=None) 
         np.divide(radius, factor, out=factor)
         p *= factor
         return p
-    return np.clip(p, -radius, radius, out=p)
+    np.maximum(p, -radius, out=p)  # np.clip's wrapper costs more than two ufuncs
+    return np.minimum(p, radius, out=p)
 
 
 def prox_dual(q: VectorField, sigma: float, mode: EnergyMode = EnergyMode.ISOTROPIC) -> VectorField:
@@ -193,17 +215,21 @@ class _Penalty:
         self.mean = vsum[idx] / wsum[idx]
 
 
-def _prox_primal_raw(v: np.ndarray, tau: float, pen: _Penalty, mode: str) -> np.ndarray:
-    """The primal prox applied to interior values ``v`` in place."""
+def _prox_primal_raw(v: np.ndarray, t: np.ndarray, pen: _Penalty, mode: str) -> np.ndarray:
+    """The primal prox applied to interior values ``v`` in place, with the
+    owner cells' thresholds ``t`` = tau * ``pen.weight``: the median of
+    v - t, the face mean and v + t."""
     if mode == "constrained":
         v[pen.idx] = pen.mean
         return v
-    vi = v[pen.idx]
-    d = vi - pen.mean
-    t = tau * pen.weight
-    # move a far value by exactly t: mean + sign(d) (|d| - t) rounds at the
+    # a far value moves by exactly t: mean + sign(d) (|d| - t) rounds at the
     # scale of |d|, which on data of size 1e200 is a jump of about 1e184
-    v[pen.idx] = np.where(np.abs(d) <= t, pen.mean, vi - np.sign(d) * t)
+    vi = v[pen.idx]
+    x = np.subtract(vi, t)
+    np.maximum(x, pen.mean, out=x)
+    vi += t
+    np.minimum(x, vi, out=x)
+    v[pen.idx] = x
     return v
 
 
@@ -217,13 +243,15 @@ def prox_primal(
 
     Interior cells pass through unchanged.  A boundary-owner cell with
     accumulated face weight w = h * (face count) moves toward the
-    face-measure-weighted mean of its face values by a soft threshold of
-    size tau * w; in constrained mode it is pinned to that mean.
+    face-measure-weighted mean m of its face values by a soft threshold of
+    size t = tau * w, computed as the median of v - t, m and v + t; in
+    constrained mode it is pinned to that mean.
     """
     if mode not in ("penalized", "constrained"):
         raise SolverError(f"unknown mode {mode!r}")
     pen = _Penalty(v.grid, datum)
-    return ScalarField.from_interior(v.grid, _prox_primal_raw(v.interior(), tau, pen, mode))
+    t = tau * pen.weight
+    return ScalarField.from_interior(v.grid, _prox_primal_raw(v.interior(), t, pen, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +270,17 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     sigma, tau = cfg.resolved_steps(grid)
     mode = cfg.energy_mode
     h = grid.h
-    h2 = h * h
     K = difference_operator(grid)
     hXS = h * interior_xstar(grid)
     # K = hgrad / h and div = hdiv / h: the 1/h goes into the steps
-    sigma_h, tau_h = sigma / h, tau / h
+    sigma_h, radius, factor = _folded_steps(sigma, tau, h)
     pen = _Penalty(grid, datum)
+    t = tau * pen.weight
     owner = datum.faces.owner_cell
     measures = datum.faces.measure
     phi = datum.values
     n = grid.interior_count
-    P = np.zeros((2, n))
+    Q = np.zeros((2, n))  # the dual P / sigma_h
     H = np.empty((2, n))
     scratch = np.empty((2, n))
     step = scratch[1]  # the primal step borrows a row of scratch
@@ -264,21 +292,26 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
 
     def energy_of(u: np.ndarray, H: np.ndarray) -> tuple[float, float]:
         # h^2 |K u + X*| = h |H| per cell
-        interior = h * float(_cell_norms(H, mode, scratch).sum())
-        penalty = float((measures * np.abs(u[owner] - phi)).sum())
-        return interior, penalty
+        interior = h * float(np.add.reduce(_cell_norms(H, mode, scratch)))
+        d = u[owner]
+        d -= phi
+        np.abs(d, out=d)
+        d *= measures
+        return interior, float(np.add.reduce(d))
 
     # constant start at the measure-weighted mean of the boundary values
     u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
-    u = _prox_primal_raw(np.full(n, u0), tau, pen, cfg.mode)
+    u = _prox_primal_raw(np.full(n, u0), t, pen, cfg.mode)
     horizontal(u, H)
     H_bar = H.copy()
 
     ei, ep = energy_of(u, H)
     best_interior, best_penalty = ei, ep
     best_total = ei + ep
-    best_u = u.copy()
-    best_P = P.copy()
+    # each iterate goes into the one of two buffers that does not hold the
+    # best, so the best is kept without copies
+    us, Qs = [u, np.empty(n)], [Q, np.empty((2, n))]
+    best = 0
     # the best energies of the last window + 1 iterations, oldest first
     trace = deque([best_total], maxlen=_STAGNATION_WINDOW + 1)
 
@@ -286,13 +319,12 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     stagnation = math.inf
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
-        np.multiply(H_bar, sigma_h, out=scratch)
-        P += scratch
-        _project_dual(P, h2, mode, scratch)
-        K.hdiv(P, step, scratch[0])
-        step *= tau_h
-        u += step
-        _prox_primal_raw(u, tau, pen, cfg.mode)
+        Q = np.add(Q, H_bar, out=Qs[1 - best])
+        _project_dual(Q, radius, mode, scratch)
+        K.hdiv(Q, step, scratch[0])
+        step *= factor
+        u = np.add(u, step, out=us[1 - best])
+        _prox_primal_raw(u, t, pen, cfg.mode)
         horizontal(u, H_bar)  # the extrapolation is spent; H_bar holds the new H
         ei, ep = energy_of(u, H_bar)
         total = ei + ep
@@ -301,8 +333,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
         if total < best_total:
             best_total = total
             best_interior, best_penalty = ei, ep
-            best_u[...] = u
-            best_P[...] = P
+            best = 1 - best
         trace.append(best_total)
         # extrapolate 2 H_new - H_old into the old buffer, then swap roles
         np.multiply(H_bar, 2.0, out=scratch)
@@ -317,7 +348,9 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
                 break
 
     # release the loop state before the full-grid report fields are built
-    del P, H, H_bar, scratch, step, hXS
+    best_u, best_Q = us[best], Qs[best]
+    del u, us, Q, Qs, H, H_bar, scratch, step, hXS
+    best_Q *= sigma_h
     energy = EnergyBreakdown(
         interior=best_interior,
         penalty=best_penalty,
@@ -326,7 +359,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     )
     return SolveReport(
         u=ScalarField.from_interior(grid, best_u),
-        dual=VectorField.from_interior(grid, best_P.T),
+        dual=VectorField.from_interior(grid, best_Q.T),
         iterations=iterations,
         converged=converged,
         stagnation=float(stagnation),

@@ -102,7 +102,10 @@ def _affine(block) -> Affine:
 def _listed(block) -> Samples:
     from .fileio import read_samples
 
-    return Samples(*read_samples(block["path"]))
+    path = block["path"]
+    if not isinstance(path, str):
+        raise DatumError(f"samples datum needs a file name 'path', got {path!r}")
+    return Samples(*read_samples(path))
 
 
 class DatumKind(NamedTuple):

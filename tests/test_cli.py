@@ -104,11 +104,38 @@ def test_unresolvable_h_rejected(tmp_path):
         ("solve", {"h": "fine"}, "'h'"),
         ("bsc", {"samples": "many"}, "'samples'"),
         ("refine", {"levels": "x"}, "'levels'"),
+        ("solve", {"out": 5}, "'out'"),
+        ("solve", {"datum": {"kind": "samples", "path": 5}}, "'path'"),
+        ("refine", {"levels": 2.5}, "'levels'"),
+        ("refine", {"levels": True}, "'levels'"),
+        ("bsc", {"samples": 7.9}, "'samples'"),
+        ("bsc", {"samples": True}, "'samples'"),
+        ("solve", {"solver": {"max_iters": 2.5}}, "max_iters"),
+        ("solve", {"domain": {"kind": "disk", "radius": True}}, "'radius'"),
+        ("solve", {"domain": {"kind": "disk", "center": [True, 0]}}, "'center'"),
+        ("solve", {"h": True}, "'h'"),
     ],
-    ids=["radius", "affine-a", "center", "h", "samples", "levels"],
+    ids=[
+        "radius",
+        "affine-a",
+        "center",
+        "h",
+        "samples",
+        "levels",
+        "out",
+        "samples-path",
+        "levels-fraction",
+        "levels-bool",
+        "samples-fraction",
+        "samples-bool",
+        "max-iters-fraction",
+        "radius-bool",
+        "center-bool",
+        "h-bool",
+    ],
 )
 def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, command, overrides, key):
-    cfg = write_cfg(tmp_path, out=str(tmp_path / "run"), **overrides)
+    cfg = write_cfg(tmp_path, **{"out": str(tmp_path / "run"), **overrides})
     assert dispatch([command, "-c", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ from harea import (
     solve,
     solver_tolerance,
 )
+from harea.checks import _PAIR_SEED, _fourier_datum, _positive_offset
 from harea.energy import _cell_norms
-from harea.solver import _project_dual
-from harea.surfaces import Affine, es1_datum
+from harea.solver import _folded_steps, _project_dual, _prox_primal_raw
+from harea.surfaces import Affine, es1_datum, es2_surface
+from oracles import reference_solve, where_prox
 
 
 def one_cell_grid(center, h=1.0):
@@ -81,13 +84,53 @@ def test_prox_primal_soft_threshold():
     datum = BoundaryDatum(faces, np.zeros(4))
     v = ScalarField(grid, np.full((1, 1), 5.0))
     w = grid.h * len(faces)  # accumulated face weight = 4h = 2
-    out = prox_primal(v, 0.5 / w, datum)  # tau * w = 1/2... scaled to 1? no:
-    # tau*w = 0.5, shrink(5, 0.5) = 4.5
+    out = prox_primal(v, 0.5 / w, datum)  # tau*w = 0.5, shrink(5, 0.5) = 4.5
     assert out.values[0, 0] == pytest.approx(4.5)
     out = prox_primal(v, 1.0 / w, datum)  # tau*w = 1 -> 4
     assert out.values[0, 0] == pytest.approx(4.0)
     out = prox_primal(v, 10.0 / w, datum)  # tau*w = 10 > |v|: collapse to mean
     assert out.values[0, 0] == pytest.approx(0.0)
+
+
+def test_prox_median_form_against_where_form():
+    """The prox as the median of v - t, the face mean and v + t, on seeded
+    values, means and thresholds spanning 1e-3..1e200.  Within a few
+    roundings of the tie |v - mean| = t either branch is right; everywhere
+    else the result equals the np.where soft threshold bit for bit."""
+    rng = np.random.default_rng(5)
+    m = 40000
+
+    def magnitudes():
+        return 10.0 ** rng.uniform(-3, 200, m)
+
+    mean = rng.choice((-1.0, 1.0), m) * magnitudes()
+    t = magnitudes()
+    near = 1.0 + rng.integers(-4, 5, m) * np.finfo(float).eps
+    v = np.concatenate(
+        [
+            rng.choice((-1.0, 1.0), m) * magnitudes(),  # far and near, any scale
+            mean + rng.uniform(-2.0, 2.0, m) * t,  # around the mean at the threshold's scale
+            mean,  # d = 0
+            mean + t,  # |v - mean| = t, as rounded
+            mean - t,
+            mean + t * near,  # a few roundings off the tie
+            mean - t * near,
+        ]
+    )
+    mean, t = np.tile(mean, 7), np.tile(t, 7)
+    pen = SimpleNamespace(idx=np.arange(v.size), mean=mean, weight=t)
+    got = _prox_primal_raw(v.copy(), t, pen, "penalized")
+    want = where_prox(v.copy(), 1.0, pen, "penalized")
+
+    gap = np.abs(v - mean)
+    slack = 4 * np.finfo(float).eps * np.maximum(np.maximum(np.abs(v), np.abs(mean)), t)
+    to_mean = (got == mean) & (gap <= t + slack)
+    moved = (got == np.where(v > mean, v - t, v + t)) & (gap >= t - slack)
+    assert np.all(to_mean | moved)
+    assert np.all(got[v == mean] == mean[v == mean])
+    away = np.abs(gap - t) > slack
+    assert (to_mean & away).sum() > v.size // 10 and (moved & away).sum() > v.size // 10
+    assert np.array_equal(got[away], want[away])
 
 
 def test_prox_primal_interior_untouched():
@@ -129,6 +172,47 @@ def test_config_validation():
         SolverConfig(step_tau=0.1)
     with pytest.raises(SolverError):
         SolverConfig(step_sigma=-1.0)
+
+
+@pytest.mark.parametrize(
+    "kw, key",
+    [
+        ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": True}, "max_iters"),
+        ({"max_iters": "100"}, "max_iters"),
+        ({"tol": "1e-7"}, "tol"),
+        ({"tol": None}, "tol"),
+        ({"tol": True}, "tol"),
+        ({"step_sigma": "0.1", "step_tau": 0.1}, "step_sigma"),
+        ({"step_sigma": 0.1, "step_tau": [0.1]}, "step_tau"),
+        ({"step_sigma": 0.1, "step_tau": False}, "step_tau"),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(kw, key):
+    """A fractional or boolean iteration cap, or a tolerance or step that is
+    not a real number, is refused when the config is made, not later in the
+    loop."""
+    with pytest.raises(SolverError, match=key):
+        SolverConfig(**kw)
+
+
+def test_steps_the_scaled_dual_cannot_carry_are_refused():
+    """The loop carries the dual divided by sigma_h = sigma/h; its ball radius
+    h^2/sigma_h and the primal step factor sigma_h tau_h must be finite and
+    positive.  Steps that pass the product bound but break either one are
+    refused, naming step_sigma, instead of freezing or diverging the loop."""
+    grid, datum = _lens_es1()
+    L2 = operator_norm_sq(grid)
+    for sigma, tau in ((5e-324, 1.0), (1e-300, 1e-300)):
+        assert sigma * tau * L2 <= 1.0
+        cfg = SolverConfig(step_sigma=sigma, step_tau=tau)
+        with pytest.raises(SolverError, match="step_sigma"):
+            cfg.resolved_steps(grid)
+        with pytest.raises(SolverError, match="step_sigma"):
+            solve(grid, datum, cfg)
+    s, t = balanced_steps(grid)
+    h = grid.h
+    assert _folded_steps(s, t, h) == (s / h, h * h / (s / h), (s / h) * (t / h))
 
 
 def test_step_product_respects_operator_norm():
@@ -285,13 +369,69 @@ def test_huge_finite_datum_solves():
     """Data of size 1e200 stay far from overflow: the cell norm squares only
     differences of neighboring values, and the primal prox moves an owner
     cell by its threshold instead of rebuilding it from the face mean."""
-    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.25)
-    faces = boundary_faces(grid)
-    datum = BoundaryDatum(faces, 1e200 * np.cos(np.arange(len(faces))))
+    grid, datum = _huge_datum()
     rep = solve(grid, datum, SolverConfig(max_iters=50))
     assert rep.converged
     assert np.isfinite(rep.energy.total)
     assert rep.energy.total == pytest.approx(penalized_energy(rep.u, datum).total, rel=1e-12)
+
+
+def _comparison_data(k):
+    """A datum of the comparison check's family on its h = 1/24 disk: the
+    first phi (k = 0), the first phi + delta (k = 1) or the second phi
+    (k = 2), drawn in the check's order phi, delta, phi, ..."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 24)
+    rng = np.random.default_rng(_PAIR_SEED)
+    phi = _fourier_datum(rng)
+    delta = _positive_offset(rng)
+    if k == 1:
+        return grid, sample_datum(boundary_faces(grid), lambda x, y: phi(x, y) + delta(x, y))
+    if k == 2:
+        phi = _fourier_datum(rng)
+    return grid, sample_datum(boundary_faces(grid), phi)
+
+
+def _lens_es1():
+    grid = rasterize(DomainSpec.parabolic(), 1 / 32)
+    return grid, sample_datum(boundary_faces(grid), es1_datum)
+
+
+def _square_es2():
+    grid = rasterize(DomainSpec.polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]), 1 / 32)
+    return grid, sample_datum(boundary_faces(grid), es2_surface)
+
+
+def _huge_datum():
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.25)
+    faces = boundary_faces(grid)
+    return grid, BoundaryDatum(faces, 1e200 * np.cos(np.arange(len(faces))))
+
+
+@pytest.mark.parametrize(
+    "problem, cfg",
+    [
+        (_lens_es1, mode_config("iso", max_iters=30000, tol=1e-10)),
+        (_lens_es1, mode_config("aniso", max_iters=30000, tol=1e-10)),
+        (_lens_es1, mode_config("constrained", max_iters=30000, tol=1e-10)),
+        (_square_es2, SolverConfig(max_iters=30000, tol=1e-9)),
+        *[(lambda k=k: _comparison_data(k), SolverConfig(max_iters=20000, tol=1e-9)) for k in range(3)],
+        (_huge_datum, SolverConfig(max_iters=50)),
+    ],
+    ids=["es1-iso", "es1-aniso", "es1-constrained", "es2", "pair-phi", "pair-psi", "pair-next", "1e200"],
+)
+def test_solve_follows_the_unscaled_reference_loop(problem, cfg):
+    """``solve`` carries the dual divided by sigma_h and takes the median form
+    of the prox; the unscaled loop with the np.where prox must agree with it
+    on every iteration count and to rounding on the returned iterate."""
+    grid, datum = problem()
+    rep = solve(grid, datum, cfg)
+    ref = reference_solve(grid, datum, cfg)
+    assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
+    for name in ("interior", "penalty", "total"):
+        got, want = getattr(rep.energy, name), getattr(ref.energy, name)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
+    for got, want in ((rep.u.values, ref.u.values), (rep.dual.values, ref.dual.values)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("module", ["harea.solver", "harea.bsc", "harea.checks"])
