@@ -10,10 +10,12 @@ verify     run named property checks and write their reports
 reproduce  regenerate a worked example and compare against golden metrics
 refine     solve across grid refinements and tabulate the errors
 
-All but verify and reproduce read a JSON run config (-c/--config) and take
-the --out and --h overrides.  Solver overrides go only where a solve or an
-energy reads them: --mode (penalized or constrained) on solve and refine,
---energy (iso or aniso) on solve, energy and refine.
+All but verify and reproduce read a JSON run config (-c/--config), check
+every key of it when it loads (a wrong type, a missing required key or a
+non-object block is exit 2 naming the key) and take the --out and --h
+overrides.  Solver overrides go only where a solve or an energy reads them:
+--mode (penalized or constrained) on solve and refine, --energy (iso or
+aniso) on solve, energy and refine.
 
 Exit codes: 0 success / all checks passed; 1 a check failed, the solver did
 not converge, a slope certificate was refused, or stdout was closed before
@@ -60,13 +62,7 @@ def _apply_thread_cap() -> None:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
-
-
-def _reject_unknown(block: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise UsageError(f"{where}: unknown keys {unknown}")
+# config: one schema, every key converted and checked when the config loads
 
 
 def _number(v) -> float:
@@ -76,20 +72,6 @@ def _number(v) -> float:
     return float(v)
 
 
-def _convert(value, key, kind=_number, what="a number"):
-    """``kind(value)`` for the config key ``key``; a value of the wrong type
-    is a usage error naming the key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"config key '{key}' must be {what}, got {value!r}") from None
-
-
-def _xy(v):
-    x, y = v
-    return _number(x), _number(y)
-
-
 def _whole(v) -> int:
     """``int(v)`` for a whole number; booleans and fractions are refused."""
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
@@ -97,117 +79,157 @@ def _whole(v) -> int:
     return int(v)
 
 
-def _text(v) -> str:
-    if not isinstance(v, str):
-        raise TypeError(v)
-    return v
+def _instance_of(cls):
+    def check(v):
+        if not isinstance(v, cls):
+            raise TypeError(v)
+        return v
+
+    return check
 
 
-def _load_config(path: str) -> dict:
-    from .fileio import _read_text
+def _xy(v):
+    x, y = v
+    return _number(x), _number(y)
 
+
+_TYPES = {  # a key's type -> its converter; surfaces.DATUM_KINDS names them too
+    "a number": _number,
+    "an integer": _whole,
+    "a string": _instance_of(str),
+    "an object": _instance_of(dict),
+    "[x, y]": _xy,
+    "[[x, y], ...]": lambda vs: [_xy(v) for v in vs],
+}
+
+_CONFIG = {  # top-level key -> type; the objects are converted by _load_config
+    "domain": "an object",
+    "h": "a number",
+    "datum": "an object",
+    "solver": "an object",
+    "out": "a string",
+    "levels": "an integer",
+    "samples": "an integer",
+}
+
+_DOMAINS = {  # domain kind -> (its keys and their types, its required keys)
+    "disk": ({"center": "[x, y]", "radius": "a number"}, ()),
+    "polygon": ({"vertices": "[[x, y], ...]"}, ("vertices",)),
+    "parabolic": ({}, ()),
+}
+
+
+def _convert(block: dict, keys: dict, required, where: str) -> dict:
+    """The values of ``block`` converted by their types in ``keys`` (a type of
+    None passes the value on as given); an unknown key, a missing required
+    key or a value of the wrong type is a usage error naming the key."""
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise UsageError(f"{where}: unknown keys {unknown}")
+    for key in required:
+        if key not in block:
+            raise UsageError(f"{where}: missing required key '{key}'")
+    values = {}
+    for key, what in keys.items():
+        if key in block:
+            try:
+                values[key] = block[key] if what is None else _TYPES[what](block[key])
+            except (TypeError, ValueError, OverflowError):
+                raise UsageError(f"config key '{key}' must be {what}, got {block[key]!r}") from None
+    return values
+
+
+def _kinded(block: dict, where: str, kinds: dict):
+    """The kind a domain or datum block names, and its other keys converted;
+    each entry of ``kinds`` starts with its keys and its required keys."""
+    rest = dict(block)
+    name = rest.pop("kind", None)
+    if not isinstance(name, str) or name not in kinds:
+        raise UsageError(f"config key '{where}' needs a 'kind' of {', '.join(kinds)}, got {name!r}")
+    keys, required = kinds[name][:2]
+    return name, _convert(rest, keys, required, where)
+
+
+def _solver(block: dict, args):
+    """The SolverConfig of a solver block, with the --mode and --energy flags
+    over its values; SolverConfig checks the values itself."""
+    from dataclasses import fields
+
+    from .energy import EnergyError
+    from .solver import SolverConfig, SolverError
+
+    values = _convert(block, dict.fromkeys(f.name for f in fields(SolverConfig)), (), "solver")
+    flags = {"mode": getattr(args, "mode", None), "energy_mode": getattr(args, "energy", None)}
+    values.update((key, flag) for key, flag in flags.items() if flag)
     try:
-        cfg = json.loads(_read_text(path, "config"))
+        return SolverConfig(**values)
+    except (SolverError, EnergyError) as exc:
+        raise UsageError(f"solver block: {exc}") from None
+
+
+def _load_config(args, required=("domain", "h", "datum")) -> dict:
+    """The run config of ``args.config`` with every key converted, before any
+    grid, samples file or output directory.  ``domain`` becomes a DomainSpec,
+    ``datum`` a (DatumKind, converted keys) pair, ``solver`` a SolverConfig;
+    ``h`` and ``out`` take the --h and --out overrides, and ``run`` is the
+    report's echo of the blocks as written."""
+    from .fileio import _read_text
+    from .geometry import DomainSpec
+    from .surfaces import DATUM_KINDS
+
+    path = args.config
+    try:
+        raw = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
-    if not isinstance(cfg, dict):
+    if not isinstance(raw, dict):
         raise UsageError(f"{path}: top level must be a JSON object")
-    _reject_unknown(cfg, {"domain", "h", "datum", "solver", "out", "levels", "samples"}, path)
+    cfg = _convert(raw, _CONFIG, required, path)
+    name, values = _kinded(cfg["domain"], "domain", _DOMAINS)
+    cfg["domain"] = getattr(DomainSpec, name)(**values)
+    name, values = _kinded(cfg["datum"], "datum", DATUM_KINDS)
+    cfg["datum"] = DATUM_KINDS[name], values
+    cfg["solver"] = _solver(cfg.get("solver", {}), args)
+    cfg["h"] = args.h if args.h is not None else cfg.get("h", 0.0)
+    cfg["out"] = args.out or cfg.get("out")
+    cfg["run"] = {"domain": raw["domain"], "h": cfg["h"], "datum": raw["datum"]}
     return cfg
 
 
-def _build_domain(block):
-    from .geometry import DomainSpec
-
-    if not isinstance(block, dict) or "kind" not in block:
-        raise UsageError("domain block must be an object with a 'kind'")
-    kind = block["kind"]
-    if kind == "disk":
-        _reject_unknown(block, {"kind", "center", "radius"}, "domain")
-        center = _convert(block.get("center", (0.0, 0.0)), "center", _xy, "[x, y]")
-        return DomainSpec.disk(center, _convert(block.get("radius", 1.0), "radius"))
-    if kind == "polygon":
-        _reject_unknown(block, {"kind", "vertices"}, "domain")
-        if "vertices" not in block:
-            raise UsageError("polygon domain needs 'vertices'")
-        vertices = _convert(block["vertices"], "vertices", lambda vs: list(map(_xy, vs)), "[[x, y], ...]")
-        return DomainSpec.polygon(vertices)
-    if kind == "parabolic":
-        _reject_unknown(block, {"kind"}, "domain")
-        return DomainSpec.parabolic()
-    raise UsageError(f"unknown domain kind {kind!r} (disk, polygon, parabolic)")
+def _echo(cfg, solver=False) -> dict:
+    return {**cfg["run"], "solver": cfg["solver"].to_json()} if solver else cfg["run"]
 
 
-def _check_datum_block(block) -> None:
-    from .surfaces import DATUM_KINDS
-
-    if not isinstance(block, dict) or "kind" not in block:
-        raise UsageError("datum block must be an object with a 'kind'")
-    name = block["kind"]
-    kind = DATUM_KINDS.get(name) if isinstance(name, str) else None
-    if kind is None:
-        raise UsageError(f"unknown datum kind {name!r} ({', '.join(DATUM_KINDS)})")
-    _reject_unknown(block, {"kind", *kind.keys}, "datum")
-    for key, what in kind.keys.items():
-        if what is not None and key not in block:
-            raise UsageError(f"{name} datum needs {what}")
-
-
-def _build_solver(block, args):
-    from dataclasses import fields
-
-    from .solver import SolverConfig
-
-    block = dict(block or {})
-    _reject_unknown(block, {f.name for f in fields(SolverConfig)}, "solver")
-    if getattr(args, "mode", None):
-        block["mode"] = args.mode
-    if getattr(args, "energy", None):
-        block["energy_mode"] = args.energy
+def _out_dir(path) -> str:
+    """The output directory ``path`` (default ``results``), made if missing;
+    a path that cannot be made a directory is a usage error naming it."""
+    path = path or "results"
     try:
-        return SolverConfig(**block)
-    except Exception as exc:
-        raise UsageError(f"solver block: {exc}")
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {path}: {exc.strerror or exc}") from None
+    return path
 
 
-def _datum_on_faces(grid, block):
+def _datum_on_faces(grid, datum):
     from .geometry import boundary_faces, sample_datum
-    from .surfaces import DATUM_KINDS
 
-    return sample_datum(boundary_faces(grid), DATUM_KINDS[block["kind"]].expression(block))
+    kind, values = datum
+    return sample_datum(boundary_faces(grid), kind.expression(**values))
 
 
-def _bsc_samples(domain, cfg):
+def _bsc_samples(cfg):
     from .bsc import boundary_samples
-    from .surfaces import DATUM_KINDS, Samples
+    from .surfaces import Samples
 
-    expr = DATUM_KINDS[cfg["datum"]["kind"]].expression(cfg["datum"])
+    kind, values = cfg["datum"]
+    expr = kind.expression(**values)
     if isinstance(expr, Samples):  # certified at the listed points themselves
         return list(zip(map(tuple, expr.points.tolist()), expr.values.tolist()))
-    return boundary_samples(domain, expr, _convert(cfg.get("samples", 200), "samples", _whole, "an integer"))
-
-
-def _resolve(args, need):
-    """Load + override the run config; returns (cfg_dict, domain, h, out)."""
-    cfg = _load_config(args.config)
-    for key in need:
-        if key not in cfg:
-            raise UsageError(f"{args.config}: missing required key '{key}'")
-    domain = _build_domain(cfg["domain"]) if "domain" in cfg else None
-    h = args.h if args.h is not None else _convert(cfg.get("h", 0.0), "h")
-    if "datum" in cfg:
-        _check_datum_block(cfg["datum"])
-    out = args.out or _convert(cfg.get("out", "results"), "out", _text, "a string")
-    return cfg, domain, h, out
-
-
-def _echo(cfg, h, solver=None) -> dict:
-    e = {"domain": cfg.get("domain"), "h": h, "datum": cfg.get("datum")}
-    if solver is not None:
-        e["solver"] = solver.to_json()
-    return e
+    n = {"n": cfg["samples"]} if "samples" in cfg else {}  # else boundary_samples' own
+    return boundary_samples(cfg["domain"], expr, **n)
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +240,18 @@ def _cmd_solve(args) -> int:
     from .fileio import write_field, write_json, write_pgm, write_vector_field
     from .geometry import rasterize
 
-    cfg, domain, h, out = _resolve(args, need=("domain", "h", "datum"))
-    grid = rasterize(domain, h)
-    scfg = _build_solver(cfg.get("solver"), args)
+    cfg = _load_config(args)
+    grid = rasterize(cfg["domain"], cfg["h"])
     datum = _datum_on_faces(grid, cfg["datum"])
+    out = _out_dir(cfg["out"])
     from .solver import solve
 
-    rep = solve(grid, datum, scfg)
-    os.makedirs(out, exist_ok=True)
+    rep = solve(grid, datum, cfg["solver"])
     write_field(rep.u, os.path.join(out, "solution.csv"))
     write_vector_field(rep.dual, os.path.join(out, "dual.csv"))
     write_pgm(rep.u.values, os.path.join(out, "solution.pgm"), grid.interior_mask)
     write_json(
-        {"run": _echo(cfg, h, scfg), "result": rep.to_json()},
+        {"run": _echo(cfg, solver=True), "result": rep.to_json()},
         os.path.join(out, "report.json"),
     )
     print(
@@ -246,15 +267,13 @@ def _cmd_energy(args) -> int:
     from .fileio import read_field, write_json
     from .geometry import rasterize
 
-    cfg, domain, h, out = _resolve(args, need=("domain", "h", "datum"))
-    scfg = _build_solver(cfg.get("solver"), args)
-    grid = rasterize(domain, h)
+    cfg = _load_config(args)
+    grid = rasterize(cfg["domain"], cfg["h"])
     datum = _datum_on_faces(grid, cfg["datum"])
-    path = args.field or os.path.join(out, "solution.csv")
-    u = read_field(path, grid)
-    br = penalized_energy(u, datum, scfg.energy_mode)
-    os.makedirs(out, exist_ok=True)
-    write_json({"run": _echo(cfg, h, scfg), "energy": br.to_json()}, os.path.join(out, "energy.json"))
+    out = _out_dir(cfg["out"])
+    u = read_field(args.field or os.path.join(out, "solution.csv"), grid)
+    br = penalized_energy(u, datum, cfg["solver"].energy_mode)
+    write_json({"run": _echo(cfg, solver=True), "energy": br.to_json()}, os.path.join(out, "energy.json"))
     print(f"area {br.interior:.9g} + penalty {br.penalty:.9g} = {br.total:.9g}")
     print(f"wrote {out}/energy.json")
     return 0
@@ -265,16 +284,16 @@ def _cmd_bsc(args) -> int:
     from .fileio import write_json
     from .geometry import rasterize
 
-    cfg, domain, h, out = _resolve(args, need=("domain", "datum"))
-    samples = _bsc_samples(domain, cfg)
-    grid = rasterize(domain, h) if h > 0 else None
-    os.makedirs(out, exist_ok=True)
+    cfg = _load_config(args, required=("domain", "datum"))
+    samples = _bsc_samples(cfg)
+    grid = rasterize(cfg["domain"], cfg["h"]) if cfg["h"] > 0 else None
+    out = _out_dir(cfg["out"])
     try:
         rep = minimal_Q(samples, grid=grid)
     except BscViolation as exc:
         write_json(
             {
-                "run": _echo(cfg, h),
+                "run": _echo(cfg),
                 "feasible": False,
                 "witness": list(exc.witness),
                 "slack": exc.slack,
@@ -284,7 +303,7 @@ def _cmd_bsc(args) -> int:
         print(f"slope condition violated at {exc.witness} (slack {exc.slack:.6g})")
         print(f"wrote {out}/bsc.json")
         return 1
-    write_json({"run": _echo(cfg, h), **rep.to_json()}, os.path.join(out, "bsc.json"))
+    write_json({"run": _echo(cfg), **rep.to_json()}, os.path.join(out, "bsc.json"))
     print(f"certified: Q_min {rep.Q_min:.9g}, gradient bound K {rep.K:.9g}")
     print(f"wrote {out}/bsc.json")
     return 0
@@ -295,10 +314,10 @@ def _cmd_barriers(args) -> int:
     from .fileio import write_field, write_json
     from .geometry import rasterize
 
-    cfg, domain, h, out = _resolve(args, need=("domain", "h", "datum"))
-    samples = _bsc_samples(domain, cfg)
-    grid = rasterize(domain, h)
-    os.makedirs(out, exist_ok=True)
+    cfg = _load_config(args)
+    samples = _bsc_samples(cfg)
+    grid = rasterize(cfg["domain"], cfg["h"])
+    out = _out_dir(cfg["out"])
     try:
         rep = minimal_Q(samples, grid=grid)
     except BscViolation as exc:
@@ -307,7 +326,7 @@ def _cmd_barriers(args) -> int:
     f, g = barriers(samples, rep, grid)
     write_field(f, os.path.join(out, "barrier_lower.csv"))
     write_field(g, os.path.join(out, "barrier_upper.csv"))
-    write_json({"run": _echo(cfg, h), **rep.to_json()}, os.path.join(out, "bsc.json"))
+    write_json({"run": _echo(cfg), **rep.to_json()}, os.path.join(out, "bsc.json"))
     print(f"wrote {out}/barrier_lower.csv, {out}/barrier_upper.csv, {out}/bsc.json")
     return 0
 
@@ -324,9 +343,8 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"unknown check id (valid: {valid})")
     else:
         ids = None
+    out = _out_dir(args.out)
     reports, summary = run_suite(ids)
-    out = args.out or "results"
-    os.makedirs(out, exist_ok=True)
     write_json(
         {"reports": [r.to_json() for r in reports], "summary": summary},
         os.path.join(out, "verify.json"),
@@ -356,7 +374,7 @@ def _reproduce_metrics(example: str):
 
     domain = {"es1": _PARABOLIC, "es2": _SQUARE}[example]
     kind = DATUM_KINDS[example]
-    expr, exact, norm = kind.expression({}), kind.minimizer({}), kind.error_norm
+    expr, exact, norm = kind.expression(), kind.minimizer(), kind.error_norm
     cfg = SolverConfig(max_iters=30000, tol=1e-9)
     (row,), _ = refine_study(domain, expr, [1.0 / 64.0], cfg, exact=exact, error_norm=norm)
     rep = row.report
@@ -383,9 +401,8 @@ def _cmd_reproduce(args) -> int:
     example = args.example
     ref = resources.files("harea.golden").joinpath(f"{example}.json")
     golden = json.loads(ref.read_text())
+    out = _out_dir(args.out)
     grid, rep, cs, res, metrics = _reproduce_metrics(example)
-    out = args.out or "results"
-    os.makedirs(out, exist_ok=True)
     write_field(rep.u, os.path.join(out, "solution.csv"))
     write_field(res, os.path.join(out, "residual.csv"))
     write_pgm(cs.astype(float), os.path.join(out, "char.pgm"), grid.interior_mask)
@@ -418,32 +435,31 @@ def _cmd_refine(args) -> int:
     from .energy import EnergyMode
     from .fileio import _atomic_write, write_json
     from .solver import refine_study
-    from .surfaces import DATUM_KINDS, DATUM_NAMES
+    from .surfaces import DATUM_NAMES
 
-    cfg, domain, h, out = _resolve(args, need=("domain", "h", "datum"))
-    block = cfg["datum"]
-    kind = DATUM_KINDS[block["kind"]]
+    cfg = _load_config(args)
+    kind, values = cfg["datum"]
     if kind.error_norm is None:
         raise UsageError(f"refine needs a closed-form datum ({', '.join(DATUM_NAMES)})")
-    levels = _convert(cfg.get("levels", 3), "levels", _whole, "an integer")
+    levels = cfg.get("levels", 3)
     if levels < 2:
         raise UsageError("refine needs at least 2 levels")
-    scfg = _build_solver(cfg.get("solver"), args)
-    expr = kind.expression(block)
+    scfg = cfg["solver"]
+    expr = kind.expression(**values)
     exact = None
     # the closed forms minimize the isotropic energy only
     if scfg.energy_mode is EnergyMode.ISOTROPIC and kind.minimizer is not None:
-        exact = kind.minimizer(block)
-    hs = [h / 2**k for k in range(levels)]
-    rows, monotone = refine_study(domain, expr, hs, scfg, exact=exact, error_norm=kind.error_norm)
-    os.makedirs(out, exist_ok=True)
+        exact = kind.minimizer(**values)
+    hs = [cfg["h"] / 2**k for k in range(levels)]
+    out = _out_dir(cfg["out"])
+    rows, monotone = refine_study(cfg["domain"], expr, hs, scfg, exact=exact, error_norm=kind.error_norm)
     lines = ["h,error,iterations,converged"]
     for r in rows:
         err = "" if r.error is None else format(r.error, ".17g")
         lines.append(f"{format(r.h, '.17g')},{err},{r.iterations},{int(r.converged)}")
     _atomic_write(os.path.join(out, "refine.csv"), "\n".join(lines) + "\n")
     write_json(
-        {"run": _echo(cfg, h, scfg), "monotone": monotone, "norm": kind.error_norm},
+        {"run": _echo(cfg, solver=True), "monotone": monotone, "norm": kind.error_norm},
         os.path.join(out, "refine.json"),
     )
     print(f"{'h':>12s} {'error':>14s} {'iters':>8s}  converged")
@@ -531,12 +547,10 @@ def dispatch(argv=None) -> int:
     from .fileio import FormatError
     from .geometry import DomainError
     from .solver import SolverError
-    from .surfaces import DatumError
 
     try:
         return int(args.func(args))
-    except (UsageError, FormatError, DomainError, DatumError, BscError, EnergyError,
-            FileNotFoundError) as exc:
+    except (UsageError, FormatError, DomainError, BscError, EnergyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, BscViolation) as exc:

@@ -28,12 +28,7 @@ __all__ = [
     "Samples",
     "DATUM_KINDS",
     "DATUM_NAMES",
-    "DatumError",
 ]
-
-
-class DatumError(ValueError):
-    """Raised for a datum block whose values have the wrong type."""
 
 
 def zero(x, y):
@@ -89,40 +84,29 @@ class Samples:
         return self.values[nearest]
 
 
-def _affine(block) -> Affine:
-    a, b = block.get("a"), block.get("b", 0.0)
-    try:
-        ax, ay = a
-        return Affine((float(ax), float(ay)), float(b))
-    except (TypeError, ValueError):
-        msg = f"affine datum needs slope 'a': [ax, ay] and a number 'b', got a={a!r}, b={b!r}"
-        raise DatumError(msg) from None
-
-
-def _listed(block) -> Samples:
+def _listed(path: str) -> Samples:
     from .fileio import read_samples
 
-    path = block["path"]
-    if not isinstance(path, str):
-        raise DatumError(f"samples datum needs a file name 'path', got {path!r}")
     return Samples(*read_samples(path))
 
 
 class DatumKind(NamedTuple):
-    """One kind of the config's ``datum`` block; the callables take the block."""
+    """One kind of the config's ``datum`` block.  The callables take the
+    block's other keys, converted, as keyword arguments."""
 
-    keys: dict  # key besides "kind" -> how its absence is reported; None if optional
-    expression: Callable[[dict], Callable]  # the boundary expression
-    minimizer: Callable[[dict], Callable] | None  # closed-form isotropic minimizer
+    keys: dict  # key besides "kind" -> its type, as the run config names it
+    required: tuple  # the keys a block of this kind must give
+    expression: Callable[..., Callable]  # the boundary expression
+    minimizer: Callable[..., Callable] | None  # closed-form isotropic minimizer
     error_norm: str | None  # refine's error norm; None: no closed form, refine refuses
 
 
 DATUM_KINDS = {
-    "zero": DatumKind({}, lambda block: zero, None, "sup"),
-    "affine": DatumKind({"a": "slope 'a': [ax, ay]", "b": None}, _affine, _affine, "sup"),
-    "es1": DatumKind({}, lambda block: es1_datum, lambda block: es1_surface, "l1"),
-    "es2": DatumKind({}, lambda block: es2_surface, lambda block: es2_surface, "l1"),
-    "samples": DatumKind({"path": "'path'"}, _listed, None, None),
+    "zero": DatumKind({}, (), lambda: zero, None, "sup"),
+    "affine": DatumKind({"a": "[x, y]", "b": "a number"}, ("a",), Affine, Affine, "sup"),
+    "es1": DatumKind({}, (), lambda: es1_datum, lambda: es1_surface, "l1"),
+    "es2": DatumKind({}, (), lambda: es2_surface, lambda: es2_surface, "l1"),
+    "samples": DatumKind({"path": "a string"}, ("path",), _listed, None, None),
 }
 
 # the kinds given in closed form

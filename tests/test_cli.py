@@ -13,6 +13,7 @@ import harea
 from harea import DomainSpec, geometry, rasterize
 from harea.cli import _datum_on_faces, dispatch
 from harea.geometry import boundary_faces
+from harea.surfaces import DATUM_KINDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -114,6 +115,12 @@ def test_unresolvable_h_rejected(tmp_path):
         ("solve", {"domain": {"kind": "disk", "radius": True}}, "'radius'"),
         ("solve", {"domain": {"kind": "disk", "center": [True, 0]}}, "'center'"),
         ("solve", {"h": True}, "'h'"),
+        ("solve", {"h": 10**400}, "'h'"),
+        ("solve", {"solver": 5}, "'solver'"),
+        ("solve", {"solver": [1, 2]}, "'solver'"),
+        ("solve", {"solver": "ab"}, "'solver'"),
+        ("solve", {"datum": {"kind": "affine", "a": [True, False]}}, "'a'"),
+        ("solve", {"datum": {"kind": "affine", "a": [1, 0], "b": True}}, "'b'"),
     ],
     ids=[
         "radius",
@@ -132,6 +139,12 @@ def test_unresolvable_h_rejected(tmp_path):
         "radius-bool",
         "center-bool",
         "h-bool",
+        "h-too-large",
+        "solver-int",
+        "solver-list",
+        "solver-string",
+        "affine-a-bool",
+        "affine-b-bool",
     ],
 )
 def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, command, overrides, key):
@@ -139,6 +152,42 @@ def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, command, 
     assert dispatch([command, "-c", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("solve", {"levels": "x"}),
+        ("energy", {"levels": "x"}),
+        ("bsc", {"levels": "x"}),
+        ("barriers", {"levels": "x"}),
+        ("refine", {"samples": "many"}),
+    ],
+    ids=["solve", "energy", "bsc", "barriers", "refine"],
+)
+def test_whole_config_is_checked_before_any_work(tmp_path, capsys, command, overrides):
+    """A wrong-typed key the subcommand does not read still stops it at load,
+    before the output directory exists."""
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, out=str(out), **overrides)
+    assert dispatch([command, "-c", cfg]) == 2
+    key = next(iter(overrides))
+    assert capsys.readouterr().err == f"error: config key '{key}' must be an integer, got {overrides[key]!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "-c", "CFG"], ["verify", "--check", "submodularity_aniso"]],
+    ids=["solve", "verify"],
+)
+def test_output_path_that_is_a_file_is_a_usage_error(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    argv = [write_cfg(tmp_path) if a == "CFG" else a for a in argv]
+    assert dispatch([*argv, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err and err.count("\n") == 1
 
 
 def test_no_subcommand_is_usage_error():
@@ -224,7 +273,7 @@ def test_samples_datum_takes_the_first_nearest_sample(tmp_path):
     grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1.0 / 32.0)
     mid = boundary_faces(grid).midpoint
     assert len(mid) * len(vals) > 2 * geometry._BLOCK_DOUBLES  # several row blocks
-    datum = _datum_on_faces(grid, {"kind": "samples", "path": path})
+    datum = _datum_on_faces(grid, (DATUM_KINDS["samples"], {"path": path}))
     d2 = (mid[:, 0, None] - pts[None, :, 0]) ** 2 + (mid[:, 1, None] - pts[None, :, 1]) ** 2
     nearest = np.argmin(d2, axis=1)
     assert np.all(nearest < 150)
@@ -253,7 +302,7 @@ def test_samples_datum_memory_stays_bounded(tmp_path):
     grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1.0 / 64.0)
     tracemalloc.start()
     try:
-        datum = _datum_on_faces(grid, {"kind": "samples", "path": path})
+        datum = _datum_on_faces(grid, (DATUM_KINDS["samples"], {"path": path}))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
