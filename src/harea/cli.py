@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 
@@ -66,15 +67,17 @@ def _apply_thread_cap() -> None:
 
 
 def _number(v) -> float:
-    """``float(v)``; a boolean is refused rather than read as 0 or 1."""
-    if isinstance(v, bool):
+    """``float(v)`` of a JSON number; a boolean or a numeric string is
+    refused rather than read as a number."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise TypeError(v)
     return float(v)
 
 
 def _whole(v) -> int:
-    """``int(v)`` for a whole number; booleans and fractions are refused."""
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+    """``int(v)`` for a whole JSON number; booleans, fractions and strings
+    are refused."""
+    if not _number(v).is_integer():
         raise ValueError(v)
     return int(v)
 

@@ -100,14 +100,18 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.kind == "disk":
-            if self.radius is None or not self.radius > 0:
-                raise DomainError(f"disk radius must be positive, got {self.radius}")
+            if self.radius is None or not 0 < self.radius < math.inf:
+                raise DomainError(f"disk radius must be positive and finite, got {self.radius}")
             if self.center is None or len(self.center) != 2:
                 raise DomainError("disk needs a 2d center")
+            if not np.all(np.isfinite(self.center)):
+                raise DomainError(f"disk center must be finite, got {self.center}")
         elif self.kind == "polygon":
             v = np.asarray(self.vertices, dtype=float)
             if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
                 raise DomainError("polygon needs at least 3 planar vertices")
+            if not np.all(np.isfinite(v)):
+                raise DomainError("polygon vertices must be finite")
             area2 = float(
                 np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
             )

@@ -3,9 +3,12 @@
 The scheme is the standard splitting for ``min_u F(K u) + G(u)`` with ``K``
 the grid's difference operator (:func:`harea.fields.difference_operator`),
 ``F(p) = sum_c h^2 |p_c + X*_c|`` and ``G`` the boundary penalty (or the
-pinning constraint): dual ascent with projection onto the per-cell ball of
-radius h^2, primal descent with a soft threshold toward the face-averaged
-boundary value, and overrelaxation of the primal iterate.
+pinning constraint), run as the over-relaxed primal-dual iteration of
+Chambolle & Pock (Math. Program. 2016), primal step first: the exact prox of
+the boundary term at ``u + tau div P`` gives ``u~``; the dual, stepped by
+sigma times the horizontal vector of ``2 u~ - u``, projected onto the
+per-cell ball of radius h^2 gives ``P~``; then ``u`` and ``P`` move 1.9 times
+the way to ``u~`` and ``P~``.
 
 The iteration state lives on the n interior cells only: the primal ``u`` is
 an ``(n,)`` vector, and the dual and the horizontal vector
@@ -13,14 +16,14 @@ an ``(n,)`` vector, and the dual and the horizontal vector
 boundary faces name their owners by interior index (``owner_cell``).  Every
 update writes into buffers allocated once per solve.  The factor 1/h of
 ``K`` goes into the steps sigma_h = sigma/h and tau_h = tau/h, and the loop
-carries the dual divided by sigma_h: its step is ``+= H_bar``, its ball has
-radius h^2/sigma_h, and the primal step is sigma_h tau_h times its
-divergence.  Full-grid fields are built only for the returned
+carries the dual divided by sigma_h: its step is ``hgrad(2 u~ - u) + h X*``,
+its ball has radius h^2/sigma_h, and the primal step is sigma_h tau_h times
+its divergence.  Full-grid fields are built only for the returned
 :class:`SolveReport`.
 
-The iteration is not energy-monotone, so the solver tracks the best-energy
-iterate seen and returns that; the recorded energy trace is therefore
-non-increasing and never exceeds the energy of the constant initial guess.
+The iteration is not energy-monotone.  The energy is evaluated at every 10th
+iterate and at the last one, and the solver returns the best iterate so
+evaluated; the best energy never exceeds that of the constant initial guess.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ __all__ = [
 ]
 
 _STAGNATION_WINDOW = 50
+_CHECK_EVERY = 10  # the energy is evaluated at every 10th iterate
+_RELAX = 1.9  # the relaxation of the primal-dual step, in (0, 2)
 
 
 class SolverError(RuntimeError):
@@ -151,8 +156,8 @@ def solver_tolerance(grid: Grid, datum: BoundaryDatum) -> float:
 class SolveReport:
     """Returned by :func:`solve`.
 
-    ``u`` is the best-energy iterate and ``dual`` the dual iterate it was
-    computed from.
+    ``u`` is the best-energy iterate among those evaluated (every 10th and
+    the last) and ``dual`` the dual iterate paired with it.
     """
 
     u: ScalarField
@@ -199,36 +204,60 @@ def prox_dual(q: VectorField, sigma: float, mode: EnergyMode = EnergyMode.ISOTRO
 
 
 class _Penalty:
-    """Per-cell aggregation of the boundary faces for the primal prox;
-    ``idx`` holds the owner cells as interior indices."""
+    """The boundary faces grouped by owner cell, for the primal prox.
 
-    def __init__(self, grid: Grid, datum: BoundaryDatum):
+    ``idx`` holds the owner cells as interior indices, ``weight`` their summed
+    face measure, ``mean`` their face-measure-weighted mean value (the
+    constrained mode's pin), and ``lo``/``hi`` their smallest and largest
+    face value.  ``multi`` lists, per face count m > 2, the positions in
+    ``idx`` of the owners with m faces, their face values (k, m) and the
+    offsets m - 2j, j = 0..m, of the median formula.
+    """
+
+    def __init__(self, datum: BoundaryDatum):
         faces = datum.faces
-        n = grid.interior_count
-        wsum = np.zeros(n)
-        vsum = np.zeros(n)
-        np.add.at(wsum, faces.owner_cell, faces.measure)
-        np.add.at(vsum, faces.owner_cell, faces.measure * datum.values)
-        idx = np.nonzero(wsum > 0)[0]
+        order = np.argsort(faces.owner_cell, kind="stable")
+        phi = datum.values[order]
+        measure = faces.measure[order]
+        idx, start, count = np.unique(faces.owner_cell[order], return_index=True, return_counts=True)
         self.idx = idx
-        self.weight = wsum[idx]
-        self.mean = vsum[idx] / wsum[idx]
+        self.weight = np.add.reduceat(measure, start)
+        self.mean = np.add.reduceat(measure * phi, start) / self.weight
+        self.lo = np.minimum.reduceat(phi, start)
+        self.hi = np.maximum.reduceat(phi, start)
+        self.multi = []
+        for m in range(3, count.max(initial=0) + 1):
+            pos = np.nonzero(count == m)[0]
+            if not pos.size:
+                continue
+            values = phi[start[pos, None] + np.arange(m)]
+            self.multi.append((pos, values, float(m) - 2.0 * np.arange(m + 1)))
 
 
 def _prox_primal_raw(v: np.ndarray, t: np.ndarray, pen: _Penalty, mode: str) -> np.ndarray:
     """The primal prox applied to interior values ``v`` in place, with the
-    owner cells' thresholds ``t`` = tau * ``pen.weight``: the median of
-    v - t, the face mean and v + t."""
+    owner cells' thresholds ``t`` = tau * ``pen.weight``.
+
+    For an owner cell with faces phi_1..phi_m of equal measure it is
+    median{phi_1..phi_m, v + (t/m)(m - 2j), j = 0..m} (Li & Osher's median
+    formula).  Up to two faces that median is
+    max(v - t, min(v + t, clip(v, phi_min, phi_max))); a far value moves by
+    exactly t, so data of size 1e200 do not round against their threshold.
+    """
     if mode == "constrained":
         v[pen.idx] = pen.mean
         return v
-    # a far value moves by exactly t: mean + sign(d) (|d| - t) rounds at the
-    # scale of |d|, which on data of size 1e200 is a jump of about 1e184
     vi = v[pen.idx]
-    x = np.subtract(vi, t)
-    np.maximum(x, pen.mean, out=x)
-    vi += t
-    np.minimum(x, vi, out=x)
+    x = np.maximum(vi, pen.lo)
+    np.minimum(x, pen.hi, out=x)
+    s = np.add(vi, t)
+    np.minimum(x, s, out=x)
+    np.subtract(vi, t, out=s)
+    np.maximum(x, s, out=x)
+    for pos, faces, offsets in pen.multi:
+        m = faces.shape[1]
+        moved = vi[pos, None] + (t[pos, None] / m) * offsets
+        x[pos] = np.partition(np.concatenate((faces, moved), axis=1), m, axis=1)[:, m]
     v[pen.idx] = x
     return v
 
@@ -241,15 +270,16 @@ def prox_primal(
 ) -> ScalarField:
     """Resolvent of the boundary term.
 
-    Interior cells pass through unchanged.  A boundary-owner cell with
-    accumulated face weight w = h * (face count) moves toward the
-    face-measure-weighted mean m of its face values by a soft threshold of
-    size t = tau * w, computed as the median of v - t, m and v + t; in
-    constrained mode it is pinned to that mean.
+    Interior cells pass through unchanged.  A boundary-owner cell with faces
+    phi_1..phi_m, each of measure h, goes to the minimizer x of
+    (x - v)^2 / 2 + tau h sum_j |x - phi_j|, the median of the m face values
+    and v + tau h (m - 2j), j = 0..m; with one face that is a soft threshold
+    of size tau h toward it.  In constrained mode it is pinned to the
+    face-measure-weighted mean of its face values.
     """
     if mode not in ("penalized", "constrained"):
         raise SolverError(f"unknown mode {mode!r}")
-    pen = _Penalty(v.grid, datum)
+    pen = _Penalty(datum)
     t = tau * pen.weight
     return ScalarField.from_interior(v.grid, _prox_primal_raw(v.interior(), t, pen, mode))
 
@@ -261,10 +291,13 @@ def prox_primal(
 def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> SolveReport:
     """Minimize the penalized (or constrained) area functional on a grid.
 
-    Returns the best-energy iterate with a convergence flag; stagnation is the
-    relative decrease of the best energy over the last 50 iterations.  A
-    non-finite energy aborts with SolverError; plain non-convergence does not
-    raise, it is reported through ``converged=False``.
+    Runs the over-relaxed primal-dual iteration (relaxation 1.9) with the
+    exact boundary prox and evaluates the energy at every 10th iterate and at
+    ``max_iters``.  Returns the best evaluated iterate with a convergence
+    flag; stagnation is the relative decrease of the best energy over the
+    last 50 iterations, i.e. over the last five checkpoints.  A non-finite
+    energy aborts with SolverError; plain non-convergence does not raise, it
+    is reported through ``converged=False``.
     """
     cfg = cfg or SolverConfig()
     sigma, tau = cfg.resolved_steps(grid)
@@ -274,21 +307,17 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     hXS = h * interior_xstar(grid)
     # K = hgrad / h and div = hdiv / h: the 1/h goes into the steps
     sigma_h, radius, factor = _folded_steps(sigma, tau, h)
-    pen = _Penalty(grid, datum)
+    pen = _Penalty(datum)
     t = tau * pen.weight
     owner = datum.faces.owner_cell
     measures = datum.faces.measure
     phi = datum.values
     n = grid.interior_count
     Q = np.zeros((2, n))  # the dual P / sigma_h
-    H = np.empty((2, n))
+    G = np.empty((2, n))  # the dual step, and H = hgrad(u) + hX* at checkpoints
     scratch = np.empty((2, n))
-    step = scratch[1]  # the primal step borrows a row of scratch
-
-    def horizontal(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        K.hgrad(u, out)
-        out += hXS
-        return out
+    u_step = np.empty(n)  # the primal step, then 2 u~ - u
+    du = np.empty(n)
 
     def energy_of(u: np.ndarray, H: np.ndarray) -> tuple[float, float]:
         # h^2 |K u + X*| = h |H| per cell
@@ -302,44 +331,53 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     # constant start at the measure-weighted mean of the boundary values
     u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
     u = _prox_primal_raw(np.full(n, u0), t, pen, cfg.mode)
-    horizontal(u, H)
-    H_bar = H.copy()
-
-    ei, ep = energy_of(u, H)
-    best_interior, best_penalty = ei, ep
-    best_total = ei + ep
-    # each iterate goes into the one of two buffers that does not hold the
-    # best, so the best is kept without copies
-    us, Qs = [u, np.empty(n)], [Q, np.empty((2, n))]
-    best = 0
-    # the best energies of the last window + 1 iterations, oldest first
-    trace = deque([best_total], maxlen=_STAGNATION_WINDOW + 1)
+    K.hgrad(u, G)
+    G += hXS
+    best_interior, best_penalty = energy_of(u, G)
+    best_total = best_interior + best_penalty
+    best_u, best_Q = u.copy(), Q.copy()
+    # the best energies at the last window / _CHECK_EVERY + 1 checkpoints, oldest first
+    trace = deque([best_total], maxlen=_STAGNATION_WINDOW // _CHECK_EVERY + 1)
 
     converged = False
     stagnation = math.inf
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
-        Q = np.add(Q, H_bar, out=Qs[1 - best])
-        _project_dual(Q, radius, mode, scratch)
-        K.hdiv(Q, step, scratch[0])
-        step *= factor
-        u = np.add(u, step, out=us[1 - best])
-        _prox_primal_raw(u, t, pen, cfg.mode)
-        horizontal(u, H_bar)  # the extrapolation is spent; H_bar holds the new H
-        ei, ep = energy_of(u, H_bar)
+        # u~ = prox(u + f hdiv(Q)), kept as du = u~ - u and u_step = 2 u~ - u
+        K.hdiv(Q, u_step, du)
+        u_step *= factor
+        u_step += u
+        _prox_primal_raw(u_step, t, pen, cfg.mode)
+        np.subtract(u_step, u, out=du)
+        u_step += du
+        # Q~ = proj(Q + hgrad(2 u~ - u) + hX*), kept as G = Q~ - Q
+        K.hgrad(u_step, G)
+        G += hXS
+        G += Q
+        _project_dual(G, radius, mode, scratch)
+        G -= Q
+        # relax both toward the step's end point
+        G *= _RELAX
+        Q += G
+        du *= _RELAX
+        u += du
+        iterations = k
+        if k % _CHECK_EVERY and k < cfg.max_iters:
+            continue
+        K.hgrad(u, G)
+        G += hXS
+        ei, ep = energy_of(u, G)
         total = ei + ep
         if not math.isfinite(total):
             raise SolverError(f"divergence: non-finite energy at iteration {k}")
         if total < best_total:
             best_total = total
             best_interior, best_penalty = ei, ep
-            best = 1 - best
+            best_u[...] = u
+            best_Q[...] = Q
+        if k % _CHECK_EVERY:
+            continue
         trace.append(best_total)
-        # extrapolate 2 H_new - H_old into the old buffer, then swap roles
-        np.multiply(H_bar, 2.0, out=scratch)
-        np.subtract(scratch, H, out=H)
-        H, H_bar = H_bar, H
-        iterations = k
         if k >= _STAGNATION_WINDOW:
             prev = trace[0]  # the best energy at iteration k - window
             stagnation = (prev - best_total) / max(abs(best_total), 1.0)
@@ -348,8 +386,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
                 break
 
     # release the loop state before the full-grid report fields are built
-    best_u, best_Q = us[best], Qs[best]
-    del u, us, Q, Qs, H, H_bar, scratch, step, hXS
+    del u, Q, G, scratch, u_step, du, hXS
     best_Q *= sigma_h
     energy = EnergyBreakdown(
         interior=best_interior,

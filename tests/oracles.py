@@ -32,16 +32,18 @@ array, its length by ``np.hypot``.  The library computes them on interior
 ``dense_lipschitz_bound`` recomputes the ``lipschitz_bound`` check's metrics
 from the whole cell-by-face matrix and the loop gradient.
 
-``reference_solve`` is the primal-dual loop in its unscaled form: the dual
-``P`` itself, stepped by ``sigma_h H_bar`` and projected onto the ball of
-radius h^2, the primal step scaled by ``tau_h``, and the soft threshold by
-``np.where``/``np.sign`` (``where_prox``).  The library carries ``P / sigma_h``
-and takes the median form of the prox; both must follow the same trajectory
-to rounding.
+``reference_solve`` is the over-relaxed primal-dual loop in its unscaled
+form: the dual ``P`` itself, stepped by ``sigma_h`` times the horizontal
+vector of the extrapolated primal and projected onto the ball of radius h^2,
+the primal step scaled by ``tau_h``, every update into a fresh array, and
+the boundary prox by ``np.median`` over the median formula's candidates
+(``median_prox``), or the face mean in constrained mode.  The library
+carries ``P / sigma_h``, updates in place and takes the prox in closed form
+for owners of up to two faces; both must follow the same trajectory to
+rounding.
 """
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -49,11 +51,12 @@ from harea import EnergyMode, gradient, penalized_energy, xstar_field
 from harea.energy import EnergyBreakdown, _cell_norms
 from harea.fields import ScalarField, VectorField, difference_operator, interior_xstar
 from harea.solver import (
+    _CHECK_EVERY,
+    _RELAX,
     _STAGNATION_WINDOW,
     SolveReport,
     SolverConfig,
     SolverError,
-    _Penalty,
     _project_dual,
 )
 
@@ -265,95 +268,93 @@ def hypot_certificate_gap(u, V, datum):
     return total - float(g.h**2 * np.sum(pair))
 
 
-def where_prox(v, tau, pen, mode):
-    """The primal prox applied to interior values ``v`` in place."""
-    if mode == "constrained":
-        v[pen.idx] = pen.mean
-        return v
-    vi = v[pen.idx]
-    d = vi - pen.mean
-    t = tau * pen.weight
-    # move a far value by exactly t: mean + sign(d) (|d| - t) rounds at the
-    # scale of |d|, which on data of size 1e200 is a jump of about 1e184
-    v[pen.idx] = np.where(np.abs(d) <= t, pen.mean, vi - np.sign(d) * t)
+def owner_groups(datum):
+    """The owner cells grouped by their face count m, cell by cell: a list of
+    (cells (k,), face values (k, m), face measure (k,))."""
+    faces = datum.faces
+    by_count = {}
+    for c in np.unique(faces.owner_cell):
+        on = faces.owner_cell == c
+        by_count.setdefault(int(on.sum()), []).append((c, datum.values[on], faces.measure[on][0]))
+    return [tuple(np.array(col) for col in zip(*group)) for group in by_count.values()]
+
+
+def median_prox(v, tau, groups):
+    """The penalized primal prox applied to interior values ``v`` in place,
+    written out from Li & Osher's median formula: an owner cell with faces
+    phi_1..phi_m of measure w goes to
+    median{phi_1..phi_m, v + tau w (m - 2j), j = 0..m}, by ``np.median``
+    over all 2m + 1 candidates.  ``groups`` is from ``owner_groups``."""
+    for cells, phi, measure in groups:
+        m = phi.shape[1]
+        moved = v[cells, None] + (tau * measure)[:, None] * (m - 2.0 * np.arange(m + 1))
+        v[cells] = np.median(np.concatenate((phi, moved), axis=1), axis=1)
     return v
 
 
 def reference_solve(grid, datum, cfg=None):
-    """The primal-dual loop with the unscaled dual and ``where_prox``."""
+    """The over-relaxed primal-dual loop with the unscaled dual, fresh arrays
+    for every update and ``median_prox``; the energy is evaluated at every
+    ``_CHECK_EVERY``-th iterate and at ``max_iters``."""
     cfg = cfg or SolverConfig()
     sigma, tau = cfg.resolved_steps(grid)
     mode = cfg.energy_mode
     h = grid.h
-    h2 = h * h
     K = difference_operator(grid)
     hXS = h * interior_xstar(grid)
     # K = hgrad / h and div = hdiv / h: the 1/h goes into the steps
     sigma_h, tau_h = sigma / h, tau / h
-    pen = _Penalty(grid, datum)
     owner = datum.faces.owner_cell
     measures = datum.faces.measure
     phi = datum.values
-    n = grid.interior_count
-    P = np.zeros((2, n))
-    H = np.empty((2, n))
-    scratch = np.empty((2, n))
-    step = scratch[1]  # the primal step borrows a row of scratch
 
-    def horizontal(u, out):
-        K.hgrad(u, out)
-        out += hXS
-        return out
-
-    def energy_of(u, H):
+    def energy_of(u):
         # h^2 |K u + X*| = h |H| per cell
-        interior = h * float(_cell_norms(H, mode, scratch).sum())
+        interior = h * float(_cell_norms(K.hgrad(u) + hXS, mode).sum())
         penalty = float((measures * np.abs(u[owner] - phi)).sum())
         return interior, penalty
 
+    groups = owner_groups(datum)
+    cells = np.unique(owner)
+    pinned = np.bincount(owner, measures * phi)[cells] / np.bincount(owner, measures)[cells]
+
+    def prox(v):
+        if cfg.mode == "constrained":
+            v[cells] = pinned
+            return v
+        return median_prox(v, tau, groups)
+
     # constant start at the measure-weighted mean of the boundary values
     u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
-    u = where_prox(np.full(n, u0), tau, pen, cfg.mode)
-    horizontal(u, H)
-    H_bar = H.copy()
-
-    ei, ep = energy_of(u, H)
-    best_interior, best_penalty = ei, ep
-    best_total = ei + ep
-    best_u = u.copy()
-    best_P = P.copy()
-    # the best energies of the last window + 1 iterations, oldest first
-    trace = deque([best_total], maxlen=_STAGNATION_WINDOW + 1)
+    u = prox(np.full(grid.interior_count, u0))
+    P = np.zeros((2, grid.interior_count))
+    best_interior, best_penalty = energy_of(u)
+    best_total = best_interior + best_penalty
+    best_u, best_P = u.copy(), P.copy()
+    trace = [best_total]  # the best energy at every _CHECK_EVERY-th iterate
 
     converged = False
     stagnation = math.inf
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
-        np.multiply(H_bar, sigma_h, out=scratch)
-        P += scratch
-        _project_dual(P, h2, mode, scratch)
-        K.hdiv(P, step, scratch[0])
-        step *= tau_h
-        u += step
-        where_prox(u, tau, pen, cfg.mode)
-        horizontal(u, H_bar)  # the extrapolation is spent; H_bar holds the new H
-        ei, ep = energy_of(u, H_bar)
-        total = ei + ep
-        if not math.isfinite(total):
-            raise SolverError(f"divergence: non-finite energy at iteration {k}")
-        if total < best_total:
-            best_total = total
-            best_interior, best_penalty = ei, ep
-            best_u[...] = u
-            best_P[...] = P
-        trace.append(best_total)
-        # extrapolate 2 H_new - H_old into the old buffer, then swap roles
-        np.multiply(H_bar, 2.0, out=scratch)
-        np.subtract(scratch, H, out=H)
-        H, H_bar = H_bar, H
+        u_new = prox(u + tau_h * K.hdiv(P))
+        P_new = _project_dual(P + sigma_h * (K.hgrad(2.0 * u_new - u) + hXS), h * h, mode)
+        u = u + _RELAX * (u_new - u)
+        P = P + _RELAX * (P_new - P)
         iterations = k
+        if k % _CHECK_EVERY and k < cfg.max_iters:
+            continue
+        ei, ep = energy_of(u)
+        if not math.isfinite(ei + ep):
+            raise SolverError(f"divergence: non-finite energy at iteration {k}")
+        if ei + ep < best_total:
+            best_interior, best_penalty, best_total = ei, ep, ei + ep
+            best_u, best_P = u.copy(), P.copy()
+        if k % _CHECK_EVERY:
+            continue
+        trace.append(best_total)
         if k >= _STAGNATION_WINDOW:
-            prev = trace[0]  # the best energy at iteration k - window
+            prev = trace[-1 - _STAGNATION_WINDOW // _CHECK_EVERY]  # at iteration k - window
             stagnation = (prev - best_total) / max(abs(best_total), 1.0)
             if stagnation <= cfg.tol:
                 converged = True

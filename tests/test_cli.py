@@ -121,6 +121,8 @@ def test_unresolvable_h_rejected(tmp_path):
         ("solve", {"solver": "ab"}, "'solver'"),
         ("solve", {"datum": {"kind": "affine", "a": [True, False]}}, "'a'"),
         ("solve", {"datum": {"kind": "affine", "a": [1, 0], "b": True}}, "'b'"),
+        ("solve", {"h": "0.25"}, "'h'"),
+        ("refine", {"levels": "3"}, "'levels'"),
     ],
     ids=[
         "radius",
@@ -145,6 +147,8 @@ def test_unresolvable_h_rejected(tmp_path):
         "solver-string",
         "affine-a-bool",
         "affine-b-bool",
+        "h-numeric-string",
+        "levels-numeric-string",
     ],
 )
 def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, command, overrides, key):
@@ -152,6 +156,25 @@ def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, command, 
     assert dispatch([command, "-c", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        {"kind": "disk", "radius": 1e400},
+        {"kind": "disk", "center": [1e400, 0]},
+        {"kind": "disk", "center": [0, float("nan")]},
+        {"kind": "polygon", "vertices": [[0, 0], [1e400, 0], [0, 1]]},
+    ],
+    ids=["radius", "center", "center-nan", "vertices"],
+)
+def test_infinite_geometry_is_a_domain_error(tmp_path, capsys, domain):
+    """JSON reads 1e400 as infinity; a domain that is not finite is refused
+    when the config loads, with exit code 2 and no traceback."""
+    cfg = write_cfg(tmp_path, domain=domain)
+    assert dispatch(["solve", "-c", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,23 @@ def test_polygon_even_odd_nonconvex():
     assert grid.interior_count == 12
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DomainSpec.disk((0.0, 0.0), float("inf")),
+        lambda: DomainSpec.disk((0.0, 0.0), float("nan")),
+        lambda: DomainSpec.disk((float("inf"), 0.0), 1.0),
+        lambda: DomainSpec.disk((0.0, float("nan")), 1.0),
+        lambda: DomainSpec.polygon([(0, 0), (float("inf"), 0), (0, 1)]),
+        lambda: DomainSpec.polygon([(0, 0), (1, 0), (0, float("nan"))]),
+    ],
+    ids=["radius-inf", "radius-nan", "center-inf", "center-nan", "vertex-inf", "vertex-nan"],
+)
+def test_non_finite_geometry_is_a_domain_error(make):
+    with pytest.raises(DomainError, match="finite"):
+        make()
+
+
 def test_polygon_needs_three_vertices():
     with pytest.raises(DomainError):
         DomainSpec.polygon([(0, 0), (1, 0)])
