@@ -14,16 +14,24 @@ The iteration state lives on the n interior cells only: the primal ``u`` is
 an ``(n,)`` vector, and the dual and the horizontal vector
 ``H = h (K u + X*)`` are contiguous component-major ``(2, n)`` arrays;
 boundary faces name their owners by interior index (``owner_cell``).  Every
-update writes into buffers allocated once per solve.  The factor 1/h of
-``K`` goes into the steps sigma_h = sigma/h and tau_h = tau/h, and the loop
-carries the dual divided by sigma_h: its step is ``hgrad(2 u~ - u) + h X*``,
-its ball has radius h^2/sigma_h, and the primal step is sigma_h tau_h times
-its divergence.  Full-grid fields are built only for the returned
-:class:`SolveReport`.
+update writes into buffers allocated once per solve, and every kernel of the
+loop (the operator's ``bind_hdiv``/``bind_hgrad``, the boundary prox, the
+dual projection and the energy) is bound to its buffers once per solve, with
+its views, index arrays and folded constants resolved then; an iteration is
+about 38 NumPy calls on ready arguments.  The factor 1/h of ``K`` goes into
+the steps sigma_h = sigma/h and tau_h = tau/h, and the loop carries the dual
+divided by sigma_h: its step is ``hgrad(2 u~ - u) + h X*``, its ball has
+radius h^2/sigma_h, and the primal step is sigma_h tau_h times its
+divergence.  The dual relaxation rides in the projection, which returns
+1.9 ``P~``: the ball scales each cell by 1.9 r / max(|.|, r) instead of
+r / max(|.|, r), and the l1 box multiplies its clip by 1.9.  The dual update
+is then ``P = (1 - 1.9) P + 1.9 P~``.  Full-grid fields are built
+only for the returned :class:`SolveReport`.
 
 The iteration is not energy-monotone.  The energy is evaluated at every 10th
 iterate and at the last one, and the solver returns the best iterate so
-evaluated; the best energy never exceeds that of the constant initial guess.
+evaluated; the best energy never exceeds that of the constant initial guess,
+and a solve whose best energy never fell below it has not converged.
 """
 
 from __future__ import annotations
@@ -32,11 +40,19 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .energy import EnergyBreakdown, EnergyMode, _cell_norms
-from .fields import ScalarField, VectorField, difference_operator, interior_xstar, operator_norm_sq
+from .energy import EnergyBreakdown, EnergyMode
+from .fields import (
+    ScalarField,
+    VectorField,
+    _bind_cell_norms,
+    difference_operator,
+    interior_xstar,
+    operator_norm_sq,
+)
 from .geometry import BoundaryDatum, DomainSpec, Grid, boundary_faces, rasterize, sample_datum
 
 __all__ = [
@@ -181,17 +197,38 @@ class SolveReport:
 # proximal maps
 
 
+def _bind_projection(
+    p: np.ndarray, radius: float, mode: EnergyMode, scratch: np.ndarray, scale: float = 1.0
+) -> Callable[[], np.ndarray]:
+    """The dual projection bound to ``p`` and ``scratch`` (2, n): each call
+    projects every cell of ``p`` in place onto the ball of ``radius`` (the
+    box for the l1 norm) and multiplies it by ``scale``, which the isotropic
+    projection takes into its divide's numerator at no cost."""
+    maximum, minimum, multiply = np.maximum, np.minimum, np.multiply
+    if mode is EnergyMode.ISOTROPIC:
+        norms = _bind_cell_norms(p, mode, scratch)
+        numerator = scale * radius
+
+        def project():
+            factor = norms()
+            maximum(factor, radius, out=factor)
+            np.divide(numerator, factor, out=factor)
+            return multiply(p, factor, out=p)
+
+        return project
+
+    def project():
+        maximum(p, -radius, out=p)  # np.clip's wrapper costs more than two ufuncs
+        minimum(p, radius, out=p)
+        return p if scale == 1.0 else multiply(p, scale, out=p)
+
+    return project
+
+
 def _project_dual(p: np.ndarray, radius: float, mode: EnergyMode, scratch=None) -> np.ndarray:
     """Project each cell of ``p`` (2, n) in place onto the ball of ``radius``
     (the box for the l1 norm); ``scratch`` (2, n) spares the allocation."""
-    if mode is EnergyMode.ISOTROPIC:
-        factor = _cell_norms(p, mode, scratch)
-        np.maximum(factor, radius, out=factor)
-        np.divide(radius, factor, out=factor)
-        p *= factor
-        return p
-    np.maximum(p, -radius, out=p)  # np.clip's wrapper costs more than two ufuncs
-    return np.minimum(p, radius, out=p)
+    return _bind_projection(p, radius, mode, np.empty_like(p) if scratch is None else scratch)()
 
 
 def prox_dual(q: VectorField, sigma: float, mode: EnergyMode = EnergyMode.ISOTROPIC) -> VectorField:
@@ -234,9 +271,10 @@ class _Penalty:
             self.multi.append((pos, values, float(m) - 2.0 * np.arange(m + 1)))
 
 
-def _prox_primal_raw(v: np.ndarray, t: np.ndarray, pen: _Penalty, mode: str) -> np.ndarray:
-    """The primal prox applied to interior values ``v`` in place, with the
-    owner cells' thresholds ``t`` = tau * ``pen.weight``.
+def _bind_prox(v: np.ndarray, t: np.ndarray, pen: _Penalty, mode: str) -> Callable[[], np.ndarray]:
+    """The primal prox bound to the interior values ``v`` and the owner
+    cells' thresholds ``t`` = tau * ``pen.weight``: each call applies it to
+    ``v`` in place and returns ``v``.
 
     For an owner cell with faces phi_1..phi_m of equal measure it is
     median{phi_1..phi_m, v + (t/m)(m - 2j), j = 0..m} (Li & Osher's median
@@ -244,22 +282,38 @@ def _prox_primal_raw(v: np.ndarray, t: np.ndarray, pen: _Penalty, mode: str) -> 
     max(v - t, min(v + t, clip(v, phi_min, phi_max))); a far value moves by
     exactly t, so data of size 1e200 do not round against their threshold.
     """
+    idx, write = pen.idx, v.__setitem__
     if mode == "constrained":
-        v[pen.idx] = pen.mean
+        mean = pen.mean
+
+        def pin():
+            write(idx, mean)
+            return v
+
+        return pin
+    lo, hi = pen.lo, pen.hi
+    vi, x, s = np.empty(idx.size), np.empty(idx.size), np.empty(idx.size)
+    take = v.take
+    maximum, minimum, add, subtract = np.maximum, np.minimum, np.add, np.subtract
+    # per face count m > 2, with the offsets (t/m)(m - 2j) of the moved values
+    groups = [(pos, faces, faces.shape[1], (t[pos, None] / faces.shape[1]) * offsets)
+              for pos, faces, offsets in pen.multi]
+
+    def prox():
+        take(idx, out=vi, mode="clip")
+        maximum(vi, lo, out=x)
+        minimum(x, hi, out=x)
+        add(vi, t, out=s)
+        minimum(x, s, out=x)
+        subtract(vi, t, out=s)
+        maximum(x, s, out=x)
+        for pos, faces, m, moved_by in groups:
+            moved = vi[pos, None] + moved_by
+            x[pos] = np.partition(np.concatenate((faces, moved), axis=1), m, axis=1)[:, m]
+        write(idx, x)
         return v
-    vi = v[pen.idx]
-    x = np.maximum(vi, pen.lo)
-    np.minimum(x, pen.hi, out=x)
-    s = np.add(vi, t)
-    np.minimum(x, s, out=x)
-    np.subtract(vi, t, out=s)
-    np.maximum(x, s, out=x)
-    for pos, faces, offsets in pen.multi:
-        m = faces.shape[1]
-        moved = vi[pos, None] + (t[pos, None] / m) * offsets
-        x[pos] = np.partition(np.concatenate((faces, moved), axis=1), m, axis=1)[:, m]
-    v[pen.idx] = x
-    return v
+
+    return prox
 
 
 def prox_primal(
@@ -281,7 +335,7 @@ def prox_primal(
         raise SolverError(f"unknown mode {mode!r}")
     pen = _Penalty(datum)
     t = tau * pen.weight
-    return ScalarField.from_interior(v.grid, _prox_primal_raw(v.interior(), t, pen, mode))
+    return ScalarField.from_interior(v.grid, _bind_prox(v.interior(), t, pen, mode)())
 
 
 # ---------------------------------------------------------------------------
@@ -295,78 +349,106 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     exact boundary prox and evaluates the energy at every 10th iterate and at
     ``max_iters``.  Returns the best evaluated iterate with a convergence
     flag; stagnation is the relative decrease of the best energy over the
-    last 50 iterations, i.e. over the last five checkpoints.  A non-finite
-    energy aborts with SolverError; plain non-convergence does not raise, it
-    is reported through ``converged=False``.
+    last 50 iterations, i.e. over the last five checkpoints.  A solve stopped
+    by that test converges only if its best energy fell below that of its
+    start.  A non-finite energy aborts with SolverError; plain
+    non-convergence does not raise, it is reported through
+    ``converged=False``.
     """
     cfg = cfg or SolverConfig()
     sigma, tau = cfg.resolved_steps(grid)
-    mode = cfg.energy_mode
+    # K = hgrad / h and div = hdiv / h: the 1/h goes into the steps
+    sigma_h, radius, factor = _folded_steps(sigma, tau, grid.h)
+    best_u, best_Q, interior, penalty, iterations, converged, stagnation = _iterate(
+        grid, datum, cfg, tau, radius, factor
+    )
+    best_Q *= sigma_h
+    return SolveReport(
+        u=ScalarField.from_interior(grid, best_u),
+        dual=VectorField.from_interior(grid, best_Q.T),
+        iterations=iterations,
+        converged=converged,
+        stagnation=float(stagnation),
+        energy=EnergyBreakdown(interior, penalty, interior + penalty, cfg.energy_mode),
+    )
+
+
+def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, radius: float, factor: float):
+    """The loop of :func:`solve`, dual carried as P / sigma_h.  Returns the best
+    evaluated u and dual, their interior and penalty energies, the iteration
+    count, the convergence flag and the last stagnation; the buffers and the
+    kernels bound to them are released on return."""
+    relax, every, window, max_iters, tol = _RELAX, _CHECK_EVERY, _STAGNATION_WINDOW, cfg.max_iters, cfg.tol
+    keep = 1.0 - relax
     h = grid.h
     K = difference_operator(grid)
     hXS = h * interior_xstar(grid)
-    # K = hgrad / h and div = hdiv / h: the 1/h goes into the steps
-    sigma_h, radius, factor = _folded_steps(sigma, tau, h)
     pen = _Penalty(datum)
     t = tau * pen.weight
     owner = datum.faces.owner_cell
     measures = datum.faces.measure
     phi = datum.values
     n = grid.interior_count
+    # constant start at the measure-weighted mean of the boundary values
+    u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
+    u = np.full(n, u0)
     Q = np.zeros((2, n))  # the dual P / sigma_h
-    G = np.empty((2, n))  # the dual step, and H = hgrad(u) + hX* at checkpoints
+    G = np.empty((2, n))  # relax times the projected dual, and H = hgrad(u) + hX* at checkpoints
     scratch = np.empty((2, n))
     u_step = np.empty(n)  # the primal step, then 2 u~ - u
     du = np.empty(n)
+    d = np.empty(owner.size)
+    hdiv_Q = K.bind_hdiv(Q, u_step, du)
+    hgrad_step = K.bind_hgrad(u_step, G)
+    hgrad_u = K.bind_hgrad(u, G)
+    prox_step = _bind_prox(u_step, t, pen, cfg.mode)
+    project = _bind_projection(G, radius, cfg.energy_mode, scratch, relax)
+    norms = _bind_cell_norms(G, cfg.energy_mode, scratch)
+    add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
 
-    def energy_of(u: np.ndarray, H: np.ndarray) -> tuple[float, float]:
+    def energy() -> tuple[float, float]:
         # h^2 |K u + X*| = h |H| per cell
-        interior = h * float(np.add.reduce(_cell_norms(H, mode, scratch)))
-        d = u[owner]
-        d -= phi
-        np.abs(d, out=d)
-        d *= measures
-        return interior, float(np.add.reduce(d))
+        hgrad_u()
+        add(G, hXS, out=G)
+        interior = h * float(add.reduce(norms()))
+        u.take(owner, out=d, mode="clip")
+        subtract(d, phi, out=d)
+        absolute(d, out=d)
+        multiply(d, measures, out=d)
+        return interior, float(add.reduce(d))
 
-    # constant start at the measure-weighted mean of the boundary values
-    u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
-    u = _prox_primal_raw(np.full(n, u0), t, pen, cfg.mode)
-    K.hgrad(u, G)
-    G += hXS
-    best_interior, best_penalty = energy_of(u, G)
-    best_total = best_interior + best_penalty
+    _bind_prox(u, t, pen, cfg.mode)()
+    best_interior, best_penalty = energy()
+    best_total = start_total = best_interior + best_penalty
     best_u, best_Q = u.copy(), Q.copy()
-    # the best energies at the last window / _CHECK_EVERY + 1 checkpoints, oldest first
-    trace = deque([best_total], maxlen=_STAGNATION_WINDOW // _CHECK_EVERY + 1)
+    # the best energies at the last window / every + 1 checkpoints, oldest first
+    trace = deque([best_total], maxlen=window // every + 1)
 
     converged = False
     stagnation = math.inf
     iterations = 0
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, max_iters + 1):
         # u~ = prox(u + f hdiv(Q)), kept as du = u~ - u and u_step = 2 u~ - u
-        K.hdiv(Q, u_step, du)
+        hdiv_Q()
         u_step *= factor
         u_step += u
-        _prox_primal_raw(u_step, t, pen, cfg.mode)
-        np.subtract(u_step, u, out=du)
+        prox_step()
+        subtract(u_step, u, out=du)
         u_step += du
-        # Q~ = proj(Q + hgrad(2 u~ - u) + hX*), kept as G = Q~ - Q
-        K.hgrad(u_step, G)
+        # G = relax proj(Q + hgrad(2 u~ - u) + hX*) = relax Q~
+        hgrad_step()
         G += hXS
         G += Q
-        _project_dual(G, radius, mode, scratch)
-        G -= Q
-        # relax both toward the step's end point
-        G *= _RELAX
+        project()
+        # relax both toward the step's end point: Q += relax (Q~ - Q), u += relax (u~ - u)
+        Q *= keep
         Q += G
-        du *= _RELAX
+        du *= relax
         u += du
         iterations = k
-        if k % _CHECK_EVERY and k < cfg.max_iters:
+        if k % every and k < max_iters:
             continue
-        K.hgrad(u, G)
-        G += hXS
-        ei, ep = energy_of(u, G)
+        ei, ep = energy()
         total = ei + ep
         if not math.isfinite(total):
             raise SolverError(f"divergence: non-finite energy at iteration {k}")
@@ -375,33 +457,16 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
             best_interior, best_penalty = ei, ep
             best_u[...] = u
             best_Q[...] = Q
-        if k % _CHECK_EVERY:
+        if k % every:
             continue
         trace.append(best_total)
-        if k >= _STAGNATION_WINDOW:
+        if k >= window:
             prev = trace[0]  # the best energy at iteration k - window
             stagnation = (prev - best_total) / max(abs(best_total), 1.0)
-            if stagnation <= cfg.tol:
-                converged = True
+            if stagnation <= tol:
+                converged = best_total < start_total  # a solve that never improved has not converged
                 break
-
-    # release the loop state before the full-grid report fields are built
-    del u, Q, G, scratch, u_step, du, hXS
-    best_Q *= sigma_h
-    energy = EnergyBreakdown(
-        interior=best_interior,
-        penalty=best_penalty,
-        total=best_total,
-        mode=mode,
-    )
-    return SolveReport(
-        u=ScalarField.from_interior(grid, best_u),
-        dual=VectorField.from_interior(grid, best_Q.T),
-        iterations=iterations,
-        converged=converged,
-        stagnation=float(stagnation),
-        energy=energy,
-    )
+    return best_u, best_Q, best_interior, best_penalty, iterations, converged, stagnation
 
 
 # ---------------------------------------------------------------------------

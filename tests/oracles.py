@@ -295,7 +295,9 @@ def median_prox(v, tau, groups):
 def reference_solve(grid, datum, cfg=None):
     """The over-relaxed primal-dual loop with the unscaled dual, fresh arrays
     for every update and ``median_prox``; the energy is evaluated at every
-    ``_CHECK_EVERY``-th iterate and at ``max_iters``."""
+    ``_CHECK_EVERY``-th iterate and at ``max_iters``, and a solve stopped by
+    the stagnation test converges only if its best energy fell below its
+    start's."""
     cfg = cfg or SolverConfig()
     sigma, tau = cfg.resolved_steps(grid)
     mode = cfg.energy_mode
@@ -329,7 +331,7 @@ def reference_solve(grid, datum, cfg=None):
     u = prox(np.full(grid.interior_count, u0))
     P = np.zeros((2, grid.interior_count))
     best_interior, best_penalty = energy_of(u)
-    best_total = best_interior + best_penalty
+    best_total = start_total = best_interior + best_penalty
     best_u, best_P = u.copy(), P.copy()
     trace = [best_total]  # the best energy at every _CHECK_EVERY-th iterate
 
@@ -357,7 +359,7 @@ def reference_solve(grid, datum, cfg=None):
             prev = trace[-1 - _STAGNATION_WINDOW // _CHECK_EVERY]  # at iteration k - window
             stagnation = (prev - best_total) / max(abs(best_total), 1.0)
             if stagnation <= cfg.tol:
-                converged = True
+                converged = best_total < start_total  # a solve that never improved has not converged
                 break
 
     energy = EnergyBreakdown(

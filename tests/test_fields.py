@@ -166,12 +166,17 @@ OPERATOR_GRIDS = {
 @pytest.mark.parametrize("name", sorted(OPERATOR_GRIDS))
 def test_operator_matches_index_referee(name):
     """The slice-and-rim kernels give the index-array forms' results exactly,
-    on inputs with zeros and with entries near 1e150."""
+    on inputs with zeros and with entries near 1e150, called through the
+    public methods and bound once to buffers as the solver's loop calls
+    them."""
     grid = OPERATOR_GRIDS[name]()
     K = difference_operator(grid)
     plus, minus = index_operator(grid)
     rng = np.random.default_rng(13)
     n = grid.interior_count
+    # bound once and called on the buffers' current values, as solve uses them
+    u_buf, p_buf, h_out, d_out = np.empty(n), np.empty((2, n)), np.empty((2, n)), np.empty(n)
+    bound_hgrad, bound_hdiv = K.bind_hgrad(u_buf, h_out), K.bind_hdiv(p_buf, d_out, np.empty(n))
     for scale in (1.0, 1e150):
         for _ in range(3):
             u = scale * rng.standard_normal(n)
@@ -186,6 +191,12 @@ def test_operator_matches_index_referee(name):
             assert np.array_equal(out, take_hgrad(plus, minus, u))
             assert K.hdiv(p, step, scratch) is step
             assert np.array_equal(step, bincount_hdiv(plus, minus, p))
+            u_buf[...], p_buf[...] = u, p
+            assert bound_hgrad() is h_out and np.array_equal(h_out, take_hgrad(plus, minus, u))
+            assert bound_hdiv() is d_out and np.array_equal(d_out, bincount_hdiv(plus, minus, p))
+    # the gradient's rim is written through a flat view, which a strided out lacks
+    with pytest.raises(FieldError, match="C-contiguous"):
+        K.hgrad(u, np.empty((n, 2)).T)
 
 
 def test_divergence_supported_on_interior():

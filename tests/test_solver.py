@@ -33,7 +33,7 @@ from harea import (
 )
 from harea.checks import _PAIR_SEED, _fourier_datum, _positive_offset
 from harea.energy import _cell_norms
-from harea.solver import _Penalty, _folded_steps, _project_dual, _prox_primal_raw
+from harea.solver import _Penalty, _bind_prox, _folded_steps, _project_dual
 from harea.surfaces import Affine, es1_datum, es2_surface
 from oracles import reference_solve
 
@@ -124,7 +124,7 @@ def test_exact_prox_meets_its_optimality_condition():
     v, tau, counts, phi, datum = _seeded_owners(rng, k, h)
     pen = _Penalty(datum)
     assert np.array_equal(pen.idx, np.arange(k))
-    x = _prox_primal_raw(v.copy(), tau * pen.weight, pen, "penalized")
+    x = _bind_prox(v.copy(), tau * pen.weight, pen, "penalized")()
 
     th = tau * h
     size = np.nanmax(np.abs(np.column_stack((phi, v, x, th * counts))), axis=1)
@@ -331,6 +331,44 @@ def test_es1_lens_iteration_pinned(mode, iterations, energy):
         assert rep.energy.total == pytest.approx(energy, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "k, iterations, energy", [(0, 1100, 4.288710746252111), (1, 1140, 4.304652962159511)]
+)
+def test_comparison_pair_iteration_pinned(k, iterations, energy):
+    """The first ordered pair (phi, phi + delta) of the comparison check on
+    its h = 1/24 disk, with the default steps.  The reference loop shares the
+    solver's relaxation, checkpoint spacing, stagnation window and dual
+    projection, so it cannot see a change to them; these pins can."""
+    grid, datum = _comparison_data(k)
+    rep = solve(grid, datum, SolverConfig(max_iters=20000, tol=1e-9))
+    assert rep.converged
+    assert rep.iterations == iterations
+    assert rep.energy.total == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
+def test_loop_memory_does_not_grow_with_iterations(monkeypatch):
+    """Every update of the loop writes into buffers allocated once per solve:
+    the traced peak of a 400-iteration solve equals that of a 40-iteration
+    one to within one n-long float array."""
+    import tracemalloc
+
+    monkeypatch.setattr(solver_module, "_STAGNATION_WINDOW", 20000)
+    grid, datum = _lens_es1()
+    solve(grid, datum, SolverConfig(max_iters=10))  # caches the operator and the step rule
+
+    def peak(max_iters):
+        tracemalloc.start()
+        try:
+            rep = solve(grid, datum, SolverConfig(max_iters=max_iters))
+            return rep, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (short, short_peak), (long, long_peak) = peak(40), peak(400)
+    assert (short.iterations, long.iterations) == (40, 400)
+    assert abs(long_peak - short_peak) <= 8 * grid.interior_count
+
+
 @pytest.mark.parametrize("mode", ["iso", "aniso", "constrained"])
 def test_reported_energy_matches_penalized_energy(mode):
     """The loop sums h |h (K u + X*)| per cell; ``penalized_energy`` sums
@@ -404,10 +442,12 @@ def test_norm_and_projection_kernels_match_hypot_reference():
 def test_huge_finite_datum_solves():
     """Data of size 1e200 stay far from overflow: the cell norm squares only
     differences of neighboring values, and the primal prox moves an owner
-    cell by its threshold instead of rebuilding it from the face mean."""
+    cell by its threshold instead of rebuilding it from the face mean.  In
+    50 iterations no checkpoint improves on the start, so the solve stops
+    by stagnation without having converged."""
     grid, datum = _huge_datum()
     rep = solve(grid, datum, SolverConfig(max_iters=50))
-    assert rep.converged
+    assert not rep.converged
     assert np.isfinite(rep.energy.total)
     assert rep.energy.total == pytest.approx(penalized_energy(rep.u, datum).total, rel=1e-12)
 
