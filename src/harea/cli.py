@@ -13,9 +13,11 @@ refine     solve across grid refinements and tabulate the errors
 All but verify and reproduce read a JSON run config (-c/--config), check
 every key of it when it loads (a wrong type, a missing required key or a
 non-object block is exit 2 naming the key) and take the --out and --h
-overrides.  Solver overrides go only where a solve or an energy reads them:
---mode (penalized or constrained) on solve and refine, --energy (iso or
-aniso) on solve, energy and refine.
+overrides.  --mode (penalized or constrained) goes on solve and refine, the
+only subcommands that solve; solves minimize the isotropic area.  --energy
+(iso, the default, or aniso) goes on energy alone and chooses the cell norm
+it evaluates; the anisotropic energy is kept for evaluation only, since its
+discrete minimizers are not unique.
 
 Exit codes: 0 success / all checks passed; 1 a check failed, the solver did
 not converge, a slope certificate was refused, or stdout was closed before
@@ -154,19 +156,18 @@ def _kinded(block: dict, where: str, kinds: dict):
 
 
 def _solver(block: dict, args):
-    """The SolverConfig of a solver block, with the --mode and --energy flags
-    over its values; SolverConfig checks the values itself."""
+    """The SolverConfig of a solver block, with the --mode flag over its
+    value; SolverConfig checks the values itself."""
     from dataclasses import fields
 
-    from .energy import EnergyError
     from .solver import SolverConfig, SolverError
 
     values = _convert(block, dict.fromkeys(f.name for f in fields(SolverConfig)), (), "solver")
-    flags = {"mode": getattr(args, "mode", None), "energy_mode": getattr(args, "energy", None)}
-    values.update((key, flag) for key, flag in flags.items() if flag)
+    if getattr(args, "mode", None):
+        values["mode"] = args.mode
     try:
         return SolverConfig(**values)
-    except (SolverError, EnergyError) as exc:
+    except SolverError as exc:
         raise UsageError(f"solver block: {exc}") from None
 
 
@@ -275,8 +276,8 @@ def _cmd_energy(args) -> int:
     datum = _datum_on_faces(grid, cfg["datum"])
     out = _out_dir(cfg["out"])
     u = read_field(args.field or os.path.join(out, "solution.csv"), grid)
-    br = penalized_energy(u, datum, cfg["solver"].energy_mode)
-    write_json({"run": _echo(cfg, solver=True), "energy": br.to_json()}, os.path.join(out, "energy.json"))
+    br = penalized_energy(u, datum, args.energy)
+    write_json({"run": _echo(cfg), "energy": br.to_json()}, os.path.join(out, "energy.json"))
     print(f"area {br.interior:.9g} + penalty {br.penalty:.9g} = {br.total:.9g}")
     print(f"wrote {out}/energy.json")
     return 0
@@ -435,7 +436,6 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    from .energy import EnergyMode
     from .fileio import _atomic_write, write_json
     from .solver import refine_study
     from .surfaces import DATUM_NAMES
@@ -447,15 +447,13 @@ def _cmd_refine(args) -> int:
     levels = cfg.get("levels", 3)
     if levels < 2:
         raise UsageError("refine needs at least 2 levels")
-    scfg = cfg["solver"]
     expr = kind.expression(**values)
-    exact = None
-    # the closed forms minimize the isotropic energy only
-    if scfg.energy_mode is EnergyMode.ISOTROPIC and kind.minimizer is not None:
-        exact = kind.minimizer(**values)
+    exact = None if kind.minimizer is None else kind.minimizer(**values)
     hs = [cfg["h"] / 2**k for k in range(levels)]
     out = _out_dir(cfg["out"])
-    rows, monotone = refine_study(cfg["domain"], expr, hs, scfg, exact=exact, error_norm=kind.error_norm)
+    rows, monotone = refine_study(
+        cfg["domain"], expr, hs, cfg["solver"], exact=exact, error_norm=kind.error_norm
+    )
     lines = ["h,error,iterations,converged"]
     for r in rows:
         err = "" if r.error is None else format(r.error, ".17g")
@@ -470,7 +468,7 @@ def _cmd_refine(args) -> int:
         err_disp = "-" if r.error is None else f"{r.error:.6g}"
         print(f"{r.h:12.6g} {err_disp:>14s} {r.iterations:8d}  {r.converged}")
     if monotone is None:
-        monotone = f"n/a, no closed-form minimizer of the {scfg.energy_mode.value} energy for this datum"
+        monotone = "n/a, no closed-form minimizer for this datum"
     print(f"monotone decrease: {monotone}")
     print(f"wrote {out}/refine.csv, {out}/refine.json")
     return 0
@@ -489,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     overrides = {
         "--mode": dict(choices=("penalized", "constrained"), help="solver mode override"),
-        "--energy": dict(choices=("iso", "aniso"), help="energy mode override"),
+        "--energy": dict(choices=("iso", "aniso"), default="iso", help="cell norm (default: iso)"),
     }
 
     def common(sp, *flags):
@@ -500,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag, **overrides[flag])
 
     sp = sub.add_parser("solve", help="minimize the penalized area functional")
-    common(sp, "--mode", "--energy")
+    common(sp, "--mode")
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("energy", help="evaluate the energy of a stored field")
@@ -527,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_reproduce)
 
     sp = sub.add_parser("refine", help="error table across grid refinements")
-    common(sp, "--mode", "--energy")
+    common(sp, "--mode")
     sp.set_defaults(func=_cmd_refine)
     return p
 

@@ -3,8 +3,9 @@
 Per interior cell the functional measures ``h^2 * |(grad u)_c + X*(z_c)|``
 with ``X*(x, y) = 2(-y, x)``; the boundary term adds ``h * |u_owner - value|``
 per boundary face.  Two cell norms are supported: the Euclidean norm
-(isotropic, the model's own) and the l1 norm (anisotropic, which makes the
-functional exactly submodular under pointwise max/min).
+(isotropic, the model's own and the only one the solver minimizes) and the
+l1 norm (anisotropic, which makes the functional exactly submodular under
+pointwise max/min; evaluated only, as its discrete minimizers are not unique).
 
 The energy and the diagnostics work on interior ``(2, n)`` vectors and
 measure them with the solver's cell norm, which lives in :mod:`harea.fields`

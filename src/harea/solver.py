@@ -7,8 +7,11 @@ pinning constraint), run as the over-relaxed primal-dual iteration of
 Chambolle & Pock (Math. Program. 2016), primal step first: the exact prox of
 the boundary term at ``u + tau div P`` gives ``u~``; the dual, stepped by
 sigma times the horizontal vector of ``2 u~ - u``, projected onto the
-per-cell ball of radius h^2 gives ``P~``; then ``u`` and ``P`` move 1.9 times
-the way to ``u~`` and ``P~``.
+per-cell Euclidean ball of radius h^2 gives ``P~``; then ``u`` and ``P`` move
+1.9 times the way to ``u~`` and ``P~``.  The area term is the isotropic one
+only: the l1 cell norm's discrete minimizers are not unique, so that energy
+is kept for evaluation (:func:`harea.energy.penalized_energy`) and is not
+minimized here.
 
 The iteration state lives on the n interior cells only: the primal ``u`` is
 an ``(n,)`` vector, and the dual and the horizontal vector
@@ -24,9 +27,8 @@ divided by sigma_h: its step is ``hgrad(2 u~ - u) + h X*``, its ball has
 radius h^2/sigma_h, and the primal step is sigma_h tau_h times its
 divergence.  The dual relaxation rides in the projection, which returns
 1.9 ``P~``: the ball scales each cell by 1.9 r / max(|.|, r) instead of
-r / max(|.|, r), and the l1 box multiplies its clip by 1.9.  The dual update
-is then ``P = (1 - 1.9) P + 1.9 P~``.  Full-grid fields are built
-only for the returned :class:`SolveReport`.
+r / max(|.|, r).  The dual update is then ``P = (1 - 1.9) P + 1.9 P~``.
+Full-grid fields are built only for the returned :class:`SolveReport`.
 
 The iteration is not energy-monotone.  The energy is evaluated at every 10th
 iterate and at the last one, and the solver returns the best iterate so
@@ -83,12 +85,11 @@ class SolverConfig:
 
     ``step_sigma``/``step_tau`` are set together or not at all; left out, they
     come from :func:`balanced_steps`.  ``mode`` selects the penalized boundary
-    term or hard pinning of boundary-owner cells; ``energy_mode`` selects the
-    cell norm.
+    term or hard pinning of boundary-owner cells; the cell norm is always the
+    isotropic one.
     """
 
     mode: str = "penalized"
-    energy_mode: EnergyMode = EnergyMode.ISOTROPIC
     max_iters: int = 20000
     tol: float = 1e-7
     step_sigma: float | None = None
@@ -97,7 +98,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("penalized", "constrained"):
             raise SolverError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "energy_mode", EnergyMode.parse(self.energy_mode))
         n = self.max_iters
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SolverError(f"max_iters must be a positive integer, got {n!r}")
@@ -125,7 +125,6 @@ class SolverConfig:
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
-            "energy_mode": self.energy_mode.value,
             "max_iters": self.max_iters,
             "tol": self.tol,
             "step_sigma": self.step_sigma,
@@ -198,46 +197,37 @@ class SolveReport:
 
 
 def _bind_projection(
-    p: np.ndarray, radius: float, mode: EnergyMode, scratch: np.ndarray, scale: float = 1.0
+    p: np.ndarray, radius: float, scratch: np.ndarray, scale: float = 1.0
 ) -> Callable[[], np.ndarray]:
     """The dual projection bound to ``p`` and ``scratch`` (2, n): each call
-    projects every cell of ``p`` in place onto the ball of ``radius`` (the
-    box for the l1 norm) and multiplies it by ``scale``, which the isotropic
-    projection takes into its divide's numerator at no cost."""
-    maximum, minimum, multiply = np.maximum, np.minimum, np.multiply
-    if mode is EnergyMode.ISOTROPIC:
-        norms = _bind_cell_norms(p, mode, scratch)
-        numerator = scale * radius
-
-        def project():
-            factor = norms()
-            maximum(factor, radius, out=factor)
-            np.divide(numerator, factor, out=factor)
-            return multiply(p, factor, out=p)
-
-        return project
+    projects every cell of ``p`` in place onto the Euclidean ball of
+    ``radius`` and multiplies it by ``scale``, which it takes into its
+    divide's numerator at no cost."""
+    norms = _bind_cell_norms(p, EnergyMode.ISOTROPIC, scratch)
+    numerator = scale * radius
+    maximum, divide, multiply = np.maximum, np.divide, np.multiply
 
     def project():
-        maximum(p, -radius, out=p)  # np.clip's wrapper costs more than two ufuncs
-        minimum(p, radius, out=p)
-        return p if scale == 1.0 else multiply(p, scale, out=p)
+        factor = norms()
+        maximum(factor, radius, out=factor)
+        divide(numerator, factor, out=factor)
+        return multiply(p, factor, out=p)
 
     return project
 
 
-def _project_dual(p: np.ndarray, radius: float, mode: EnergyMode, scratch=None) -> np.ndarray:
-    """Project each cell of ``p`` (2, n) in place onto the ball of ``radius``
-    (the box for the l1 norm); ``scratch`` (2, n) spares the allocation."""
-    return _bind_projection(p, radius, mode, np.empty_like(p) if scratch is None else scratch)()
+def _project_dual(p: np.ndarray, radius: float, scratch=None) -> np.ndarray:
+    """Project each cell of ``p`` (2, n) in place onto the Euclidean ball of
+    ``radius``; ``scratch`` (2, n) spares the allocation."""
+    return _bind_projection(p, radius, np.empty_like(p) if scratch is None else scratch)()
 
 
-def prox_dual(q: VectorField, sigma: float, mode: EnergyMode = EnergyMode.ISOTROPIC) -> VectorField:
+def prox_dual(q: VectorField, sigma: float) -> VectorField:
     """Resolvent of the conjugate area term: shift by sigma X*, then project
-    each cell onto the ball of radius h^2 (componentwise box for the l1 norm)."""
-    mode = EnergyMode.parse(mode)
+    each cell onto the Euclidean ball of radius h^2."""
     g = q.grid
     shifted = q.interior() + sigma * interior_xstar(g).T
-    return VectorField.from_interior(g, _project_dual(shifted.T, g.h**2, mode).T)
+    return VectorField.from_interior(g, _project_dual(shifted.T, g.h**2).T)
 
 
 class _Penalty:
@@ -343,7 +333,8 @@ def prox_primal(
 
 
 def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> SolveReport:
-    """Minimize the penalized (or constrained) area functional on a grid.
+    """Minimize the penalized (or constrained) isotropic area functional on a
+    grid.
 
     Runs the over-relaxed primal-dual iteration (relaxation 1.9) with the
     exact boundary prox and evaluates the energy at every 10th iterate and at
@@ -369,7 +360,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
         iterations=iterations,
         converged=converged,
         stagnation=float(stagnation),
-        energy=EnergyBreakdown(interior, penalty, interior + penalty, cfg.energy_mode),
+        energy=EnergyBreakdown(interior, penalty, interior + penalty, EnergyMode.ISOTROPIC),
     )
 
 
@@ -402,8 +393,8 @@ def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, ra
     hgrad_step = K.bind_hgrad(u_step, G)
     hgrad_u = K.bind_hgrad(u, G)
     prox_step = _bind_prox(u_step, t, pen, cfg.mode)
-    project = _bind_projection(G, radius, cfg.energy_mode, scratch, relax)
-    norms = _bind_cell_norms(G, cfg.energy_mode, scratch)
+    project = _bind_projection(G, radius, scratch, relax)
+    norms = _bind_cell_norms(G, EnergyMode.ISOTROPIC, scratch)
     add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
 
     def energy() -> tuple[float, float]:

@@ -33,8 +33,9 @@ array, its length by ``np.hypot``.  The library computes them on interior
 from the whole cell-by-face matrix and the loop gradient.
 
 ``reference_solve`` is the over-relaxed primal-dual loop in its unscaled
-form: the dual ``P`` itself, stepped by ``sigma_h`` times the horizontal
-vector of the extrapolated primal and projected onto the ball of radius h^2,
+form, for the isotropic area the solver minimizes: the dual ``P`` itself,
+stepped by ``sigma_h`` times the horizontal vector of the extrapolated primal
+and projected onto the Euclidean ball of radius h^2,
 the primal step scaled by ``tau_h``, every update into a fresh array, and
 the boundary prox by ``np.median`` over the median formula's candidates
 (``median_prox``), or the face mean in constrained mode.  The library
@@ -300,7 +301,6 @@ def reference_solve(grid, datum, cfg=None):
     start's."""
     cfg = cfg or SolverConfig()
     sigma, tau = cfg.resolved_steps(grid)
-    mode = cfg.energy_mode
     h = grid.h
     K = difference_operator(grid)
     hXS = h * interior_xstar(grid)
@@ -312,7 +312,7 @@ def reference_solve(grid, datum, cfg=None):
 
     def energy_of(u):
         # h^2 |K u + X*| = h |H| per cell
-        interior = h * float(_cell_norms(K.hgrad(u) + hXS, mode).sum())
+        interior = h * float(_cell_norms(K.hgrad(u) + hXS, EnergyMode.ISOTROPIC).sum())
         penalty = float((measures * np.abs(u[owner] - phi)).sum())
         return interior, penalty
 
@@ -340,7 +340,7 @@ def reference_solve(grid, datum, cfg=None):
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
         u_new = prox(u + tau_h * K.hdiv(P))
-        P_new = _project_dual(P + sigma_h * (K.hgrad(2.0 * u_new - u) + hXS), h * h, mode)
+        P_new = _project_dual(P + sigma_h * (K.hgrad(2.0 * u_new - u) + hXS), h * h)
         u = u + _RELAX * (u_new - u)
         P = P + _RELAX * (P_new - P)
         iterations = k
@@ -366,7 +366,7 @@ def reference_solve(grid, datum, cfg=None):
         interior=best_interior,
         penalty=best_penalty,
         total=best_total,
-        mode=mode,
+        mode=EnergyMode.ISOTROPIC,
     )
     return SolveReport(
         u=ScalarField.from_interior(grid, best_u),

@@ -77,13 +77,14 @@ def test_missing_config_file(tmp_path):
     assert dispatch(["solve", "-c", str(tmp_path / "nope.json")]) == 2
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, typo_key=1)
     assert dispatch(["solve", "-c", cfg]) == 2
     # the solver block takes exactly the SolverConfig fields
-    for key in ("seed", "theta"):
-        cfg = write_cfg(tmp_path, solver={key: 1})
+    for key, value in (("seed", 1), ("theta", 1), ("energy_mode", "aniso")):
+        cfg = write_cfg(tmp_path, solver={key: value})
         assert dispatch(["solve", "-c", cfg]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_unknown_datum_kind_rejected(tmp_path):
@@ -230,13 +231,41 @@ def test_energy_reads_back_solution(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, mode, interior, total",
+    [
+        ([], "iso", 7.940653392915251, 18.955618071665643),
+        (["--energy", "aniso"], "aniso", 10.096259824841061, 21.11122450359145),
+    ],
+    ids=["iso", "aniso"],
+)
+def test_energy_of_a_stored_field_is_pinned(tmp_path, flags, mode, interior, total):
+    """``harea energy`` on a fixed field: the norm comes from --energy alone
+    (iso by default) and the echoed run carries no solver block."""
+    from harea import ScalarField
+    from harea.fileio import write_field
+
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, out=str(out))
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.125)
+    path = str(tmp_path / "field.csv")
+    write_field(ScalarField.from_function(grid, lambda x, y: np.sin(3 * x) + x * y), path)
+    assert dispatch(["energy", "-c", cfg, *flags, path]) == 0
+    report = json.loads((out / "energy.json").read_text())
+    assert "solver" not in report["run"]
+    energy = report["energy"]
+    assert energy["mode"] == mode
+    for key, want in (("interior", interior), ("penalty", 11.014964678750392), ("total", total)):
+        assert energy[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+
 def test_unreadable_field_path_is_a_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, out=str(tmp_path / "run"))
     assert dispatch(["energy", "-c", cfg, str(tmp_path)]) == 2
     assert f"error: cannot read field {tmp_path}: " in capsys.readouterr().err
 
 
-def test_subcommands_reject_flags_they_do_not_read(tmp_path):
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
     cfg = write_cfg(tmp_path, out=str(tmp_path / "run"))
     assert dispatch(["solve", "-c", cfg]) == 0  # so energy has a field to read
     for argv in (
@@ -245,8 +274,11 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path):
         ["barriers", "--mode", "constrained"],
         ["barriers", "--energy", "aniso"],
         ["energy", "--mode", "constrained"],
+        ["solve", "--energy", "aniso"],
+        ["refine", "--energy", "aniso"],
     ):
         assert dispatch([*argv, "-c", cfg]) == 2, argv
+        assert argv[1] in capsys.readouterr().err, argv
 
 
 def test_bsc_subcommand_certifies_affine(tmp_path):
@@ -386,7 +418,8 @@ def test_refine_subcommand(tmp_path):
 
 
 def test_refine_applies_mode_and_energy_flags(tmp_path):
-    """The flags reach every level without a solver block in the config."""
+    """The --mode flag reaches every level without a solver block in the
+    config."""
 
     def iterations(name, *flags):
         out = tmp_path / name
@@ -396,23 +429,9 @@ def test_refine_applies_mode_and_energy_flags(tmp_path):
         return [row.split(",")[2] for row in rows], json.loads((out / "refine.json").read_text())
 
     plain, _ = iterations("plain")
-    flagged, meta = iterations("flagged", "--mode", "constrained", "--energy", "aniso")
+    flagged, meta = iterations("flagged", "--mode", "constrained")
     assert meta["run"]["solver"]["mode"] == "constrained"
-    assert meta["run"]["solver"]["energy_mode"] == "aniso"
     assert flagged != plain
-
-
-def test_refine_under_aniso_has_no_reference(tmp_path, capsys):
-    """The closed forms minimize the isotropic energy, so an aniso ladder
-    reports no error and no monotonicity verdict."""
-    out = tmp_path / "r"
-    cfg = write_cfg(tmp_path, h=0.25, out=str(out), levels=2)
-    assert dispatch(["refine", "-c", cfg, "--energy", "aniso"]) == 0
-    rows = (out / "refine.csv").read_text().splitlines()[1:]
-    assert len(rows) == 2
-    assert all(row.split(",")[1] == "" for row in rows)
-    assert json.loads((out / "refine.json").read_text())["monotone"] is None
-    assert "no closed-form minimizer of the aniso energy" in capsys.readouterr().out
 
 
 def test_closed_stdout_ends_without_traceback(tmp_path):

@@ -72,13 +72,6 @@ def test_prox_dual_sigma_zero_keeps_ball_points():
     assert np.allclose(out.values[0, 0], (0.3, -0.4))
 
 
-def test_prox_dual_anisotropic_clips_componentwise():
-    grid = one_cell_grid((1.0, 2.0))
-    out = prox_dual(VectorField.zeros(grid), 1.0, EnergyMode.ANISOTROPIC)
-    # (-4, 2) clipped to the box [-1, 1]^2
-    assert np.allclose(out.values[0, 0], (-1.0, 1.0))
-
-
 def test_prox_primal_soft_threshold():
     grid = one_cell_grid((0.25, 0.25), h=0.5)
     faces = boundary_faces(grid)
@@ -300,18 +293,15 @@ def test_solve_deterministic_bitwise():
 
 
 def mode_config(mode, **kw):
-    """``mode`` is an energy mode, or "constrained" for pinned owner cells
-    under the isotropic norm."""
-    if mode == "constrained":
-        return SolverConfig(mode="constrained", **kw)
-    return SolverConfig(energy_mode=mode, **kw)
+    """``mode`` is "iso" for the penalized boundary term or "constrained" for
+    pinned owner cells; both minimize the isotropic area."""
+    return SolverConfig(mode="constrained" if mode == "constrained" else "penalized", **kw)
 
 
 @pytest.mark.parametrize(
     "mode, iterations, energy",
     [
         ("iso", 1160, 3.6866839614315547),
-        ("aniso", 360, 4.138868125359756),
         ("constrained", 570, 3.715560967951419),
     ],
 )
@@ -369,14 +359,15 @@ def test_loop_memory_does_not_grow_with_iterations(monkeypatch):
     assert abs(long_peak - short_peak) <= 8 * grid.interior_count
 
 
-@pytest.mark.parametrize("mode", ["iso", "aniso", "constrained"])
+@pytest.mark.parametrize("mode", ["iso", "constrained"])
 def test_reported_energy_matches_penalized_energy(mode):
     """The loop sums h |h (K u + X*)| per cell; ``penalized_energy`` sums
     h^2 |K u + X*|.  The two formulas must agree on the returned iterate."""
     grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
     datum = sample_datum(boundary_faces(grid), lambda x, y: np.sin(3 * x) + y)
     rep = solve(grid, datum, mode_config(mode, max_iters=20000, tol=1e-9))
-    want = penalized_energy(rep.u, datum, rep.energy.mode)
+    assert rep.energy.mode is EnergyMode.ISOTROPIC
+    want = penalized_energy(rep.u, datum)
     assert rep.energy.total == pytest.approx(want.total, rel=1e-12, abs=0.0)
     assert rep.energy.interior == pytest.approx(want.interior, rel=1e-12, abs=0.0)
     assert rep.energy.penalty == pytest.approx(want.penalty, rel=1e-12, abs=0.0)
@@ -418,8 +409,9 @@ def test_iso_fixed_point_is_the_discrete_minimum(monkeypatch, divisor):
 
 
 def test_norm_and_projection_kernels_match_hypot_reference():
-    """The one cell-norm kernel (sqrt(x*x + y*y)) and the one dual projection
-    against np.hypot, on component-major vectors spanning 1e-150..1e150."""
+    """The isotropic cell-norm kernel (sqrt(x*x + y*y)) and the dual
+    projection against np.hypot, and the l1 cell norm against |x| + |y|, on
+    component-major vectors spanning 1e-150..1e150."""
     rng = np.random.default_rng(7)
     n = 20000
     v = rng.choice((-1.0, 1.0), (2, n)) * 10.0 ** rng.uniform(-150, 150, (2, n))
@@ -431,12 +423,10 @@ def test_norm_and_projection_kernels_match_hypot_reference():
     radius = 1.0
     inside = ref < radius
     assert 0.2 * n < inside.sum() < 0.8 * n
-    got = _project_dual(v.copy(), radius, EnergyMode.ISOTROPIC, np.empty_like(v))
+    got = _project_dual(v.copy(), radius, np.empty_like(v))
     assert np.array_equal(got[:, inside], v[:, inside])
     want = v * (radius / np.maximum(ref, radius))
     np.testing.assert_array_max_ulp(got, want, maxulp=4)
-    got = _project_dual(v.copy(), radius, EnergyMode.ANISOTROPIC)
-    assert np.array_equal(got, np.clip(v, -radius, radius))
 
 
 def test_huge_finite_datum_solves():
@@ -487,13 +477,12 @@ def _huge_datum():
     "problem, cfg",
     [
         (_lens_es1, mode_config("iso", max_iters=30000, tol=1e-10)),
-        (_lens_es1, mode_config("aniso", max_iters=30000, tol=1e-10)),
         (_lens_es1, mode_config("constrained", max_iters=30000, tol=1e-10)),
         (_square_es2, SolverConfig(max_iters=30000, tol=1e-9)),
         *[(lambda k=k: _comparison_data(k), SolverConfig(max_iters=20000, tol=1e-9)) for k in range(3)],
         (_huge_datum, SolverConfig(max_iters=50)),
     ],
-    ids=["es1-iso", "es1-aniso", "es1-constrained", "es2", "pair-phi", "pair-psi", "pair-next", "1e200"],
+    ids=["es1-iso", "es1-constrained", "es2", "pair-phi", "pair-psi", "pair-next", "1e200"],
 )
 def test_solve_follows_the_unscaled_reference_loop(problem, cfg):
     """``solve`` carries the dual divided by sigma_h and takes the median form
