@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import pdloop
 from .bsc import BscViolation, barriers, boundary_samples, minimal_Q
 from .energy import (
     EnergyMode,
@@ -647,7 +648,9 @@ def run_check(check_id, solver_cfg: SolverConfig | None = None) -> TestReport:
 def run_suite(filter_ids=None, solver_cfg: SolverConfig | None = None):
     """Run checks in declared order; returns (reports, summary).
 
-    ``filter_ids=None`` runs all fifteen; an empty list runs none.
+    ``filter_ids=None`` runs all fifteen; an empty list runs none.  The
+    summary names the block that ran the solver's loop, ``"c"`` or
+    ``"numpy"``, with the C block's compile flags (:func:`pdloop.loop_info`).
     """
     if filter_ids is None:
         ids = list(CheckId)
@@ -660,5 +663,6 @@ def run_suite(filter_ids=None, solver_cfg: SolverConfig | None = None):
         "passed": sum(1 for r in reports if r.passed),
         "failed": sum(1 for r in reports if not r.passed),
         "runtime": float(sum(r.runtime for r in reports)),
+        **pdloop.loop_info(),
     }
     return reports, summary

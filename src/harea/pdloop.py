@@ -1,0 +1,214 @@
+"""The primal-dual loop's iteration body compiled from C, and its loader.
+
+``pdloop.c`` runs a block of iterations of :func:`harea.solver.solve`'s loop
+in place on the solve's NumPy buffers, every element through the NumPy
+block's operations in NumPy's order, so the two blocks give the same
+iterates bit for bit; the compiled one saves the per-call cost of about 38
+NumPy calls an iteration.
+
+The source ships with the package.  The first solve in a process compiles it
+with :data:`CFLAGS` and loads it with ctypes; importing the package does
+neither.  The shared object is cached under ``$XDG_CACHE_HOME/harea`` (or
+``~/.cache/harea``), named by a CRC-32 of the source, the flags and the
+machine, and written by an atomic rename, so a new process only loads it.
+Where that directory cannot be written the object is built in a private
+temporary directory instead.  Where no C compiler is found, the source is
+missing, or the build or the load fails, :func:`bind` returns None and the
+solver runs its NumPy block; nothing else selects between the two.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import platform
+import shutil
+import tempfile
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+__all__ = ["CFLAGS", "bind", "loop_info"]
+
+# -ffast-math and -Ofast would reorder and contract the arithmetic the NumPy
+# block rounds step by step, and -march=native would tie the cached object to
+# the CPU that built it.  GCC contracts a * b + c into a fused multiply-add
+# unless told not to.
+CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+
+_SOURCE = Path(__file__).with_name("pdloop.c")
+_idx, _f64 = ctypes.POINTER(ctypes.c_ssize_t), ctypes.POINTER(ctypes.c_double)
+
+
+class _State(ctypes.Structure):
+    """``struct pd_state`` of pdloop.c, field for field."""
+
+    _fields_ = [
+        ("n", ctypes.c_ssize_t),
+        *((name, _f64) for name in ("u", "q", "g", "u_step", "du", "hxs")),
+        ("prev0", _idx),
+        ("n_rim", ctypes.c_ssize_t),
+        ("n_rim_entries", ctypes.c_ssize_t),
+        *((name, _idx) for name in ("rim", "rim_entries", "rim_bins")),
+        ("rim_sums", _f64),
+        ("next0", _idx),
+        ("n_edge", ctypes.c_ssize_t),
+        *((name, _idx) for name in ("edge", "edge_cells")),
+        ("constrained", ctypes.c_int),
+        ("n_owner", ctypes.c_ssize_t),
+        ("owner", _idx),
+        *((name, _f64) for name in ("lo", "hi", "t", "mean")),
+        ("n_multi", ctypes.c_ssize_t),
+        *((name, _idx) for name in ("multi_pos", "multi_m", "multi_off")),
+        *((name, _f64) for name in ("multi_data", "multi_x", "select")),
+        *((name, ctypes.c_double) for name in ("factor", "radius", "numerator", "keep", "relax")),
+    ]
+
+
+class _BuildError(Exception):
+    """The compiler ran and failed."""
+
+
+def _compile(compiler: str, target: Path) -> None:
+    """Build the shared object into a temporary file beside ``target`` and
+    rename it into place."""
+    import subprocess  # imported by a build only: about 0.8 MB of RSS with its dependencies
+
+    fd, tmp = tempfile.mkstemp(prefix=target.stem, suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        built = subprocess.run([compiler, *CFLAGS, "-o", tmp, str(_SOURCE)], capture_output=True, text=True)
+        if built.returncode:
+            raise _BuildError(built.stderr)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load(path: Path):
+    lib = ctypes.CDLL(str(path))
+    lib.pd_state_size.argtypes, lib.pd_state_size.restype = (), ctypes.c_size_t
+    if lib.pd_state_size() != ctypes.sizeof(_State):
+        raise OSError(f"{path}: struct pd_state does not match the loader's layout")
+    lib.pd_run.argtypes, lib.pd_run.restype = (ctypes.POINTER(_State), ctypes.c_ssize_t), None
+    return lib
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root) / "harea"
+
+
+@functools.cache
+def _library():
+    """The loaded kernel, built on first use; None where it cannot be built
+    or loaded."""
+    import zlib  # hashlib would load OpenSSL, about 3.5 MB of RSS
+
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None:
+        return None
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError:  # installed without its package data
+        return None
+    key = zlib.crc32(" ".join((*CFLAGS, platform.machine())).encode(), zlib.crc32(source))
+    name = f"pdloop-{key:08x}.so"
+    try:
+        path = _cache_dir() / name
+        if not path.is_file():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _compile(compiler, path)
+        return _load(path)
+    except _BuildError:
+        return None
+    except (OSError, RuntimeError):  # the cache cannot be written or read; RuntimeError: no home
+        pass
+    try:
+        # the loaded object stays mapped after its file is removed
+        with tempfile.TemporaryDirectory(prefix="harea-") as tmp:
+            path = Path(tmp) / name
+            _compile(compiler, path)
+            return _load(path)
+    except (OSError, _BuildError):
+        return None
+
+
+def loop_info() -> dict:
+    """Which block runs the loop in this process, ``"c"`` or ``"numpy"``,
+    and the compile flags of the C block (None for NumPy).  Builds the
+    kernel if no solve has yet."""
+    built = _library() is not None
+    return {"loop": "c" if built else "numpy", "cflags": list(CFLAGS) if built else None}
+
+
+def _pointer(a: np.ndarray, ctype):
+    if a.dtype != np.dtype(ctype) or not a.flags.c_contiguous:
+        raise ValueError(f"the kernel takes C-contiguous {np.dtype(ctype)} arrays, got {a.dtype}")
+    return a.ctypes.data_as(ctypes.POINTER(ctype))
+
+
+def bind(
+    *, K, u, Q, G, u_step, du, hXS, pen, t, constrained: bool,
+    factor: float, radius: float, numerator: float, keep: float, relax: float,
+) -> Callable[[int], None] | None:
+    """The compiled block bound to one solve's buffers: each call
+    ``block(steps)`` runs ``steps`` iterations in place.  None where the
+    kernel cannot be built or loaded.
+
+    ``K`` is the grid's :class:`~harea.fields.DiffOperator`, ``pen`` its
+    :class:`~harea.solver._Penalty` and ``t`` the owners' prox thresholds;
+    the others are the loop's buffers and folded constants."""
+    lib = _library()
+    if lib is None:
+        return None
+    n = K.n
+    for name, a, shape in (("u", u, (n,)), ("u_step", u_step, (n,)), ("du", du, (n,)),
+                           ("Q", Q, (2, n)), ("G", G, (2, n)), ("hXS", hXS, (2, n))):
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape} on a grid of {n} cells")
+    ints = {
+        name: np.ascontiguousarray(a, dtype=np.intp)
+        for name, a in (("prev0", K.prev0), ("rim", K.rim), ("rim_entries", K.rim_entries),
+                        ("rim_bins", K.rim_bins), ("next0", K.next0), ("edge", K.edge),
+                        ("edge_cells", K.edge_cells), ("owner", pen.idx))
+    }
+    # owners with m > 2 faces: their position among the owners, m, and their
+    # m face values followed by the m + 1 moves (t / m)(m - 2j) of the median
+    pos, ms, rows = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], []
+    for p, faces, offsets in pen.multi:
+        m = faces.shape[1]
+        pos.append(p)
+        ms.append(np.full(p.size, m, dtype=np.intp))
+        rows.extend(np.concatenate((faces, (t[p, None] / m) * offsets), axis=1))
+    ints["multi_pos"] = np.ascontiguousarray(np.concatenate(pos), dtype=np.intp)
+    ints["multi_m"] = np.concatenate(ms)
+    ints["multi_off"] = np.cumsum([0] + [row.size for row in rows], dtype=np.intp)[:-1]
+    floats = {
+        name: np.ascontiguousarray(a, dtype=np.float64)
+        for name, a in (("hxs", hXS), ("lo", pen.lo), ("hi", pen.hi), ("t", t), ("mean", pen.mean),
+                        ("multi_data", np.concatenate(rows) if rows else np.empty(0)))
+    }
+    floats["rim_sums"] = np.empty(2 * K.rim.size)
+    floats["multi_x"] = np.empty(len(rows))
+    floats["select"] = np.empty(2 * int(ints["multi_m"].max(initial=0)) + 1)
+    # the loop's buffers are written in place, so they are passed as they are
+    floats.update(u=u, q=Q, g=G, u_step=u_step, du=du)
+    state = _State(
+        n=n, n_rim=K.rim.size, n_rim_entries=K.rim_entries.size, n_edge=K.edge.size,
+        constrained=int(constrained), n_owner=pen.idx.size, n_multi=len(rows),
+        factor=factor, radius=radius, numerator=numerator, keep=keep, relax=relax,
+        **{name: _pointer(a, ctypes.c_ssize_t) for name, a in ints.items()},
+        **{name: _pointer(a, ctypes.c_double) for name, a in floats.items()},
+    )
+    run, ref = lib.pd_run, ctypes.byref(state)
+    arrays = (ints, floats)  # the state points into these; the block keeps them alive
+
+    def block(steps: int) -> None:
+        run(ref, steps)
+
+    block.arrays = arrays
+    return block

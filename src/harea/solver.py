@@ -30,6 +30,15 @@ divergence.  The dual relaxation rides in the projection, which returns
 r / max(|.|, r).  The dual update is then ``P = (1 - 1.9) P + 1.9 P~``.
 Full-grid fields are built only for the returned :class:`SolveReport`.
 
+The iterations between two energy checkpoints run as one block.  Where a C
+compiler is found, the block is :mod:`harea.pdloop`'s compiled kernel,
+built on the first solve with ``-O3 -ffp-contract=off -fno-math-errno``,
+cached under ``$XDG_CACHE_HOME/harea`` (``~/.cache/harea``) and bound to the
+solve's buffers; it takes every element through the NumPy block's
+operations in NumPy's order, so the iterates are the same bit for bit.
+Where the kernel cannot be built or loaded, the NumPy block runs.  The
+checkpoints, the best-iterate copies and the stop test stay in Python.
+
 The iteration is not energy-monotone.  The energy is evaluated at every 10th
 iterate and at the last one, and the solver returns the best iterate so
 evaluated; the best energy never exceeds that of the constant initial guess,
@@ -46,6 +55,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import pdloop
 from .energy import EnergyBreakdown, EnergyMode
 from .fields import (
     ScalarField,
@@ -338,11 +348,14 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
 
     Runs the over-relaxed primal-dual iteration (relaxation 1.9) with the
     exact boundary prox and evaluates the energy at every 10th iterate and at
-    ``max_iters``.  Returns the best evaluated iterate with a convergence
-    flag; stagnation is the relative decrease of the best energy over the
-    last 50 iterations, i.e. over the last five checkpoints.  A solve stopped
-    by that test converges only if its best energy fell below that of its
-    start.  A non-finite energy aborts with SolverError; plain
+    ``max_iters``.  The iterations between two evaluations run in the
+    compiled block of :mod:`harea.pdloop` (built on the first solve and
+    cached), or in the NumPy block where it cannot be built; both give the
+    same iterates bit for bit.  Returns the best evaluated iterate with a
+    convergence flag; stagnation is the relative decrease of the best energy
+    over the last 50 iterations, i.e. over the last five checkpoints.  A
+    solve stopped by that test converges only if its best energy fell below
+    that of its start.  A non-finite energy aborts with SolverError; plain
     non-convergence does not raise, it is reported through
     ``converged=False``.
     """
@@ -365,10 +378,12 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
 
 
 def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, radius: float, factor: float):
-    """The loop of :func:`solve`, dual carried as P / sigma_h.  Returns the best
-    evaluated u and dual, their interior and penalty energies, the iteration
-    count, the convergence flag and the last stagnation; the buffers and the
-    kernels bound to them are released on return."""
+    """The loop of :func:`solve`, dual carried as P / sigma_h, run in blocks
+    up to each checkpoint by the compiled block or, where it cannot be
+    built, by the NumPy block.  Returns the best evaluated u and dual, their
+    interior and penalty energies, the iteration count, the convergence flag
+    and the last stagnation; the buffers and the kernels bound to them are
+    released on return."""
     relax, every, window, max_iters, tol = _RELAX, _CHECK_EVERY, _STAGNATION_WINDOW, cfg.max_iters, cfg.tol
     keep = 1.0 - relax
     h = grid.h
@@ -384,7 +399,7 @@ def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, ra
     u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
     u = np.full(n, u0)
     Q = np.zeros((2, n))  # the dual P / sigma_h
-    G = np.empty((2, n))  # relax times the projected dual, and H = hgrad(u) + hX* at checkpoints
+    G = np.empty((2, n))  # the dual step's scratch, and H = hgrad(u) + hX* at checkpoints
     scratch = np.empty((2, n))
     u_step = np.empty(n)  # the primal step, then 2 u~ - u
     du = np.empty(n)
@@ -396,6 +411,32 @@ def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, ra
     project = _bind_projection(G, radius, scratch, relax)
     norms = _bind_cell_norms(G, EnergyMode.ISOTROPIC, scratch)
     add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
+
+    def numpy_block(steps: int) -> None:
+        for _ in range(steps):
+            # u~ = prox(u + f hdiv(Q)), kept as du = u~ - u and u_step = 2 u~ - u
+            hdiv_Q()
+            multiply(u_step, factor, out=u_step)
+            add(u_step, u, out=u_step)
+            prox_step()
+            subtract(u_step, u, out=du)
+            add(u_step, du, out=u_step)
+            # G = relax proj(Q + hgrad(2 u~ - u) + hX*) = relax Q~
+            hgrad_step()
+            add(G, hXS, out=G)
+            add(G, Q, out=G)
+            project()
+            # relax both toward the step's end point: Q += relax (Q~ - Q), u += relax (u~ - u)
+            multiply(Q, keep, out=Q)
+            add(Q, G, out=Q)
+            multiply(du, relax, out=du)
+            add(u, du, out=u)
+
+    block = pdloop.bind(
+        K=K, u=u, Q=Q, G=G, u_step=u_step, du=du, hXS=hXS, pen=pen, t=t,
+        constrained=cfg.mode == "constrained", factor=factor, radius=radius,
+        numerator=relax * radius, keep=keep, relax=relax,
+    ) or numpy_block
 
     def energy() -> tuple[float, float]:
         # h^2 |K u + X*| = h |H| per cell
@@ -417,28 +458,12 @@ def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, ra
 
     converged = False
     stagnation = math.inf
-    iterations = 0
-    for k in range(1, max_iters + 1):
-        # u~ = prox(u + f hdiv(Q)), kept as du = u~ - u and u_step = 2 u~ - u
-        hdiv_Q()
-        u_step *= factor
-        u_step += u
-        prox_step()
-        subtract(u_step, u, out=du)
-        u_step += du
-        # G = relax proj(Q + hgrad(2 u~ - u) + hX*) = relax Q~
-        hgrad_step()
-        G += hXS
-        G += Q
-        project()
-        # relax both toward the step's end point: Q += relax (Q~ - Q), u += relax (u~ - u)
-        Q *= keep
-        Q += G
-        du *= relax
-        u += du
-        iterations = k
-        if k % every and k < max_iters:
-            continue
+    k = 0
+    while k < max_iters:
+        # up to the next checkpoint: the next multiple of every, or max_iters
+        steps = min(every - k % every, max_iters - k)
+        block(steps)
+        k += steps
         ei, ep = energy()
         total = ei + ep
         if not math.isfinite(total):
@@ -457,7 +482,7 @@ def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, ra
             if stagnation <= tol:
                 converged = best_total < start_total  # a solve that never improved has not converged
                 break
-    return best_u, best_Q, best_interior, best_penalty, iterations, converged, stagnation
+    return best_u, best_Q, best_interior, best_penalty, k, converged, stagnation
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from oracles import dense_lipschitz_bound
 
 from harea import CheckId, SolverConfig, run_check, run_suite
 from harea.checks import _check_lipschitz_bound, _es1_reference_solve
+from harea.pdloop import loop_info
 
 
 def test_check_ids_are_exhaustive_and_ordered():
@@ -81,6 +82,7 @@ def test_suite_single_filter():
         "passed": 1,
         "failed": 0,
         "runtime": summary["runtime"],
+        **loop_info(),
     }
 
 

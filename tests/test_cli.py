@@ -13,6 +13,7 @@ import harea
 from harea import DomainSpec, geometry, rasterize
 from harea.cli import _datum_on_faces, dispatch
 from harea.geometry import boundary_faces
+from harea.pdloop import loop_info
 from harea.surfaces import DATUM_KINDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -387,6 +388,7 @@ def test_verify_single_check(tmp_path):
         "passed": 1,
         "failed": 0,
         "runtime": bundle["summary"]["runtime"],
+        **loop_info(),
     }
     assert bundle["reports"][0]["id"] == "euler_residual_es1"
     assert bundle["reports"][0]["passed"] is True

@@ -1,0 +1,261 @@
+"""The compiled block of the primal-dual loop against the NumPy block.
+
+The NumPy block in ``harea.solver`` is the referee: where the kernel builds,
+``solve`` runs the compiled block, and with ``pdloop.bind`` patched to return
+None it runs the NumPy block on the same problem.  The two reports must agree
+bit for bit, on the iterates, the iteration count and the energies.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import harea
+import harea.solver as solver_module
+from harea import (
+    BoundaryDatum,
+    DomainSpec,
+    Grid,
+    SolverConfig,
+    SolverError,
+    balanced_steps,
+    boundary_faces,
+    rasterize,
+    sample_datum,
+    solve,
+)
+from harea import pdloop
+from harea.checks import _PAIR_SEED, _fourier_datum
+from harea.solver import _Penalty
+from harea.surfaces import es1_datum
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+@pytest.fixture
+def c_block():
+    if pdloop._library() is None:
+        pytest.skip("the C block cannot be built here (no compiler, or the build failed)")
+
+
+@pytest.fixture
+def fresh_loader():
+    """Forget the loaded kernel before and after the test, so the test builds
+    its own and the next solve loads the cached one again."""
+    pdloop._library.cache_clear()
+    yield
+    pdloop._library.cache_clear()
+
+
+def both_blocks(monkeypatch, grid, datum, cfg):
+    """The reports (or SolverError messages) of the C block and the NumPy
+    block on one problem."""
+    out = []
+    for patch in (False, True):
+        with monkeypatch.context() as m:
+            if patch:
+                m.setattr(pdloop, "bind", lambda **kw: None)
+            try:
+                with np.errstate(all="ignore"), warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    out.append(solve(grid, datum, cfg))
+            except SolverError as exc:
+                out.append(str(exc))
+    return out
+
+
+def assert_bitwise_equal(a, b):
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    assert np.array(a.stagnation).tobytes() == np.array(b.stagnation).tobytes()
+    for name in ("interior", "penalty", "total"):
+        x, y = getattr(a.energy, name), getattr(b.energy, name)
+        assert np.array(x).tobytes() == np.array(y).tobytes(), name
+    assert a.u.values.tobytes() == b.u.values.tobytes()
+    assert a.dual.values.tobytes() == b.dual.values.tobytes()
+
+
+def lens(h=1 / 32):
+    grid = rasterize(DomainSpec.parabolic(), h)
+    return grid, sample_datum(boundary_faces(grid), es1_datum)
+
+
+def comparison_phi():
+    """The first datum of the comparison check on its h = 1/24 disk."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 24)
+    return grid, sample_datum(boundary_faces(grid), _fourier_datum(np.random.default_rng(_PAIR_SEED)))
+
+
+NOTCHED = [(0, 0), (1, 0), (1, 0.5), (0.52, 0.5), (0.52, 0.9), (0.48, 0.9), (0.48, 0.5), (0, 0.5)]
+
+
+def notched():
+    """A polygon whose one-cell-wide spike ends in an owner cell with three
+    faces at h = 1/25."""
+    grid = rasterize(DomainSpec.polygon(NOTCHED), 1 / 25)
+    return grid, sample_datum(boundary_faces(grid), lambda x, y: np.sin(5 * x) + y * y)
+
+
+RAGGED = ["##.#..", "###.##", ".#..#.", "##.###", "#....#", "######"]
+
+
+def ragged():
+    """A hand-drawn mask with cells isolated along either axis, backward
+    fallbacks, and owners with three and four faces."""
+    mask = np.array([[c == "#" for c in row] for row in RAGGED])
+    grid = Grid(h=0.25, origin=np.zeros(2), nx=mask.shape[0], ny=mask.shape[1], interior_mask=mask)
+    return grid, sample_datum(boundary_faces(grid), lambda x, y: np.cos(3 * x) - y)
+
+
+CASES = {
+    "lens-penalized": (lens, SolverConfig(max_iters=30000, tol=1e-10)),
+    "lens-constrained": (lens, SolverConfig(mode="constrained", max_iters=30000, tol=1e-10)),
+    "comparison-pair": (comparison_phi, SolverConfig(max_iters=20000, tol=1e-9)),
+    "notched-polygon": (notched, SolverConfig(max_iters=20000, tol=1e-9)),
+    "ragged-mask": (ragged, SolverConfig(max_iters=20000, tol=1e-9)),
+    "ragged-constrained": (ragged, SolverConfig(mode="constrained", max_iters=20000, tol=1e-9)),
+    "cut-at-137": (lens, SolverConfig(max_iters=137, tol=1e-300)),
+    "cut-at-3": (notched, SolverConfig(max_iters=3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_c_block_equals_numpy_block_bitwise(c_block, monkeypatch, case):
+    problem, cfg = CASES[case]
+    grid, datum = problem()
+    c, ref = both_blocks(monkeypatch, grid, datum, cfg)
+    assert_bitwise_equal(c, ref)
+    if case.startswith("cut"):
+        assert c.iterations == cfg.max_iters
+
+
+def test_referee_cases_cover_the_prox_branches():
+    """The notched polygon has exactly one owner with three faces; the ragged
+    mask has owners with three and with four faces and cells isolated along
+    each axis."""
+    assert [faces.shape for _, faces, _ in _Penalty(notched()[1]).multi] == [(1, 3)]
+    grid, datum = ragged()
+    assert sorted(faces.shape[1] for _, faces, _ in _Penalty(datum).multi) == [3, 4]
+    m = grid.interior_mask
+    for a in (0, 1):
+        k = np.moveaxis(m, a, 0)
+        lo = np.pad(k[:-1], ((1, 0), (0, 0)))
+        hi = np.pad(k[1:], ((0, 1), (0, 0)))
+        assert (k & ~lo & ~hi).any()
+
+
+@pytest.mark.parametrize("max_iters", [10, 7])
+def test_diverging_steps_raise_at_the_same_iteration(c_block, monkeypatch, max_iters):
+    """A primal step 1e200 times the balanced one, let past the step bound,
+    overflows; both blocks raise on the same checkpoint."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
+    datum = sample_datum(boundary_faces(grid), lambda x, y: np.sin(3 * x) + y)
+    s, t = balanced_steps(grid)
+    monkeypatch.setattr(solver_module, "operator_norm_sq", lambda grid: 1e-300)
+    cfg = SolverConfig(max_iters=max_iters, step_sigma=s, step_tau=1e200 * t)
+    c, ref = both_blocks(monkeypatch, grid, datum, cfg)
+    assert c == ref == f"divergence: non-finite energy at iteration {max_iters}"
+
+
+def test_overflowing_datum_raises_at_the_same_iteration(c_block, monkeypatch):
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.25)
+    faces = boundary_faces(grid)
+    datum = BoundaryDatum(faces, np.where(np.arange(len(faces)) % 2 == 0, 1e308, -1e308))
+    c, ref = both_blocks(monkeypatch, grid, datum, SolverConfig(max_iters=50))
+    assert isinstance(c, str) and c == ref
+
+
+def test_failed_build_falls_back_to_the_numpy_block(c_block, fresh_loader, monkeypatch, tmp_path):
+    """Where the compiler fails, ``solve`` runs the NumPy block and returns the
+    same report bit for bit, and the loop is reported as ``numpy``."""
+    grid, datum = notched()
+    cfg = SolverConfig(max_iters=20000, tol=1e-9)
+    c = solve(grid, datum, cfg)
+
+    def broken(compiler, target):
+        raise pdloop._BuildError("the compiler failed")
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(pdloop, "_compile", broken)
+    pdloop._library.cache_clear()
+    assert pdloop.loop_info() == {"loop": "numpy", "cflags": None}
+    assert_bitwise_equal(solve(grid, datum, cfg), c)
+
+
+def test_missing_source_falls_back_to_the_numpy_block(fresh_loader, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(pdloop, "_SOURCE", tmp_path / "pdloop.c")
+    assert pdloop.loop_info() == {"loop": "numpy", "cflags": None}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kernel_is_cached_by_atomic_rename(c_block, fresh_loader, monkeypatch, tmp_path):
+    """The first build writes one shared object under $XDG_CACHE_HOME/harea
+    and leaves no temporary file; a later process loads it without building."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert pdloop._library() is not None
+    built = sorted(p.name for p in (tmp_path / "harea").iterdir())
+    assert len(built) == 1 and built[0].startswith("pdloop-") and built[0].endswith(".so")
+
+    def no_build(compiler, target):
+        raise AssertionError("the cached kernel was built again")
+
+    monkeypatch.setattr(pdloop, "_compile", no_build)
+    pdloop._library.cache_clear()
+    assert pdloop.loop_info()["loop"] == "c"
+
+
+def test_unwritable_cache_builds_in_a_private_directory(c_block, fresh_loader, monkeypatch, tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert pdloop.loop_info() == {"loop": "c", "cflags": list(pdloop.CFLAGS)}
+    assert blocker.read_text() == ""
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler found")
+    source = Path(pdloop.__file__).with_name("pdloop.c")
+    cmd = [compiler, *pdloop.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), str(source)]
+    out = subprocess.run(cmd, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_flags_keep_numpy_rounding_and_portability():
+    assert "-ffp-contract=off" in pdloop.CFLAGS
+    assert not {"-ffast-math", "-Ofast", "-march=native"} & set(pdloop.CFLAGS)
+
+
+def test_import_and_help_neither_build_nor_load_the_kernel(tmp_path):
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    package_root = str(Path(harea.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    code = (
+        "import contextlib, io, sys, harea.solver, harea.cli\n"
+        "sys.argv = ['harea', '--help']\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    harea.cli.main()\n"
+        "print(harea.pdloop._library.cache_info().currsize)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_package_data_ships_the_kernel_source():
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with open(PYPROJECT, "rb") as fh:
+        data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["harea"]
+    assert "pdloop.c" in data
+    assert Path(pdloop.__file__).with_name("pdloop.c").is_file()
