@@ -1,10 +1,14 @@
 """The primal-dual loop's iteration body compiled from C, and its loader.
 
-``pdloop.c`` runs a block of iterations of :func:`harea.solver.solve`'s loop
-in place on the solve's NumPy buffers, every element through the NumPy
-block's operations in NumPy's order, so the two blocks give the same
-iterates bit for bit; the compiled one saves the per-call cost of about 38
-NumPy calls an iteration.
+``pdloop.c`` runs a block of iterations of :func:`harea.solver.solve`'s loop,
+up to an energy checkpoint, in place on the solve's NumPy buffers, and
+returns the checkpoint's interior and penalty energies.  Every element goes
+through the NumPy block's operations in NumPy's order and both energies are
+summed in the order of NumPy's pairwise ``add.reduce``, so the two blocks
+give the same iterates and energies bit for bit.  Where the NumPy block makes
+about 38 NumPy calls an iteration, each a pass over its arrays, the compiled
+one makes three passes over the cells (h div, the primal step, and the dual
+step with h grad inlined), each compiled to vector instructions.
 
 The source ships with the package.  The first solve in a process compiles it
 with :data:`CFLAGS` and loads it with ctypes; importing the package does
@@ -13,8 +17,9 @@ neither.  The shared object is cached under ``$XDG_CACHE_HOME/harea`` (or
 machine, and written by an atomic rename, so a new process only loads it.
 Where that directory cannot be written the object is built in a private
 temporary directory instead.  Where no C compiler is found, the source is
-missing, or the build or the load fails, :func:`bind` returns None and the
-solver runs its NumPy block; nothing else selects between the two.
+missing, or the build fails, runs past :data:`_COMPILE_TIMEOUT` seconds or
+cannot be loaded, :func:`bind` returns None and the solver runs its NumPy
+block; nothing else selects between the two.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ __all__ = ["CFLAGS", "bind", "loop_info"]
 # the CPU that built it.  GCC contracts a * b + c into a fused multiply-add
 # unless told not to.
 CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+# seconds a build may run before it counts as failed (a build takes under one)
+_COMPILE_TIMEOUT = 60
 
 _SOURCE = Path(__file__).with_name("pdloop.c")
 _idx, _f64 = ctypes.POINTER(ctypes.c_ssize_t), ctypes.POINTER(ctypes.c_double)
@@ -55,20 +62,26 @@ class _State(ctypes.Structure):
         ("rim_sums", _f64),
         ("next0", _idx),
         ("n_edge", ctypes.c_ssize_t),
-        *((name, _idx) for name in ("edge", "edge_cells")),
+        ("edge_cells", _idx),
+        ("n_fix", ctypes.c_ssize_t),
+        *((name, _idx) for name in ("fix", "fix_slot")),
+        *((name, _f64) for name in ("fix_g", "fix_q")),
         ("constrained", ctypes.c_int),
         ("n_owner", ctypes.c_ssize_t),
         ("owner", _idx),
-        *((name, _f64) for name in ("lo", "hi", "t", "mean")),
+        *((name, _f64) for name in ("lo", "hi", "t", "mean", "owner_x")),
         ("n_multi", ctypes.c_ssize_t),
         *((name, _idx) for name in ("multi_pos", "multi_m", "multi_off")),
-        *((name, _f64) for name in ("multi_data", "multi_x", "select")),
-        *((name, ctypes.c_double) for name in ("factor", "radius", "numerator", "keep", "relax")),
+        *((name, _f64) for name in ("multi_data", "select")),
+        ("n_face", ctypes.c_ssize_t),
+        ("face_owner", _idx),
+        *((name, _f64) for name in ("phi", "measure", "terms")),
+        *((name, ctypes.c_double) for name in ("h", "factor", "radius", "numerator", "keep", "relax")),
     ]
 
 
 class _BuildError(Exception):
-    """The compiler ran and failed."""
+    """The compiler failed, or ran past :data:`_COMPILE_TIMEOUT`."""
 
 
 def _compile(compiler: str, target: Path) -> None:
@@ -79,7 +92,11 @@ def _compile(compiler: str, target: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=target.stem, suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
-        built = subprocess.run([compiler, *CFLAGS, "-o", tmp, str(_SOURCE)], capture_output=True, text=True)
+        try:
+            built = subprocess.run([compiler, *CFLAGS, "-o", tmp, str(_SOURCE)],
+                                   capture_output=True, text=True, timeout=_COMPILE_TIMEOUT)
+        except subprocess.TimeoutExpired as exc:
+            raise _BuildError(f"the compiler ran for more than {_COMPILE_TIMEOUT} s") from exc
         if built.returncode:
             raise _BuildError(built.stderr)
         os.replace(tmp, target)
@@ -93,7 +110,7 @@ def _load(path: Path):
     lib.pd_state_size.argtypes, lib.pd_state_size.restype = (), ctypes.c_size_t
     if lib.pd_state_size() != ctypes.sizeof(_State):
         raise OSError(f"{path}: struct pd_state does not match the loader's layout")
-    lib.pd_run.argtypes, lib.pd_run.restype = (ctypes.POINTER(_State), ctypes.c_ssize_t), None
+    lib.pd_run.argtypes, lib.pd_run.restype = (ctypes.POINTER(_State), ctypes.c_ssize_t, _f64), None
     return lib
 
 
@@ -152,16 +169,19 @@ def _pointer(a: np.ndarray, ctype):
 
 
 def bind(
-    *, K, u, Q, G, u_step, du, hXS, pen, t, constrained: bool,
+    *, K, datum, u, Q, G, u_step, du, hXS, pen, t, constrained: bool,
     factor: float, radius: float, numerator: float, keep: float, relax: float,
-) -> Callable[[int], None] | None:
+) -> Callable[[int], tuple[float, float]] | None:
     """The compiled block bound to one solve's buffers: each call
-    ``block(steps)`` runs ``steps`` iterations in place.  None where the
+    ``block(steps)`` runs ``steps`` iterations in place and returns the
+    interior and penalty energies of the iterate it ends on.  None where the
     kernel cannot be built or loaded.
 
-    ``K`` is the grid's :class:`~harea.fields.DiffOperator`, ``pen`` its
-    :class:`~harea.solver._Penalty` and ``t`` the owners' prox thresholds;
-    the others are the loop's buffers and folded constants."""
+    ``K`` is the grid's :class:`~harea.fields.DiffOperator`, ``datum`` the
+    boundary datum, ``pen`` its :class:`~harea.solver._Penalty` and ``t`` the
+    owners' prox thresholds; the others are the loop's buffers and folded
+    constants.  The block's scratch space is allocated here, so blocks bound
+    to different solves may run in different threads at once."""
     lib = _library()
     if lib is None:
         return None
@@ -170,45 +190,62 @@ def bind(
                            ("Q", Q, (2, n)), ("G", G, (2, n)), ("hXS", hXS, (2, n))):
         if a.shape != shape:
             raise ValueError(f"{name} has shape {a.shape} on a grid of {n} cells")
+    faces = datum.faces
+    # the cells with a rewritten gradient entry, and each entry's index into
+    # their (2, n_fix) gradient; np.unique would add about 1.2 MB to peak RSS
+    cell, fixed = K.edge % n, np.zeros(n, dtype=bool)
+    fixed[cell] = True
+    fix = np.flatnonzero(fixed)
+    at = np.empty(n, dtype=np.intp)
+    at[fix] = np.arange(fix.size)
+    fix_slot = (K.edge // n) * fix.size + at[cell]
     ints = {
         name: np.ascontiguousarray(a, dtype=np.intp)
         for name, a in (("prev0", K.prev0), ("rim", K.rim), ("rim_entries", K.rim_entries),
-                        ("rim_bins", K.rim_bins), ("next0", K.next0), ("edge", K.edge),
-                        ("edge_cells", K.edge_cells), ("owner", pen.idx))
+                        ("rim_bins", K.rim_bins), ("next0", K.next0), ("edge_cells", K.edge_cells),
+                        ("fix", fix), ("fix_slot", fix_slot), ("owner", pen.idx),
+                        ("face_owner", faces.owner_cell))
     }
     # owners with m > 2 faces: their position among the owners, m, and their
     # m face values followed by the m + 1 moves (t / m)(m - 2j) of the median
     pos, ms, rows = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], []
-    for p, faces, offsets in pen.multi:
-        m = faces.shape[1]
+    for p, values, offsets in pen.multi:
+        m = values.shape[1]
         pos.append(p)
         ms.append(np.full(p.size, m, dtype=np.intp))
-        rows.extend(np.concatenate((faces, (t[p, None] / m) * offsets), axis=1))
+        rows.extend(np.concatenate((values, (t[p, None] / m) * offsets), axis=1))
     ints["multi_pos"] = np.ascontiguousarray(np.concatenate(pos), dtype=np.intp)
     ints["multi_m"] = np.concatenate(ms)
     ints["multi_off"] = np.cumsum([0] + [row.size for row in rows], dtype=np.intp)[:-1]
     floats = {
         name: np.ascontiguousarray(a, dtype=np.float64)
         for name, a in (("hxs", hXS), ("lo", pen.lo), ("hi", pen.hi), ("t", t), ("mean", pen.mean),
-                        ("multi_data", np.concatenate(rows) if rows else np.empty(0)))
+                        ("multi_data", np.concatenate(rows) if rows else np.empty(0)),
+                        ("phi", datum.values), ("measure", faces.measure))
     }
-    floats["rim_sums"] = np.empty(2 * K.rim.size)
-    floats["multi_x"] = np.empty(len(rows))
-    floats["select"] = np.empty(2 * int(ints["multi_m"].max(initial=0)) + 1)
+    # scratch space
+    floats.update(
+        rim_sums=np.empty(2 * K.rim.size), fix_g=np.empty(2 * fix.size), fix_q=np.empty(2 * fix.size),
+        owner_x=np.empty(pen.idx.size), terms=np.empty(len(faces.owner_cell)),
+        select=np.empty(2 * int(ints["multi_m"].max(initial=0)) + 1),
+    )
     # the loop's buffers are written in place, so they are passed as they are
     floats.update(u=u, q=Q, g=G, u_step=u_step, du=du)
     state = _State(
         n=n, n_rim=K.rim.size, n_rim_entries=K.rim_entries.size, n_edge=K.edge.size,
-        constrained=int(constrained), n_owner=pen.idx.size, n_multi=len(rows),
-        factor=factor, radius=radius, numerator=numerator, keep=keep, relax=relax,
+        n_fix=fix.size, constrained=int(constrained), n_owner=pen.idx.size, n_multi=len(rows),
+        n_face=len(faces.owner_cell), h=K.h, factor=factor, radius=radius, numerator=numerator,
+        keep=keep, relax=relax,
         **{name: _pointer(a, ctypes.c_ssize_t) for name, a in ints.items()},
         **{name: _pointer(a, ctypes.c_double) for name, a in floats.items()},
     )
-    run, ref = lib.pd_run, ctypes.byref(state)
-    arrays = (ints, floats)  # the state points into these; the block keeps them alive
+    energies = np.empty(2)
+    run, ref, out = lib.pd_run, ctypes.byref(state), _pointer(energies, ctypes.c_double)
+    arrays = (ints, floats, energies)  # the state points into these; the block keeps them alive
 
-    def block(steps: int) -> None:
-        run(ref, steps)
+    def block(steps: int) -> tuple[float, float]:
+        run(ref, steps, out)
+        return float(energies[0]), float(energies[1])
 
     block.arrays = arrays
     return block

@@ -20,24 +20,27 @@ boundary faces name their owners by interior index (``owner_cell``).  Every
 update writes into buffers allocated once per solve, and every kernel of the
 loop (the operator's ``bind_hdiv``/``bind_hgrad``, the boundary prox, the
 dual projection and the energy) is bound to its buffers once per solve, with
-its views, index arrays and folded constants resolved then; an iteration is
-about 38 NumPy calls on ready arguments.  The factor 1/h of ``K`` goes into
-the steps sigma_h = sigma/h and tau_h = tau/h, and the loop carries the dual
-divided by sigma_h: its step is ``hgrad(2 u~ - u) + h X*``, its ball has
-radius h^2/sigma_h, and the primal step is sigma_h tau_h times its
-divergence.  The dual relaxation rides in the projection, which returns
+its views, index arrays and folded constants resolved then; an iteration of
+the NumPy block is about 38 NumPy calls on ready arguments.  The factor 1/h
+of ``K`` goes into the steps sigma_h = sigma/h and tau_h = tau/h, and the
+loop carries the dual divided by sigma_h: its step is
+``hgrad(2 u~ - u) + h X*``, its ball has radius h^2/sigma_h, and the primal
+step is sigma_h tau_h times its divergence.  The dual relaxation rides in the projection, which returns
 1.9 ``P~``: the ball scales each cell by 1.9 r / max(|.|, r) instead of
 r / max(|.|, r).  The dual update is then ``P = (1 - 1.9) P + 1.9 P~``.
 Full-grid fields are built only for the returned :class:`SolveReport`.
 
-The iterations between two energy checkpoints run as one block.  Where a C
-compiler is found, the block is :mod:`harea.pdloop`'s compiled kernel,
-built on the first solve with ``-O3 -ffp-contract=off -fno-math-errno``,
-cached under ``$XDG_CACHE_HOME/harea`` (``~/.cache/harea``) and bound to the
-solve's buffers; it takes every element through the NumPy block's
-operations in NumPy's order, so the iterates are the same bit for bit.
-Where the kernel cannot be built or loaded, the NumPy block runs.  The
-checkpoints, the best-iterate copies and the stop test stay in Python.
+The iterations between two energy checkpoints run as one block, which
+returns the checkpoint's energies.  Where a C compiler is found, the block
+is :mod:`harea.pdloop`'s compiled kernel, built on the first solve with
+``-O3 -ffp-contract=off -fno-math-errno``, cached under
+``$XDG_CACHE_HOME/harea`` (``~/.cache/harea``) and bound to the solve's
+buffers; it makes three vectorized passes over the cells an iteration,
+takes every element through the NumPy block's operations in NumPy's order
+and sums the energies in the order of NumPy's ``add.reduce``, so the
+iterates and energies are the same bit for bit.  Where the kernel cannot be
+built or loaded, the NumPy block runs.  The start, the best-iterate copies
+and the stop test stay in Python.
 
 The iteration is not energy-monotone.  The energy is evaluated at every 10th
 iterate and at the last one, and the solver returns the best iterate so
@@ -380,10 +383,11 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
 def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, radius: float, factor: float):
     """The loop of :func:`solve`, dual carried as P / sigma_h, run in blocks
     up to each checkpoint by the compiled block or, where it cannot be
-    built, by the NumPy block.  Returns the best evaluated u and dual, their
-    interior and penalty energies, the iteration count, the convergence flag
-    and the last stagnation; the buffers and the kernels bound to them are
-    released on return."""
+    built, by the NumPy block; each block returns the checkpoint's
+    energies.  Returns the best evaluated u and dual, their interior and
+    penalty energies, the iteration count, the convergence flag and the last
+    stagnation; the buffers and the kernels bound to them are released on
+    return."""
     relax, every, window, max_iters, tol = _RELAX, _CHECK_EVERY, _STAGNATION_WINDOW, cfg.max_iters, cfg.tol
     keep = 1.0 - relax
     h = grid.h
@@ -412,7 +416,7 @@ def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, ra
     norms = _bind_cell_norms(G, EnergyMode.ISOTROPIC, scratch)
     add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
 
-    def numpy_block(steps: int) -> None:
+    def numpy_block(steps: int) -> tuple[float, float]:
         for _ in range(steps):
             # u~ = prox(u + f hdiv(Q)), kept as du = u~ - u and u_step = 2 u~ - u
             hdiv_Q()
@@ -431,9 +435,10 @@ def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, ra
             add(Q, G, out=Q)
             multiply(du, relax, out=du)
             add(u, du, out=u)
+        return energy()
 
     block = pdloop.bind(
-        K=K, u=u, Q=Q, G=G, u_step=u_step, du=du, hXS=hXS, pen=pen, t=t,
+        K=K, datum=datum, u=u, Q=Q, G=G, u_step=u_step, du=du, hXS=hXS, pen=pen, t=t,
         constrained=cfg.mode == "constrained", factor=factor, radius=radius,
         numerator=relax * radius, keep=keep, relax=relax,
     ) or numpy_block
@@ -462,9 +467,8 @@ def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, ra
     while k < max_iters:
         # up to the next checkpoint: the next multiple of every, or max_iters
         steps = min(every - k % every, max_iters - k)
-        block(steps)
+        ei, ep = block(steps)
         k += steps
-        ei, ep = energy()
         total = ei + ep
         if not math.isfinite(total):
             raise SolverError(f"divergence: non-finite energy at iteration {k}")

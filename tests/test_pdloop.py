@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -112,6 +113,21 @@ def ragged():
     return grid, sample_datum(boundary_faces(grid), lambda x, y: np.cos(3 * x) - y)
 
 
+TINY = ["...", ".#.", ".#."]
+
+
+def tiny():
+    """A hand-drawn mask of two cells, one above the other, with six faces:
+    both energy sums take NumPy's plain loop for fewer than 8 terms."""
+    mask = np.array([[c == "#" for c in row] for row in TINY])
+    grid = Grid(h=0.25, origin=np.zeros(2), nx=mask.shape[0], ny=mask.shape[1], interior_mask=mask)
+    return grid, sample_datum(boundary_faces(grid), lambda x, y: np.cos(3 * x) - y)
+
+
+def lens64():
+    return lens(1 / 64)
+
+
 CASES = {
     "lens-penalized": (lens, SolverConfig(max_iters=30000, tol=1e-10)),
     "lens-constrained": (lens, SolverConfig(mode="constrained", max_iters=30000, tol=1e-10)),
@@ -121,6 +137,8 @@ CASES = {
     "ragged-constrained": (ragged, SolverConfig(mode="constrained", max_iters=20000, tol=1e-9)),
     "cut-at-137": (lens, SolverConfig(max_iters=137, tol=1e-300)),
     "cut-at-3": (notched, SolverConfig(max_iters=3)),
+    "tiny-mask": (tiny, SolverConfig(max_iters=20000, tol=1e-9)),
+    "cut-at-137-h64": (lens64, SolverConfig(max_iters=137, tol=1e-300)),
 }
 
 
@@ -132,6 +150,41 @@ def test_c_block_equals_numpy_block_bitwise(c_block, monkeypatch, case):
     assert_bitwise_equal(c, ref)
     if case.startswith("cut"):
         assert c.iterations == cfg.max_iters
+
+
+def test_threads_run_c_blocks_at_once(c_block):
+    """ctypes releases the GIL while a block runs, so several threads may be
+    in pd_run at the same time; each solve's scratch space is its own, so
+    every report equals its serial one bit for bit.  Four threads, two per
+    problem, outnumber the cores of a small host."""
+    problems = [(lens, SolverConfig(max_iters=30000, tol=1e-10)),
+                (comparison_phi, SolverConfig(max_iters=20000, tol=1e-9))]
+    inputs = [(*problem(), cfg) for problem, cfg in problems]
+    serial = [solve(*args) for args in inputs]
+    jobs = [k % len(inputs) for k in range(2 * len(inputs))]
+    start = threading.Barrier(len(jobs))
+    reports = [[] for _ in jobs]
+
+    def work(j):
+        start.wait()
+        for _ in range(3):
+            reports[j].append(solve(*inputs[jobs[j]]))
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, runs in zip(jobs, reports):
+        assert len(runs) == 3
+        for rep in runs:
+            assert_bitwise_equal(rep, serial[k])
 
 
 def test_referee_cases_cover_the_prox_branches():
@@ -147,6 +200,18 @@ def test_referee_cases_cover_the_prox_branches():
         lo = np.pad(k[:-1], ((1, 0), (0, 0)))
         hi = np.pad(k[1:], ((0, 1), (0, 0)))
         assert (k & ~lo & ~hi).any()
+
+
+def test_referee_cases_cover_the_pairwise_sum_bands():
+    """The checkpoint sums follow NumPy's pairwise summation, whose rule
+    changes at 8 and 128 terms; the interior sum of the h = 1/64 lens is
+    longer than NumPy's 8,192-element buffer."""
+    grid, datum = tiny()
+    assert grid.interior_count < 8 and len(datum.faces) < 8
+    grid, datum = ragged()
+    assert 8 <= grid.interior_count <= 128 and 8 <= len(datum.faces) <= 128
+    grid, datum = lens64()
+    assert grid.interior_count > 8192 and len(datum.faces) > 128
 
 
 @pytest.mark.parametrize("max_iters", [10, 7])
@@ -184,6 +249,27 @@ def test_failed_build_falls_back_to_the_numpy_block(c_block, fresh_loader, monke
     monkeypatch.setattr(pdloop, "_compile", broken)
     pdloop._library.cache_clear()
     assert pdloop.loop_info() == {"loop": "numpy", "cflags": None}
+    assert_bitwise_equal(solve(grid, datum, cfg), c)
+
+
+def test_hung_compiler_falls_back_to_the_numpy_block(c_block, fresh_loader, monkeypatch, tmp_path):
+    """A build that runs past the timeout counts as failed: the compiler is
+    stopped, nothing is cached, and ``solve`` runs the NumPy block."""
+    grid, datum = notched()
+    cfg = SolverConfig(max_iters=20000, tol=1e-9)
+    c = solve(grid, datum, cfg)
+    calls = []
+
+    def hung(cmd, **kwargs):
+        calls.append(kwargs.get("timeout"))
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(subprocess, "run", hung)
+    pdloop._library.cache_clear()
+    assert pdloop.loop_info() == {"loop": "numpy", "cflags": None}
+    assert calls == [pdloop._COMPILE_TIMEOUT]
+    assert list((tmp_path / "harea").iterdir()) == []
     assert_bitwise_equal(solve(grid, datum, cfg), c)
 
 
@@ -226,6 +312,33 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     cmd = [compiler, *pdloop.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), str(source)]
     out = subprocess.run(cmd, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_dual_pass_is_vectorized(tmp_path):
+    """GCC reports the loop of the dual pass (a square root and a divide per
+    cell) vectorized as a whole: not left scalar, and not split by loop
+    distribution into a vectorized and a scalar part, as it is when the
+    pass is inlined into pd_run."""
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler found")
+    about = subprocess.run([compiler, "--version"], capture_output=True, text=True).stdout
+    if "Free Software Foundation" not in about or "clang" in about:
+        pytest.skip(f"{compiler} is not GCC")
+    major = subprocess.run([compiler, "-dumpversion"], capture_output=True, text=True).stdout
+    if int(major.split(".")[0]) < 12:
+        pytest.skip("GCC vectorizes the pass's indexed loads from version 12")
+    source = Path(pdloop.__file__).with_name("pdloop.c")
+    lines = source.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("PASS void dual_pass("))
+    loop = next(i for i in range(start, len(lines)) if lines[i].lstrip().startswith("for (")) + 1
+    cmd = [compiler, *pdloop.CFLAGS, "-fopt-info-vec-optimized", "-fopt-info-vec-missed",
+           "-o", str(tmp_path / "k.so"), str(source)]
+    out = subprocess.run(cmd, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    reports = [line for line in out.stderr.splitlines() if f"pdloop.c:{loop}:" in line]
+    assert any("loop vectorized" in line for line in reports), reports
+    assert not any("couldn't vectorize loop" in line for line in reports), reports
 
 
 def test_flags_keep_numpy_rounding_and_portability():
