@@ -650,7 +650,7 @@ def run_suite(filter_ids=None, solver_cfg: SolverConfig | None = None):
 
     ``filter_ids=None`` runs all fifteen; an empty list runs none.  The
     summary names the block that ran the solver's loop, ``"c"`` or
-    ``"numpy"``, with the C block's compile flags (:func:`pdloop.loop_info`).
+    ``"numpy"``, with the flags that built the C block (:func:`pdloop.loop_info`).
     """
     if filter_ids is None:
         ids = list(CheckId)

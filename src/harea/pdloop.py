@@ -11,15 +11,23 @@ one makes three passes over the cells (h div, the primal step, and the dual
 step with h grad inlined), each compiled to vector instructions.
 
 The source ships with the package.  The first solve in a process compiles it
-with :data:`CFLAGS` and loads it with ctypes; importing the package does
-neither.  The shared object is cached under ``$XDG_CACHE_HOME/harea`` (or
-``~/.cache/harea``), named by a CRC-32 of the source, the flags and the
-machine, and written by an atomic rename, so a new process only loads it.
-Where that directory cannot be written the object is built in a private
-temporary directory instead.  Where no C compiler is found, the source is
-missing, or the build fails, runs past :data:`_COMPILE_TIMEOUT` seconds or
-cannot be loaded, :func:`bind` returns None and the solver runs its NumPy
-block; nothing else selects between the two.
+with :data:`CFLAGS` for the host CPU and loads it with ctypes; importing the
+package does neither.  The shared object is cached under
+``$XDG_CACHE_HOME/harea`` (or ``~/.cache/harea``) as
+``pdloop-<host>-<build>.so``: ``<host>`` is a CRC-32 of the CPU feature line
+of ``/proc/cpuinfo`` (``flags`` on x86, ``Features`` on Arm), read on the
+first solve, so a host with other features never loads the object, and
+``<build>`` a CRC-32 of the source, the flags and the machine.  It is written
+by an atomic rename, which also removes the host's objects of other builds,
+so a new process only loads it.  Where the feature line cannot be read
+(``<host>`` is then the machine's name), or where the compiler rejects the
+host build, the block is built with the portable flags (:data:`CFLAGS`
+without ``-march=native``).  Where that directory cannot be written the
+object is built in a private temporary directory instead.  Where no C
+compiler is found, the source is missing, the portable build fails too, a
+build runs past :data:`_COMPILE_TIMEOUT` seconds or the object cannot be
+loaded, :func:`bind` returns None and the solver runs its NumPy block;
+nothing else selects between the two.
 """
 
 from __future__ import annotations
@@ -38,14 +46,19 @@ import numpy as np
 __all__ = ["CFLAGS", "bind", "loop_info"]
 
 # -ffast-math and -Ofast would reorder and contract the arithmetic the NumPy
-# block rounds step by step, and -march=native would tie the cached object to
-# the CPU that built it.  GCC contracts a * b + c into a fused multiply-add
-# unless told not to.
-CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+# block rounds step by step, and GCC contracts a * b + c into a fused
+# multiply-add unless told not to.  -march=native widens the vectors of the
+# dual pass's square root and divide (2 doubles with SSE2, 8 with AVX-512),
+# which round each element as before; it ties the object to the host's CPU,
+# so the object is cached under the host's CPU features.
+CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+# where the host's CPU features cannot be read or the compiler rejects the host build
+_PORTABLE_CFLAGS = tuple(flag for flag in CFLAGS if flag != "-march=native")
 # seconds a build may run before it counts as failed (a build takes under one)
 _COMPILE_TIMEOUT = 60
 
 _SOURCE = Path(__file__).with_name("pdloop.c")
+_CPUINFO = Path("/proc/cpuinfo")
 _idx, _f64 = ctypes.POINTER(ctypes.c_ssize_t), ctypes.POINTER(ctypes.c_double)
 
 
@@ -81,22 +94,26 @@ class _State(ctypes.Structure):
 
 
 class _BuildError(Exception):
-    """The compiler failed, or ran past :data:`_COMPILE_TIMEOUT`."""
+    """The compiler rejected the build."""
 
 
-def _compile(compiler: str, target: Path) -> None:
-    """Build the shared object into a temporary file beside ``target`` and
-    rename it into place."""
+class _BuildTimeout(Exception):
+    """The compiler ran past :data:`_COMPILE_TIMEOUT`."""
+
+
+def _compile(compiler: str, flags: tuple[str, ...], target: Path) -> None:
+    """Build the shared object with ``flags`` into a temporary file beside
+    ``target`` and rename it into place."""
     import subprocess  # imported by a build only: about 0.8 MB of RSS with its dependencies
 
     fd, tmp = tempfile.mkstemp(prefix=target.stem, suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
         try:
-            built = subprocess.run([compiler, *CFLAGS, "-o", tmp, str(_SOURCE)],
+            built = subprocess.run([compiler, *flags, "-o", tmp, str(_SOURCE)],
                                    capture_output=True, text=True, timeout=_COMPILE_TIMEOUT)
         except subprocess.TimeoutExpired as exc:
-            raise _BuildError(f"the compiler ran for more than {_COMPILE_TIMEOUT} s") from exc
+            raise _BuildTimeout(f"the compiler ran for more than {_COMPILE_TIMEOUT} s") from exc
         if built.returncode:
             raise _BuildError(built.stderr)
         os.replace(tmp, target)
@@ -119,10 +136,55 @@ def _cache_dir() -> Path:
     return Path(root) / "harea"
 
 
+def _host() -> str | None:
+    """A CRC-32 of the CPU feature line of /proc/cpuinfo (``flags`` on x86,
+    ``Features`` on Arm); None where there is none to read."""
+    import zlib
+
+    try:
+        with open(_CPUINFO) as fh:
+            for line in fh:
+                key, colon, features = line.partition(":")
+                if colon and key.strip() in ("flags", "Features"):
+                    return f"{zlib.crc32(features.strip().encode()):08x}"
+    except OSError:
+        pass
+    return None
+
+
+def _prune(path: Path, host: str) -> None:
+    """Remove the objects of ``host``'s other builds beside ``path``; other
+    hosts' objects stay."""
+    for other in path.parent.glob("pdloop-*.so"):
+        if other != path and other.name[len("pdloop-"):-len(".so")].rpartition("-")[0] == host:
+            try:
+                other.unlink()
+            except OSError:  # removed by another process, or not ours to remove
+                pass
+
+
+def _load_or_build(compiler: str, directory: Path, host: str, builds):
+    """Load the first of ``builds``, ``(flags, name)`` in order, that is in
+    ``directory`` or that the compiler accepts, and return it with its
+    flags."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for flags, name in builds:
+        path = directory / name
+        if not path.is_file():
+            try:
+                _compile(compiler, flags, path)
+            except _BuildError as exc:
+                rejected = exc
+                continue
+            _prune(path, host)
+        return _load(path), flags
+    raise rejected
+
+
 @functools.cache
 def _library():
-    """The loaded kernel, built on first use; None where it cannot be built
-    or loaded."""
+    """The loaded kernel and the flags that built it, built on first use;
+    None where it cannot be built or loaded."""
     import zlib  # hashlib would load OpenSSL, about 3.5 MB of RSS
 
     compiler = shutil.which("gcc") or shutil.which("cc")
@@ -132,34 +194,34 @@ def _library():
         source = _SOURCE.read_bytes()
     except OSError:  # installed without its package data
         return None
-    key = zlib.crc32(" ".join((*CFLAGS, platform.machine())).encode(), zlib.crc32(source))
-    name = f"pdloop-{key:08x}.so"
+    host = _host()
+    # the host build, then the portable one where the compiler rejects it
+    flag_sets = (CFLAGS, _PORTABLE_CFLAGS) if host else (_PORTABLE_CFLAGS,)
+    host = host or platform.machine() or "unknown"
+    builds = []
+    for flags in flag_sets:
+        key = zlib.crc32(" ".join((*flags, platform.machine())).encode(), zlib.crc32(source))
+        builds.append((flags, f"pdloop-{host}-{key:08x}.so"))
     try:
-        path = _cache_dir() / name
-        if not path.is_file():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _compile(compiler, path)
-        return _load(path)
-    except _BuildError:
+        return _load_or_build(compiler, _cache_dir(), host, builds)
+    except (_BuildError, _BuildTimeout):
         return None
     except (OSError, RuntimeError):  # the cache cannot be written or read; RuntimeError: no home
         pass
     try:
         # the loaded object stays mapped after its file is removed
         with tempfile.TemporaryDirectory(prefix="harea-") as tmp:
-            path = Path(tmp) / name
-            _compile(compiler, path)
-            return _load(path)
-    except (OSError, _BuildError):
+            return _load_or_build(compiler, Path(tmp), host, builds)
+    except (OSError, _BuildError, _BuildTimeout):
         return None
 
 
 def loop_info() -> dict:
     """Which block runs the loop in this process, ``"c"`` or ``"numpy"``,
-    and the compile flags of the C block (None for NumPy).  Builds the
-    kernel if no solve has yet."""
-    built = _library() is not None
-    return {"loop": "c" if built else "numpy", "cflags": list(CFLAGS) if built else None}
+    and the flags that built the C block, the host or the portable ones
+    (None for NumPy).  Builds the kernel if no solve has yet."""
+    kernel = _library()
+    return {"loop": "c" if kernel else "numpy", "cflags": list(kernel[1]) if kernel else None}
 
 
 def _pointer(a: np.ndarray, ctype):
@@ -182,10 +244,10 @@ def bind(
     owners' prox thresholds; the others are the loop's buffers and folded
     constants.  The block's scratch space is allocated here, so blocks bound
     to different solves may run in different threads at once."""
-    lib = _library()
-    if lib is None:
+    kernel = _library()
+    if kernel is None:
         return None
-    n = K.n
+    lib, n = kernel[0], K.n
     for name, a, shape in (("u", u, (n,)), ("u_step", u_step, (n,)), ("du", du, (n,)),
                            ("Q", Q, (2, n)), ("G", G, (2, n)), ("hXS", hXS, (2, n))):
         if a.shape != shape:

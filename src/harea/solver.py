@@ -33,12 +33,14 @@ Full-grid fields are built only for the returned :class:`SolveReport`.
 The iterations between two energy checkpoints run as one block, which
 returns the checkpoint's energies.  Where a C compiler is found, the block
 is :mod:`harea.pdloop`'s compiled kernel, built on the first solve with
-``-O3 -ffp-contract=off -fno-math-errno``, cached under
-``$XDG_CACHE_HOME/harea`` (``~/.cache/harea``) and bound to the solve's
-buffers; it makes three vectorized passes over the cells an iteration,
-takes every element through the NumPy block's operations in NumPy's order
-and sums the energies in the order of NumPy's ``add.reduce``, so the
-iterates and energies are the same bit for bit.  Where the kernel cannot be
+``-O3 -march=native -ffp-contract=off -fno-math-errno`` (without
+``-march=native`` where the host's CPU features cannot be read or the
+compiler rejects it), cached per host under ``$XDG_CACHE_HOME/harea``
+(``~/.cache/harea``) and bound to the solve's buffers; it makes three
+vectorized passes over the cells an iteration, takes every element through
+the NumPy block's operations in NumPy's order and sums the energies in the
+order of NumPy's ``add.reduce``, so the iterates and energies are the same
+bit for bit.  Where the kernel cannot be
 built or loaded, the NumPy block runs.  The start, the best-iterate copies
 and the stop test stay in Python.
 

@@ -7,6 +7,7 @@ bit for bit, on the iterates, the iteration count and the energies.
 """
 
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -52,6 +53,16 @@ def fresh_loader():
     pdloop._library.cache_clear()
     yield
     pdloop._library.cache_clear()
+
+
+@pytest.fixture
+def portable_block(fresh_loader, monkeypatch, tmp_path):
+    """The C block built with the portable flags, forced by making the host's
+    CPU features unreadable."""
+    monkeypatch.setattr(pdloop, "_CPUINFO", tmp_path / "no-cpuinfo")
+    if pdloop._library() is None:
+        pytest.skip("the C block cannot be built here (no compiler, or the build failed)")
+    assert pdloop.loop_info()["cflags"] == list(pdloop._PORTABLE_CFLAGS)
 
 
 def both_blocks(monkeypatch, grid, datum, cfg):
@@ -152,6 +163,19 @@ def test_c_block_equals_numpy_block_bitwise(c_block, monkeypatch, case):
         assert c.iterations == cfg.max_iters
 
 
+PORTABLE_CASES = ["lens-penalized", "lens-constrained", "notched-polygon", "tiny-mask", "cut-at-137-h64"]
+
+
+@pytest.mark.parametrize("case", PORTABLE_CASES)
+def test_portable_c_block_equals_numpy_block_bitwise(portable_block, monkeypatch, case):
+    """The portable build (2-wide SSE2 on x86-64) stays under the referee on
+    a host whose own build has wider vectors."""
+    problem, cfg = CASES[case]
+    grid, datum = problem()
+    c, ref = both_blocks(monkeypatch, grid, datum, cfg)
+    assert_bitwise_equal(c, ref)
+
+
 def test_threads_run_c_blocks_at_once(c_block):
     """ctypes releases the GIL while a block runs, so several threads may be
     in pd_run at the same time; each solve's scratch space is its own, so
@@ -242,7 +266,7 @@ def test_failed_build_falls_back_to_the_numpy_block(c_block, fresh_loader, monke
     cfg = SolverConfig(max_iters=20000, tol=1e-9)
     c = solve(grid, datum, cfg)
 
-    def broken(compiler, target):
+    def broken(compiler, flags, target):
         raise pdloop._BuildError("the compiler failed")
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -250,6 +274,29 @@ def test_failed_build_falls_back_to_the_numpy_block(c_block, fresh_loader, monke
     pdloop._library.cache_clear()
     assert pdloop.loop_info() == {"loop": "numpy", "cflags": None}
     assert_bitwise_equal(solve(grid, datum, cfg), c)
+
+
+def test_rejected_host_build_falls_back_to_the_portable_build(c_block, fresh_loader, monkeypatch, tmp_path):
+    """A compiler that rejects only -march=native leaves the C block running,
+    built with the portable flags under the host's key, and its report equals
+    the NumPy block's bit for bit."""
+    if pdloop._host() is None:
+        pytest.skip("the host's CPU features cannot be read, so only the portable build is tried")
+    compile_ = pdloop._compile
+
+    def no_native(compiler, flags, target):
+        if "-march=native" in flags:
+            raise pdloop._BuildError("unrecognized command-line option '-march=native'")
+        compile_(compiler, flags, target)
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(pdloop, "_compile", no_native)
+    assert pdloop.loop_info() == {"loop": "c", "cflags": list(pdloop._PORTABLE_CFLAGS)}
+    (built,) = (tmp_path / "harea").iterdir()
+    assert built.name.startswith(f"pdloop-{pdloop._host()}-")
+    grid, datum = notched()
+    c, ref = both_blocks(monkeypatch, grid, datum, SolverConfig(max_iters=20000, tol=1e-9))
+    assert_bitwise_equal(c, ref)
 
 
 def test_hung_compiler_falls_back_to_the_numpy_block(c_block, fresh_loader, monkeypatch, tmp_path):
@@ -288,7 +335,7 @@ def test_kernel_is_cached_by_atomic_rename(c_block, fresh_loader, monkeypatch, t
     built = sorted(p.name for p in (tmp_path / "harea").iterdir())
     assert len(built) == 1 and built[0].startswith("pdloop-") and built[0].endswith(".so")
 
-    def no_build(compiler, target):
+    def no_build(compiler, flags, target):
         raise AssertionError("the cached kernel was built again")
 
     monkeypatch.setattr(pdloop, "_compile", no_build)
@@ -296,32 +343,107 @@ def test_kernel_is_cached_by_atomic_rename(c_block, fresh_loader, monkeypatch, t
     assert pdloop.loop_info()["loop"] == "c"
 
 
+def test_new_build_removes_the_hosts_other_builds_only(c_block, fresh_loader, monkeypatch, tmp_path):
+    """Two sources under one host key leave the newer one's object alone in
+    the cache; an object under another host's key stays."""
+    cache = tmp_path / "harea"
+    cache.mkdir()
+    foreign = cache / "pdloop-0badf00d-12345678.so"
+    foreign.write_bytes(b"")
+    source = tmp_path / "pdloop.c"
+    source.write_bytes(pdloop._SOURCE.read_bytes())
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(pdloop, "_SOURCE", source)
+    host = pdloop._host() or platform.machine()
+    assert host != "0badf00d"
+    objects, text = [], source.read_text()
+    for version in (text, text + "\n/* another source */\n"):
+        source.write_text(version)
+        pdloop._library.cache_clear()
+        assert pdloop._library() is not None
+        (built,) = set(cache.iterdir()) - {foreign}
+        assert built.name.startswith(f"pdloop-{host}-")
+        objects.append(built.name)
+    assert objects[0] != objects[1]
+    assert foreign.is_file()
+
+
+def test_foreign_host_builds_its_own_kernel(c_block, fresh_loader, monkeypatch, tmp_path):
+    """An object built with -march=native runs only on CPUs with the builder's
+    features, so a host whose feature line differs, sharing the cache, gets
+    another file name: it builds its own object and does not load this one."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert pdloop._library() is not None
+    (ours,) = (tmp_path / "harea").iterdir()
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nflags\t\t: fpu sse sse2\n")
+    monkeypatch.setattr(pdloop, "_CPUINFO", cpuinfo)
+    assert pdloop._host() not in (None, ours.name.split("-")[1])
+    compile_, built = pdloop._compile, []
+
+    def counted(compiler, flags, target):
+        built.append(target.name)
+        compile_(compiler, flags, target)
+
+    monkeypatch.setattr(pdloop, "_compile", counted)
+    pdloop._library.cache_clear()
+    assert pdloop.loop_info() == {"loop": "c", "cflags": list(pdloop.CFLAGS)}
+    assert len(built) == 1 and built[0] != ours.name
+    assert sorted(p.name for p in (tmp_path / "harea").iterdir()) == sorted([ours.name, built[0]])
+
+
+def test_host_identity_reads_the_cpu_feature_line(monkeypatch, tmp_path):
+    """The host key is a CRC-32 of the ``flags`` line (x86) or the
+    ``Features`` line (Arm); without either the host cannot be identified."""
+    cpuinfo = tmp_path / "cpuinfo"
+    monkeypatch.setattr(pdloop, "_CPUINFO", cpuinfo)
+    keys = []
+    for text in ("processor\t: 0\nflags\t\t: fpu sse2 avx\n", "flags : fpu sse2 avx2\n",
+                 "processor\t: 0\nFeatures\t: fp asimd evtstrm\nCPU part\t: 0xd0c\n"):
+        cpuinfo.write_text(text)
+        keys.append(pdloop._host())
+    assert len(set(keys)) == 3 and all(len(k) == 8 for k in keys)
+    cpuinfo.write_text("processor\t: 0\nvendor_id\t: GenuineIntel\n")
+    assert pdloop._host() is None
+    cpuinfo.unlink()
+    assert pdloop._host() is None
+
+
 def test_unwritable_cache_builds_in_a_private_directory(c_block, fresh_loader, monkeypatch, tmp_path):
+    """The private build reports the flags that built it, the same as the
+    cached build's."""
+    cached = pdloop.loop_info()
+    pdloop._library.cache_clear()
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    assert pdloop.loop_info() == {"loop": "c", "cflags": list(pdloop.CFLAGS)}
+    assert pdloop.loop_info() == cached
+    assert cached["loop"] == "c" and cached["cflags"] in (list(pdloop.CFLAGS), list(pdloop._PORTABLE_CFLAGS))
     assert blocker.read_text() == ""
 
 
-def test_kernel_source_compiles_without_warnings(tmp_path):
+def compiler_or_skip():
     compiler = shutil.which("gcc") or shutil.which("cc")
     if compiler is None:
         pytest.skip("no C compiler found")
+    return compiler
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    compiler = compiler_or_skip()
     source = Path(pdloop.__file__).with_name("pdloop.c")
-    cmd = [compiler, *pdloop.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), str(source)]
-    out = subprocess.run(cmd, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
+    for flags in (pdloop.CFLAGS, pdloop._PORTABLE_CFLAGS):
+        cmd = [compiler, *flags, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), str(source)]
+        out = subprocess.run(cmd, capture_output=True, text=True)
+        assert out.returncode == 0, (flags, out.stderr)
 
 
-def test_dual_pass_is_vectorized(tmp_path):
+def assert_dual_pass_vectorized(flags, tmp_path):
     """GCC reports the loop of the dual pass (a square root and a divide per
     cell) vectorized as a whole: not left scalar, and not split by loop
     distribution into a vectorized and a scalar part, as it is when the
     pass is inlined into pd_run."""
-    compiler = shutil.which("gcc") or shutil.which("cc")
-    if compiler is None:
-        pytest.skip("no C compiler found")
+    compiler = compiler_or_skip()
     about = subprocess.run([compiler, "--version"], capture_output=True, text=True).stdout
     if "Free Software Foundation" not in about or "clang" in about:
         pytest.skip(f"{compiler} is not GCC")
@@ -332,7 +454,7 @@ def test_dual_pass_is_vectorized(tmp_path):
     lines = source.read_text().splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("PASS void dual_pass("))
     loop = next(i for i in range(start, len(lines)) if lines[i].lstrip().startswith("for (")) + 1
-    cmd = [compiler, *pdloop.CFLAGS, "-fopt-info-vec-optimized", "-fopt-info-vec-missed",
+    cmd = [compiler, *flags, "-fopt-info-vec-optimized", "-fopt-info-vec-missed",
            "-o", str(tmp_path / "k.so"), str(source)]
     out = subprocess.run(cmd, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -341,9 +463,23 @@ def test_dual_pass_is_vectorized(tmp_path):
     assert not any("couldn't vectorize loop" in line for line in reports), reports
 
 
+def test_dual_pass_is_vectorized(tmp_path):
+    assert_dual_pass_vectorized(pdloop.CFLAGS, tmp_path)
+
+
+def test_dual_pass_is_vectorized_in_the_portable_build(tmp_path):
+    assert_dual_pass_vectorized(pdloop._PORTABLE_CFLAGS, tmp_path)
+
+
 def test_flags_keep_numpy_rounding_and_portability():
-    assert "-ffp-contract=off" in pdloop.CFLAGS
-    assert not {"-ffast-math", "-Ofast", "-march=native"} & set(pdloop.CFLAGS)
+    """Both flag sets round as the NumPy block does, and the portable one
+    names no CPU.  The host build's tie to its CPU is held by the cache key
+    (test_foreign_host_builds_its_own_kernel)."""
+    for flags in (pdloop.CFLAGS, pdloop._PORTABLE_CFLAGS):
+        assert "-ffp-contract=off" in flags
+        assert not {"-ffast-math", "-Ofast"} & set(flags)
+    assert "-march=native" in pdloop.CFLAGS
+    assert not any(flag.startswith(("-march", "-mtune", "-mcpu")) for flag in pdloop._PORTABLE_CFLAGS)
 
 
 def test_import_and_help_neither_build_nor_load_the_kernel(tmp_path):
