@@ -28,12 +28,12 @@ Each kernel exists once, as a binder: :meth:`DiffOperator.bind_hgrad` and
 :meth:`DiffOperator.bind_hdiv` take the input and output arrays, resolve the
 views, index arrays and rim buffers for them, and return a zero-argument
 function that applies the stencil to whatever the input holds when it is
-called.  The solver binds each kernel once per solve and calls it every
-iteration; :meth:`DiffOperator.hgrad` and :meth:`DiffOperator.hdiv` bind and
-call in one go.  The public :func:`gradient` and :func:`divergence` apply
-``K`` to the interior values of full-grid fields, whose interior vectors are
-``(n, 2)``; the solver applies it to component-major interior vectors
-directly.
+called.  The solver's NumPy block binds each kernel once per solve and calls
+it every iteration; :meth:`DiffOperator.hgrad` and :meth:`DiffOperator.hdiv`
+bind and call in one go.  The public :func:`gradient` and :func:`divergence`
+apply ``K`` to the interior values of full-grid fields, whose interior
+vectors are ``(n, 2)``; the solver applies it to component-major interior
+vectors directly.
 
 The operator's forward and fallback masks come from the package's one
 neighbor rule, ``geometry._neighbor``.  The one cell norm, ``sqrt(x*x + y*y)``
@@ -227,19 +227,13 @@ class DiffOperator(NamedTuple):
         """-K^T p: interior vectors (2, n) to interior values (n,)."""
         return self.hdiv(p) / self.h
 
-    def hgrad(self, u: np.ndarray, out=None) -> np.ndarray:
-        """h K u, written into the C-contiguous ``out`` (2, n) when given."""
-        if out is None:
-            out = np.empty((2, self.n))
-        return self.bind_hgrad(u, out)()
+    def hgrad(self, u: np.ndarray) -> np.ndarray:
+        """h K u: interior values (n,) to interior gradients (2, n)."""
+        return self.bind_hgrad(u, np.empty((2, self.n)))()
 
-    def hdiv(self, p: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """h times the divergence of ``p`` (2, n), written into ``out`` (n,)
-        when given; with ``scratch`` (n,) as well, no n-long array is
-        allocated."""
-        n = self.n
-        out = np.empty(n) if out is None else out
-        return self.bind_hdiv(p, out, np.empty(n) if scratch is None else scratch)()
+    def hdiv(self, p: np.ndarray) -> np.ndarray:
+        """h times the divergence of ``p`` (2, n)."""
+        return self.bind_hdiv(p, np.empty(self.n), np.empty(self.n))()
 
     def bind_hgrad(self, u: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
         """The kernel of :meth:`hgrad` bound to the buffers ``u`` (n,) and
@@ -375,11 +369,10 @@ class EnergyMode(enum.Enum):
         raise EnergyError(f"unknown energy mode {s!r} (expected 'iso' or 'aniso')")
 
 
-def _cell_norms(v: np.ndarray, mode: EnergyMode, scratch=None) -> np.ndarray:
+def _cell_norms(v: np.ndarray, mode: EnergyMode) -> np.ndarray:
     """Per-cell norms (n,) of component-major vectors ``v`` (2, n):
-    ``sqrt(x*x + y*y)`` or ``|x| + |y|``.  The result is ``scratch[0]`` when
-    a (2, n) scratch buffer is given, so nothing is allocated."""
-    return _bind_cell_norms(v, mode, np.empty_like(v) if scratch is None else scratch)()
+    ``sqrt(x*x + y*y)`` or ``|x| + |y|``."""
+    return _bind_cell_norms(v, mode, np.empty_like(v))()
 
 
 def _bind_cell_norms(v: np.ndarray, mode: EnergyMode, scratch: np.ndarray) -> Callable[[], np.ndarray]:

@@ -18,16 +18,18 @@ package does neither.  The shared object is cached under
 of ``/proc/cpuinfo`` (``flags`` on x86, ``Features`` on Arm), read on the
 first solve, so a host with other features never loads the object, and
 ``<build>`` a CRC-32 of the source, the flags and the machine.  It is written
-by an atomic rename, which also removes the host's objects of other builds,
-so a new process only loads it.  Where the feature line cannot be read
-(``<host>`` is then the machine's name), or where the compiler rejects the
-host build, the block is built with the portable flags (:data:`CFLAGS`
-without ``-march=native``).  Where that directory cannot be written the
-object is built in a private temporary directory instead.  Where no C
-compiler is found, the source is missing, the portable build fails too, a
-build runs past :data:`_COMPILE_TIMEOUT` seconds or the object cannot be
-loaded, :func:`bind` returns None and the solver runs its NumPy block;
-nothing else selects between the two.
+by an atomic rename, which also removes the host's objects of other builds
+and the objects named without a host part.  Where the feature line cannot be
+read (``<host>`` is then the machine's name), or where the compiler rejects
+the host build, the block is built with the portable flags (:data:`CFLAGS`
+without ``-march=native``).  A process without the host object tries the
+host build first, so a host build that failed once is tried again by the
+next process.  Where that directory cannot be written the object is built
+in a private temporary directory instead.  Where no C compiler is found,
+the source is missing, the portable build fails too, a build runs past
+:data:`_COMPILE_TIMEOUT` seconds or the object cannot be loaded,
+:func:`bind` returns None and the solver runs its NumPy block; nothing else
+selects between the two.
 """
 
 from __future__ import annotations
@@ -153,10 +155,11 @@ def _host() -> str | None:
 
 
 def _prune(path: Path, host: str) -> None:
-    """Remove the objects of ``host``'s other builds beside ``path``; other
-    hosts' objects stay."""
+    """Remove the objects of ``host``'s other builds beside ``path``, and
+    those named without a host part (``pdloop-<build>.so``, the naming before
+    the host key), which no build loads; other hosts' objects stay."""
     for other in path.parent.glob("pdloop-*.so"):
-        if other != path and other.name[len("pdloop-"):-len(".so")].rpartition("-")[0] == host:
+        if other != path and other.name[len("pdloop-"):-len(".so")].rpartition("-")[0] in (host, ""):
             try:
                 other.unlink()
             except OSError:  # removed by another process, or not ours to remove
@@ -231,8 +234,8 @@ def _pointer(a: np.ndarray, ctype):
 
 
 def bind(
-    *, K, datum, u, Q, G, u_step, du, hXS, pen, t, constrained: bool,
-    factor: float, radius: float, numerator: float, keep: float, relax: float,
+    *, K, datum, u, Q, G, u_step, du, hXS, pen, t, mode: str, factor: float, radius: float,
+    relax: float,
 ) -> Callable[[int], tuple[float, float]] | None:
     """The compiled block bound to one solve's buffers: each call
     ``block(steps)`` runs ``steps`` iterations in place and returns the
@@ -240,10 +243,11 @@ def bind(
     kernel cannot be built or loaded.
 
     ``K`` is the grid's :class:`~harea.fields.DiffOperator`, ``datum`` the
-    boundary datum, ``pen`` its :class:`~harea.solver._Penalty` and ``t`` the
-    owners' prox thresholds; the others are the loop's buffers and folded
-    constants.  The block's scratch space is allocated here, so blocks bound
-    to different solves may run in different threads at once."""
+    boundary datum, ``pen`` its :class:`~harea.solver._Penalty`, ``t`` the
+    owners' prox thresholds and ``mode`` the solve's mode; the others are the
+    loop's buffers and folded constants.  The block's scratch space is
+    allocated here, so blocks bound to different solves may run in different
+    threads at once."""
     kernel = _library()
     if kernel is None:
         return None
@@ -295,9 +299,9 @@ def bind(
     floats.update(u=u, q=Q, g=G, u_step=u_step, du=du)
     state = _State(
         n=n, n_rim=K.rim.size, n_rim_entries=K.rim_entries.size, n_edge=K.edge.size,
-        n_fix=fix.size, constrained=int(constrained), n_owner=pen.idx.size, n_multi=len(rows),
-        n_face=len(faces.owner_cell), h=K.h, factor=factor, radius=radius, numerator=numerator,
-        keep=keep, relax=relax,
+        n_fix=fix.size, constrained=int(mode == "constrained"), n_owner=pen.idx.size,
+        n_multi=len(rows), n_face=len(faces.owner_cell), h=K.h, factor=factor, radius=radius,
+        numerator=relax * radius, keep=1.0 - relax, relax=relax,
         **{name: _pointer(a, ctypes.c_ssize_t) for name, a in ints.items()},
         **{name: _pointer(a, ctypes.c_double) for name, a in floats.items()},
     )

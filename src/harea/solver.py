@@ -17,31 +17,25 @@ The iteration state lives on the n interior cells only: the primal ``u`` is
 an ``(n,)`` vector, and the dual and the horizontal vector
 ``H = h (K u + X*)`` are contiguous component-major ``(2, n)`` arrays;
 boundary faces name their owners by interior index (``owner_cell``).  Every
-update writes into buffers allocated once per solve, and every kernel of the
-loop (the operator's ``bind_hdiv``/``bind_hgrad``, the boundary prox, the
-dual projection and the energy) is bound to its buffers once per solve, with
-its views, index arrays and folded constants resolved then; an iteration of
-the NumPy block is about 38 NumPy calls on ready arguments.  The factor 1/h
-of ``K`` goes into the steps sigma_h = sigma/h and tau_h = tau/h, and the
-loop carries the dual divided by sigma_h: its step is
-``hgrad(2 u~ - u) + h X*``, its ball has radius h^2/sigma_h, and the primal
-step is sigma_h tau_h times its divergence.  The dual relaxation rides in the projection, which returns
+update writes into buffers allocated once per solve.  The factor 1/h of
+``K`` goes into the steps sigma_h = sigma/h and tau_h = tau/h, and the loop
+carries the dual divided by sigma_h: its step is ``hgrad(2 u~ - u) + h X*``,
+its ball has radius h^2/sigma_h, and the primal step is sigma_h tau_h times
+its divergence.  The dual relaxation rides in the projection, which returns
 1.9 ``P~``: the ball scales each cell by 1.9 r / max(|.|, r) instead of
 r / max(|.|, r).  The dual update is then ``P = (1 - 1.9) P + 1.9 P~``.
 Full-grid fields are built only for the returned :class:`SolveReport`.
 
 The iterations between two energy checkpoints run as one block, which
-returns the checkpoint's energies.  Where a C compiler is found, the block
-is :mod:`harea.pdloop`'s compiled kernel, built on the first solve with
-``-O3 -march=native -ffp-contract=off -fno-math-errno`` (without
-``-march=native`` where the host's CPU features cannot be read or the
-compiler rejects it), cached per host under ``$XDG_CACHE_HOME/harea``
-(``~/.cache/harea``) and bound to the solve's buffers; it makes three
-vectorized passes over the cells an iteration, takes every element through
-the NumPy block's operations in NumPy's order and sums the energies in the
-order of NumPy's ``add.reduce``, so the iterates and energies are the same
-bit for bit.  Where the kernel cannot be
-built or loaded, the NumPy block runs.  The start, the best-iterate copies
+returns the checkpoint's energies; ``block(0)`` returns the start's.  The
+block is :mod:`harea.pdloop`'s compiled kernel, bound to the solve's
+buffers, where it can be built and loaded (that module says how it is built
+and cached), and the NumPy block of :func:`_numpy_block` elsewhere; the two
+give the same iterates and energies bit for bit.  The NumPy block binds
+every kernel of the loop (the operator's ``bind_hdiv``/``bind_hgrad``, the
+boundary prox, the dual projection and the energy) to the buffers once, with
+its views, index arrays and folded constants resolved then; an iteration is
+about 38 NumPy calls on ready arguments.  The start, the best-iterate copies
 and the stop test stay in Python.
 
 The iteration is not energy-monotone.  The energy is evaluated at every 10th
@@ -231,10 +225,10 @@ def _bind_projection(
     return project
 
 
-def _project_dual(p: np.ndarray, radius: float, scratch=None) -> np.ndarray:
+def _project_dual(p: np.ndarray, radius: float) -> np.ndarray:
     """Project each cell of ``p`` (2, n) in place onto the Euclidean ball of
-    ``radius``; ``scratch`` (2, n) spares the allocation."""
-    return _bind_projection(p, radius, np.empty_like(p) if scratch is None else scratch)()
+    ``radius``."""
+    return _bind_projection(p, radius, np.empty_like(p))()
 
 
 def prox_dual(q: VectorField, sigma: float) -> VectorField:
@@ -356,7 +350,8 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     ``max_iters``.  The iterations between two evaluations run in the
     compiled block of :mod:`harea.pdloop` (built on the first solve and
     cached), or in the NumPy block where it cannot be built; both give the
-    same iterates bit for bit.  Returns the best evaluated iterate with a
+    same iterates bit for bit, and every energy the report carries comes
+    from the block that ran.  Returns the best evaluated iterate with a
     convergence flag; stagnation is the relative decrease of the best energy
     over the last 50 iterations, i.e. over the last five checkpoints.  A
     solve stopped by that test converges only if its best energy fell below
@@ -365,99 +360,28 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     ``converged=False``.
     """
     cfg = cfg or SolverConfig()
+    every, window, max_iters, tol = _CHECK_EVERY, _STAGNATION_WINDOW, cfg.max_iters, cfg.tol
     sigma, tau = cfg.resolved_steps(grid)
     # K = hgrad / h and div = hdiv / h: the 1/h goes into the steps
     sigma_h, radius, factor = _folded_steps(sigma, tau, grid.h)
-    best_u, best_Q, interior, penalty, iterations, converged, stagnation = _iterate(
-        grid, datum, cfg, tau, radius, factor
-    )
-    best_Q *= sigma_h
-    return SolveReport(
-        u=ScalarField.from_interior(grid, best_u),
-        dual=VectorField.from_interior(grid, best_Q.T),
-        iterations=iterations,
-        converged=converged,
-        stagnation=float(stagnation),
-        energy=EnergyBreakdown(interior, penalty, interior + penalty, EnergyMode.ISOTROPIC),
-    )
-
-
-def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, radius: float, factor: float):
-    """The loop of :func:`solve`, dual carried as P / sigma_h, run in blocks
-    up to each checkpoint by the compiled block or, where it cannot be
-    built, by the NumPy block; each block returns the checkpoint's
-    energies.  Returns the best evaluated u and dual, their interior and
-    penalty energies, the iteration count, the convergence flag and the last
-    stagnation; the buffers and the kernels bound to them are released on
-    return."""
-    relax, every, window, max_iters, tol = _RELAX, _CHECK_EVERY, _STAGNATION_WINDOW, cfg.max_iters, cfg.tol
-    keep = 1.0 - relax
-    h = grid.h
     K = difference_operator(grid)
-    hXS = h * interior_xstar(grid)
+    hXS = grid.h * interior_xstar(grid)
     pen = _Penalty(datum)
     t = tau * pen.weight
-    owner = datum.faces.owner_cell
-    measures = datum.faces.measure
-    phi = datum.values
+    measures, phi = datum.faces.measure, datum.values
     n = grid.interior_count
     # constant start at the measure-weighted mean of the boundary values
     u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
     u = np.full(n, u0)
     Q = np.zeros((2, n))  # the dual P / sigma_h
     G = np.empty((2, n))  # the dual step's scratch, and H = hgrad(u) + hX* at checkpoints
-    scratch = np.empty((2, n))
     u_step = np.empty(n)  # the primal step, then 2 u~ - u
     du = np.empty(n)
-    d = np.empty(owner.size)
-    hdiv_Q = K.bind_hdiv(Q, u_step, du)
-    hgrad_step = K.bind_hgrad(u_step, G)
-    hgrad_u = K.bind_hgrad(u, G)
-    prox_step = _bind_prox(u_step, t, pen, cfg.mode)
-    project = _bind_projection(G, radius, scratch, relax)
-    norms = _bind_cell_norms(G, EnergyMode.ISOTROPIC, scratch)
-    add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
-
-    def numpy_block(steps: int) -> tuple[float, float]:
-        for _ in range(steps):
-            # u~ = prox(u + f hdiv(Q)), kept as du = u~ - u and u_step = 2 u~ - u
-            hdiv_Q()
-            multiply(u_step, factor, out=u_step)
-            add(u_step, u, out=u_step)
-            prox_step()
-            subtract(u_step, u, out=du)
-            add(u_step, du, out=u_step)
-            # G = relax proj(Q + hgrad(2 u~ - u) + hX*) = relax Q~
-            hgrad_step()
-            add(G, hXS, out=G)
-            add(G, Q, out=G)
-            project()
-            # relax both toward the step's end point: Q += relax (Q~ - Q), u += relax (u~ - u)
-            multiply(Q, keep, out=Q)
-            add(Q, G, out=Q)
-            multiply(du, relax, out=du)
-            add(u, du, out=u)
-        return energy()
-
-    block = pdloop.bind(
-        K=K, datum=datum, u=u, Q=Q, G=G, u_step=u_step, du=du, hXS=hXS, pen=pen, t=t,
-        constrained=cfg.mode == "constrained", factor=factor, radius=radius,
-        numerator=relax * radius, keep=keep, relax=relax,
-    ) or numpy_block
-
-    def energy() -> tuple[float, float]:
-        # h^2 |K u + X*| = h |H| per cell
-        hgrad_u()
-        add(G, hXS, out=G)
-        interior = h * float(add.reduce(norms()))
-        u.take(owner, out=d, mode="clip")
-        subtract(d, phi, out=d)
-        absolute(d, out=d)
-        multiply(d, measures, out=d)
-        return interior, float(add.reduce(d))
-
     _bind_prox(u, t, pen, cfg.mode)()
-    best_interior, best_penalty = energy()
+    loop = dict(K=K, datum=datum, u=u, Q=Q, G=G, u_step=u_step, du=du, hXS=hXS, pen=pen, t=t,
+                mode=cfg.mode, factor=factor, radius=radius, relax=_RELAX)
+    block = pdloop.bind(**loop) or _numpy_block(**loop)
+    best_interior, best_penalty = block(0)  # the start's energies
     best_total = start_total = best_interior + best_penalty
     best_u, best_Q = u.copy(), Q.copy()
     # the best energies at the last window / every + 1 checkpoints, oldest first
@@ -488,7 +412,69 @@ def _iterate(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig, tau: float, ra
             if stagnation <= tol:
                 converged = best_total < start_total  # a solve that never improved has not converged
                 break
-    return best_u, best_Q, best_interior, best_penalty, k, converged, stagnation
+    # release the buffers and the block bound to them before the report's
+    # full-grid fields are built, which would otherwise raise the peak memory
+    del block, loop, u, Q, G, u_step, du
+    best_Q *= sigma_h
+    return SolveReport(
+        u=ScalarField.from_interior(grid, best_u),
+        dual=VectorField.from_interior(grid, best_Q.T),
+        iterations=k,
+        converged=converged,
+        stagnation=float(stagnation),
+        energy=EnergyBreakdown(best_interior, best_penalty, best_total, EnergyMode.ISOTROPIC),
+    )
+
+
+def _numpy_block(
+    *, K, datum, u, Q, G, u_step, du, hXS, pen, t, mode: str, factor: float, radius: float,
+    relax: float,
+) -> Callable[[int], tuple[float, float]]:
+    """The block of :func:`harea.pdloop.bind` run as NumPy calls, on the same
+    keywords: each call ``block(steps)`` runs ``steps`` iterations in place
+    and returns the interior and penalty energies of the iterate it ends on.
+    Its kernels and scratch buffers are bound here, once."""
+    keep, h = 1.0 - relax, K.h
+    owner, measures, phi = datum.faces.owner_cell, datum.faces.measure, datum.values
+    scratch, d = np.empty((2, K.n)), np.empty(phi.size)
+    hdiv_Q = K.bind_hdiv(Q, u_step, du)
+    hgrad_step = K.bind_hgrad(u_step, G)
+    hgrad_u = K.bind_hgrad(u, G)
+    prox_step = _bind_prox(u_step, t, pen, mode)
+    project = _bind_projection(G, radius, scratch, relax)
+    norms = _bind_cell_norms(G, EnergyMode.ISOTROPIC, scratch)
+    add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
+
+    def block(steps: int) -> tuple[float, float]:
+        for _ in range(steps):
+            # u~ = prox(u + f hdiv(Q)), kept as du = u~ - u and u_step = 2 u~ - u
+            hdiv_Q()
+            multiply(u_step, factor, out=u_step)
+            add(u_step, u, out=u_step)
+            prox_step()
+            subtract(u_step, u, out=du)
+            add(u_step, du, out=u_step)
+            # G = relax proj(Q + hgrad(2 u~ - u) + hX*) = relax Q~
+            hgrad_step()
+            add(G, hXS, out=G)
+            add(G, Q, out=G)
+            project()
+            # relax both toward the step's end point: Q += relax (Q~ - Q), u += relax (u~ - u)
+            multiply(Q, keep, out=Q)
+            add(Q, G, out=Q)
+            multiply(du, relax, out=du)
+            add(u, du, out=u)
+        # h^2 |K u + X*| = h |H| per cell
+        hgrad_u()
+        add(G, hXS, out=G)
+        interior = h * float(add.reduce(norms()))
+        u.take(owner, out=d, mode="clip")
+        subtract(d, phi, out=d)
+        absolute(d, out=d)
+        multiply(d, measures, out=d)
+        return interior, float(add.reduce(d))
+
+    return block
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ None it runs the NumPy block on the same problem.  The two reports must agree
 bit for bit, on the iterates, the iteration count and the energies.
 """
 
+import ctypes
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 import harea
+import harea.fields as fields_module
 import harea.solver as solver_module
 from harea import (
     BoundaryDatum,
@@ -163,6 +166,26 @@ def test_c_block_equals_numpy_block_bitwise(c_block, monkeypatch, case):
         assert c.iterations == cfg.max_iters
 
 
+@pytest.mark.parametrize("case", ["cut-at-3", "ragged-constrained"])
+def test_c_block_solve_binds_no_numpy_kernel(c_block, monkeypatch, case):
+    """Under the compiled block a solve binds none of the NumPy block's
+    stencil, projection or cell-norm kernels, and takes every energy from
+    the compiled block: with their binders raising, it returns the same
+    report bit for bit.  The start prox stays the NumPy one."""
+    problem, cfg = CASES[case]
+    grid, datum = problem()
+    ref = solve(grid, datum, cfg)  # caches the grid's step rule, which applies the stencils
+
+    def unbound(*args, **kwargs):
+        raise AssertionError("a NumPy kernel was bound under the compiled block")
+
+    for owner, name in ((fields_module.DiffOperator, "bind_hgrad"), (fields_module.DiffOperator, "bind_hdiv"),
+                        (fields_module, "_bind_cell_norms"), (solver_module, "_bind_cell_norms"),
+                        (solver_module, "_bind_projection")):
+        monkeypatch.setattr(owner, name, unbound)
+    assert_bitwise_equal(solve(grid, datum, cfg), ref)
+
+
 PORTABLE_CASES = ["lens-penalized", "lens-constrained", "notched-polygon", "tiny-mask", "cut-at-137-h64"]
 
 
@@ -299,6 +322,31 @@ def test_rejected_host_build_falls_back_to_the_portable_build(c_block, fresh_loa
     assert_bitwise_equal(c, ref)
 
 
+def test_host_build_that_failed_once_is_built_by_the_next_process(c_block, fresh_loader, monkeypatch,
+                                                                   tmp_path):
+    """A host build that fails once, for any reason, leaves the portable
+    object in the cache; the next process tries the host build again, ends
+    on the host flags and removes the portable object."""
+    if pdloop._host() is None:
+        pytest.skip("the host's CPU features cannot be read, so only the portable build is tried")
+    compile_, failures = pdloop._compile, [1]
+
+    def fails_once(compiler, flags, target):
+        if "-march=native" in flags and failures:
+            failures.pop()
+            raise pdloop._BuildError("No space left on device")
+        compile_(compiler, flags, target)
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(pdloop, "_compile", fails_once)
+    assert pdloop.loop_info()["cflags"] == list(pdloop._PORTABLE_CFLAGS)
+    (portable,) = (tmp_path / "harea").iterdir()
+    pdloop._library.cache_clear()
+    assert pdloop.loop_info()["cflags"] == list(pdloop.CFLAGS)
+    (built,) = (tmp_path / "harea").iterdir()
+    assert built != portable and built.name.startswith(f"pdloop-{pdloop._host()}-")
+
+
 def test_hung_compiler_falls_back_to_the_numpy_block(c_block, fresh_loader, monkeypatch, tmp_path):
     """A build that runs past the timeout counts as failed: the compiler is
     stopped, nothing is cached, and ``solve`` runs the NumPy block."""
@@ -345,11 +393,14 @@ def test_kernel_is_cached_by_atomic_rename(c_block, fresh_loader, monkeypatch, t
 
 def test_new_build_removes_the_hosts_other_builds_only(c_block, fresh_loader, monkeypatch, tmp_path):
     """Two sources under one host key leave the newer one's object alone in
-    the cache; an object under another host's key stays."""
+    the cache; an object named without a host part (the naming before the
+    host key) is removed by the first build, and an object under another
+    host's key stays."""
     cache = tmp_path / "harea"
     cache.mkdir()
-    foreign = cache / "pdloop-0badf00d-12345678.so"
+    foreign, unkeyed = cache / "pdloop-0badf00d-12345678.so", cache / "pdloop-deadbeef.so"
     foreign.write_bytes(b"")
+    unkeyed.write_bytes(b"")
     source = tmp_path / "pdloop.c"
     source.write_bytes(pdloop._SOURCE.read_bytes())
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -365,7 +416,7 @@ def test_new_build_removes_the_hosts_other_builds_only(c_block, fresh_loader, mo
         assert built.name.startswith(f"pdloop-{host}-")
         objects.append(built.name)
     assert objects[0] != objects[1]
-    assert foreign.is_file()
+    assert foreign.is_file() and not unkeyed.exists()
 
 
 def test_foreign_host_builds_its_own_kernel(c_block, fresh_loader, monkeypatch, tmp_path):
@@ -407,6 +458,24 @@ def test_host_identity_reads_the_cpu_feature_line(monkeypatch, tmp_path):
     assert pdloop._host() is None
     cpuinfo.unlink()
     assert pdloop._host() is None
+
+
+def test_state_struct_matches_the_loader_field_for_field():
+    """The fields of ``struct pd_state`` in pdloop.c are those of
+    ``pdloop._State``, in order and of the same kinds.  ``_load`` compares
+    only the struct's size, which two swapped fields of one type keep."""
+    body = re.search(r"struct pd_state \{(.*?)\};", pdloop._SOURCE.read_text(), re.S).group(1)
+    kinds = {"idx_t": "index", "idx_t *": "index pointer", "double *": "double pointer",
+             "int": "int", "double": "double"}
+    source = []
+    for declaration in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        base, names = declaration.replace("const ", "").split(None, 1)
+        for name in names.split(","):
+            name = name.strip()
+            source.append((name.lstrip("*"), kinds[base + " *" * name.startswith("*")]))
+    ctypes_kinds = {ctypes.c_ssize_t: "index", pdloop._idx: "index pointer", pdloop._f64: "double pointer",
+                    ctypes.c_int: "int", ctypes.c_double: "double"}
+    assert source == [(name, ctypes_kinds[ctype]) for name, ctype in pdloop._State._fields_]
 
 
 def test_unwritable_cache_builds_in_a_private_directory(c_block, fresh_loader, monkeypatch, tmp_path):

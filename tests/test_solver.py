@@ -423,7 +423,7 @@ def test_norm_and_projection_kernels_match_hypot_reference():
     radius = 1.0
     inside = ref < radius
     assert 0.2 * n < inside.sum() < 0.8 * n
-    got = _project_dual(v.copy(), radius, np.empty_like(v))
+    got = _project_dual(v.copy(), radius)
     assert np.array_equal(got[:, inside], v[:, inside])
     want = v * (radius / np.maximum(ref, radius))
     np.testing.assert_array_max_ulp(got, want, maxulp=4)
