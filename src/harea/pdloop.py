@@ -1,8 +1,10 @@
 """The primal-dual loop's iteration body compiled from C, and its loader.
 
 ``pdloop.c`` runs a block of iterations of :func:`harea.solver.solve`'s loop,
-up to an energy checkpoint, in place on the solve's NumPy buffers, and
-returns the checkpoint's interior and penalty energies.  Every element goes
+up to an energy checkpoint, in place on the iterate and working buffers that
+:func:`bind` allocates, each starting on a 64-byte boundary so that the
+block's speed does not follow the heap's history, and returns the
+checkpoint's interior and penalty energies.  Every element goes
 through the NumPy block's operations in NumPy's order and both energies are
 summed in the order of NumPy's pairwise ``add.reduce``, so the two blocks
 give the same iterates and energies bit for bit.  Where the NumPy block makes
@@ -233,29 +235,34 @@ def _pointer(a: np.ndarray, ctype):
     return a.ctypes.data_as(ctypes.POINTER(ctype))
 
 
+def _aligned(*shape: int) -> np.ndarray:
+    """An empty float64 array starting on a 64-byte boundary (a cache line)."""
+    raw = np.empty(int(np.prod(shape)) + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + raw.size - 7].reshape(shape)
+
+
 def bind(
-    *, K, datum, u, Q, G, u_step, du, hXS, pen, t, mode: str, factor: float, radius: float,
-    relax: float,
-) -> Callable[[int], tuple[float, float]] | None:
-    """The compiled block bound to one solve's buffers: each call
-    ``block(steps)`` runs ``steps`` iterations in place and returns the
-    interior and penalty energies of the iterate it ends on.  None where the
-    kernel cannot be built or loaded.
+    *, K, datum, pen, start, xstar, factor: float, radius: float, relax: float
+) -> tuple[Callable[[int], tuple[float, float]], np.ndarray, np.ndarray] | None:
+    """The compiled block of one solve, ``(block, u, Q)``: each call
+    ``block(steps)`` runs ``steps`` iterations on the primal ``u`` (n,) and
+    the dual ``Q`` (2, n) in place and returns the interior and penalty
+    energies of the iterate it ends on.  None where the kernel cannot be
+    built or loaded.
 
     ``K`` is the grid's :class:`~harea.fields.DiffOperator`, ``datum`` the
-    boundary datum, ``pen`` its :class:`~harea.solver._Penalty`, ``t`` the
-    owners' prox thresholds and ``mode`` the solve's mode; the others are the
-    loop's buffers and folded constants.  The block's scratch space is
-    allocated here, so blocks bound to different solves may run in different
-    threads at once."""
+    boundary datum, ``pen`` its :class:`~harea.solver._Penalty`, ``start``
+    the first iterate, copied into ``u``, and ``xstar`` the grid's interior
+    X* (2, n); the others are folded constants.  Every buffer is allocated
+    here, so blocks of different solves may run in threads at once."""
     kernel = _library()
     if kernel is None:
         return None
     lib, n = kernel[0], K.n
-    for name, a, shape in (("u", u, (n,)), ("u_step", u_step, (n,)), ("du", du, (n,)),
-                           ("Q", Q, (2, n)), ("G", G, (2, n)), ("hXS", hXS, (2, n))):
-        if a.shape != shape:
-            raise ValueError(f"{name} has shape {a.shape} on a grid of {n} cells")
+    u, q, g, u_step, du, hxs = (_aligned(*shape) for shape in ((n,), (2, n), (2, n), (n,), (n,), (2, n)))
+    u[...], q[...] = start, 0.0
+    np.multiply(K.h, xstar, out=hxs)
     faces = datum.faces
     # the cells with a rewritten gradient entry, and each entry's index into
     # their (2, n_fix) gradient; np.unique would add about 1.2 MB to peak RSS
@@ -275,17 +282,16 @@ def bind(
     # owners with m > 2 faces: their position among the owners, m, and their
     # m face values followed by the m + 1 moves (t / m)(m - 2j) of the median
     pos, ms, rows = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], []
-    for p, values, offsets in pen.multi:
-        m = values.shape[1]
+    for p, values, moves in pen.multi:
         pos.append(p)
-        ms.append(np.full(p.size, m, dtype=np.intp))
-        rows.extend(np.concatenate((values, (t[p, None] / m) * offsets), axis=1))
+        ms.append(np.full(p.size, values.shape[1], dtype=np.intp))
+        rows.extend(np.concatenate((values, moves), axis=1))
     ints["multi_pos"] = np.ascontiguousarray(np.concatenate(pos), dtype=np.intp)
     ints["multi_m"] = np.concatenate(ms)
     ints["multi_off"] = np.cumsum([0] + [row.size for row in rows], dtype=np.intp)[:-1]
     floats = {
         name: np.ascontiguousarray(a, dtype=np.float64)
-        for name, a in (("hxs", hXS), ("lo", pen.lo), ("hi", pen.hi), ("t", t), ("mean", pen.mean),
+        for name, a in (("lo", pen.lo), ("hi", pen.hi), ("t", pen.t), ("mean", pen.mean),
                         ("multi_data", np.concatenate(rows) if rows else np.empty(0)),
                         ("phi", datum.values), ("measure", faces.measure))
     }
@@ -295,11 +301,10 @@ def bind(
         owner_x=np.empty(pen.idx.size), terms=np.empty(len(faces.owner_cell)),
         select=np.empty(2 * int(ints["multi_m"].max(initial=0)) + 1),
     )
-    # the loop's buffers are written in place, so they are passed as they are
-    floats.update(u=u, q=Q, g=G, u_step=u_step, du=du)
+    floats.update(u=u, q=q, g=g, u_step=u_step, du=du, hxs=hxs)
     state = _State(
         n=n, n_rim=K.rim.size, n_rim_entries=K.rim_entries.size, n_edge=K.edge.size,
-        n_fix=fix.size, constrained=int(mode == "constrained"), n_owner=pen.idx.size,
+        n_fix=fix.size, constrained=int(pen.mode == "constrained"), n_owner=pen.idx.size,
         n_multi=len(rows), n_face=len(faces.owner_cell), h=K.h, factor=factor, radius=radius,
         numerator=relax * radius, keep=1.0 - relax, relax=relax,
         **{name: _pointer(a, ctypes.c_ssize_t) for name, a in ints.items()},
@@ -313,5 +318,5 @@ def bind(
         run(ref, steps, out)
         return float(energies[0]), float(energies[1])
 
-    block.arrays = arrays
-    return block
+    block.state, block.arrays = state, arrays
+    return block, u, q

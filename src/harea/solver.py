@@ -17,7 +17,7 @@ The iteration state lives on the n interior cells only: the primal ``u`` is
 an ``(n,)`` vector, and the dual and the horizontal vector
 ``H = h (K u + X*)`` are contiguous component-major ``(2, n)`` arrays;
 boundary faces name their owners by interior index (``owner_cell``).  Every
-update writes into buffers allocated once per solve.  The factor 1/h of
+update writes into buffers owned by the loop's block.  The factor 1/h of
 ``K`` goes into the steps sigma_h = sigma/h and tau_h = tau/h, and the loop
 carries the dual divided by sigma_h: its step is ``hgrad(2 u~ - u) + h X*``,
 its ball has radius h^2/sigma_h, and the primal step is sigma_h tau_h times
@@ -28,13 +28,13 @@ Full-grid fields are built only for the returned :class:`SolveReport`.
 
 The iterations between two energy checkpoints run as one block, which
 returns the checkpoint's energies; ``block(0)`` returns the start's.  The
-block is :mod:`harea.pdloop`'s compiled kernel, bound to the solve's
-buffers, where it can be built and loaded (that module says how it is built
-and cached), and the NumPy block of :func:`_numpy_block` elsewhere; the two
-give the same iterates and energies bit for bit.  The NumPy block binds
-every kernel of the loop (the operator's ``bind_hdiv``/``bind_hgrad``, the
-boundary prox, the dual projection and the energy) to the buffers once, with
-its views, index arrays and folded constants resolved then; an iteration is
+block is :mod:`harea.pdloop`'s compiled kernel where it can be built and
+loaded (that module says how it is built and cached; its buffers are 64-byte
+aligned), and the NumPy block of :func:`_numpy_block` elsewhere.  Both
+allocate the iterate and every buffer of the loop, and the two give the same
+iterates and energies bit for bit.  The NumPy block binds every kernel of
+the loop (the operator's ``bind_hdiv``/``bind_hgrad``, the boundary prox,
+the dual projection and the energy) to its buffers once; an iteration is
 about 38 NumPy calls on ready arguments.  The start, the best-iterate copies
 and the stop test stay in Python.
 
@@ -60,6 +60,7 @@ from .fields import (
     ScalarField,
     VectorField,
     _bind_cell_norms,
+    _check_same_grid,
     difference_operator,
     interior_xstar,
     operator_norm_sq,
@@ -150,6 +151,8 @@ def balanced_steps(grid: Grid, gamma: float | None = None) -> tuple[float, float
     """
     if gamma is None:
         gamma = grid.h / 2.0
+    elif not 0 < gamma < math.inf:
+        raise SolverError(f"gamma must be a positive finite number, got {gamma!r}")
     L2 = operator_norm_sq(grid)
     base = 0.99 / math.sqrt(L2)
     return base * gamma, base / gamma
@@ -240,17 +243,20 @@ def prox_dual(q: VectorField, sigma: float) -> VectorField:
 
 
 class _Penalty:
-    """The boundary faces grouped by owner cell, for the primal prox.
-
-    ``idx`` holds the owner cells as interior indices, ``weight`` their summed
-    face measure, ``mean`` their face-measure-weighted mean value (the
-    constrained mode's pin), and ``lo``/``hi`` their smallest and largest
-    face value.  ``multi`` lists, per face count m > 2, the positions in
-    ``idx`` of the owners with m faces, their face values (k, m) and the
-    offsets m - 2j, j = 0..m, of the median formula.
+    """The boundary faces grouped by owner cell, with the primal prox's data
+    for the step ``tau`` in ``mode``: ``idx`` holds the owner cells as
+    interior indices, ``weight`` their summed face measure, ``t`` = tau *
+    ``weight`` their thresholds, ``mean`` their face-measure-weighted mean
+    value (the constrained mode's pin), and ``lo``/``hi`` their smallest and
+    largest face value.  ``multi`` lists, per face count m > 2, the positions
+    in ``idx`` of the owners with m faces, their face values (k, m) and the
+    moves (t/m)(m - 2j), j = 0..m, of the median formula (k, m + 1).
     """
 
-    def __init__(self, datum: BoundaryDatum):
+    def __init__(self, datum: BoundaryDatum, tau, mode: str):
+        if mode not in ("penalized", "constrained"):
+            raise SolverError(f"unknown mode {mode!r}")
+        self.mode = mode
         faces = datum.faces
         order = np.argsort(faces.owner_cell, kind="stable")
         phi = datum.values[order]
@@ -258,6 +264,7 @@ class _Penalty:
         idx, start, count = np.unique(faces.owner_cell[order], return_index=True, return_counts=True)
         self.idx = idx
         self.weight = np.add.reduceat(measure, start)
+        self.t = tau * self.weight
         self.mean = np.add.reduceat(measure * phi, start) / self.weight
         self.lo = np.minimum.reduceat(phi, start)
         self.hi = np.maximum.reduceat(phi, start)
@@ -267,13 +274,13 @@ class _Penalty:
             if not pos.size:
                 continue
             values = phi[start[pos, None] + np.arange(m)]
-            self.multi.append((pos, values, float(m) - 2.0 * np.arange(m + 1)))
+            moves = (self.t[pos, None] / m) * (float(m) - 2.0 * np.arange(m + 1))
+            self.multi.append((pos, values, moves))
 
 
-def _bind_prox(v: np.ndarray, t: np.ndarray, pen: _Penalty, mode: str) -> Callable[[], np.ndarray]:
-    """The primal prox bound to the interior values ``v`` and the owner
-    cells' thresholds ``t`` = tau * ``pen.weight``: each call applies it to
-    ``v`` in place and returns ``v``.
+def _bind_prox(v: np.ndarray, pen: _Penalty) -> Callable[[], np.ndarray]:
+    """The primal prox of ``pen`` bound to the interior values ``v``: each
+    call applies it to ``v`` in place and returns ``v``.
 
     For an owner cell with faces phi_1..phi_m of equal measure it is
     median{phi_1..phi_m, v + (t/m)(m - 2j), j = 0..m} (Li & Osher's median
@@ -282,7 +289,7 @@ def _bind_prox(v: np.ndarray, t: np.ndarray, pen: _Penalty, mode: str) -> Callab
     exactly t, so data of size 1e200 do not round against their threshold.
     """
     idx, write = pen.idx, v.__setitem__
-    if mode == "constrained":
+    if pen.mode == "constrained":
         mean = pen.mean
 
         def pin():
@@ -290,13 +297,11 @@ def _bind_prox(v: np.ndarray, t: np.ndarray, pen: _Penalty, mode: str) -> Callab
             return v
 
         return pin
-    lo, hi = pen.lo, pen.hi
+    lo, hi, t = pen.lo, pen.hi, pen.t
     vi, x, s = np.empty(idx.size), np.empty(idx.size), np.empty(idx.size)
     take = v.take
     maximum, minimum, add, subtract = np.maximum, np.minimum, np.add, np.subtract
-    # per face count m > 2, with the offsets (t/m)(m - 2j) of the moved values
-    groups = [(pos, faces, faces.shape[1], (t[pos, None] / faces.shape[1]) * offsets)
-              for pos, faces, offsets in pen.multi]
+    groups = [(pos, faces, faces.shape[1], moves) for pos, faces, moves in pen.multi]
 
     def prox():
         take(idx, out=vi, mode="clip")
@@ -306,8 +311,8 @@ def _bind_prox(v: np.ndarray, t: np.ndarray, pen: _Penalty, mode: str) -> Callab
         minimum(x, s, out=x)
         subtract(vi, t, out=s)
         maximum(x, s, out=x)
-        for pos, faces, m, moved_by in groups:
-            moved = vi[pos, None] + moved_by
+        for pos, faces, m, moves in groups:
+            moved = vi[pos, None] + moves
             x[pos] = np.partition(np.concatenate((faces, moved), axis=1), m, axis=1)[:, m]
         write(idx, x)
         return v
@@ -330,11 +335,8 @@ def prox_primal(
     of size tau h toward it.  In constrained mode it is pinned to the
     face-measure-weighted mean of its face values.
     """
-    if mode not in ("penalized", "constrained"):
-        raise SolverError(f"unknown mode {mode!r}")
-    pen = _Penalty(datum)
-    t = tau * pen.weight
-    return ScalarField.from_interior(v.grid, _bind_prox(v.interior(), t, pen, mode)())
+    _check_same_grid(v.grid, datum.faces.grid, SolverError, "datum faces belong to a different grid")
+    return ScalarField.from_interior(v.grid, _bind_prox(v.interior(), _Penalty(datum, tau, mode))())
 
 
 # ---------------------------------------------------------------------------
@@ -360,27 +362,19 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     ``converged=False``.
     """
     cfg = cfg or SolverConfig()
+    _check_same_grid(grid, datum.faces.grid, SolverError, "datum faces belong to a different grid")
     every, window, max_iters, tol = _CHECK_EVERY, _STAGNATION_WINDOW, cfg.max_iters, cfg.tol
     sigma, tau = cfg.resolved_steps(grid)
     # K = hgrad / h and div = hdiv / h: the 1/h goes into the steps
     sigma_h, radius, factor = _folded_steps(sigma, tau, grid.h)
-    K = difference_operator(grid)
-    hXS = grid.h * interior_xstar(grid)
-    pen = _Penalty(datum)
-    t = tau * pen.weight
+    pen = _Penalty(datum, tau, cfg.mode)
     measures, phi = datum.faces.measure, datum.values
-    n = grid.interior_count
-    # constant start at the measure-weighted mean of the boundary values
+    # constant start at the measure-weighted mean of the boundary values, moved by the prox
     u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
-    u = np.full(n, u0)
-    Q = np.zeros((2, n))  # the dual P / sigma_h
-    G = np.empty((2, n))  # the dual step's scratch, and H = hgrad(u) + hX* at checkpoints
-    u_step = np.empty(n)  # the primal step, then 2 u~ - u
-    du = np.empty(n)
-    _bind_prox(u, t, pen, cfg.mode)()
-    loop = dict(K=K, datum=datum, u=u, Q=Q, G=G, u_step=u_step, du=du, hXS=hXS, pen=pen, t=t,
-                mode=cfg.mode, factor=factor, radius=radius, relax=_RELAX)
-    block = pdloop.bind(**loop) or _numpy_block(**loop)
+    start = _bind_prox(np.full(grid.interior_count, u0), pen)()
+    loop = dict(K=difference_operator(grid), datum=datum, pen=pen, start=start,
+                xstar=interior_xstar(grid), factor=factor, radius=radius, relax=_RELAX)
+    block, u, Q = pdloop.bind(**loop) or _numpy_block(**loop)  # Q is the dual P / sigma_h
     best_interior, best_penalty = block(0)  # the start's energies
     best_total = start_total = best_interior + best_penalty
     best_u, best_Q = u.copy(), Q.copy()
@@ -414,7 +408,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
                 break
     # release the buffers and the block bound to them before the report's
     # full-grid fields are built, which would otherwise raise the peak memory
-    del block, loop, u, Q, G, u_step, du
+    del block, loop, start, u, Q
     best_Q *= sigma_h
     return SolveReport(
         u=ScalarField.from_interior(grid, best_u),
@@ -427,20 +421,21 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
 
 
 def _numpy_block(
-    *, K, datum, u, Q, G, u_step, du, hXS, pen, t, mode: str, factor: float, radius: float,
-    relax: float,
-) -> Callable[[int], tuple[float, float]]:
+    *, K, datum, pen: _Penalty, start, xstar, factor: float, radius: float, relax: float
+) -> tuple[Callable[[int], tuple[float, float]], np.ndarray, np.ndarray]:
     """The block of :func:`harea.pdloop.bind` run as NumPy calls, on the same
-    keywords: each call ``block(steps)`` runs ``steps`` iterations in place
-    and returns the interior and penalty energies of the iterate it ends on.
-    Its kernels and scratch buffers are bound here, once."""
-    keep, h = 1.0 - relax, K.h
+    keywords and with the same return ``(block, u, Q)``: each ``block(steps)``
+    runs ``steps`` iterations on ``u`` and ``Q`` in place and returns the
+    interior and penalty energies of the iterate it ends on."""
+    keep, h, n = 1.0 - relax, K.h, K.n
     owner, measures, phi = datum.faces.owner_cell, datum.faces.measure, datum.values
-    scratch, d = np.empty((2, K.n)), np.empty(phi.size)
+    u, Q, hXS = start.copy(), np.zeros((2, n)), h * xstar
+    G, scratch = np.empty((2, n)), np.empty((2, n))  # G: the dual step, and H at checkpoints
+    u_step, du, d = np.empty(n), np.empty(n), np.empty(phi.size)
     hdiv_Q = K.bind_hdiv(Q, u_step, du)
     hgrad_step = K.bind_hgrad(u_step, G)
     hgrad_u = K.bind_hgrad(u, G)
-    prox_step = _bind_prox(u_step, t, pen, mode)
+    prox_step = _bind_prox(u_step, pen)
     project = _bind_projection(G, radius, scratch, relax)
     norms = _bind_cell_norms(G, EnergyMode.ISOTROPIC, scratch)
     add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
@@ -474,7 +469,7 @@ def _numpy_block(
         multiply(d, measures, out=d)
         return interior, float(add.reduce(d))
 
-    return block
+    return block, u, Q
 
 
 # ---------------------------------------------------------------------------

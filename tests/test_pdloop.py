@@ -37,6 +37,7 @@ from harea import (
 )
 from harea import pdloop
 from harea.checks import _PAIR_SEED, _fourier_datum
+from harea.fields import difference_operator, interior_xstar
 from harea.solver import _Penalty
 from harea.surfaces import es1_datum
 
@@ -58,11 +59,19 @@ def fresh_loader():
     pdloop._library.cache_clear()
 
 
+@pytest.fixture(scope="session")
+def portable_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("portable-cache")
+
+
 @pytest.fixture
-def portable_block(fresh_loader, monkeypatch, tmp_path):
+def portable_block(fresh_loader, monkeypatch, portable_cache):
     """The C block built with the portable flags, forced by making the host's
-    CPU features unreadable."""
-    monkeypatch.setattr(pdloop, "_CPUINFO", tmp_path / "no-cpuinfo")
+    CPU features unreadable.  It is cached in a directory of the test
+    session, so it is built once per session and left out of the user's
+    cache, where no normal process would load or remove it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(portable_cache))
+    monkeypatch.setattr(pdloop, "_CPUINFO", portable_cache / "no-cpuinfo")
     if pdloop._library() is None:
         pytest.skip("the C block cannot be built here (no compiler, or the build failed)")
     assert pdloop.loop_info()["cflags"] == list(pdloop._PORTABLE_CFLAGS)
@@ -238,15 +247,46 @@ def test_referee_cases_cover_the_prox_branches():
     """The notched polygon has exactly one owner with three faces; the ragged
     mask has owners with three and with four faces and cells isolated along
     each axis."""
-    assert [faces.shape for _, faces, _ in _Penalty(notched()[1]).multi] == [(1, 3)]
+    assert [faces.shape for _, faces, _ in _Penalty(notched()[1], 1.0, "penalized").multi] == [(1, 3)]
     grid, datum = ragged()
-    assert sorted(faces.shape[1] for _, faces, _ in _Penalty(datum).multi) == [3, 4]
+    assert sorted(faces.shape[1] for _, faces, _ in _Penalty(datum, 1.0, "penalized").multi) == [3, 4]
     m = grid.interior_mask
     for a in (0, 1):
         k = np.moveaxis(m, a, 0)
         lo = np.pad(k[:-1], ((1, 0), (0, 0)))
         hi = np.pad(k[1:], ((0, 1), (0, 0)))
         assert (k & ~lo & ~hi).any()
+
+
+def bind_keywords(grid, datum):
+    """The keywords both blocks take, as ``solve`` builds them, with a random
+    start."""
+    sigma, tau = balanced_steps(grid)
+    _, radius, factor = solver_module._folded_steps(sigma, tau, grid.h)
+    start = np.random.default_rng(3).standard_normal(grid.interior_count)
+    return dict(K=difference_operator(grid), datum=datum, pen=_Penalty(datum, tau, "penalized"), start=start,
+                xstar=interior_xstar(grid), factor=factor, radius=radius, relax=solver_module._RELAX)
+
+
+@pytest.mark.parametrize("problem", [tiny, ragged, notched, comparison_phi])
+def test_c_block_owns_its_buffers_64_byte_aligned(c_block, problem):
+    """The compiled block allocates its iterate and working buffers, each on
+    a 64-byte boundary, and returns the ``u`` and ``Q`` its state points at;
+    ``u`` is a copy of the start, and the block runs on it as the NumPy block
+    runs on its own."""
+    grid, datum = problem()
+    kw = bind_keywords(grid, datum)
+    block, u, Q = pdloop.bind(**kw)
+    pointers = {name: ctypes.cast(getattr(block.state, name), ctypes.c_void_p).value
+                for name in ("u", "q", "g", "u_step", "du", "hxs")}
+    assert all(p % 64 == 0 for p in pointers.values()), pointers
+    assert (pointers["u"], pointers["q"]) == (u.ctypes.data, Q.ctypes.data)
+    assert u is not kw["start"] and not np.shares_memory(u, kw["start"])
+    assert u.tobytes() == kw["start"].tobytes() and not Q.any()
+    ref, ref_u, ref_Q = solver_module._numpy_block(**kw)
+    assert block(0) == ref(0) and block(17) == ref(17)
+    assert (u.tobytes(), Q.tobytes()) == (ref_u.tobytes(), ref_Q.tobytes())
+    assert u.tobytes() != kw["start"].tobytes()
 
 
 def test_referee_cases_cover_the_pairwise_sum_bands():

@@ -115,9 +115,9 @@ def test_exact_prox_meets_its_optimality_condition():
     rng = np.random.default_rng(5)
     h, k = 1 / 24, 6000
     v, tau, counts, phi, datum = _seeded_owners(rng, k, h)
-    pen = _Penalty(datum)
+    pen = _Penalty(datum, tau, "penalized")
     assert np.array_equal(pen.idx, np.arange(k))
-    x = _bind_prox(v.copy(), tau * pen.weight, pen, "penalized")()
+    x = _bind_prox(v.copy(), pen)()
 
     th = tau * h
     size = np.nanmax(np.abs(np.column_stack((phi, v, x, th * counts))), axis=1)
@@ -170,6 +170,21 @@ def test_prox_primal_constrained_pins_to_face_mean():
     v = ScalarField(grid, np.full((1, 1), -17.0))
     out = prox_primal(v, 0.1, datum, mode="constrained")
     assert out.values[0, 0] == pytest.approx(3.0)
+
+
+def test_datum_of_another_grid_is_refused():
+    """A datum sampled on another grid is refused by ``solve`` and
+    ``prox_primal`` as ``penalized_energy`` refuses it: its owner indices
+    name cells of that grid, and a coarser datum would otherwise be solved
+    against the wrong cells, a finer one fail with a bare IndexError."""
+    domain = DomainSpec.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    square = rasterize(domain, 1 / 16)
+    for other in (rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16), rasterize(domain, 1 / 32)):
+        datum = sample_datum(boundary_faces(other), lambda x, y: x + y * y)
+        with pytest.raises(SolverError, match="different grid"):
+            solve(square, datum, SolverConfig(max_iters=20))
+        with pytest.raises(SolverError, match="different grid"):
+            prox_primal(ScalarField.from_interior(square, np.zeros(square.interior_count)), 0.1, datum)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +254,13 @@ def test_step_product_respects_operator_norm():
     # oversized explicit steps are refused rather than silently run
     with pytest.raises(SolverError):
         SolverConfig(step_sigma=1.0, step_tau=1.0).resolved_steps(grid)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, float("inf"), float("nan")])
+def test_balanced_steps_refuse_a_split_that_is_not_positive_and_finite(gamma):
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
+    with pytest.raises(SolverError, match="gamma"):
+        balanced_steps(grid, gamma)
 
 
 def test_solver_tolerance_formula():
