@@ -3,23 +3,45 @@
    pd_run(state, steps, energies) runs `steps` iterations in place on the
    buffers of one solve, which harea/pdloop.py packs into `struct pd_state`,
    and then writes the checkpoint's interior and penalty energies into
-   energies[0] and energies[1].  Every element goes through the operations of the
-   NumPy block in harea/solver.py, in the same order and with the same
-   roundings, so the iterates and the energies are equal bit for bit:
+   energies[0] and energies[1].
 
-   - h div: (q0 + q1) - (q0[prev0] + q1[c - 1]); the rim cells are rewritten
-     from sums that start at 0.0 and add the rim entries in order, as
-     bincount does;
+   An iteration is one sweep over the cells in row-major order, a lead
+   `lead` cells ahead of a lag.  The lead at a cell takes h div and the
+   primal step, the lag the dual step and u += relax du.  The sweep runs
+   the lead alone over the first `lead` cells, then chunk by chunk the lead
+   at c + lead and the lag at c in one loop, and last the lag alone.  After
+   each chunk, the rim cells the lead has passed are finished: h div from
+   their rim entries, the primal step, and at the owners among them the
+   boundary prox.  The cells with a rewritten gradient entry are redone from
+   their saved dual after the sweep.
+
+   The lead is the chunk plus the stencil's reach s, the largest step from a
+   cell to its forward neighbor along axis 0 (next0 - c) or axis 1 (1).
+   h div at a cell, regular or rim, reads q at cells at most s away
+   (c - prev0 is such a step), and h grad at c reads u_step at most s cells
+   ahead.  So while the lag works on the chunk [b, b + chunk), the lead and
+   the rim read q and u only at cells from b + chunk on, which the lag has
+   not yet updated, and the lag reads u_step and du only at cells before
+   b + lead, which the lead and the rim finished in earlier chunks.  No
+   iteration of a chunk's loop depends on another, and every cell gets the
+   values that separate passes over all cells would give it.
+
+   Every element goes through the operations of the NumPy block in
+   harea/solver.py, in the same order and with the same roundings, so the
+   iterates and the energies are equal bit for bit:
+
+   - h div: (q0 + q1) - (q0[prev0] + q1[c - 1]); at a rim cell, the sum of
+     its added entries minus the sum of its subtracted ones, each starting
+     at 0.0 and adding the entries in ascending order, as bincount does;
    - the primal step p = hdiv * factor + u, rounded twice, then du = p - u
      and u_step = p + du;
    - the boundary prox at the owner cells, from their p: max, min, min and
      max in the NumPy block's order, with NumPy's rule for NaN and signed
      zeros (the first operand wins only when it is strictly larger, or
      smaller, or NaN); an owner with m > 2 faces takes the m-th smallest of
-     its 2m + 1 candidates, NaN last.  The owners' du and u_step are then
-     rewritten from the prox;
-   - h grad: the forward differences; the cells with a rewritten entry are
-     redone from their saved dual after the pass;
+     its 2m + 1 candidates, NaN last.  The owner's du and u_step come from
+     the prox;
+   - h grad: the forward differences;
    - the dual: ((g + hX*) + q), g0*g0 + g1*g1, sqrt, max(., radius), and
      numerator / ., then q * keep + g and u + du * relax;
    - the energies: h times the sum of the cell norms |hgrad(u) + hX*|, and
@@ -27,11 +49,14 @@
      NumPy's add.reduce sums a contiguous array (pairwise_sum).
 
    The state holds all scratch space and the kernel no static data, so
-   blocks bound to different solves may run at once.  The passes over every
-   cell are functions of their own with restrict array parameters, so that
+   blocks bound to different solves may run at once.  The loops over the
+   cells are functions of their own with restrict array parameters, so that
    GCC vectorizes them; restrict on local pointers loaded from the state
-   does not.  Build with -ffp-contract=off: contracting a * b + c into one
-   fused multiply-add rounds once where NumPy rounds twice. */
+   does not.  The sweep's loop reads and writes u_step, du, q and u at
+   cells a lead apart, which GCC cannot prove independent; `#pragma GCC
+   ivdep` states it (a second restrict parameter on the same array would
+   draw -Wrestrict).  Build with -ffp-contract=off: contracting a * b + c
+   into one fused multiply-add rounds once where NumPy rounds twice. */
 
 #include <math.h>
 #include <stddef.h>
@@ -39,14 +64,16 @@
 typedef ptrdiff_t idx_t;
 
 struct pd_state {
-    idx_t n;
+    idx_t n, chunk, lead;            /* the sweep's chunk of cells and the lead's offset */
     double *u, *q, *g, *u_step, *du; /* q is component-major (2, n); g the energy's norms (n) */
     const double *hxs;               /* h X*, (2, n) */
     /* h div */
     const idx_t *prev0;
-    idx_t n_rim, n_rim_entries;
-    const idx_t *rim, *rim_entries, *rim_bins;
-    double *rim_sums;                /* (2 n_rim) */
+    idx_t n_rim;
+    const idx_t *rim;                /* the cells that are not regular, ascending */
+    const idx_t *rim_ptr, *rim_src;  /* rim cell r adds q at rim_src[rim_ptr[2r]:rim_ptr[2r+1]] and
+                                        subtracts q at rim_src[rim_ptr[2r+1]:rim_ptr[2r+2]] */
+    const idx_t *rim_owner;          /* the owner index of each rim cell, -1 for none */
     /* h grad */
     const idx_t *next0;
     idx_t n_edge;
@@ -54,14 +81,11 @@ struct pd_state {
     idx_t n_fix;                     /* cells with a rewritten entry */
     const idx_t *fix, *fix_slot;     /* the cells, ascending; each entry's index in fix_g */
     double *fix_g, *fix_q;           /* their gradient and saved dual, (2, n_fix) each */
-    /* boundary prox */
+    /* boundary prox, per owner */
     int constrained;
-    idx_t n_owner;
-    const idx_t *owner;              /* interior index of each owner cell */
     const double *lo, *hi, *t, *mean;
-    double *owner_x;                 /* (n_owner) the prox */
-    idx_t n_multi;                   /* owners with more than two faces */
-    const idx_t *multi_pos, *multi_m, *multi_off;
+    const idx_t *owner_multi;        /* the index among the owners with m > 2 faces, -1 for none */
+    const idx_t *multi_m, *multi_off;
     const double *multi_data;        /* per such owner: m face values, then the m + 1 moves */
     double *select;                  /* (2 max m + 1) */
     /* checkpoint energy */
@@ -72,9 +96,9 @@ struct pd_state {
     double h, factor, radius, numerator, keep, relax;
 };
 
-/* a pass over every cell, kept out of line: inlined into pd_run, the dual
-   pass is split in two by GCC 12, which leaves the half with the square
-   root and the divide scalar */
+/* a function with loops over the cells, kept out of line: inlined into
+   pd_run, it loses the restrict of its parameters, and GCC 12 leaves the
+   sweep's fill and drain loops scalar */
 #define PASS __attribute__((noinline)) static
 
 size_t pd_state_size(void) { return sizeof(struct pd_state); }
@@ -127,66 +151,118 @@ static double pairwise_sum(const double *a, idx_t n)
 /* np.add.reduce: the identity 0.0 plus the pairwise sum */
 static double add_reduce(const double *a, idx_t n) { return 0.0 + pairwise_sum(a, n); }
 
-/* out = hdiv(q) at the regular cells; cell 0 is on the rim */
-PASS void div_pass(idx_t n, const double *restrict q0, const double *restrict q1,
-                   const idx_t *restrict prev0, double *restrict out)
+/* the boundary prox of owner i at p: max, min, min and max, or the m-th
+   smallest of 2m + 1 candidates for an owner with m > 2 faces */
+static double prox(const struct pd_state *s, idx_t i, double p)
 {
-    for (idx_t c = 1; c < n; c++)
-        out[c] = (q0[c] + q1[c]) - (q0[prev0[c]] + q1[c - 1]);
-}
-
-/* u_step = hdiv(q) */
-static void hdiv(const struct pd_state *s)
-{
-    double *out = s->u_step, *sums = s->rim_sums;
-    div_pass(s->n, s->q, s->q + s->n, s->prev0, out);
-    for (idx_t r = 0; r < 2 * s->n_rim; r++)
-        sums[r] = 0.0;
-    for (idx_t e = 0; e < s->n_rim_entries; e++)
-        sums[s->rim_bins[e]] += s->q[s->rim_entries[e]];
-    for (idx_t r = 0; r < s->n_rim; r++)
-        out[s->rim[r]] = sums[r] - sums[s->n_rim + r];
-}
-
-/* owner_x = prox(p) at the owner cells, p = hdiv * factor + u read from u_step */
-static void prox(const struct pd_state *s)
-{
-    const double *v = s->u_step, *u = s->u;
-    double *x = s->owner_x;
-    if (s->constrained) {
-        for (idx_t i = 0; i < s->n_owner; i++)
-            x[i] = s->mean[i];
-        return;
-    }
-    for (idx_t i = 0; i < s->n_owner; i++) {
-        idx_t c = s->owner[i];
-        double vi = v[c] * s->factor + u[c];
-        double y = np_max(vi, s->lo[i]);
+    if (s->constrained)
+        return s->mean[i];
+    idx_t j = s->owner_multi[i];
+    if (j < 0) {
+        double y = np_max(p, s->lo[i]);
         y = np_min(y, s->hi[i]);
-        y = np_min(y, vi + s->t[i]);
-        x[i] = np_max(y, vi - s->t[i]);
+        y = np_min(y, p + s->t[i]);
+        return np_max(y, p - s->t[i]);
     }
-    for (idx_t j = 0; j < s->n_multi; j++) {
-        idx_t m = s->multi_m[j], c = s->owner[s->multi_pos[j]];
-        const double *faces = s->multi_data + s->multi_off[j], *moves = faces + m;
-        double vi = v[c] * s->factor + u[c];
-        for (idx_t i = 0; i < m; i++)
-            s->select[i] = faces[i];
-        for (idx_t i = 0; i <= m; i++)
-            s->select[m + i] = vi + moves[i];
-        x[s->multi_pos[j]] = order_statistic(s->select, 2 * m + 1, m);
-    }
+    idx_t m = s->multi_m[j];
+    const double *faces = s->multi_data + s->multi_off[j], *moves = faces + m;
+    for (idx_t k = 0; k < m; k++)
+        s->select[k] = faces[k];
+    for (idx_t k = 0; k <= m; k++)
+        s->select[m + k] = p + moves[k];
+    return order_statistic(s->select, 2 * m + 1, m);
 }
 
-/* v holds hdiv on entry; p = v * factor + u, du = p - u, v = p + du */
-PASS void primal_pass(idx_t n, double *restrict v, const double *restrict u,
-                      double *restrict du, double factor)
+/* the lead at a regular cell j: h div, then p = hdiv * factor + u,
+   du = p - u and u_step = p + du */
+static inline void lead_cell(idx_t j, const double *q0, const double *q1, const idx_t *prev0,
+                             const double *u, double *u_step, double *du, double factor)
 {
-    for (idx_t c = 0; c < n; c++) {
-        double p = v[c] * factor + u[c];
+    double p = ((q0[j] + q1[j]) - (q0[prev0[j]] + q1[j - 1])) * factor + u[j];
+    double d = p - u[j];
+    du[j] = d;
+    u_step[j] = p + d;
+}
+
+/* q <- q * keep + relax proj(q + g + hX*) for one cell */
+static inline void dual_cell(double g0, double g1, double x0, double x1, double *q0, double *q1,
+                             double numerator, double radius, double keep)
+{
+    double a0 = (g0 + x0) + *q0;
+    double a1 = (g1 + x1) + *q1;
+    double f = numerator / np_max(sqrt(a0 * a0 + a1 * a1), radius);
+    *q0 = *q0 * keep + a0 * f;
+    *q1 = *q1 * keep + a1 * f;
+}
+
+/* the lag at a cell c < n - 1: the dual step from the forward differences
+   of u_step, then u += du * relax */
+static inline void lag_cell(idx_t c, const double *u_step, const idx_t *next0, const double *x0,
+                            const double *x1, double *q0, double *q1, double *u, double *du,
+                            double numerator, double radius, double keep, double relax)
+{
+    dual_cell(u_step[next0[c]] - u_step[c], u_step[c + 1] - u_step[c], x0[c], x1[c], &q0[c], &q1[c],
+              numerator, radius, keep);
+    double d = du[c] * relax;
+    du[c] = d;
+    u[c] = u[c] + d;
+}
+
+/* finish the lead at the rim cells from rim[r] up to cell end: h div from
+   the cell's rim entries, each side summed from 0.0 in order as bincount
+   sums it, the primal step, and at an owner the prox; returns the next r */
+static idx_t finish_rim(const struct pd_state *s, idx_t r, idx_t end, const double *q,
+                        const double *u, double *u_step, double *du)
+{
+    const idx_t *src = s->rim_src;
+    for (; r < s->n_rim && s->rim[r] < end; r++) {
+        const idx_t c = s->rim[r], *ptr = s->rim_ptr + 2 * r;
+        double added = 0.0, subtracted = 0.0;
+        for (idx_t e = ptr[0]; e < ptr[1]; e++)
+            added += q[src[e]];
+        for (idx_t e = ptr[1]; e < ptr[2]; e++)
+            subtracted += q[src[e]];
+        double p = (added - subtracted) * s->factor + u[c];
+        if (s->rim_owner[r] >= 0)
+            p = prox(s, s->rim_owner[r], p);
         double d = p - u[c];
         du[c] = d;
-        v[c] = p + d;
+        u_step[c] = p + d;
+    }
+    return r;
+}
+
+/* one iteration's sweep over the cells, the lead `lead` cells ahead of
+   the lag; no iteration of a chunk's loop depends on another (see the top) */
+PASS void sweep(const struct pd_state *s, double *restrict q, double *restrict u,
+                double *restrict u_step, double *restrict du, const double *restrict hxs,
+                const idx_t *restrict prev0, const idx_t *restrict next0)
+{
+    const idx_t n = s->n, chunk = s->chunk, lead = s->lead, fill = lead < n ? lead : n;
+    const double factor = s->factor, numerator = s->numerator, radius = s->radius, keep = s->keep;
+    const double relax = s->relax;
+    double *q0 = q, *q1 = q + n;
+    const double *x0 = hxs, *x1 = hxs + n;
+    for (idx_t j = 1; j < fill; j++)  /* cell 0 is on the rim */
+        lead_cell(j, q0, q1, prev0, u, u_step, du, factor);
+    idx_t r = finish_rim(s, 0, fill, q, u, u_step, du), b = 0;
+    for (; b + chunk + lead <= n; b += chunk) {
+#pragma GCC ivdep
+        for (idx_t c = b; c < b + chunk; c++) {
+            lead_cell(c + lead, q0, q1, prev0, u, u_step, du, factor);
+            lag_cell(c, u_step, next0, x0, x1, q0, q1, u, du, numerator, radius, keep, relax);
+        }
+        r = finish_rim(s, r, b + chunk + lead, q, u, u_step, du);
+    }
+    for (idx_t j = b + lead; j < n; j++)
+        lead_cell(j, q0, q1, prev0, u, u_step, du, factor);
+    finish_rim(s, r, n, q, u, u_step, du);
+    for (idx_t c = b; c < n - 1; c++)
+        lag_cell(c, u_step, next0, x0, x1, q0, q1, u, du, numerator, radius, keep, relax);
+    if (n > 0) {  /* cell n - 1 has no forward difference along axis 1 and is a fix cell */
+        double d = du[n - 1] * relax;
+        du[n - 1] = d;
+        u[n - 1] = u[n - 1] + d;
     }
 }
 
@@ -203,39 +279,6 @@ static void fix_gradient(const struct pd_state *s, const double *v)
     }
     for (idx_t e = 0; e < s->n_edge; e++)
         g[s->fix_slot[e]] = v[s->edge_cells[e]] - v[s->edge_cells[s->n_edge + e]];
-}
-
-/* q <- q * keep + relax proj(q + g + hX*) for one cell */
-static inline void dual_cell(double g0, double g1, double x0, double x1, double *q0, double *q1,
-                             double numerator, double radius, double keep)
-{
-    double a0 = (g0 + x0) + *q0;
-    double a1 = (g1 + x1) + *q1;
-    double f = numerator / np_max(sqrt(a0 * a0 + a1 * a1), radius);
-    *q0 = *q0 * keep + a0 * f;
-    *q1 = *q1 * keep + a1 * f;
-}
-
-/* the dual step from the forward differences of v, and u += du * relax;
-   cell n - 1 has no forward difference along axis 1 and is a fix cell */
-PASS void dual_pass(idx_t n, const double *restrict v, const idx_t *restrict next0,
-                    const double *restrict x0, const double *restrict x1,
-                    double *restrict q0, double *restrict q1,
-                    double *restrict u, double *restrict du,
-                    double numerator, double radius, double keep, double relax)
-{
-    for (idx_t c = 0; c + 1 < n; c++) {
-        dual_cell(v[next0[c]] - v[c], v[c + 1] - v[c], x0[c], x1[c], &q0[c], &q1[c],
-                  numerator, radius, keep);
-        double d = du[c] * relax;
-        du[c] = d;
-        u[c] = u[c] + d;
-    }
-    if (n > 0) {
-        double d = du[n - 1] * relax;
-        du[n - 1] = d;
-        u[n - 1] = u[n - 1] + d;
-    }
 }
 
 /* out = |hgrad(v) + hX*| per cell from the forward differences */
@@ -274,23 +317,15 @@ void pd_run(const struct pd_state *s, idx_t steps, double *energies)
     double *q0 = s->q, *q1 = s->q + n;
     const double *x0 = s->hxs, *x1 = s->hxs + n;
     for (idx_t k = 0; k < steps; k++) {
-        /* u~ = prox(u + factor hdiv(q)), kept as du = u~ - u and u_step = 2 u~ - u */
-        hdiv(s);
-        prox(s);
-        primal_pass(n, u_step, u, du, s->factor);
-        for (idx_t i = 0; i < s->n_owner; i++) {
-            idx_t c = s->owner[i];
-            double d = s->owner_x[i] - u[c];
-            du[c] = d;
-            u_step[c] = s->owner_x[i] + d;
-        }
-        /* q = keep q + relax proj(q + hgrad(2 u~ - u) + hX*), u += relax (u~ - u) */
         for (idx_t j = 0; j < nf; j++) {
             s->fix_q[j] = q0[s->fix[j]];
             s->fix_q[nf + j] = q1[s->fix[j]];
         }
-        dual_pass(n, u_step, s->next0, x0, x1, q0, q1, u, du,
-                  s->numerator, s->radius, s->keep, s->relax);
+        /* lead: u~ = prox(u + factor hdiv(q)), kept as du = u~ - u and
+           u_step = 2 u~ - u; lag: q = keep q + relax proj(q + hgrad(2 u~ - u)
+           + hX*), u += relax (u~ - u) */
+        sweep(s, s->q, u, u_step, du, s->hxs, s->prev0, s->next0);
+        /* the fix cells: from their saved dual and their true gradient */
         fix_gradient(s, u_step);
         for (idx_t j = 0; j < nf; j++) {
             idx_t c = s->fix[j];

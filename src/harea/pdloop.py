@@ -9,8 +9,9 @@ through the NumPy block's operations in NumPy's order and both energies are
 summed in the order of NumPy's pairwise ``add.reduce``, so the two blocks
 give the same iterates and energies bit for bit.  Where the NumPy block makes
 about 38 NumPy calls an iteration, each a pass over its arrays, the compiled
-one makes three passes over the cells (h div, the primal step, and the dual
-step with h grad inlined), each compiled to vector instructions.
+one makes a single sweep over the cells, compiled to vector instructions, with
+h div and the primal step :data:`_CHUNK` cells and the stencil's reach ahead
+of the dual step.
 
 The source ships with the package.  The first solve in a process compiles it
 with :data:`CFLAGS` for the host CPU and loads it with ctypes; importing the
@@ -20,18 +21,17 @@ package does neither.  The shared object is cached under
 of ``/proc/cpuinfo`` (``flags`` on x86, ``Features`` on Arm), read on the
 first solve, so a host with other features never loads the object, and
 ``<build>`` a CRC-32 of the source, the flags and the machine.  It is written
-by an atomic rename, which also removes the host's objects of other builds
-and the objects named without a host part.  Where the feature line cannot be
-read (``<host>`` is then the machine's name), or where the compiler rejects
-the host build, the block is built with the portable flags (:data:`CFLAGS`
-without ``-march=native``).  A process without the host object tries the
-host build first, so a host build that failed once is tried again by the
-next process.  Where that directory cannot be written the object is built
-in a private temporary directory instead.  Where no C compiler is found,
-the source is missing, the portable build fails too, a build runs past
-:data:`_COMPILE_TIMEOUT` seconds or the object cannot be loaded,
-:func:`bind` returns None and the solver runs its NumPy block; nothing else
-selects between the two.
+by an atomic rename, which also prunes the cache (:func:`_prune`).  Where the
+feature line cannot be read (``<host>`` is then the machine's name), or where
+the compiler rejects the host build, the block is built with the portable
+flags (:data:`CFLAGS` without ``-march=native``).  A process without the host
+object tries the host build first, so a host build that failed once is tried
+again by the next process.  Where that directory cannot be written the
+object is built in a private temporary directory instead.  Where no C
+compiler is found, the source is missing, the portable build fails too, a
+build runs past :data:`_COMPILE_TIMEOUT` seconds or the object cannot be
+loaded, :func:`bind` returns None and the solver runs its NumPy block;
+nothing else selects between the two.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = ["CFLAGS", "bind", "loop_info"]
 # -ffast-math and -Ofast would reorder and contract the arithmetic the NumPy
 # block rounds step by step, and GCC contracts a * b + c into a fused
 # multiply-add unless told not to.  -march=native widens the vectors of the
-# dual pass's square root and divide (2 doubles with SSE2, 8 with AVX-512),
+# dual step's square root and divide (2 doubles with SSE2, 8 with AVX-512),
 # which round each element as before; it ties the object to the host's CPU,
 # so the object is cached under the host's CPU features.
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
@@ -60,6 +60,8 @@ CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-fPIC
 _PORTABLE_CFLAGS = tuple(flag for flag in CFLAGS if flag != "-march=native")
 # seconds a build may run before it counts as failed (a build takes under one)
 _COMPILE_TIMEOUT = 60
+# cells per chunk of the kernel's sweep; 128 ran 2-6% faster than 32 in process
+_CHUNK = 128
 
 _SOURCE = Path(__file__).with_name("pdloop.c")
 _CPUINFO = Path("/proc/cpuinfo")
@@ -70,25 +72,19 @@ class _State(ctypes.Structure):
     """``struct pd_state`` of pdloop.c, field for field."""
 
     _fields_ = [
-        ("n", ctypes.c_ssize_t),
+        *((name, ctypes.c_ssize_t) for name in ("n", "chunk", "lead")),
         *((name, _f64) for name in ("u", "q", "g", "u_step", "du", "hxs")),
         ("prev0", _idx),
         ("n_rim", ctypes.c_ssize_t),
-        ("n_rim_entries", ctypes.c_ssize_t),
-        *((name, _idx) for name in ("rim", "rim_entries", "rim_bins")),
-        ("rim_sums", _f64),
-        ("next0", _idx),
+        *((name, _idx) for name in ("rim", "rim_ptr", "rim_src", "rim_owner", "next0")),
         ("n_edge", ctypes.c_ssize_t),
         ("edge_cells", _idx),
         ("n_fix", ctypes.c_ssize_t),
         *((name, _idx) for name in ("fix", "fix_slot")),
         *((name, _f64) for name in ("fix_g", "fix_q")),
         ("constrained", ctypes.c_int),
-        ("n_owner", ctypes.c_ssize_t),
-        ("owner", _idx),
-        *((name, _f64) for name in ("lo", "hi", "t", "mean", "owner_x")),
-        ("n_multi", ctypes.c_ssize_t),
-        *((name, _idx) for name in ("multi_pos", "multi_m", "multi_off")),
+        *((name, _f64) for name in ("lo", "hi", "t", "mean")),
+        *((name, _idx) for name in ("owner_multi", "multi_m", "multi_off")),
         *((name, _f64) for name in ("multi_data", "select")),
         ("n_face", ctypes.c_ssize_t),
         ("face_owner", _idx),
@@ -157,15 +153,23 @@ def _host() -> str | None:
 
 
 def _prune(path: Path, host: str) -> None:
-    """Remove the objects of ``host``'s other builds beside ``path``, and
-    those named without a host part (``pdloop-<build>.so``, the naming before
-    the host key), which no build loads; other hosts' objects stay."""
-    for other in path.parent.glob("pdloop-*.so"):
-        if other != path and other.name[len("pdloop-"):-len(".so")].rpartition("-")[0] in (host, ""):
-            try:
-                other.unlink()
-            except OSError:  # removed by another process, or not ours to remove
-                pass
+    """Remove beside ``path`` the objects of ``host``'s other builds but the
+    newest, so two checkouts run in turn keep one object each, and those
+    named without a host part (the naming before the host key) or under the
+    machine's name, which no CPU-keyed host loads; other hosts' stay."""
+    keys = {other: other.name[len("pdloop-"):-len(".so")].rpartition("-")[0]
+            for other in path.parent.glob("pdloop-*.so") if other != path}
+    builds = [other for other, key in keys.items() if key == host]
+    try:
+        builds.sort(key=lambda other: other.stat().st_mtime_ns)
+    except OSError:  # one was removed meanwhile; the next build prunes
+        return
+    stale = [other for other, key in keys.items() if key != host and key in ("", platform.machine())]
+    for other in builds[:-1] + stale:
+        try:
+            other.unlink()
+        except OSError:  # removed by another process, or not ours to remove
+            pass
 
 
 def _load_or_build(compiler: str, directory: Path, host: str, builds):
@@ -272,22 +276,32 @@ def bind(
     at = np.empty(n, dtype=np.intp)
     at[fix] = np.arange(fix.size)
     fix_slot = (K.edge // n) * fix.size + at[cell]
-    ints = {
-        name: np.ascontiguousarray(a, dtype=np.intp)
-        for name, a in (("prev0", K.prev0), ("rim", K.rim), ("rim_entries", K.rim_entries),
-                        ("rim_bins", K.rim_bins), ("next0", K.next0), ("edge_cells", K.edge_cells),
-                        ("fix", fix), ("fix_slot", fix_slot), ("owner", pen.idx),
-                        ("face_owner", faces.owner_cell))
-    }
-    # owners with m > 2 faces: their position among the owners, m, and their
-    # m face values followed by the m + 1 moves (t / m)(m - 2j) of the median
-    pos, ms, rows = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], []
+    # the lead runs a chunk and the stencil's reach ahead of the lag: the
+    # largest step to a forward neighbor, along axis 0 (next0) or axis 1
+    cells = np.arange(n)
+    lead = _CHUNK + max(1, int((K.next0 - cells).max(initial=0)), int((cells - K.prev0).max(initial=0)))
+    # per rim cell r, its entries of bins r and n_rim + r, in bincount's order
+    nr = K.rim.size
+    bins = 2 * (K.rim_bins % nr) + K.rim_bins // nr
+    # each rim cell's index among the owners, -1 for none (an owner is never regular)
+    owner_at = np.full(n, -1, dtype=np.intp)
+    owner_at[pen.idx] = np.arange(pen.idx.size)
+    # owners with m > 2 faces: their index among such owners, m, and their m
+    # face values followed by the m + 1 moves (t / m)(m - 2j) of the median
+    owner_multi, ms, rows = np.full(pen.idx.size, -1, dtype=np.intp), [np.empty(0, dtype=np.intp)], []
     for p, values, moves in pen.multi:
-        pos.append(p)
+        owner_multi[p] = np.arange(len(rows), len(rows) + p.size)
         ms.append(np.full(p.size, values.shape[1], dtype=np.intp))
         rows.extend(np.concatenate((values, moves), axis=1))
-    ints["multi_pos"] = np.ascontiguousarray(np.concatenate(pos), dtype=np.intp)
-    ints["multi_m"] = np.concatenate(ms)
+    ints = {
+        name: np.ascontiguousarray(a, dtype=np.intp)
+        for name, a in (("prev0", K.prev0), ("rim", K.rim),
+                        ("rim_ptr", np.concatenate(([0], np.cumsum(np.bincount(bins, minlength=2 * nr))))),
+                        ("rim_src", K.rim_entries[np.argsort(bins, kind="stable")]),
+                        ("rim_owner", owner_at[K.rim]), ("next0", K.next0), ("edge_cells", K.edge_cells),
+                        ("fix", fix), ("fix_slot", fix_slot), ("owner_multi", owner_multi),
+                        ("multi_m", np.concatenate(ms)), ("face_owner", faces.owner_cell))
+    }
     ints["multi_off"] = np.cumsum([0] + [row.size for row in rows], dtype=np.intp)[:-1]
     floats = {
         name: np.ascontiguousarray(a, dtype=np.float64)
@@ -297,16 +311,14 @@ def bind(
     }
     # scratch space
     floats.update(
-        rim_sums=np.empty(2 * K.rim.size), fix_g=np.empty(2 * fix.size), fix_q=np.empty(2 * fix.size),
-        owner_x=np.empty(pen.idx.size), terms=np.empty(len(faces.owner_cell)),
+        fix_g=np.empty(2 * fix.size), fix_q=np.empty(2 * fix.size), terms=np.empty(len(faces.owner_cell)),
         select=np.empty(2 * int(ints["multi_m"].max(initial=0)) + 1),
     )
     floats.update(u=u, q=q, g=g, u_step=u_step, du=du, hxs=hxs)
     state = _State(
-        n=n, n_rim=K.rim.size, n_rim_entries=K.rim_entries.size, n_edge=K.edge.size,
-        n_fix=fix.size, constrained=int(pen.mode == "constrained"), n_owner=pen.idx.size,
-        n_multi=len(rows), n_face=len(faces.owner_cell), h=K.h, factor=factor, radius=radius,
-        numerator=relax * radius, keep=1.0 - relax, relax=relax,
+        n=n, chunk=_CHUNK, lead=lead, n_rim=nr, n_edge=K.edge.size, n_fix=fix.size,
+        constrained=int(pen.mode == "constrained"), n_face=len(faces.owner_cell), h=K.h, factor=factor,
+        radius=radius, numerator=relax * radius, keep=1.0 - relax, relax=relax,
         **{name: _pointer(a, ctypes.c_ssize_t) for name, a in ints.items()},
         **{name: _pointer(a, ctypes.c_double) for name, a in floats.items()},
     )

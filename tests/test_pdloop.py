@@ -151,6 +151,16 @@ def lens64():
     return lens(1 / 64)
 
 
+def holes():
+    """A 40 x 40 mask with a quarter of its cells exterior at random: rows
+    split into several runs, axis-0 steps that change from row to row, and
+    rim cells and owners with three or four faces in every chunk of the
+    compiled block's sweep (test_holes_mask_covers_every_chunk_of_the_sweep)."""
+    mask = np.random.default_rng(1473).random((40, 40)) >= 0.25
+    grid = Grid(h=1 / 40, origin=np.zeros(2), nx=40, ny=40, interior_mask=mask)
+    return grid, sample_datum(boundary_faces(grid), lambda x, y: np.sin(9 * x) * np.cos(7 * y) + x)
+
+
 CASES = {
     "lens-penalized": (lens, SolverConfig(max_iters=30000, tol=1e-10)),
     "lens-constrained": (lens, SolverConfig(mode="constrained", max_iters=30000, tol=1e-10)),
@@ -162,6 +172,8 @@ CASES = {
     "cut-at-3": (notched, SolverConfig(max_iters=3)),
     "tiny-mask": (tiny, SolverConfig(max_iters=20000, tol=1e-9)),
     "cut-at-137-h64": (lens64, SolverConfig(max_iters=137, tol=1e-300)),
+    "holes-penalized": (holes, SolverConfig(max_iters=20000, tol=1e-9)),
+    "holes-constrained": (holes, SolverConfig(mode="constrained", max_iters=20000, tol=1e-9)),
 }
 
 
@@ -173,6 +185,17 @@ def test_c_block_equals_numpy_block_bitwise(c_block, monkeypatch, case):
     assert_bitwise_equal(c, ref)
     if case.startswith("cut"):
         assert c.iterations == cfg.max_iters
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32])
+def test_sweep_at_other_chunks_equals_numpy_block_bitwise(c_block, monkeypatch, chunk):
+    """The sweep's lead covers the stencil's reach at any chunk; smaller
+    chunks put more chunk ends, where the lead and the lag come closest,
+    among the random-holes mask's rim cells and long axis-0 steps."""
+    monkeypatch.setattr(pdloop, "_CHUNK", chunk)
+    problem, cfg = CASES["holes-penalized"]
+    c, ref = both_blocks(monkeypatch, *problem(), cfg)
+    assert_bitwise_equal(c, ref)
 
 
 @pytest.mark.parametrize("case", ["cut-at-3", "ragged-constrained"])
@@ -195,10 +218,7 @@ def test_c_block_solve_binds_no_numpy_kernel(c_block, monkeypatch, case):
     assert_bitwise_equal(solve(grid, datum, cfg), ref)
 
 
-PORTABLE_CASES = ["lens-penalized", "lens-constrained", "notched-polygon", "tiny-mask", "cut-at-137-h64"]
-
-
-@pytest.mark.parametrize("case", PORTABLE_CASES)
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_portable_c_block_equals_numpy_block_bitwise(portable_block, monkeypatch, case):
     """The portable build (2-wide SSE2 on x86-64) stays under the referee on
     a host whose own build has wider vectors."""
@@ -256,6 +276,25 @@ def test_referee_cases_cover_the_prox_branches():
         lo = np.pad(k[:-1], ((1, 0), (0, 0)))
         hi = np.pad(k[1:], ((0, 1), (0, 0)))
         assert (k & ~lo & ~hi).any()
+
+
+def test_holes_mask_covers_every_chunk_of_the_sweep():
+    """The random-holes mask splits rows into several runs, its axis-0 steps
+    change from row to row, and every chunk of the compiled block's sweep
+    holds a rim cell and an owner with three or four faces."""
+    grid, datum = holes()
+    runs = np.diff(grid.interior_mask.astype(int), axis=1, prepend=0) == 1
+    assert runs.sum(axis=1).min() >= 3
+    K = difference_operator(grid)
+    cells = np.arange(K.n)
+    steps = (K.next0 - cells)[K.next0 != cells]
+    assert np.unique(steps).size >= 10
+    chunks = -(-K.n // pdloop._CHUNK)
+    assert np.unique(K.rim // pdloop._CHUNK).size == chunks
+    pen = _Penalty(datum, 1.0, "penalized")
+    multi = np.concatenate([pen.idx[pos] for pos, _, _ in pen.multi])
+    assert np.unique(multi // pdloop._CHUNK).size == chunks
+    assert sorted(faces.shape[1] for _, faces, _ in pen.multi) == [3, 4]
 
 
 def bind_keywords(grid, datum):
@@ -365,8 +404,9 @@ def test_rejected_host_build_falls_back_to_the_portable_build(c_block, fresh_loa
 def test_host_build_that_failed_once_is_built_by_the_next_process(c_block, fresh_loader, monkeypatch,
                                                                    tmp_path):
     """A host build that fails once, for any reason, leaves the portable
-    object in the cache; the next process tries the host build again, ends
-    on the host flags and removes the portable object."""
+    object in the cache; the next process tries the host build again and
+    ends on the host flags, with the portable object kept beside it as the
+    host's newest other build."""
     if pdloop._host() is None:
         pytest.skip("the host's CPU features cannot be read, so only the portable build is tried")
     compile_, failures = pdloop._compile, [1]
@@ -383,8 +423,8 @@ def test_host_build_that_failed_once_is_built_by_the_next_process(c_block, fresh
     (portable,) = (tmp_path / "harea").iterdir()
     pdloop._library.cache_clear()
     assert pdloop.loop_info()["cflags"] == list(pdloop.CFLAGS)
-    (built,) = (tmp_path / "harea").iterdir()
-    assert built != portable and built.name.startswith(f"pdloop-{pdloop._host()}-")
+    (built,) = set((tmp_path / "harea").iterdir()) - {portable}
+    assert built.name.startswith(f"pdloop-{pdloop._host()}-")
 
 
 def test_hung_compiler_falls_back_to_the_numpy_block(c_block, fresh_loader, monkeypatch, tmp_path):
@@ -432,31 +472,36 @@ def test_kernel_is_cached_by_atomic_rename(c_block, fresh_loader, monkeypatch, t
 
 
 def test_new_build_removes_the_hosts_other_builds_only(c_block, fresh_loader, monkeypatch, tmp_path):
-    """Two sources under one host key leave the newer one's object alone in
-    the cache; an object named without a host part (the naming before the
-    host key) is removed by the first build, and an object under another
-    host's key stays."""
+    """Three sources under one host key leave the newest two objects in the
+    cache, so two checkouts run in turn do not remove each other's object;
+    an object named without a host part (the naming before the host key)
+    and one under the machine's name, which a host keyed by its CPU
+    features never loads, are removed by the first build; an object under
+    another host's key stays."""
     cache = tmp_path / "harea"
     cache.mkdir()
+    machine = platform.machine() or "unknown"
     foreign, unkeyed = cache / "pdloop-0badf00d-12345678.so", cache / "pdloop-deadbeef.so"
-    foreign.write_bytes(b"")
-    unkeyed.write_bytes(b"")
-    source = tmp_path / "pdloop.c"
-    source.write_bytes(pdloop._SOURCE.read_bytes())
+    machine_keyed = cache / f"pdloop-{machine}-75182c51.so"
+    for stale in (foreign, unkeyed, machine_keyed):
+        stale.write_bytes(b"")
+    source, cpuinfo, text = tmp_path / "pdloop.c", tmp_path / "cpuinfo", pdloop._SOURCE.read_text()
+    cpuinfo.write_text("processor\t: 0\nflags\t\t: fpu sse sse2\n")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(pdloop, "_SOURCE", source)
-    host = pdloop._host() or platform.machine()
-    assert host != "0badf00d"
-    objects, text = [], source.read_text()
-    for version in (text, text + "\n/* another source */\n"):
-        source.write_text(version)
+    monkeypatch.setattr(pdloop, "_CPUINFO", cpuinfo)
+    host = pdloop._host()
+    assert host not in (None, "0badf00d", machine)
+    objects = []
+    for k in range(3):
+        source.write_text(text + f"\n/* source {k} */\n")
         pdloop._library.cache_clear()
         assert pdloop._library() is not None
-        (built,) = set(cache.iterdir()) - {foreign}
+        (built,) = set(cache.iterdir()) - {foreign, unkeyed, machine_keyed} - {cache / name for name in objects}
         assert built.name.startswith(f"pdloop-{host}-")
         objects.append(built.name)
-    assert objects[0] != objects[1]
-    assert foreign.is_file() and not unkeyed.exists()
+        assert not unkeyed.exists() and not machine_keyed.exists()
+    assert sorted(p.name for p in cache.iterdir()) == sorted([foreign.name, *objects[1:]])
 
 
 def test_foreign_host_builds_its_own_kernel(c_block, fresh_loader, monkeypatch, tmp_path):
@@ -547,22 +592,24 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         assert out.returncode == 0, (flags, out.stderr)
 
 
-def assert_dual_pass_vectorized(flags, tmp_path):
-    """GCC reports the loop of the dual pass (a square root and a divide per
-    cell) vectorized as a whole: not left scalar, and not split by loop
-    distribution into a vectorized and a scalar part, as it is when the
-    pass is inlined into pd_run."""
+def assert_sweep_vectorized(flags, tmp_path):
+    """GCC reports the sweep's chunk loop (h div and the primal step at the
+    lead's cell, the dual step with its square root and divide at the
+    lag's) vectorized as a whole: not left scalar, and not split by loop
+    distribution into a vectorized and a scalar part."""
     compiler = compiler_or_skip()
     about = subprocess.run([compiler, "--version"], capture_output=True, text=True).stdout
     if "Free Software Foundation" not in about or "clang" in about:
         pytest.skip(f"{compiler} is not GCC")
     major = subprocess.run([compiler, "-dumpversion"], capture_output=True, text=True).stdout
     if int(major.split(".")[0]) < 12:
-        pytest.skip("GCC vectorizes the pass's indexed loads from version 12")
+        pytest.skip("GCC vectorizes the sweep's indexed loads from version 12")
     source = Path(pdloop.__file__).with_name("pdloop.c")
     lines = source.read_text().splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("PASS void dual_pass("))
-    loop = next(i for i in range(start, len(lines)) if lines[i].lstrip().startswith("for (")) + 1
+    start = next(i for i, line in enumerate(lines) if line.startswith("PASS void sweep("))
+    pragma = next(i for i in range(start, len(lines)) if lines[i].strip() == "#pragma GCC ivdep")
+    loop = pragma + 2  # the chunk's loop, on the line after the pragma (lines count from 1)
+    assert lines[loop - 1].lstrip().startswith("for (")
     cmd = [compiler, *flags, "-fopt-info-vec-optimized", "-fopt-info-vec-missed",
            "-o", str(tmp_path / "k.so"), str(source)]
     out = subprocess.run(cmd, capture_output=True, text=True)
@@ -572,12 +619,12 @@ def assert_dual_pass_vectorized(flags, tmp_path):
     assert not any("couldn't vectorize loop" in line for line in reports), reports
 
 
-def test_dual_pass_is_vectorized(tmp_path):
-    assert_dual_pass_vectorized(pdloop.CFLAGS, tmp_path)
+def test_sweep_is_vectorized(tmp_path):
+    assert_sweep_vectorized(pdloop.CFLAGS, tmp_path)
 
 
-def test_dual_pass_is_vectorized_in_the_portable_build(tmp_path):
-    assert_dual_pass_vectorized(pdloop._PORTABLE_CFLAGS, tmp_path)
+def test_sweep_is_vectorized_in_the_portable_build(tmp_path):
+    assert_sweep_vectorized(pdloop._PORTABLE_CFLAGS, tmp_path)
 
 
 def test_flags_keep_numpy_rounding_and_portability():
