@@ -7,8 +7,8 @@ data, certifies boundary data against the bounded slope condition, and bundles
 the resulting guarantees (comparison, barriers, covariance, worked examples)
 into named, reproducible checks.
 
-Submodules are imported lazily so the command-line entry point can cap thread
-counts before any numeric library loads.
+Submodules are imported lazily, so ``import harea`` and ``harea --help`` load
+no numeric library.
 """
 
 from importlib import import_module

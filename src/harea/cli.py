@@ -22,8 +22,6 @@ discrete minimizers are not unique.
 Exit codes: 0 success / all checks passed; 1 a check failed, the solver did
 not converge, a slope certificate was refused, or stdout was closed before
 the report was printed; 2 usage or config errors.
-Heavy numeric imports happen after the HAREA_THREADS cap is applied, so the
-cap reaches the underlying BLAS.
 """
 
 from __future__ import annotations
@@ -36,32 +34,9 @@ import sys
 
 __all__ = ["dispatch", "main", "UsageError"]
 
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
 
 class UsageError(Exception):
     """Configuration or invocation problem; maps to exit code 2."""
-
-
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("HAREA_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"HAREA_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise UsageError("HAREA_THREADS must be >= 0 (0 = automatic)")
-    if n == 0:
-        return
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(n))
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv=None) -> int:
     """Parse argv, run the subcommand, and return the process exit code."""
-    try:
-        _apply_thread_cap()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

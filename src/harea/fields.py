@@ -24,22 +24,18 @@ same sum of the same operands, in the same order, as the gather
 over all 2n entries would give.  Boundary attachment is never encoded in the
 operator; it enters the model only through the boundary penalty.
 
-Each kernel exists once, as a binder: :meth:`DiffOperator.bind_hgrad` and
-:meth:`DiffOperator.bind_hdiv` take the input and output arrays, resolve the
-views, index arrays and rim buffers for them, and return a zero-argument
-function that applies the stencil to whatever the input holds when it is
-called.  The solver's NumPy block binds each kernel once per solve and calls
-it every iteration; :meth:`DiffOperator.hgrad` and :meth:`DiffOperator.hdiv`
-bind and call in one go.  The public :func:`gradient` and :func:`divergence`
-apply ``K`` to the interior values of full-grid fields, whose interior
-vectors are ``(n, 2)``; the solver applies it to component-major interior
-vectors directly.
+Each kernel is one function: :meth:`DiffOperator.hgrad` and
+:meth:`DiffOperator.hdiv` write into output and scratch arrays when they are
+given and allocate them otherwise, so the solver's NumPy block runs every
+iteration on its own buffers.  The public :func:`gradient` and
+:func:`divergence` apply ``K`` to the interior values of full-grid fields,
+whose interior vectors are ``(n, 2)``; the solver applies it to
+component-major interior vectors directly.
 
 The operator's forward and fallback masks come from the package's one
 neighbor rule, ``geometry._neighbor``.  The one cell norm, ``sqrt(x*x + y*y)``
 or ``|x| + |y|`` as :class:`EnergyMode` selects, is :func:`_cell_norms` on
-``(2, n)`` vectors, bound the same way by :func:`_bind_cell_norms`; the
-solver and every diagnostic measure lengths with it.
+``(2, n)`` vectors; the solver and every diagnostic measure lengths with it.
 """
 
 from __future__ import annotations
@@ -227,63 +223,35 @@ class DiffOperator(NamedTuple):
         """-K^T p: interior vectors (2, n) to interior values (n,)."""
         return self.hdiv(p) / self.h
 
-    def hgrad(self, u: np.ndarray) -> np.ndarray:
-        """h K u: interior values (n,) to interior gradients (2, n)."""
-        return self.bind_hgrad(u, np.empty((2, self.n)))()
-
-    def hdiv(self, p: np.ndarray) -> np.ndarray:
-        """h times the divergence of ``p`` (2, n)."""
-        return self.bind_hdiv(p, np.empty(self.n), np.empty(self.n))()
-
-    def bind_hgrad(self, u: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
-        """The kernel of :meth:`hgrad` bound to the buffers ``u`` (n,) and
-        the C-contiguous ``out`` (2, n): each call writes h K u for the
-        current values of ``u`` into ``out`` and returns it.  Its views, index
-        arrays and rim buffers are made here, once."""
-        if not out.flags.c_contiguous:
+    def hgrad(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """h K u: interior values (n,) to interior gradients (2, n), written
+        into ``out`` (a C-contiguous (2, n) array) when it is given."""
+        if out is None:
+            out = np.empty((2, self.n))
+        elif not out.flags.c_contiguous:
             raise FieldError("hgrad writes into a C-contiguous (2, n) array")
-        next0, edge, edge_cells = self.next0, self.edge, self.edge_cells
-        out0, fwd1, u_hi, u_lo = out[0], out[1, :-1], u[1:], u[:-1]
-        ends = np.empty(edge_cells.shape)
-        end_plus, end_minus, rewrite = ends[0], ends[1], np.empty(edge.size)
+        # mode="clip" lets take write straight into out; the indices are in range
+        u.take(self.next0, out=out[0], mode="clip")
+        np.subtract(out[0], u, out=out[0])
+        np.subtract(u[1:], u[:-1], out=out[1, :-1])
+        ends = u.take(self.edge_cells)
         # a fancy setitem costs about half as much as ndarray.put here
-        take, write, subtract = u.take, out.reshape(-1).__setitem__, np.subtract
+        out.reshape(-1)[self.edge] = ends[0] - ends[1]
+        return out
 
-        def hgrad():
-            # mode="clip" lets take write straight into out; the indices are in range
-            take(next0, out=out0, mode="clip")
-            subtract(out0, u, out=out0)
-            subtract(u_hi, u_lo, out=fwd1)
-            take(edge_cells, out=ends, mode="clip")
-            subtract(end_plus, end_minus, out=rewrite)
-            write(edge, rewrite)
-            return out
-
-        return hgrad
-
-    def bind_hdiv(self, p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> Callable[[], np.ndarray]:
-        """The kernel of :meth:`hdiv` bound to ``p`` (2, n), ``out`` (n,) and
-        ``scratch`` (n,): each call writes h times the divergence of the
-        current ``p`` into ``out`` and returns it."""
-        prev0, rim, rim_entries, rim_bins = self.prev0, self.rim, self.rim_entries, self.rim_bins
-        nr = rim.size
-        p0, p1, p1_lo, back_hi = p[0], p[1], p[1, :-1], scratch[1:]
-        entries, rewrite = np.empty(rim_entries.size), np.empty(nr)
-        take0, take, write = p0.take, p.take, out.__setitem__
-        add, subtract, bincount = np.add, np.subtract, np.bincount
-
-        def hdiv():
-            add(p0, p1, out=out)
-            take0(prev0, out=scratch, mode="clip")
-            add(back_hi, p1_lo, out=back_hi)
-            subtract(out, scratch, out=out)
-            take(rim_entries, out=entries, mode="clip")
-            s = bincount(rim_bins, entries, 2 * nr)
-            subtract(s[:nr], s[nr:], out=rewrite)
-            write(rim, rewrite)
-            return out
-
-        return hdiv
+    def hdiv(self, p: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+        """h times the divergence of ``p`` (2, n), written into ``out`` (n,)
+        when it is given; ``scratch`` (n,) is overwritten."""
+        nr = self.rim.size
+        out = np.empty(self.n) if out is None else out
+        back = np.empty(self.n) if scratch is None else scratch
+        np.add(p[0], p[1], out=out)
+        p[0].take(self.prev0, out=back, mode="clip")
+        np.add(back[1:], p[1, :-1], out=back[1:])
+        np.subtract(out, back, out=out)
+        s = np.bincount(self.rim_bins, p.take(self.rim_entries), 2 * nr)
+        out[self.rim] = s[:nr] - s[nr:]
+        return out
 
 
 def difference_operator(grid: Grid) -> DiffOperator:
@@ -369,26 +337,15 @@ class EnergyMode(enum.Enum):
         raise EnergyError(f"unknown energy mode {s!r} (expected 'iso' or 'aniso')")
 
 
-def _cell_norms(v: np.ndarray, mode: EnergyMode) -> np.ndarray:
+def _cell_norms(v: np.ndarray, mode: EnergyMode, scratch: np.ndarray | None = None) -> np.ndarray:
     """Per-cell norms (n,) of component-major vectors ``v`` (2, n):
-    ``sqrt(x*x + y*y)`` or ``|x| + |y|``."""
-    return _bind_cell_norms(v, mode, np.empty_like(v))()
-
-
-def _bind_cell_norms(v: np.ndarray, mode: EnergyMode, scratch: np.ndarray) -> Callable[[], np.ndarray]:
-    """The kernel of :func:`_cell_norms` bound to ``v`` and ``scratch``
-    (2, n): each call returns ``scratch[0]`` holding the norms of the current
-    ``v``."""
-    s0, s1 = scratch[0], scratch[1]
+    ``sqrt(x*x + y*y)`` or ``|x| + |y|``, returned in ``scratch[0]`` when a
+    (2, n) ``scratch`` is given."""
     iso = mode is EnergyMode.ISOTROPIC
-    elementwise, add, sqrt = np.square if iso else np.abs, np.add, np.sqrt
-
-    def norms():
-        elementwise(v, out=scratch)
-        add(s0, s1, out=s0)
-        return sqrt(s0, out=s0) if iso else s0
-
-    return norms
+    scratch = np.empty_like(v) if scratch is None else scratch
+    (np.square if iso else np.abs)(v, out=scratch)
+    s = np.add(scratch[0], scratch[1], out=scratch[0])
+    return np.sqrt(s, out=s) if iso else s
 
 
 def gradient(u: ScalarField) -> VectorField:

@@ -32,11 +32,10 @@ block is :mod:`harea.pdloop`'s compiled kernel where it can be built and
 loaded (that module says how it is built and cached; its buffers are 64-byte
 aligned), and the NumPy block of :func:`_numpy_block` elsewhere.  Both
 allocate the iterate and every buffer of the loop, and the two give the same
-iterates and energies bit for bit.  The NumPy block binds every kernel of
-the loop (the operator's ``bind_hdiv``/``bind_hgrad``, the boundary prox,
-the dual projection and the energy) to its buffers once; an iteration is
-about 38 NumPy calls on ready arguments.  The start, the best-iterate copies
-and the stop test stay in Python.
+iterates and energies bit for bit.  The NumPy block calls the operator's
+``hdiv``/``hgrad``, the boundary prox, the dual projection and the cell norm
+directly, passing its buffers in; an iteration is about 38 NumPy calls.  The
+start, the best-iterate copies and the stop test stay in Python.
 
 The iteration is not energy-monotone.  The energy is evaluated at every 10th
 iterate and at the last one, and the solver returns the best iterate so
@@ -59,7 +58,7 @@ from .energy import EnergyBreakdown, EnergyMode
 from .fields import (
     ScalarField,
     VectorField,
-    _bind_cell_norms,
+    _cell_norms,
     _check_same_grid,
     difference_operator,
     interior_xstar,
@@ -208,30 +207,14 @@ class SolveReport:
 # proximal maps
 
 
-def _bind_projection(
-    p: np.ndarray, radius: float, scratch: np.ndarray, scale: float = 1.0
-) -> Callable[[], np.ndarray]:
-    """The dual projection bound to ``p`` and ``scratch`` (2, n): each call
-    projects every cell of ``p`` in place onto the Euclidean ball of
-    ``radius`` and multiplies it by ``scale``, which it takes into its
-    divide's numerator at no cost."""
-    norms = _bind_cell_norms(p, EnergyMode.ISOTROPIC, scratch)
-    numerator = scale * radius
-    maximum, divide, multiply = np.maximum, np.divide, np.multiply
-
-    def project():
-        factor = norms()
-        maximum(factor, radius, out=factor)
-        divide(numerator, factor, out=factor)
-        return multiply(p, factor, out=p)
-
-    return project
-
-
-def _project_dual(p: np.ndarray, radius: float) -> np.ndarray:
+def _project_dual(p: np.ndarray, radius: float, scale: float = 1.0, scratch: np.ndarray | None = None) -> np.ndarray:
     """Project each cell of ``p`` (2, n) in place onto the Euclidean ball of
-    ``radius``."""
-    return _bind_projection(p, radius, np.empty_like(p))()
+    ``radius`` and multiply it by ``scale``, which the divide's numerator
+    takes at no cost; ``scratch`` (2, n) is overwritten."""
+    factor = _cell_norms(p, EnergyMode.ISOTROPIC, scratch)
+    np.maximum(factor, radius, out=factor)
+    np.divide(scale * radius, factor, out=factor)
+    return np.multiply(p, factor, out=p)
 
 
 def prox_dual(q: VectorField, sigma: float) -> VectorField:
@@ -278,9 +261,9 @@ class _Penalty:
             self.multi.append((pos, values, moves))
 
 
-def _bind_prox(v: np.ndarray, pen: _Penalty) -> Callable[[], np.ndarray]:
-    """The primal prox of ``pen`` bound to the interior values ``v``: each
-    call applies it to ``v`` in place and returns ``v``.
+def _prox(v: np.ndarray, pen: _Penalty) -> np.ndarray:
+    """The primal prox of ``pen`` applied to the interior values ``v`` in
+    place; returns ``v``.
 
     For an owner cell with faces phi_1..phi_m of equal measure it is
     median{phi_1..phi_m, v + (t/m)(m - 2j), j = 0..m} (Li & Osher's median
@@ -288,36 +271,19 @@ def _bind_prox(v: np.ndarray, pen: _Penalty) -> Callable[[], np.ndarray]:
     max(v - t, min(v + t, clip(v, phi_min, phi_max))); a far value moves by
     exactly t, so data of size 1e200 do not round against their threshold.
     """
-    idx, write = pen.idx, v.__setitem__
     if pen.mode == "constrained":
-        mean = pen.mean
-
-        def pin():
-            write(idx, mean)
-            return v
-
-        return pin
-    lo, hi, t = pen.lo, pen.hi, pen.t
-    vi, x, s = np.empty(idx.size), np.empty(idx.size), np.empty(idx.size)
-    take = v.take
-    maximum, minimum, add, subtract = np.maximum, np.minimum, np.add, np.subtract
-    groups = [(pos, faces, faces.shape[1], moves) for pos, faces, moves in pen.multi]
-
-    def prox():
-        take(idx, out=vi, mode="clip")
-        maximum(vi, lo, out=x)
-        minimum(x, hi, out=x)
-        add(vi, t, out=s)
-        minimum(x, s, out=x)
-        subtract(vi, t, out=s)
-        maximum(x, s, out=x)
-        for pos, faces, m, moves in groups:
-            moved = vi[pos, None] + moves
-            x[pos] = np.partition(np.concatenate((faces, moved), axis=1), m, axis=1)[:, m]
-        write(idx, x)
+        v[pen.idx] = pen.mean
         return v
-
-    return prox
+    vi = v[pen.idx]
+    x = np.maximum(vi, pen.lo)
+    np.minimum(x, pen.hi, out=x)
+    np.minimum(x, vi + pen.t, out=x)
+    np.maximum(x, vi - pen.t, out=x)
+    for pos, faces, moves in pen.multi:
+        m = faces.shape[1]
+        x[pos] = np.partition(np.concatenate((faces, vi[pos, None] + moves), axis=1), m, axis=1)[:, m]
+    v[pen.idx] = x
+    return v
 
 
 def prox_primal(
@@ -336,7 +302,7 @@ def prox_primal(
     face-measure-weighted mean of its face values.
     """
     _check_same_grid(v.grid, datum.faces.grid, SolverError, "datum faces belong to a different grid")
-    return ScalarField.from_interior(v.grid, _bind_prox(v.interior(), _Penalty(datum, tau, mode))())
+    return ScalarField.from_interior(v.grid, _prox(v.interior(), _Penalty(datum, tau, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +337,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     measures, phi = datum.faces.measure, datum.values
     # constant start at the measure-weighted mean of the boundary values, moved by the prox
     u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
-    start = _bind_prox(np.full(grid.interior_count, u0), pen)()
+    start = _prox(np.full(grid.interior_count, u0), pen)
     loop = dict(K=difference_operator(grid), datum=datum, pen=pen, start=start,
                 xstar=interior_xstar(grid), factor=factor, radius=radius, relax=_RELAX)
     block, u, Q = pdloop.bind(**loop) or _numpy_block(**loop)  # Q is the dual P / sigma_h
@@ -432,37 +398,31 @@ def _numpy_block(
     u, Q, hXS = start.copy(), np.zeros((2, n)), h * xstar
     G, scratch = np.empty((2, n)), np.empty((2, n))  # G: the dual step, and H at checkpoints
     u_step, du, d = np.empty(n), np.empty(n), np.empty(phi.size)
-    hdiv_Q = K.bind_hdiv(Q, u_step, du)
-    hgrad_step = K.bind_hgrad(u_step, G)
-    hgrad_u = K.bind_hgrad(u, G)
-    prox_step = _bind_prox(u_step, pen)
-    project = _bind_projection(G, radius, scratch, relax)
-    norms = _bind_cell_norms(G, EnergyMode.ISOTROPIC, scratch)
     add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
 
     def block(steps: int) -> tuple[float, float]:
         for _ in range(steps):
             # u~ = prox(u + f hdiv(Q)), kept as du = u~ - u and u_step = 2 u~ - u
-            hdiv_Q()
+            K.hdiv(Q, u_step, du)
             multiply(u_step, factor, out=u_step)
             add(u_step, u, out=u_step)
-            prox_step()
+            _prox(u_step, pen)
             subtract(u_step, u, out=du)
             add(u_step, du, out=u_step)
             # G = relax proj(Q + hgrad(2 u~ - u) + hX*) = relax Q~
-            hgrad_step()
+            K.hgrad(u_step, G)
             add(G, hXS, out=G)
             add(G, Q, out=G)
-            project()
+            _project_dual(G, radius, relax, scratch)
             # relax both toward the step's end point: Q += relax (Q~ - Q), u += relax (u~ - u)
             multiply(Q, keep, out=Q)
             add(Q, G, out=Q)
             multiply(du, relax, out=du)
             add(u, du, out=u)
         # h^2 |K u + X*| = h |H| per cell
-        hgrad_u()
+        K.hgrad(u, G)
         add(G, hXS, out=G)
-        interior = h * float(add.reduce(norms()))
+        interior = h * float(add.reduce(_cell_norms(G, EnergyMode.ISOTROPIC, scratch)))
         u.take(owner, out=d, mode="clip")
         subtract(d, phi, out=d)
         absolute(d, out=d)
@@ -485,16 +445,6 @@ class RefineRow:
     energy_total: float
     error: float | None
     report: SolveReport = field(repr=False, compare=False)
-
-    def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "cells": self.cells,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "energy_total": self.energy_total,
-            "error": self.error,
-        }
 
 
 def refine_study(

@@ -35,7 +35,8 @@ from the whole cell-by-face matrix and the loop gradient.
 ``reference_solve`` is the over-relaxed primal-dual loop in its unscaled
 form, for the isotropic area the solver minimizes: the dual ``P`` itself,
 stepped by ``sigma_h`` times the horizontal vector of the extrapolated primal
-and projected onto the Euclidean ball of radius h^2,
+and projected onto the Euclidean ball of radius h^2 (written out here as
+``x r / max(sqrt(x^2 + y^2), r)``, not the solver's projection kernel),
 the primal step scaled by ``tau_h``, every update into a fresh array, and
 the boundary prox by ``np.median`` over the median formula's candidates
 (``median_prox``), or the face mean in constrained mode.  The library
@@ -58,7 +59,6 @@ from harea.solver import (
     SolveReport,
     SolverConfig,
     SolverError,
-    _project_dual,
 )
 
 
@@ -293,6 +293,12 @@ def median_prox(v, tau, groups):
     return v
 
 
+def ball_projection(P, r):
+    """Each cell of ``P`` (2, n) projected onto the Euclidean ball of radius
+    ``r``, as a fresh array."""
+    return P * r / np.maximum(np.sqrt(P[0] ** 2 + P[1] ** 2), r)
+
+
 def reference_solve(grid, datum, cfg=None):
     """The over-relaxed primal-dual loop with the unscaled dual, fresh arrays
     for every update and ``median_prox``; the energy is evaluated at every
@@ -340,7 +346,7 @@ def reference_solve(grid, datum, cfg=None):
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
         u_new = prox(u + tau_h * K.hdiv(P))
-        P_new = _project_dual(P + sigma_h * (K.hgrad(2.0 * u_new - u) + hXS), h * h)
+        P_new = ball_projection(P + sigma_h * (K.hgrad(2.0 * u_new - u) + hXS), h * h)
         u = u + _RELAX * (u_new - u)
         P = P + _RELAX * (P_new - P)
         iterations = k

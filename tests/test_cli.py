@@ -494,8 +494,8 @@ def test_console_script_entry_point():
 
 
 def test_cli_parser_leaves_numpy_unloaded():
-    """The thread cap reaches BLAS only if NumPy loads after it is applied, so
-    importing the package and the CLI and building the parser must not load it."""
+    """Importing the package and the CLI and building the parser load no
+    NumPy, so ``harea --help`` stays light."""
     code = "import sys, harea, harea.cli; harea.cli._build_parser(); print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=entry_point_env())
@@ -510,8 +510,3 @@ def test_installed_console_script():
     # an install from another checkout prints another parser's help
     assert out.stdout == run_entry_point(declared_scripts()["harea"], "--help").stdout
 
-
-def test_thread_cap_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("HAREA_THREADS", "banana")
-    assert dispatch(["verify", "--check", "euler_residual_es1"]) == 2
-    assert "HAREA_THREADS" in capsys.readouterr().err

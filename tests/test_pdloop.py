@@ -199,22 +199,22 @@ def test_sweep_at_other_chunks_equals_numpy_block_bitwise(c_block, monkeypatch, 
 
 
 @pytest.mark.parametrize("case", ["cut-at-3", "ragged-constrained"])
-def test_c_block_solve_binds_no_numpy_kernel(c_block, monkeypatch, case):
-    """Under the compiled block a solve binds none of the NumPy block's
+def test_c_block_solve_calls_no_numpy_loop_kernel(c_block, monkeypatch, case):
+    """Under the compiled block a solve calls none of the NumPy block's
     stencil, projection or cell-norm kernels, and takes every energy from
-    the compiled block: with their binders raising, it returns the same
+    the compiled block: with those kernels raising, it returns the same
     report bit for bit.  The start prox stays the NumPy one."""
     problem, cfg = CASES[case]
     grid, datum = problem()
     ref = solve(grid, datum, cfg)  # caches the grid's step rule, which applies the stencils
 
-    def unbound(*args, **kwargs):
-        raise AssertionError("a NumPy kernel was bound under the compiled block")
+    def uncalled(*args, **kwargs):
+        raise AssertionError("a NumPy loop kernel ran under the compiled block")
 
-    for owner, name in ((fields_module.DiffOperator, "bind_hgrad"), (fields_module.DiffOperator, "bind_hdiv"),
-                        (fields_module, "_bind_cell_norms"), (solver_module, "_bind_cell_norms"),
-                        (solver_module, "_bind_projection")):
-        monkeypatch.setattr(owner, name, unbound)
+    for owner, name in ((fields_module.DiffOperator, "hgrad"), (fields_module.DiffOperator, "hdiv"),
+                        (fields_module, "_cell_norms"), (solver_module, "_cell_norms"),
+                        (solver_module, "_project_dual")):
+        monkeypatch.setattr(owner, name, uncalled)
     assert_bitwise_equal(solve(grid, datum, cfg), ref)
 
 

@@ -33,7 +33,7 @@ from harea import (
 )
 from harea.checks import _PAIR_SEED, _fourier_datum, _positive_offset
 from harea.energy import _cell_norms
-from harea.solver import _Penalty, _bind_prox, _folded_steps, _project_dual
+from harea.solver import _Penalty, _folded_steps, _project_dual, _prox
 from harea.surfaces import Affine, es1_datum, es2_surface
 from oracles import reference_solve
 
@@ -117,7 +117,7 @@ def test_exact_prox_meets_its_optimality_condition():
     v, tau, counts, phi, datum = _seeded_owners(rng, k, h)
     pen = _Penalty(datum, tau, "penalized")
     assert np.array_equal(pen.idx, np.arange(k))
-    x = _bind_prox(v.copy(), pen)()
+    x = _prox(v.copy(), pen)
 
     th = tau * h
     size = np.nanmax(np.abs(np.column_stack((phi, v, x, th * counts))), axis=1)
