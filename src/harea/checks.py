@@ -34,7 +34,7 @@ from .energy import (
 )
 # Not called here: perfbench's verify workload wraps gradient, divergence and balanced_steps by name.
 from .fields import ScalarField, gradient, divergence, lipschitz_estimate, vee_wedge
-from .geometry import BoundaryDatum, DomainSpec, boundary_faces, rasterize, sample_datum
+from .geometry import BoundaryDatum, DomainSpec, Grid, boundary_faces, rasterize, sample_datum
 from .geometry import _neighbor, _row_blocks
 from .solver import SolverConfig, SolverError, balanced_steps, refine_study, solve, solver_tolerance
 from .surfaces import Affine, es1_datum, es1_surface, es2_surface
@@ -328,28 +328,38 @@ def _check_submodularity_aniso(user_cfg):
     return metrics, thresholds, config
 
 
+def _rand_smooth(rng):
+    """A random smooth field ``sum_k a_k sin(b_k x + c_k) cos(b_k y - c_k)``
+    with five terms."""
+    a = rng.standard_normal(5)
+    b = rng.uniform(0.5, 3.0, 5)
+    c = rng.uniform(0, 2 * np.pi, 5)
+
+    def f(x, y):
+        return sum(a[k] * np.sin(b[k] * x + c[k]) * np.cos(b[k] * y - c[k]) for k in range(5))
+
+    return f
+
+
+def _separable_field(grid: Grid, f) -> ScalarField:
+    """``f`` at the cell centers, evaluated on the grid's 1D ``xs`` and ``ys``
+    by broadcasting.  For a sum of products of a factor in x and a factor in
+    y, each term is then an outer product of 1D factors: bit for bit ``f`` on
+    the full grid, with sin and cos taken on nx + ny points, not nx ny."""
+    return ScalarField(grid, f(grid.xs[:, None], grid.ys))
+
+
 def _check_vee_wedge_iso(user_cfg):
     rng = np.random.default_rng(_VEEWEDGE_SEED)
-
-    def rand_smooth():
-        a = rng.standard_normal(5)
-        b = rng.uniform(0.5, 3.0, 5)
-        c = rng.uniform(0, 2 * np.pi, 5)
-
-        def f(x, y, a=a, b=b, c=c):
-            return sum(a[k] * np.sin(b[k] * x + c[k]) * np.cos(b[k] * y - c[k]) for k in range(5))
-
-        return f
-
     worst_per_h = 0.0
     hs = (1.0 / 16.0, 1.0 / 32.0)
     for h in hs:
         grid = rasterize(_DISK, h)
         faces = boundary_faces(grid)
         for _ in range(60):
-            f1, f2 = rand_smooth(), rand_smooth()
-            u1 = ScalarField.from_function(grid, f1)
-            u2 = ScalarField.from_function(grid, f2)
+            f1, f2 = _rand_smooth(rng), _rand_smooth(rng)
+            u1 = _separable_field(grid, f1)
+            u2 = _separable_field(grid, f2)
             d1 = sample_datum(faces, f1)
             d2 = sample_datum(faces, f2)
             excess = _vee_wedge_excess(u1, d1, u2, d2)

@@ -17,6 +17,12 @@ the slope, hence convex; that structure gives three solver-free referees:
   near-degenerate data produces slope valleys so flat that a scan's stall is
   indistinguishable from a genuinely positive minimum.
 
+``_nearest_slope`` is the slope certificates' former dense form: the edge
+formula on all n lines at once, with ``n x |cand|`` arrays per sample and
+side.  ``dense_certificates`` runs it over every sample and side as
+``minimal_Q`` did before constraint generation; the library must match its
+``Q_min``, slopes and slack to rounding.
+
 ``loop_gradient`` referees the difference operator the same way: a per-cell
 Python loop that reads nothing but the interior mask.  ``index_operator``,
 ``take_hgrad`` and ``bincount_hdiv`` are the operator's original form, two
@@ -28,6 +34,10 @@ the diagnostics' former full-grid formulas: the horizontal vector as
 ``gradient(u).values + xstar_field(grid).values`` on the whole (nx, ny, 2)
 array, its length by ``np.hypot``.  The library computes them on interior
 (2, n) vectors with the solver's ``sqrt(x*x + y*y)``.
+
+``allocating_operator_norm_sq`` is ``operator_norm_sq``'s power iteration
+as it was written before its buffers: ``w = -K.div(K.grad(v))`` into fresh
+arrays each step, and no cache.  The library must match it bit for bit.
 
 ``dense_lipschitz_bound`` recomputes the ``lipschitz_bound`` check's metrics
 from the whole cell-by-face matrix and the loop gradient.
@@ -49,9 +59,16 @@ import math
 
 import numpy as np
 
-from harea import EnergyMode, gradient, penalized_energy, xstar_field
+from harea import EnergyMode, feasibility_tolerance, gradient, penalized_energy, xstar_field
+from harea.bsc import _RELAX as _BSC_RELAX
 from harea.energy import EnergyBreakdown, _cell_norms
-from harea.fields import ScalarField, VectorField, difference_operator, interior_xstar
+from harea.fields import (
+    _POWER_STEPS,
+    ScalarField,
+    VectorField,
+    difference_operator,
+    interior_xstar,
+)
 from harea.solver import (
     _CHECK_EVERY,
     _RELAX,
@@ -164,6 +181,64 @@ def prove_infeasible_below(samples, Q, eps):
     return False, {}
 
 
+def _nearest_slope(G, b):
+    """Smallest-norm slope of the polygon ``{a : G a <= b}`` and its norm;
+    ``(None, inf)`` when the polygon is empty.
+
+    The origin is the answer when it is admissible.  Otherwise the answer lies
+    on an edge: on line k the polygon is the segment ``p_k + s t_k``, with p_k
+    the foot of the origin on the line, t_k a unit direction and s in the
+    interval the other constraints cut out, and the nearest point of that edge
+    sits at ``s = clip(0, lo_k, hi_k)``.  Only lines the origin violates
+    (b_k < 0) are searched.  Line k's own constraint is left out of its
+    interval: rounding in ``b_k - <G_k, p_k>`` would otherwise empty valid
+    edges.
+    """
+    n2 = np.einsum("ij,ij->i", G, G)
+    if np.any(b[n2 == 0.0] < 0.0):  # a zero row demands 0 <= b_k of every slope
+        return None, np.inf
+    cand = np.flatnonzero(b < 0.0)  # no zero row left among them
+    if not len(cand):
+        return np.zeros(2), 0.0
+    Gc, own = G[cand], np.arange(len(cand))
+    p = Gc * (b[cand] / n2[cand])[:, None]
+    t = np.stack((-Gc[:, 1], Gc[:, 0]), axis=1) / np.sqrt(n2[cand])[:, None]
+    # constraint j along line k: rate C[j, k] in s, slack R[j, k] at the foot
+    C = G @ t.T
+    R = b[:, None] - G @ p.T
+    C[cand, own] = 0.0
+    R[cand, own] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = R / C
+    hi = np.min(np.where(C > 0.0, ratio, np.inf), axis=0)
+    lo = np.max(np.where(C < 0.0, ratio, -np.inf), axis=0)
+    empty = (lo > hi) | np.any((C == 0.0) & (R < 0.0), axis=0)
+    s = np.clip(0.0, lo, hi)
+    d2 = np.where(empty, np.inf, np.einsum("ij,ij->i", p, p) + s * s)
+    k = int(np.argmin(d2))
+    if not np.isfinite(d2[k]):
+        return None, np.inf
+    return p[k] + s[k] * t[k], float(np.sqrt(d2[k]))
+
+
+def dense_certificates(samples):
+    """``(Q_min, slopes, slack)`` of a certifiable datum by ``_nearest_slope``
+    at every sample and side: slopes (n, 2, 2) lower then upper, slack (n,)
+    the worst defect of the two, ``max_k <G_k, a> - c_k``."""
+    Z, phi = _sample_arrays(samples)
+    relax = _BSC_RELAX * feasibility_tolerance(phi)
+    slopes, norms, slack = np.zeros((len(Z), 2, 2)), np.zeros(len(Z)), np.zeros(len(Z))
+    for i in range(len(Z)):
+        for j, sign in enumerate((1.0, -1.0)):
+            G, c = sign * (Z - Z[i]), sign * (phi - phi[i])
+            a, norm = _nearest_slope(G, c + relax)
+            assert a is not None, f"no support at sample {i}"
+            slopes[i, j] = a
+            norms[i] = max(norms[i], norm)
+            slack[i] = max(slack[i], float(np.max(G @ a - c)))
+    return float(norms.max()), slopes, slack
+
+
 def loop_gradient(mask, h, values):
     """Per-cell gradient of ``values`` (shape (nx, ny)) on the interior cells
     of ``mask``: along each axis the forward difference when the next cell is
@@ -220,6 +295,21 @@ def bincount_hdiv(plus, minus, p):
     out = np.bincount(minus.ravel(), w, n)
     out -= np.bincount(plus.ravel(), w, n)
     return out
+
+
+def allocating_operator_norm_sq(grid):
+    """The power estimate of ||K||^2 with a fresh array for every operation."""
+    K = difference_operator(grid)
+    v = np.random.default_rng(1234).standard_normal(K.n)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(_POWER_STEPS):
+        w = -K.div(K.grad(v))
+        lam = float(np.sqrt(np.sum(w * w)))
+        if lam == 0:
+            break
+        v = w / lam
+    return max(lam * 1.02, 8.0 / grid.h**2)
 
 
 def dense_lipschitz_bound(grid, u, datum, Q_min, K, tol):

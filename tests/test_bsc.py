@@ -1,6 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import certificate_defects, grid_search_defect, prove_infeasible_below
+from oracles import (
+    certificate_defects,
+    dense_certificates,
+    grid_search_defect,
+    prove_infeasible_below,
+)
 
 from harea import checks
 from harea import (
@@ -117,6 +124,16 @@ def test_es1_on_the_true_boundary_is_certified():
     assert max(c.slack for c in rep.per_point) <= eps
 
 
+def test_repeated_samples_are_certified_as_the_distinct_ones():
+    """A closed polyline that lists its first points again repeats their
+    lines at every anchor; equal lines must not cut each other's edges by
+    rounding (the dense edge formula reported a violation here)."""
+    distinct = boundary_samples(DISK, lambda x, y: x * y, 9)
+    rep = minimal_Q(distinct + distinct[:3])
+    assert rep.Q_min == minimal_Q(distinct).Q_min
+    assert rep.per_point[9:] == rep.per_point[:3]
+
+
 def test_Q_min_scales_linearly_with_the_datum():
     # affine supports scale with the datum, so Q_min must too
     base = boundary_samples(DomainSpec.parabolic(), es1_datum, 80)
@@ -175,11 +192,17 @@ def _es1_curve_samples():
     return boundary_samples(DomainSpec.parabolic(), es1_datum, checks._CURVE_SAMPLES)
 
 
-def _first_pair():
+def _pairs():
+    """The comparison check's 20 ordered datum pairs, in its order."""
     rng = np.random.default_rng(checks._PAIR_SEED)
-    phi = checks._fourier_datum(rng)
-    delta = checks._positive_offset(rng)
-    return phi, lambda x, y: phi(x, y) + delta(x, y)
+    for _ in range(20):
+        phi = checks._fourier_datum(rng)
+        delta = checks._positive_offset(rng)
+        yield phi, lambda x, y, phi=phi, delta=delta: phi(x, y) + delta(x, y)
+
+
+def _first_pair():
+    return next(_pairs())
 
 
 @pytest.mark.parametrize("case", ["es1", "affine-disk", "pair-phi"])
@@ -198,3 +221,50 @@ def test_Q_min_is_tight(case):
     assert worst_norm <= rep.Q_min * (1.0 + 1e-12)
     proved, detail = prove_infeasible_below(samples, rep.Q_min * (1.0 - 1e-4), eps)
     assert proved, detail
+
+
+def _assert_matches_dense(samples):
+    """Q_min and the slopes to 1e-12 of Q_min, the slack to 1e-12 of the
+    datum's scale 1 + range (the feasibility tolerance is 1e-6 of it)."""
+    Q, slopes, slack = dense_certificates(samples)
+    rep = minimal_Q(samples)
+    assert rep.Q_min == pytest.approx(Q, rel=1e-12, abs=0.0)
+    got = np.array([[c.lower_slope, c.upper_slope] for c in rep.per_point])
+    assert np.max(np.abs(got - slopes)) <= 1e-12 * Q
+    scale = 1.0 + np.ptp([v for _, v in samples])
+    assert np.max(np.abs(np.array([c.slack for c in rep.per_point]) - slack)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", ["es1-200", "es1-1000", "affine-disk", "constant"])
+def test_minimal_Q_matches_the_dense_referee(case):
+    samples = {
+        "es1-200": lambda: boundary_samples(DomainSpec.parabolic(), es1_datum, 200),
+        "es1-1000": lambda: boundary_samples(DomainSpec.parabolic(), es1_datum, 1000),
+        "affine-disk": lambda: boundary_samples(DISK, Affine((1.0, -2.0), 0.5), 200),
+        # the origin is admissible at every sample
+        "constant": lambda: boundary_samples(DISK, lambda x, y: 0.0 * x + 1.0, 80),
+    }[case]()
+    _assert_matches_dense(samples)
+
+
+def test_minimal_Q_matches_the_dense_referee_on_the_comparison_pairs():
+    for phi, psi in _pairs():
+        for datum in (phi, psi):
+            _assert_matches_dense(boundary_samples(DISK, datum, 160))
+
+
+# tracemalloc peak of minimal_Q on 2,000 es1 samples: 5.7 MiB; the
+# bound leaves 2x headroom.  The dense edge formula took O(n^2) memory
+# here (31.8 MiB at 1,000 samples of an affine datum).
+_PEAK_2000_MIB = 11.5
+
+
+def test_minimal_Q_memory_is_linear_in_the_samples():
+    samples = boundary_samples(DomainSpec.parabolic(), es1_datum, 2000)
+    tracemalloc.start()
+    try:
+        minimal_Q(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAK_2000_MIB * 2**20

@@ -1,11 +1,20 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from oracles import dense_lipschitz_bound
 
 from harea import CheckId, SolverConfig, run_check, run_suite
-from harea.checks import _check_lipschitz_bound, _es1_reference_solve
+from harea.checks import (
+    _VEEWEDGE_SEED,
+    _check_lipschitz_bound,
+    _es1_reference_solve,
+    _rand_smooth,
+    _separable_field,
+)
+from harea.fields import ScalarField
+from harea.geometry import DomainSpec, rasterize
 from harea.pdloop import loop_info
 
 
@@ -133,3 +142,15 @@ def test_checks_module_keeps_names_perfbench_wraps():
     names = [n for layer in workloads.CHECKS_CALLS.values() for n in layer] + ["solve"]
     missing = [n for n in names if not hasattr(harea.checks, n)]
     assert missing == []
+
+
+def test_vee_wedge_fields_equal_the_full_grid_evaluation_bitwise():
+    """Every field the vee_wedge_iso check draws, evaluated on the grid's 1D
+    coordinates, equals the function evaluated on the whole grid."""
+    rng = np.random.default_rng(_VEEWEDGE_SEED)
+    for h in (1.0 / 16.0, 1.0 / 32.0):
+        grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), h)
+        for _ in range(120):
+            f = _rand_smooth(rng)
+            full = ScalarField.from_function(grid, f).values
+            assert np.array_equal(_separable_field(grid, f).values, full)

@@ -15,7 +15,13 @@ from harea import (
     xstar_field,
 )
 from harea.fields import FieldError, difference_operator, interior_xstar
-from oracles import bincount_hdiv, index_operator, loop_gradient, take_hgrad
+from oracles import (
+    allocating_operator_norm_sq,
+    bincount_hdiv,
+    index_operator,
+    loop_gradient,
+    take_hgrad,
+)
 
 
 def full_grid(n, h=1.0, origin=(0.0, 0.0)):
@@ -197,6 +203,16 @@ def test_divergence_supported_on_interior():
     p = VectorField(grid, np.ones((grid.nx, grid.ny, 2)))
     d = divergence(p)
     assert np.all(d.values[~grid.interior_mask] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "domain, inv_h",
+    [(DomainSpec.parabolic(), 32), (DomainSpec.parabolic(), 64),
+     (DomainSpec.disk((0.0, 0.0), 1.0), 24), (DomainSpec.disk((0.0, 0.0), 1.0), 64)],
+)
+def test_operator_norm_sq_matches_the_allocating_loop_bitwise(domain, inv_h):
+    grid = rasterize(domain, 1.0 / inv_h)
+    assert operator_norm_sq(grid) == allocating_operator_norm_sq(grid)
 
 
 def test_operator_norm_sq_bounds():
