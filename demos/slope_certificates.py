@@ -25,10 +25,9 @@ def main():
     report = minimal_Q(samples)
     print(f"minimal certified slope Q_min = {report.Q_min:.4f}")
     print(f"interior Lipschitz bound   K  = {report.K:.4f}")
-    for cert in report.per_point[:3]:
-        lo = np.round(cert.lower_slope, 3)
-        hi = np.round(cert.upper_slope, 3)
-        print(f"  sample {np.round(cert.point, 3)}: lower slope {lo}, upper slope {hi}")
+    for (z, _), lo, hi in zip(samples[:3], report.lower, report.upper):
+        lo, hi = np.round(lo, 3), np.round(hi, 3)
+        print(f"  sample {np.round(z, 3)}: lower slope {lo}, upper slope {hi}")
 
     grid = rasterize(dom, 1.0 / 32.0)
     datum = sample_datum(boundary_faces(grid), es1_datum)

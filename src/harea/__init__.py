@@ -61,10 +61,8 @@ _EXPORTS = {
     # bsc
     "BscError": "bsc",
     "BscViolation": "bsc",
-    "BscCertificate": "bsc",
     "BscReport": "bsc",
     "boundary_samples": "bsc",
-    "support_feasibility": "bsc",
     "minimal_Q": "bsc",
     "barriers": "bsc",
     "feasibility_tolerance": "bsc",

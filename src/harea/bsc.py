@@ -29,16 +29,7 @@ import numpy as np
 from .fields import ScalarField
 from .geometry import DomainSpec, Grid
 
-__all__ = [
-    "BscError",
-    "BscViolation",
-    "BscCertificate",
-    "BscReport",
-    "boundary_samples",
-    "support_feasibility",
-    "minimal_Q",
-    "barriers",
-]
+__all__ = ["BscError", "BscViolation", "BscReport", "boundary_samples", "minimal_Q", "barriers"]
 
 _Q_CAP = 1e6
 # constraint generation runs _BLOCK samples at once; each problem's line set
@@ -65,29 +56,21 @@ class BscViolation(RuntimeError):
         self.slack = slack
 
 
-@dataclass(frozen=True)
-class BscCertificate:
-    """Affine supports at one boundary sample.
-
-    ``slack`` is the largest remaining constraint violation across samples and
-    requested sides; ``feasible`` means it is below the feasibility tolerance.
-    """
-
-    point: tuple[float, float]
-    lower_slope: tuple[float, float]
-    upper_slope: tuple[float, float]
-    feasible: bool
-    slack: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BscReport:
+    """The minimal slope constant, the gradient bound K, and each sample's
+    certificate as read-only arrays in sample order: ``lower`` and ``upper``
+    (n, 2) the smallest-norm support slopes, ``slack`` (n,) their worst defect
+    recomputed from the samples."""
+
     Q_min: float
-    per_point: list
     K: float
+    lower: np.ndarray
+    upper: np.ndarray
+    slack: np.ndarray
 
     def to_json(self) -> dict:
-        return {"Q_min": self.Q_min, "K": self.K, "points": len(self.per_point)}
+        return {"Q_min": self.Q_min, "K": self.K, "points": len(self.slack)}
 
 
 def _samples_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -267,8 +250,8 @@ def _nearest_slopes(Z: np.ndarray, phi: np.ndarray, sign: float, rows: np.ndarra
     return slopes, norms, defects, active
 
 
-def _least_defect(Z: np.ndarray, phi: np.ndarray, i: int, sign: float, radius: float, eps: float):
-    """A slope of the radius ball at sample i whose defect is within 1e-6
+def _least_defect(Z: np.ndarray, phi: np.ndarray, i: int, sign: float, eps: float):
+    """A slope of the cap ball at sample i whose defect is within 1e-6
     relative of the least defect there, and that defect, by bisection on the
     relaxation: at the origin's own defect the origin is admissible."""
     rows = np.array([i])
@@ -277,51 +260,11 @@ def _least_defect(Z: np.ndarray, phi: np.ndarray, i: int, sign: float, radius: f
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
         trial, norm, trial_defect, _ = _nearest_slopes(Z, phi, sign, rows, mid)
-        if norm[0] <= radius:
+        if norm[0] <= _Q_CAP:
             hi, a, defect = mid, trial[0], float(trial_defect[0])
         else:
             lo = mid
     return a, defect
-
-
-def _certificate(z, lower, upper, slack: float, eps: float) -> BscCertificate:
-    point, lower, upper = (tuple(float(x) for x in v) for v in (z, lower, upper))
-    return BscCertificate(point, lower, upper, feasible=bool(slack <= eps), slack=float(slack))
-
-
-def support_feasibility(samples, z0_index: int, Q: float, side: str = "both") -> BscCertificate:
-    """Affine supports of slope at most Q at one boundary sample.
-
-    Each side's slope is the smallest-norm one whose defect stays within the
-    feasibility tolerance when that norm is at most Q; otherwise it is the
-    slope of the Q-ball with (nearly) the least defect, and the certificate is
-    infeasible.  ``side`` restricts the search to the lower or upper support;
-    by default both are computed and the certificate is feasible only if both
-    close to within the feasibility tolerance.
-    """
-    Z, phi = _samples_arrays(samples)
-    if len(Z) < 3:
-        raise BscError("underdetermined boundary: need at least 3 samples")
-    if Q < 0:
-        raise BscError("Q must be nonnegative")
-    if not (0 <= z0_index < len(Z)):
-        raise BscError(f"sample index {z0_index} out of range")
-    if side not in ("both", "lower", "upper"):
-        raise BscError(f"unknown side {side!r}")
-    eps = feasibility_tolerance(phi)
-    keep, where = _distinct(Z, phi)
-    Zd, phid, i = Z[keep], phi[keep], int(where[z0_index])
-    slopes = [np.zeros(2), np.zeros(2)]
-    slack = 0.0
-    for j, name in enumerate(("lower", "upper")):
-        if side in ("both", name):
-            sign = 1.0 - 2.0 * j
-            a, norm, defect, _ = _nearest_slopes(Zd, phid, sign, np.array([i]), _RELAX * eps)
-            slopes[j], defect = a[0], float(defect[0])
-            if norm[0] > Q:
-                slopes[j], defect = _least_defect(Zd, phid, i, sign, Q, eps)
-            slack = max(slack, defect)
-    return _certificate(Z[z0_index], *slopes, slack, eps)
 
 
 def minimal_Q(samples, grid: Grid | None = None) -> BscReport:
@@ -335,11 +278,13 @@ def minimal_Q(samples, grid: Grid | None = None) -> BscReport:
     whose least defect inside the cap ball is largest, and that defect is the
     violation's slack.  A sample repeated with its value is certified once.
     K adds 4 sup |z| to Q_min, over interior cell centers when a grid is
-    given, else over the samples.
+    given, else over the samples.  A non-finite point or value raises BscError.
     """
     Z, phi = _samples_arrays(samples)
     if len(Z) < 3:
         raise BscError("underdetermined boundary: need at least 3 samples")
+    if not (np.isfinite(Z).all() and np.isfinite(phi).all()):
+        raise BscError("non-finite boundary sample")
     eps = feasibility_tolerance(phi)
     keep, where = _distinct(Z, phi)
     Zd, phid, n = Z[keep], phi[keep], len(keep)
@@ -355,7 +300,7 @@ def minimal_Q(samples, grid: Grid | None = None) -> BscReport:
             out = _nearest_slopes(Zd, phid, sign, rows, _RELAX * eps, warm)
             slopes[j, rows], norms[j, rows], defects[j, rows], warm = out
         for i in np.flatnonzero(norms[j] > _Q_CAP):
-            slopes[j, i], defects[j, i] = _least_defect(Zd, phid, i, sign, _Q_CAP, eps)
+            slopes[j, i], defects[j, i] = _least_defect(Zd, phid, i, sign, eps)
     slopes, norms, slack = slopes[:, where], norms.max(axis=0)[where], defects.max(axis=0)[where]
     Q = float(norms.max())
     if Q > _Q_CAP:
@@ -366,12 +311,11 @@ def minimal_Q(samples, grid: Grid | None = None) -> BscReport:
             witness=(float(Z[bad, 0]), float(Z[bad, 1])),
             slack=float(slack[bad]),
         )
-    per_point = [
-        _certificate(Z[i], slopes[0, i], slopes[1, i], slack[i], eps) for i in range(len(Z))
-    ]
+    slopes.setflags(write=False)
+    slack.setflags(write=False)
     pts = Z if grid is None else grid.interior_centers()
     sup_z = float(np.max(np.hypot(pts[:, 0], pts[:, 1]), initial=0.0))
-    return BscReport(Q_min=Q, per_point=per_point, K=float(Q + 4.0 * sup_z))
+    return BscReport(Q, float(Q + 4.0 * sup_z), slopes[0], slopes[1], slack)
 
 
 def barriers(samples, report: BscReport, grid: Grid) -> tuple[ScalarField, ScalarField]:
@@ -386,16 +330,13 @@ def barriers(samples, report: BscReport, grid: Grid) -> tuple[ScalarField, Scala
     h = 1/32 lens (8.0 ms against 6.8).
     """
     Z, phi = _samples_arrays(samples)
-    X, Y = grid.cell_centers()
-    n = len(Z)
-    Al = np.array([c.lower_slope for c in report.per_point])
-    Au = np.array([c.upper_slope for c in report.per_point])
-    slack = np.array([c.slack for c in report.per_point])
-    if len(report.per_point) != n:
+    if len(report.slack) != len(Z):
         raise BscError("report does not match the sample set")
+    Al, Au, slack = report.lower, report.upper, report.slack
+    X, Y = grid.cell_centers()
     f = np.full(X.shape, -np.inf)
     g = np.full(X.shape, np.inf)
-    for i in range(n):
+    for i in range(len(Z)):
         lowi = phi[i] + Al[i, 0] * (X - Z[i, 0]) + Al[i, 1] * (Y - Z[i, 1]) - slack[i]
         upi = phi[i] + Au[i, 0] * (X - Z[i, 0]) + Au[i, 1] * (Y - Z[i, 1]) + slack[i]
         np.maximum(f, lowi, out=f)

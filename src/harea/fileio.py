@@ -83,7 +83,8 @@ def _read_text(path: str, what: str) -> str:
 
 def _rows(path: str, lines: list[str], header: str):
     """Yield ``(line number, values)`` per data row, skipping blank lines,
-    ``#`` comments and the column row ``header``."""
+    ``#`` comments and the column row ``header``; a non-finite entry raises
+    FormatError."""
     ncols = header.count(",") + 1
     for ln, row in enumerate(lines, start=1):
         s = row.strip()
@@ -96,6 +97,8 @@ def _rows(path: str, lines: list[str], header: str):
             vals = [float(p) for p in parts]
         except ValueError:
             raise FormatError(f"{path}:{ln}: non-numeric entry") from None
+        if not np.isfinite(vals).all():
+            raise FormatError(f"{path}:{ln}: non-finite entry")
         yield ln, vals
 
 

@@ -439,10 +439,8 @@ def _numpy_block(
 @dataclass(frozen=True)
 class RefineRow:
     h: float
-    cells: int
     iterations: int
     converged: bool
-    energy_total: float
     error: float | None
     report: SolveReport = field(repr=False, compare=False)
 
@@ -485,10 +483,8 @@ def refine_study(
         rows.append(
             RefineRow(
                 h=float(h),
-                cells=grid.interior_count,
                 iterations=rep.iterations,
                 converged=rep.converged,
-                energy_total=rep.energy.total,
                 error=err,
                 report=rep,
             )

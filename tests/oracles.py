@@ -106,11 +106,11 @@ def grid_search_defect(samples, i, side, box=10.0, stages=14, pts=41, shrink=0.3
     return best
 
 
-def certificate_defects(samples, per_point):
+def certificate_defects(samples, report):
     """Recompute the defects of claimed support certificates by direct arithmetic.
 
-    ``per_point`` is a sequence of objects with ``lower_slope`` / ``upper_slope``
-    attributes, one per sample (anchor).  Returns ``(worst_defect, worst_norm)``
+    ``report`` carries ``lower`` and ``upper`` slope arrays (n, 2), one row
+    per sample (anchor).  Returns ``(worst_defect, worst_norm)``
     where ``worst_defect`` is the largest violation of the support inequalities
     over all anchors, sides, and samples, and ``worst_norm`` the largest
     Euclidean slope norm.  ``worst_defect <= eps`` and ``worst_norm <= Q``
@@ -119,10 +119,10 @@ def certificate_defects(samples, per_point):
     Z, phi = _sample_arrays(samples)
     worst_defect = -np.inf
     worst_norm = 0.0
-    for i, cert in enumerate(per_point):
+    for i in range(len(Z)):
         dP = Z - Z[i]
         dphi = phi - phi[i]
-        for slope, sign in ((cert.lower_slope, 1.0), (cert.upper_slope, -1.0)):
+        for slope, sign in ((report.lower[i], 1.0), (report.upper[i], -1.0)):
             a = np.asarray(slope, dtype=float)
             defect = float(np.max(sign * (dP @ a) - sign * dphi))
             worst_defect = max(worst_defect, defect)

@@ -174,7 +174,7 @@ def test_slope_certification_affine_flat_edge_and_es1():
     assert np.isfinite(rep.Q_min) and rep.Q_min > 0.0
     # upper probe: the returned certificates themselves verify feasibility at
     # Q_min under direct recomputation, so the true minimal slope is <= Q_min
-    worst_defect, worst_norm = certificate_defects(samples, rep.per_point)
+    worst_defect, worst_norm = certificate_defects(samples, rep)
     assert worst_defect <= eps + 1e-12
     assert worst_norm <= rep.Q_min * (1.0 + 1e-9)
     # lower probe: branch-and-bound proves no admissible slope family exists

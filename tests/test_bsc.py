@@ -19,7 +19,6 @@ from harea import (
     feasibility_tolerance,
     minimal_Q,
     rasterize,
-    support_feasibility,
 )
 from harea.surfaces import Affine, es1_datum
 
@@ -53,15 +52,29 @@ def test_too_few_samples_rejected():
         minimal_Q([((0.0, 0.0), 1.0), ((1.0, 0.0), 2.0)])
 
 
+@pytest.mark.parametrize("bad", ["nan-value", "inf-value", "nan-point"])
+def test_non_finite_samples_rejected(bad):
+    samples = boundary_samples(DISK, Affine((1.0, -2.0), 0.5), 20)
+    (x, y), v = samples[3]
+    samples[3] = {
+        "nan-value": ((x, y), np.nan),
+        "inf-value": ((x, y), np.inf),
+        "nan-point": ((np.nan, y), v),
+    }[bad]
+    with pytest.raises(BscError, match="non-finite"):
+        minimal_Q(samples)
+
+
 def test_affine_datum_certified_at_its_own_slope():
     samples = boundary_samples(DISK, Affine((1.0, -2.0), 0.5), 120)
     rep = minimal_Q(samples)
     assert rep.Q_min == pytest.approx(np.sqrt(5.0), abs=1e-2)
     # the certificates are supports of norm at most Q_min; they need not be
     # the datum slope (at (1, 0) a flatter upper support exists)
-    assert all(cert.feasible for cert in rep.per_point)
-    worst_defect, worst_norm = certificate_defects(samples, rep.per_point)
-    assert worst_defect <= feasibility_tolerance(np.array([v for _, v in samples]))
+    eps = feasibility_tolerance(np.array([v for _, v in samples]))
+    assert np.max(rep.slack) <= eps
+    worst_defect, worst_norm = certificate_defects(samples, rep)
+    assert worst_defect <= eps
     assert worst_norm <= rep.Q_min
 
 
@@ -74,8 +87,10 @@ def test_constant_datum_needs_no_slope():
 def test_feasibility_is_monotone_in_Q():
     samples = boundary_samples(DISK, Affine((1.0, -2.0), 0.0), 80)
     # below the datum slope no support exists; above it both sides close
-    assert not support_feasibility(samples, 0, 1.0).feasible
-    assert support_feasibility(samples, 0, 3.0).feasible
+    rep = minimal_Q(samples)
+    need = max(np.hypot(*rep.lower[0]), np.hypot(*rep.upper[0]))
+    assert 1.0 < need <= 3.0
+    assert rep.slack[0] <= feasibility_tolerance(np.array([v for _, v in samples]))
 
 
 def test_flat_edge_quadratic_is_violated():
@@ -119,9 +134,8 @@ def test_es1_on_the_true_boundary_is_certified():
     samples = boundary_samples(DomainSpec.parabolic(), es1_datum, 100)
     rep = minimal_Q(samples)
     assert 9.0 <= rep.Q_min <= 10.5
-    assert all(c.feasible for c in rep.per_point)
     eps = feasibility_tolerance(np.array([v for _, v in samples]))
-    assert max(c.slack for c in rep.per_point) <= eps
+    assert np.max(rep.slack) <= eps
 
 
 def test_repeated_samples_are_certified_as_the_distinct_ones():
@@ -131,7 +145,8 @@ def test_repeated_samples_are_certified_as_the_distinct_ones():
     distinct = boundary_samples(DISK, lambda x, y: x * y, 9)
     rep = minimal_Q(distinct + distinct[:3])
     assert rep.Q_min == minimal_Q(distinct).Q_min
-    assert rep.per_point[9:] == rep.per_point[:3]
+    for cert in (rep.lower, rep.upper, rep.slack):
+        assert np.array_equal(cert[9:], cert[:3])
 
 
 def test_Q_min_scales_linearly_with_the_datum():
@@ -179,6 +194,18 @@ def test_barriers_bracket_each_other():
     assert np.max((f.values - g.values)[m]) <= 1e-9
 
 
+def test_report_arrays_are_read_only_and_tied_to_their_samples():
+    samples = boundary_samples(DISK, Affine((0.5, 0.5), 0.0), 60)
+    grid = rasterize(DISK, 1 / 8)
+    rep = minimal_Q(samples, grid=grid)
+    assert rep.lower.shape == rep.upper.shape == (60, 2) and rep.slack.shape == (60,)
+    for cert in (rep.lower, rep.upper, rep.slack):
+        with pytest.raises(ValueError):
+            cert[0] = 0.0
+    with pytest.raises(BscError, match="does not match"):
+        barriers(samples[:-1], rep, grid)
+
+
 def test_report_json():
     import json
 
@@ -216,7 +243,7 @@ def test_Q_min_is_tight(case):
     }[case]()
     eps = feasibility_tolerance(np.array([v for _, v in samples]))
     rep = minimal_Q(samples)
-    worst_defect, worst_norm = certificate_defects(samples, rep.per_point)
+    worst_defect, worst_norm = certificate_defects(samples, rep)
     assert worst_defect <= eps
     assert worst_norm <= rep.Q_min * (1.0 + 1e-12)
     proved, detail = prove_infeasible_below(samples, rep.Q_min * (1.0 - 1e-4), eps)
@@ -229,10 +256,10 @@ def _assert_matches_dense(samples):
     Q, slopes, slack = dense_certificates(samples)
     rep = minimal_Q(samples)
     assert rep.Q_min == pytest.approx(Q, rel=1e-12, abs=0.0)
-    got = np.array([[c.lower_slope, c.upper_slope] for c in rep.per_point])
+    got = np.stack((rep.lower, rep.upper), axis=1)
     assert np.max(np.abs(got - slopes)) <= 1e-12 * Q
     scale = 1.0 + np.ptp([v for _, v in samples])
-    assert np.max(np.abs(np.array([c.slack for c in rep.per_point]) - slack)) <= 1e-12 * scale
+    assert np.max(np.abs(rep.slack - slack)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("case", ["es1-200", "es1-1000", "affine-disk", "constant"])

@@ -352,6 +352,35 @@ def test_samples_file_errors_name_the_file(tmp_path, capsys, rows, message):
     assert f"error: {path}{message}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, row",
+    [("bsc", "0,1,nan"), ("bsc", "0,1,inf"), ("bsc", "nan,1,2"), ("barriers", "0,1,nan")],
+    ids=["bsc-nan-value", "bsc-inf-value", "bsc-nan-point", "barriers-nan-value"],
+)
+def test_non_finite_sample_is_rejected_with_its_line(tmp_path, capsys, command, row):
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(["x,y,value", "1,0,1", row, "-1,0,3", "0,-1,4"]) + "\n")
+    datum = {"kind": "samples", "path": str(path)}
+    cfg = write_cfg(tmp_path, datum=datum, out=str(tmp_path / "run"))
+    assert dispatch([command, "-c", cfg]) == 2
+    assert f"error: {path}:3: non-finite entry\n" in capsys.readouterr().err
+
+
+def test_non_finite_field_value_is_rejected_with_its_line(tmp_path, capsys):
+    from harea import ScalarField
+    from harea.fileio import write_field
+
+    cfg = write_cfg(tmp_path, out=str(tmp_path / "run"))
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.125)
+    path = tmp_path / "field.csv"
+    write_field(ScalarField.from_function(grid, lambda x, y: x * y), str(path))
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].rpartition(",")[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    assert dispatch(["energy", "-c", cfg, str(path)]) == 2
+    assert f"error: {path}:5: non-finite entry\n" in capsys.readouterr().err
+
+
 def test_samples_datum_memory_stays_bounded(tmp_path):
     path = write_samples(tmp_path / "s.csv", *circle_samples(10_000, seed=6))
     # 512 faces: one dense faces-by-samples float64 array would take 39 MiB
@@ -510,3 +539,35 @@ def test_installed_console_script():
     # an install from another checkout prints another parser's help
     assert out.stdout == run_entry_point(declared_scripts()["harea"], "--help").stdout
 
+
+def test_every_exported_name_resolves():
+    for name in harea.__all__:
+        assert getattr(harea, name) is not None, name
+
+
+@pytest.mark.parametrize(
+    "demo, lines",
+    [
+        (
+            "disk_calibration.py",
+            ["solver energy 4.190798 vs 4*pi/3 = 4.188790 (rel err 4.79e-04)"],
+        ),
+        (
+            "slope_certificates.py",
+            [
+                "minimal certified slope Q_min = 9.7236",
+                "interior Lipschitz bound   K  = 13.7236",
+                "  sample [-1.  0.]: lower slope [-1.94 -0.98], upper slope [0.41  0.189]",
+                "barrier sandwich: 0 cells under f, 0 cells over g (tol 0.552)",
+            ],
+        ),
+    ],
+)
+def test_demo_runs(demo, lines):
+    """The demos that write no files run against this checkout's package."""
+    path = Path(__file__).resolve().parents[1] / "demos" / demo
+    out = subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
+                         env=entry_point_env())
+    assert out.returncode == 0, out.stderr
+    for line in lines:
+        assert line in out.stdout.splitlines(), line
