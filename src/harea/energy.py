@@ -28,6 +28,7 @@ from .fields import (
     VectorField,
     _cell_norms,
     _check_same_grid,
+    _share_operator,
     difference_operator,
     interior_xstar,
     star,
@@ -205,7 +206,9 @@ def translate_problem(
     transported pair has exactly the same penalized energy: the cell values
     gain the tilt ``2 <tau*, z> + xi`` evaluated at the new cell centers, and
     each face value gains the tilt evaluated at its owner's center, which is
-    the point the penalty compares against.
+    the point the penalty compares against.  The shifted grid shares the
+    source grid's difference operator and step-rule estimate, which depend
+    only on the mask and h.
     """
     g = u.grid
     tau = np.asarray(tau, dtype=float)
@@ -222,6 +225,7 @@ def translate_problem(
         ny=g.ny,
         interior_mask=g.interior_mask,
     )
+    _share_operator(grid_t, g)
     Xt, Yt = grid_t.cell_centers()
     tilt = 2.0 * (taustar[0] * Xt + taustar[1] * Yt) + xi
     u_t = ScalarField(grid_t, u.values + tilt)

@@ -8,7 +8,11 @@ backward neighbor where the forward one is exterior, and gives a zero
 component where it is isolated along that axis.  The divergence scatters
 each component back to the same two cells with opposite signs, so it is
 ``-K^T`` by construction and ``<grad u, p> = -<u, div p>`` holds to rounding
-for every pair.
+for every pair.  The operator also carries the compiled kernels' tables of
+:mod:`harea.pdloop` (the rim cells' entries in CSR form, the cells with a
+rewritten gradient entry, the stencil's reach), so they too are built once
+per grid; a grid with another's mask and h, such as a lattice translate,
+shares the other's operator and step-rule estimate (:func:`_share_operator`).
 
 The kernels read a regular stencil plus an exact rim.  In row-major order
 the axis-1 neighbors of a cell are ``c - 1`` and ``c + 1``, so axis 1 is a
@@ -36,6 +40,8 @@ The operator's forward and fallback masks come from the package's one
 neighbor rule, ``geometry._neighbor``.  The one cell norm, ``sqrt(x*x + y*y)``
 or ``|x| + |y|`` as :class:`EnergyMode` selects, is :func:`_cell_norms` on
 ``(2, n)`` vectors; the solver and every diagnostic measure lengths with it.
+The step rule's power estimate :func:`operator_norm_sq` runs in the compiled
+kernel where the solver's block does and in NumPy elsewhere, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import pdloop
 from .geometry import Grid, _neighbor
 
 __all__ = [
@@ -195,11 +202,22 @@ class DiffOperator(NamedTuple):
       gradient of the entries that are not forward differences, and the
       cells they difference, row 0 minus row 1: (c, previous) for the
       backward fallback, (c, c) for a cell isolated along that axis.
-    * ``rim`` (the cells that are not regular) with ``rim_entries`` and
-      ``rim_bins``: the flat indices into a (2, n) vector field of the
-      entries the divergence sums at rim cells, ascending, and their bins in
-      a bincount of length ``2 len(rim)``: bin ``r`` sums the entries added
-      at ``rim[r]``, bin ``len(rim) + r`` those subtracted there.
+    * ``rim`` (the cells that are not regular) with ``rim_ptr``,
+      ``rim_src`` and ``rim_bins``: rim cell ``r`` adds the entries of a
+      (2, n) vector field at the flat indices
+      ``rim_src[rim_ptr[2r]:rim_ptr[2r + 1]]`` and subtracts those at
+      ``rim_src[rim_ptr[2r + 1]:rim_ptr[2r + 2]]``, each side in ascending
+      order; ``rim_bins`` is each entry's bin, ``2r`` or ``2r + 1``, for a
+      bincount that sums every side in that order.
+    * ``fix`` with ``fix_slot``: the cells with a rewritten gradient entry,
+      ascending, and each ``edge`` entry's flat index into their (2, len(fix))
+      gradient.
+    * ``reach``: the stencil's reach, the largest step from a cell to a cell
+      its gradient or divergence reads, at least 1.
+
+    The last three groups are the compiled kernels' tables
+    (:mod:`harea.pdloop`); being part of the cached operator, they are built
+    once per grid.
     """
 
     next0: np.ndarray
@@ -207,8 +225,12 @@ class DiffOperator(NamedTuple):
     edge: np.ndarray
     edge_cells: np.ndarray
     rim: np.ndarray
-    rim_entries: np.ndarray
+    rim_ptr: np.ndarray
+    rim_src: np.ndarray
     rim_bins: np.ndarray
+    fix: np.ndarray
+    fix_slot: np.ndarray
+    reach: int
     h: float
 
     @property
@@ -242,15 +264,14 @@ class DiffOperator(NamedTuple):
     def hdiv(self, p: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
         """h times the divergence of ``p`` (2, n), written into ``out`` (n,)
         when it is given; ``scratch`` (n,) is overwritten."""
-        nr = self.rim.size
         out = np.empty(self.n) if out is None else out
         back = np.empty(self.n) if scratch is None else scratch
         np.add(p[0], p[1], out=out)
         p[0].take(self.prev0, out=back, mode="clip")
         np.add(back[1:], p[1, :-1], out=back[1:])
         np.subtract(out, back, out=out)
-        s = np.bincount(self.rim_bins, p.take(self.rim_entries), 2 * nr)
-        out[self.rim] = s[:nr] - s[nr:]
+        s = np.bincount(self.rim_bins, p.take(self.rim_src), 2 * self.rim.size)
+        out[self.rim] = s[0::2] - s[1::2]
         return out
 
 
@@ -279,27 +300,53 @@ def difference_operator(grid: Grid) -> DiffOperator:
         prev[a, plus[a, forward[a]]] = cell[forward[a]]
     regular = forward.all(axis=0) & (prev >= 0).all(axis=0)
     regular[minus[minus != cell]] = False  # targets of a backward fallback
+    prev0 = np.where(regular, prev[0], cell)
     rim = np.flatnonzero(~regular)
     slot = np.full(cell.size, -1, dtype=np.intp)
     slot[rim] = np.arange(rim.size)
+    # the entries each rim cell adds (bin 2r) and subtracts (bin 2r + 1),
+    # ascending within a bin: a stable sort of the ascending entries by bin
     entries, bins = [], []
-    for half, idx in enumerate((minus.ravel(), plus.ravel())):
+    for side, idx in enumerate((minus.ravel(), plus.ravel())):
         sel = np.flatnonzero(~regular[idx])
         entries.append(sel)
-        bins.append(slot[idx[sel]] + half * rim.size)
+        bins.append(2 * slot[idx[sel]] + side)
+    entries, bins = np.concatenate(entries), np.concatenate(bins)
+    order = np.argsort(bins, kind="stable")
     edge = np.flatnonzero(~forward)
+    # the cells with a rewritten entry, and each entry's index into their
+    # (2, len(fix)) gradient; np.unique would add about 1.2 MB to peak RSS
+    at = np.zeros(cell.size, dtype=np.intp)
+    at[edge % cell.size] = 1
+    fix = np.flatnonzero(at)
+    at[fix] = np.arange(fix.size)
     K = DiffOperator(
         next0=plus[0].copy(),  # a view would keep all of plus alive
-        prev0=np.where(regular, prev[0], cell),
+        prev0=prev0,
         edge=edge,
         edge_cells=np.stack((plus.ravel()[edge], minus.ravel()[edge])),
         rim=rim,
-        rim_entries=np.concatenate(entries),
-        rim_bins=np.concatenate(bins),
+        rim_ptr=np.concatenate((np.zeros(1, np.intp), np.cumsum(np.bincount(bins, minlength=2 * rim.size)))),
+        rim_src=entries[order],
+        rim_bins=bins[order],
+        fix=fix,
+        fix_slot=(edge // cell.size) * fix.size + at[edge % cell.size],
+        # the largest step to a forward neighbor, along axis 0 (next0) or axis 1
+        reach=max(1, int((plus[0] - cell).max(initial=0)), int((cell - prev0).max(initial=0))),
         h=grid.h,
     )
     object.__setattr__(grid, "_K", K)
     return K
+
+
+def _share_operator(grid: Grid, source: Grid) -> None:
+    """Give ``grid`` the difference operator of ``source``, a grid with the
+    same mask and h, and its step-rule estimate where it has one: both
+    depend on nothing else."""
+    object.__setattr__(grid, "_K", difference_operator(source))
+    estimate = getattr(source, "_opnorm_sq", None)
+    if estimate is not None:
+        object.__setattr__(grid, "_opnorm_sq", estimate)
 
 
 def interior_xstar(grid: Grid) -> np.ndarray:
@@ -382,8 +429,11 @@ def operator_norm_sq(grid: Grid) -> float:
 
     The uniform-grid bound 8/h^2 is used as a floor; the backward fallback at
     the rim can push the true norm slightly above it, so the estimate carries a
-    2% safety factor.  The steps run on buffers allocated once; each computes
-    ``w = -K.div(K.grad(v))`` operation by operation, bit for bit.
+    2% safety factor.  Each step computes ``w = -K.div(K.grad(v))``, its norm
+    and ``v = w / |w|``; the steps run in :mod:`harea.pdloop`'s compiled
+    kernel where the solver's block does, and otherwise here, on buffers
+    allocated once, operation by operation.  Both round every element alike
+    and give the same estimate bit for bit.
     """
     cached = getattr(grid, "_opnorm_sq", None)
     if cached is not None:
@@ -395,16 +445,18 @@ def operator_norm_sq(grid: Grid) -> float:
     if nrm == 0:
         return 8.0 / grid.h**2
     v /= nrm
-    G, w, back, sq = np.empty((2, K.n)), np.empty(K.n), np.empty(K.n), np.empty(K.n)
-    lam = 0.0
-    for _ in range(_POWER_STEPS):
-        np.divide(K.hgrad(v, G), K.h, out=G)
-        np.divide(K.hdiv(G, w, back), K.h, out=w)
-        np.negative(w, out=w)
-        lam = float(np.sqrt(np.sum(np.multiply(w, w, out=sq))))
-        if lam == 0:
-            break
-        np.divide(w, lam, out=v)
+    lam = pdloop.power_estimate(K, v, _POWER_STEPS)
+    if lam is None:  # no compiled kernel
+        G, w, back, sq = np.empty((2, K.n)), np.empty(K.n), np.empty(K.n), np.empty(K.n)
+        lam = 0.0
+        for _ in range(_POWER_STEPS):
+            np.divide(K.hgrad(v, G), K.h, out=G)
+            np.divide(K.hdiv(G, w, back), K.h, out=w)
+            np.negative(w, out=w)
+            lam = float(np.sqrt(np.sum(np.multiply(w, w, out=sq))))
+            if lam == 0:
+                break
+            np.divide(w, lam, out=v)
     est = max(lam * 1.02, 8.0 / grid.h**2)
     object.__setattr__(grid, "_opnorm_sq", est)
     return est

@@ -3,7 +3,9 @@
    pd_run(state, steps, energies) runs `steps` iterations in place on the
    buffers of one solve, which harea/pdloop.py packs into `struct pd_state`,
    and then writes the checkpoint's interior and penalty energies into
-   energies[0] and energies[1].
+   energies[0] and energies[1].  pd_power(state, steps, v, g, w) runs the
+   step rule's power estimate of ||K||^2 on the operator's fields of the
+   state alone (see its comment).
 
    An iteration is one sweep over the cells in row-major order, a lead
    `lead` cells ahead of a lag.  The lead at a cell takes h div and the
@@ -308,6 +310,68 @@ static void energy(const struct pd_state *s, double *out)
     for (idx_t f = 0; f < s->n_face; f++)
         s->terms[f] = fabs(u[s->face_owner[f]] - s->phi[f]) * s->measure[f];
     out[1] = add_reduce(s->terms, s->n_face);
+}
+
+/* g = h grad(v) / h from the forward differences; the fix cells are
+   rewritten after */
+PASS void grad_pass(idx_t n, const double *restrict v, const idx_t *restrict next0, double h,
+                    double *restrict g0, double *restrict g1)
+{
+    for (idx_t c = 0; c + 1 < n; c++) {
+        g0[c] = (v[next0[c]] - v[c]) / h;
+        g1[c] = (v[c + 1] - v[c]) / h;
+    }
+}
+
+/* w = -(h div(g) / h) from cell 1 on; the rim cells, cell 0 among them,
+   are rewritten after */
+PASS void div_pass(idx_t n, const double *restrict g0, const double *restrict g1,
+                   const idx_t *restrict prev0, double h, double *restrict w)
+{
+    for (idx_t c = 1; c < n; c++)
+        w[c] = -(((g0[c] + g1[c]) - (g0[prev0[c]] + g1[c - 1])) / h);
+}
+
+/* The step rule's power estimate: `steps` steps of w = -div(grad(v)) with
+   the operator's h, lambda = |w| and v = w / lambda, from the unit vector v
+   (overwritten) with g (2, n) and w (n) as scratch; returns the last
+   lambda, or 0.0 from the step where w = 0.  Each element is rounded as
+   fields.operator_norm_sq's NumPy loop rounds it: h grad with the edge
+   entries rewritten, / h, h div with each rim side summed from 0.0 in
+   bincount's order, / h, negated, the squares summed as add.reduce sums
+   them, the square root, and v = w / lambda.  Reads only the operator's
+   fields of the state (n, h, the h div and h grad tables) and writes fix_g. */
+double pd_power(const struct pd_state *s, idx_t steps, double *v, double *g, double *w)
+{
+    const idx_t n = s->n, nf = s->n_fix;
+    const double h = s->h;
+    double *g0 = g, *g1 = g + n, lambda = 0.0;
+    for (idx_t k = 0; k < steps; k++) {
+        grad_pass(n, v, s->next0, h, g0, g1);
+        fix_gradient(s, v);
+        for (idx_t j = 0; j < nf; j++) {
+            g0[s->fix[j]] = s->fix_g[j] / h;
+            g1[s->fix[j]] = s->fix_g[nf + j] / h;
+        }
+        div_pass(n, g0, g1, s->prev0, h, w);
+        for (idx_t r = 0; r < s->n_rim; r++) {
+            const idx_t *ptr = s->rim_ptr + 2 * r;
+            double added = 0.0, subtracted = 0.0;
+            for (idx_t e = ptr[0]; e < ptr[1]; e++)
+                added += g[s->rim_src[e]];
+            for (idx_t e = ptr[1]; e < ptr[2]; e++)
+                subtracted += g[s->rim_src[e]];
+            w[s->rim[r]] = -((added - subtracted) / h);
+        }
+        for (idx_t c = 0; c < n; c++)  /* g is free again: the squares */
+            g[c] = w[c] * w[c];
+        lambda = sqrt(add_reduce(g, n));
+        if (lambda == 0.0)
+            break;
+        for (idx_t c = 0; c < n; c++)
+            v[c] = w[c] / lambda;
+    }
+    return lambda;
 }
 
 void pd_run(const struct pd_state *s, idx_t steps, double *energies)

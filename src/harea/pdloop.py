@@ -11,17 +11,23 @@ give the same iterates and energies bit for bit.  Where the NumPy block makes
 about 38 NumPy calls an iteration, each a pass over its arrays, the compiled
 one makes a single sweep over the cells, compiled to vector instructions, with
 h div and the primal step :data:`_CHUNK` cells and the stencil's reach ahead
-of the dual step.
+of the dual step.  The same source runs the step rule's power estimate
+(:func:`power_estimate`), rounded as :func:`harea.fields.operator_norm_sq`'s
+NumPy loop rounds it.  Both read the operator's tables (the rim CSR, the
+cells with a rewritten gradient entry, the stencil's reach) from the grid's
+cached :class:`~harea.fields.DiffOperator`, so they are built once per grid;
+:func:`bind` builds only the datum's tables and h X*.
 
-The source ships with the package.  The first solve in a process compiles it
-with :data:`CFLAGS` for the host CPU and loads it with ctypes; importing the
-package does neither.  The shared object is cached under
-``$XDG_CACHE_HOME/harea`` (or ``~/.cache/harea``) as
+The source ships with the package.  The first step-size estimate or solve in
+a process compiles it with :data:`CFLAGS` for the host CPU and loads it with
+ctypes; importing the package does neither.  The shared object is cached
+under ``$XDG_CACHE_HOME/harea`` (or ``~/.cache/harea``) as
 ``pdloop-<host>-<build>.so``: ``<host>`` is a CRC-32 of the CPU feature line
 of ``/proc/cpuinfo`` (``flags`` on x86, ``Features`` on Arm), read on the
-first solve, so a host with other features never loads the object, and
+first load, so a host with other features never loads the object, and
 ``<build>`` a CRC-32 of the source, the flags and the machine.  It is written
-by an atomic rename, which also prunes the cache (:func:`_prune`).  Where the
+by an atomic rename, and the first load in a process prunes the cache
+(:func:`_prune`).  Where the
 feature line cannot be read (``<host>`` is then the machine's name), or where
 the compiler rejects the host build, the block is built with the portable
 flags (:data:`CFLAGS` without ``-march=native``).  A process without the host
@@ -30,8 +36,8 @@ again by the next process.  Where that directory cannot be written the
 object is built in a private temporary directory instead.  Where no C
 compiler is found, the source is missing, the portable build fails too, a
 build runs past :data:`_COMPILE_TIMEOUT` seconds or the object cannot be
-loaded, :func:`bind` returns None and the solver runs its NumPy block;
-nothing else selects between the two.
+loaded, :func:`bind` and :func:`power_estimate` return None and their
+callers run the NumPy loops; nothing else selects between the two.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["CFLAGS", "bind", "loop_info"]
+__all__ = ["CFLAGS", "bind", "loop_info", "power_estimate"]
 
 # -ffast-math and -Ofast would reorder and contract the arithmetic the NumPy
 # block rounds step by step, and GCC contracts a * b + c into a fused
@@ -128,6 +134,8 @@ def _load(path: Path):
     if lib.pd_state_size() != ctypes.sizeof(_State):
         raise OSError(f"{path}: struct pd_state does not match the loader's layout")
     lib.pd_run.argtypes, lib.pd_run.restype = (ctypes.POINTER(_State), ctypes.c_ssize_t, _f64), None
+    lib.pd_power.argtypes = (ctypes.POINTER(_State), ctypes.c_ssize_t, _f64, _f64, _f64)
+    lib.pd_power.restype = ctypes.c_double
     return lib
 
 
@@ -185,8 +193,9 @@ def _load_or_build(compiler: str, directory: Path, host: str, builds):
             except _BuildError as exc:
                 rejected = exc
                 continue
-            _prune(path, host)
-        return _load(path), flags
+        lib = _load(path)
+        _prune(path, host)
+        return lib, flags
     raise rejected
 
 
@@ -228,7 +237,7 @@ def _library():
 def loop_info() -> dict:
     """Which block runs the loop in this process, ``"c"`` or ``"numpy"``,
     and the flags that built the C block, the host or the portable ones
-    (None for NumPy).  Builds the kernel if no solve has yet."""
+    (None for NumPy).  Builds the kernel if no estimate or solve has yet."""
     kernel = _library()
     return {"loop": "c" if kernel else "numpy", "cflags": list(kernel[1]) if kernel else None}
 
@@ -244,6 +253,32 @@ def _aligned(*shape: int) -> np.ndarray:
     raw = np.empty(int(np.prod(shape)) + 7)
     skip = -raw.ctypes.data % 64 // 8
     return raw[skip:skip + raw.size - 7].reshape(shape)
+
+
+def _operator(K) -> dict:
+    """The fields of ``struct pd_state`` that describe the operator ``K``,
+    pointing into the tables it carries, which are built once per grid."""
+    return dict(
+        n=K.n, n_rim=K.rim.size, n_edge=K.edge.size, n_fix=K.fix.size, h=K.h,
+        **{name: _pointer(getattr(K, name), ctypes.c_ssize_t)
+           for name in ("prev0", "rim", "rim_ptr", "rim_src", "next0", "edge_cells", "fix", "fix_slot")},
+    )
+
+
+def power_estimate(K, v: np.ndarray, steps: int) -> float | None:
+    """The step rule's power estimate on the operator ``K``: ``steps`` steps
+    of ``w = -K.div(K.grad(v))``, ``lam = |w|`` and ``v = w / lam`` from the
+    unit vector ``v`` (overwritten), and the last ``lam``, 0.0 once a step
+    gives ``w = 0``; each element is rounded as
+    :func:`harea.fields.operator_norm_sq`'s NumPy loop rounds it.  None
+    where the kernel cannot be built or loaded."""
+    kernel = _library()
+    if kernel is None:
+        return None
+    fix_g, g, w = np.empty(2 * K.fix.size), np.empty(2 * K.n), np.empty(K.n)
+    state = _State(**_operator(K), fix_g=_pointer(fix_g, ctypes.c_double))
+    f64 = ctypes.c_double
+    return kernel[0].pd_power(ctypes.byref(state), steps, _pointer(v, f64), _pointer(g, f64), _pointer(w, f64))
 
 
 def bind(
@@ -268,21 +303,6 @@ def bind(
     u[...], q[...] = start, 0.0
     np.multiply(K.h, xstar, out=hxs)
     faces = datum.faces
-    # the cells with a rewritten gradient entry, and each entry's index into
-    # their (2, n_fix) gradient; np.unique would add about 1.2 MB to peak RSS
-    cell, fixed = K.edge % n, np.zeros(n, dtype=bool)
-    fixed[cell] = True
-    fix = np.flatnonzero(fixed)
-    at = np.empty(n, dtype=np.intp)
-    at[fix] = np.arange(fix.size)
-    fix_slot = (K.edge // n) * fix.size + at[cell]
-    # the lead runs a chunk and the stencil's reach ahead of the lag: the
-    # largest step to a forward neighbor, along axis 0 (next0) or axis 1
-    cells = np.arange(n)
-    lead = _CHUNK + max(1, int((K.next0 - cells).max(initial=0)), int((cells - K.prev0).max(initial=0)))
-    # per rim cell r, its entries of bins r and n_rim + r, in bincount's order
-    nr = K.rim.size
-    bins = 2 * (K.rim_bins % nr) + K.rim_bins // nr
     # each rim cell's index among the owners, -1 for none (an owner is never regular)
     owner_at = np.full(n, -1, dtype=np.intp)
     owner_at[pen.idx] = np.arange(pen.idx.size)
@@ -295,11 +315,7 @@ def bind(
         rows.extend(np.concatenate((values, moves), axis=1))
     ints = {
         name: np.ascontiguousarray(a, dtype=np.intp)
-        for name, a in (("prev0", K.prev0), ("rim", K.rim),
-                        ("rim_ptr", np.concatenate(([0], np.cumsum(np.bincount(bins, minlength=2 * nr))))),
-                        ("rim_src", K.rim_entries[np.argsort(bins, kind="stable")]),
-                        ("rim_owner", owner_at[K.rim]), ("next0", K.next0), ("edge_cells", K.edge_cells),
-                        ("fix", fix), ("fix_slot", fix_slot), ("owner_multi", owner_multi),
+        for name, a in (("rim_owner", owner_at[K.rim]), ("owner_multi", owner_multi),
                         ("multi_m", np.concatenate(ms)), ("face_owner", faces.owner_cell))
     }
     ints["multi_off"] = np.cumsum([0] + [row.size for row in rows], dtype=np.intp)[:-1]
@@ -311,20 +327,20 @@ def bind(
     }
     # scratch space
     floats.update(
-        fix_g=np.empty(2 * fix.size), fix_q=np.empty(2 * fix.size), terms=np.empty(len(faces.owner_cell)),
+        fix_g=np.empty(2 * K.fix.size), fix_q=np.empty(2 * K.fix.size), terms=np.empty(len(faces.owner_cell)),
         select=np.empty(2 * int(ints["multi_m"].max(initial=0)) + 1),
     )
     floats.update(u=u, q=q, g=g, u_step=u_step, du=du, hxs=hxs)
     state = _State(
-        n=n, chunk=_CHUNK, lead=lead, n_rim=nr, n_edge=K.edge.size, n_fix=fix.size,
-        constrained=int(pen.mode == "constrained"), n_face=len(faces.owner_cell), h=K.h, factor=factor,
+        **_operator(K), chunk=_CHUNK, lead=_CHUNK + K.reach,  # the lead runs a chunk and the reach ahead
+        constrained=int(pen.mode == "constrained"), n_face=len(faces.owner_cell), factor=factor,
         radius=radius, numerator=relax * radius, keep=1.0 - relax, relax=relax,
         **{name: _pointer(a, ctypes.c_ssize_t) for name, a in ints.items()},
         **{name: _pointer(a, ctypes.c_double) for name, a in floats.items()},
     )
     energies = np.empty(2)
     run, ref, out = lib.pd_run, ctypes.byref(state), _pointer(energies, ctypes.c_double)
-    arrays = (ints, floats, energies)  # the state points into these; the block keeps them alive
+    arrays = (K, ints, floats, energies)  # the state points into these; the block keeps them alive
 
     def block(steps: int) -> tuple[float, float]:
         run(ref, steps, out)

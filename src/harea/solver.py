@@ -316,10 +316,10 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     Runs the over-relaxed primal-dual iteration (relaxation 1.9) with the
     exact boundary prox and evaluates the energy at every 10th iterate and at
     ``max_iters``.  The iterations between two evaluations run in the
-    compiled block of :mod:`harea.pdloop` (built on the first solve and
-    cached), or in the NumPy block where it cannot be built; both give the
-    same iterates bit for bit, and every energy the report carries comes
-    from the block that ran.  Returns the best evaluated iterate with a
+    compiled block of :mod:`harea.pdloop` (built on the first estimate or
+    solve and cached), or in the NumPy block where it cannot be built; both
+    give the same iterates bit for bit, and every energy the report carries
+    comes from the block that ran.  Returns the best evaluated iterate with a
     convergence flag; stagnation is the relative decrease of the best energy
     over the last 50 iterations, i.e. over the last five checkpoints.  A
     solve stopped by that test converges only if its best energy fell below

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import harea.energy as energy_module
 from harea import (
     BoundaryDatum,
     DomainSpec,
@@ -25,6 +26,8 @@ from harea import (
     unit_rotation_certificate,
     vee_wedge,
 )
+from harea.checks import run_check
+from harea.fields import difference_operator, interior_xstar, operator_norm_sq
 from oracles import hypot_certificate_gap, hypot_char_set, hypot_lipschitz
 
 
@@ -156,6 +159,35 @@ def test_translation_identity_is_exact():
     _, u_t, datum_t = translate_problem(u, datum, (3 * h, -5 * h), xi=0.8)
     E1 = penalized_energy(u_t, datum_t).total
     assert E1 == pytest.approx(E0, abs=1e-10)
+
+
+def test_translated_grid_shares_the_operator_and_the_step_rule():
+    """The shifted grid has the source's mask and h, so it takes the source's
+    difference operator and step-rule estimate, which depend on nothing
+    else, and builds its own X*."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
+    datum = sample_datum(boundary_faces(grid), lambda x, y: x * y)
+    u = ScalarField.from_function(grid, lambda x, y: np.sin(2 * x) * y)
+    L2 = operator_norm_sq(grid)
+    h = grid.h
+    grid_t, _, _ = translate_problem(u, datum, (3 * h, -5 * h))
+    assert difference_operator(grid_t) is difference_operator(grid)
+    unshared = Grid(h=h, origin=grid_t.origin, nx=grid.nx, ny=grid.ny, interior_mask=grid.interior_mask)
+    assert operator_norm_sq(grid_t) == L2 == operator_norm_sq(unshared)
+    assert np.array_equal(interior_xstar(grid_t), interior_xstar(unshared))
+    assert not np.array_equal(interior_xstar(grid_t), interior_xstar(grid))
+
+
+def test_translation_covariance_is_unchanged_by_the_shared_operator(monkeypatch):
+    """The check's metrics are equal by bytes whether the shifted grid shares
+    the source's operator and estimate or builds its own."""
+    shared = run_check("translation_covariance")
+    monkeypatch.setattr(energy_module, "_share_operator", lambda grid, source: None)
+    alone = run_check("translation_covariance")
+    assert shared.passed and alone.passed
+    assert shared.metrics.keys() == alone.metrics.keys()
+    for name, value in shared.metrics.items():
+        assert np.float64(value).tobytes() == np.float64(alone.metrics[name]).tobytes(), name
 
 
 def test_translation_rejects_off_lattice_shift():

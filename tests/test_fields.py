@@ -22,6 +22,7 @@ from oracles import (
     loop_gradient,
     take_hgrad,
 )
+from test_pdloop import holes, notched, ragged, tiny
 
 
 def full_grid(n, h=1.0, origin=(0.0, 0.0)):
@@ -208,11 +209,28 @@ def test_divergence_supported_on_interior():
 @pytest.mark.parametrize(
     "domain, inv_h",
     [(DomainSpec.parabolic(), 32), (DomainSpec.parabolic(), 64),
-     (DomainSpec.disk((0.0, 0.0), 1.0), 24), (DomainSpec.disk((0.0, 0.0), 1.0), 64)],
+     (DomainSpec.disk((0.0, 0.0), 1.0), 24), (DomainSpec.disk((0.0, 0.0), 1.0), 64),
+     *(pytest.param(mask, None, id=mask.__name__) for mask in (notched, ragged, tiny, holes))],
 )
-def test_operator_norm_sq_matches_the_allocating_loop_bitwise(domain, inv_h):
-    grid = rasterize(domain, 1.0 / inv_h)
-    assert operator_norm_sq(grid) == allocating_operator_norm_sq(grid)
+def test_operator_norm_sq_matches_the_allocating_loop_bitwise(each_kernel_path, domain, inv_h):
+    """The estimate is the same double, by bytes, in the host build, in the
+    portable build and in the NumPy loop, on the lens and disk grids and on
+    the compiled block's referee masks (test_pdloop): a polygon spike, cells
+    isolated along either axis, two cells, and random holes."""
+    grid_of = (lambda: domain()[0]) if inv_h is None else (lambda: rasterize(domain, 1.0 / inv_h))
+    ref = allocating_operator_norm_sq(grid_of())
+    for path in each_kernel_path():
+        assert np.float64(operator_norm_sq(grid_of())).tobytes() == np.float64(ref).tobytes(), path
+
+
+def test_operator_norm_sq_of_one_interior_cell_is_the_floor(each_kernel_path):
+    """One interior cell has no difference, so the first power step ends the
+    loop at lambda = 0 and every path returns the floor 8/h^2."""
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[1, 1] = True
+    for path in each_kernel_path():
+        grid = Grid(h=0.25, origin=np.zeros(2), nx=3, ny=3, interior_mask=mask)
+        assert operator_norm_sq(grid) == allocating_operator_norm_sq(grid) == 8.0 / 0.25**2, path
 
 
 def test_operator_norm_sq_bounds():

@@ -50,33 +50,6 @@ def c_block():
         pytest.skip("the C block cannot be built here (no compiler, or the build failed)")
 
 
-@pytest.fixture
-def fresh_loader():
-    """Forget the loaded kernel before and after the test, so the test builds
-    its own and the next solve loads the cached one again."""
-    pdloop._library.cache_clear()
-    yield
-    pdloop._library.cache_clear()
-
-
-@pytest.fixture(scope="session")
-def portable_cache(tmp_path_factory):
-    return tmp_path_factory.mktemp("portable-cache")
-
-
-@pytest.fixture
-def portable_block(fresh_loader, monkeypatch, portable_cache):
-    """The C block built with the portable flags, forced by making the host's
-    CPU features unreadable.  It is cached in a directory of the test
-    session, so it is built once per session and left out of the user's
-    cache, where no normal process would load or remove it."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(portable_cache))
-    monkeypatch.setattr(pdloop, "_CPUINFO", portable_cache / "no-cpuinfo")
-    if pdloop._library() is None:
-        pytest.skip("the C block cannot be built here (no compiler, or the build failed)")
-    assert pdloop.loop_info()["cflags"] == list(pdloop._PORTABLE_CFLAGS)
-
-
 def both_blocks(monkeypatch, grid, datum, cfg):
     """The reports (or SolverError messages) of the C block and the NumPy
     block on one problem."""
@@ -206,7 +179,7 @@ def test_c_block_solve_calls_no_numpy_loop_kernel(c_block, monkeypatch, case):
     report bit for bit.  The start prox stays the NumPy one."""
     problem, cfg = CASES[case]
     grid, datum = problem()
-    ref = solve(grid, datum, cfg)  # caches the grid's step rule, which applies the stencils
+    ref = solve(grid, datum, cfg)  # caches the grid's step rule
 
     def uncalled(*args, **kwargs):
         raise AssertionError("a NumPy loop kernel ran under the compiled block")
@@ -326,6 +299,31 @@ def test_c_block_owns_its_buffers_64_byte_aligned(c_block, problem):
     assert block(0) == ref(0) and block(17) == ref(17)
     assert (u.tobytes(), Q.tobytes()) == (ref_u.tobytes(), ref_Q.tobytes())
     assert u.tobytes() != kw["start"].tobytes()
+
+
+def test_second_solve_reuses_the_grids_operator_tables(c_block, monkeypatch):
+    """The operator's tables (the rim CSR, the fix cells and their slots)
+    are built once per grid: the blocks of two solves on one grid point at
+    the same arrays of the grid's cached operator, and both solves equal the
+    NumPy block bit for bit."""
+    grid, datum = holes()
+    cfg = SolverConfig(max_iters=400)
+    K, bind, states = difference_operator(grid), pdloop.bind, []
+
+    def recording(**kw):
+        block, u, Q = bind(**kw)
+        states.append(block.state)
+        return block, u, Q
+
+    monkeypatch.setattr(pdloop, "bind", recording)
+    for _ in range(2):
+        c, ref = both_blocks(monkeypatch, grid, datum, cfg)
+        assert_bitwise_equal(c, ref)
+    assert len(states) == 2 and difference_operator(grid) is K
+    for name in ("prev0", "rim", "rim_ptr", "rim_src", "next0", "edge_cells", "fix", "fix_slot"):
+        pointers = {ctypes.cast(getattr(state, name), ctypes.c_void_p).value for state in states}
+        assert pointers == {getattr(K, name).ctypes.data}, name
+    assert all(state.lead == pdloop._CHUNK + K.reach for state in states)
 
 
 def test_referee_cases_cover_the_pairwise_sum_bands():
@@ -502,6 +500,24 @@ def test_new_build_removes_the_hosts_other_builds_only(c_block, fresh_loader, mo
         objects.append(built.name)
         assert not unkeyed.exists() and not machine_keyed.exists()
     assert sorted(p.name for p in cache.iterdir()) == sorted([foreign.name, *objects[1:]])
+
+
+def test_first_load_prunes_the_cache_without_a_build(c_block, fresh_loader, monkeypatch, tmp_path):
+    """A process that loads the cached host object and builds nothing still
+    removes an object of the naming before the host key beside it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert pdloop._library() is not None
+    (ours,) = (tmp_path / "harea").iterdir()
+    unkeyed = tmp_path / "harea" / "pdloop-deadbeef.so"
+    unkeyed.write_bytes(b"")
+
+    def no_build(compiler, flags, target):
+        raise AssertionError("the cached kernel was built again")
+
+    monkeypatch.setattr(pdloop, "_compile", no_build)
+    pdloop._library.cache_clear()
+    assert pdloop.loop_info()["loop"] == "c"
+    assert list((tmp_path / "harea").iterdir()) == [ours]
 
 
 def test_foreign_host_builds_its_own_kernel(c_block, fresh_loader, monkeypatch, tmp_path):
