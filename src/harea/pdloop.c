@@ -210,21 +210,28 @@ static inline void lag_cell(idx_t c, const double *u_step, const idx_t *next0, c
     u[c] = u[c] + d;
 }
 
-/* finish the lead at the rim cells from rim[r] up to cell end: h div from
-   the cell's rim entries, each side summed from 0.0 in order as bincount
-   sums it, the primal step, and at an owner the prox; returns the next r */
+/* h div of q at rim cell r: the sum of its added entries minus the sum of
+   its subtracted ones, each side summed from 0.0 in order as bincount sums
+   it */
+static inline double rim_hdiv(const struct pd_state *s, idx_t r, const double *q)
+{
+    const idx_t *src = s->rim_src, *ptr = s->rim_ptr + 2 * r;
+    double added = 0.0, subtracted = 0.0;
+    for (idx_t e = ptr[0]; e < ptr[1]; e++)
+        added += q[src[e]];
+    for (idx_t e = ptr[1]; e < ptr[2]; e++)
+        subtracted += q[src[e]];
+    return added - subtracted;
+}
+
+/* finish the lead at the rim cells from rim[r] up to cell end: h div, the
+   primal step, and at an owner the prox; returns the next r */
 static idx_t finish_rim(const struct pd_state *s, idx_t r, idx_t end, const double *q,
                         const double *u, double *u_step, double *du)
 {
-    const idx_t *src = s->rim_src;
     for (; r < s->n_rim && s->rim[r] < end; r++) {
-        const idx_t c = s->rim[r], *ptr = s->rim_ptr + 2 * r;
-        double added = 0.0, subtracted = 0.0;
-        for (idx_t e = ptr[0]; e < ptr[1]; e++)
-            added += q[src[e]];
-        for (idx_t e = ptr[1]; e < ptr[2]; e++)
-            subtracted += q[src[e]];
-        double p = (added - subtracted) * s->factor + u[c];
+        const idx_t c = s->rim[r];
+        double p = rim_hdiv(s, r, q) * s->factor + u[c];
         if (s->rim_owner[r] >= 0)
             p = prox(s, s->rim_owner[r], p);
         double d = p - u[c];
@@ -354,15 +361,8 @@ double pd_power(const struct pd_state *s, idx_t steps, double *v, double *g, dou
             g1[s->fix[j]] = s->fix_g[nf + j] / h;
         }
         div_pass(n, g0, g1, s->prev0, h, w);
-        for (idx_t r = 0; r < s->n_rim; r++) {
-            const idx_t *ptr = s->rim_ptr + 2 * r;
-            double added = 0.0, subtracted = 0.0;
-            for (idx_t e = ptr[0]; e < ptr[1]; e++)
-                added += g[s->rim_src[e]];
-            for (idx_t e = ptr[1]; e < ptr[2]; e++)
-                subtracted += g[s->rim_src[e]];
-            w[s->rim[r]] = -((added - subtracted) / h);
-        }
+        for (idx_t r = 0; r < s->n_rim; r++)
+            w[s->rim[r]] = -(rim_hdiv(s, r, g) / h);
         for (idx_t c = 0; c < n; c++)  /* g is free again: the squares */
             g[c] = w[c] * w[c];
         lambda = sqrt(add_reduce(g, n));
