@@ -25,6 +25,7 @@ from . import pdloop
 from .bsc import BscViolation, barriers, boundary_samples, minimal_Q
 from .energy import (
     EnergyMode,
+    _energy_terms,
     certificate_gap,
     char_set,
     euler_residual,
@@ -33,7 +34,7 @@ from .energy import (
     unit_rotation_certificate,
 )
 # Not called here: perfbench's verify workload wraps gradient, divergence and balanced_steps by name.
-from .fields import ScalarField, gradient, divergence, lipschitz_estimate, vee_wedge
+from .fields import ScalarField, difference_operator, gradient, divergence, interior_xstar, lipschitz_estimate
 from .geometry import BoundaryDatum, DomainSpec, Grid, boundary_faces, rasterize, sample_datum
 from .geometry import _neighbor, _row_blocks
 from .solver import SolverConfig, SolverError, balanced_steps, refine_study, solve, solver_tolerance
@@ -278,7 +279,7 @@ def _check_translation_covariance(user_cfg):
     tau = (4 * h, -7 * h)
     xi = 0.37
     grid_t, u_t, datum_t = translate_problem(rep.u, datum, tau, xi)
-    E0 = penalized_energy(rep.u, datum).total
+    E0 = rep.energy.total  # penalized_energy(rep.u, datum), by bytes
     E_t = penalized_energy(u_t, datum_t).total
     rep_t = solve(grid_t, datum_t, cfg)
     tol = solver_tolerance(grid_t, datum_t)
@@ -292,24 +293,15 @@ def _check_translation_covariance(user_cfg):
     return metrics, thresholds, config
 
 
-def _random_field_and_datum(grid, faces, rng):
-    u = np.zeros((grid.nx, grid.ny))
-    u[grid.interior_mask] = rng.standard_normal(grid.interior_count)
-    return ScalarField(grid, u), BoundaryDatum(faces, rng.standard_normal(len(faces)))
-
-
-def _vee_wedge_excess(u1, d1, u2, d2, mode=EnergyMode.ISOTROPIC) -> float:
-    """E(u1 v u2, d1 v d2) + E(u1 ^ u2, d1 ^ d2) - E(u1, d1) - E(u2, d2),
-    with v and ^ the pointwise maximum and minimum."""
-    vee_u, wedge_u = vee_wedge(u1, u2)
-    vee_d = BoundaryDatum(d1.faces, np.maximum(d1.values, d2.values))
-    wedge_d = BoundaryDatum(d1.faces, np.minimum(d1.values, d2.values))
-    lhs = (
-        penalized_energy(vee_u, vee_d, mode).total
-        + penalized_energy(wedge_u, wedge_d, mode).total
-    )
-    rhs = penalized_energy(u1, d1, mode).total + penalized_energy(u2, d2, mode).total
-    return lhs - rhs
+def _vee_wedge_excess(grid, faces, z1, z2, mode) -> float:
+    """E(z1 v z2) + E(z1 ^ z2) - E(z1) - E(z2) for fields given as their
+    interior values then their face values, v and ^ the pointwise maximum and
+    minimum; the four fields are evaluated as one (n + F, 4) stack."""
+    K = difference_operator(grid)
+    S = np.stack((np.maximum(z1, z2), np.minimum(z1, z2), z1, z2), axis=-1)
+    interior, penalty = _energy_terms(S[: K.n], K, grid.h * interior_xstar(grid), faces, S[K.n :], mode)
+    vee, wedge, e1, e2 = interior + penalty
+    return float((vee + wedge) - (e1 + e2))
 
 
 def _check_submodularity_aniso(user_cfg):
@@ -319,18 +311,21 @@ def _check_submodularity_aniso(user_cfg):
     rng = np.random.default_rng(_SUBMOD_SEED)
     worst = -np.inf
     for _ in range(200):
-        u1, d1 = _random_field_and_datum(grid, faces, rng)
-        u2, d2 = _random_field_and_datum(grid, faces, rng)
-        worst = max(worst, _vee_wedge_excess(u1, d1, u2, d2, EnergyMode.ANISOTROPIC))
+        # the field, its datum, the second field, its datum
+        Z = rng.standard_normal((2, grid.interior_count + len(faces)))
+        worst = max(worst, _vee_wedge_excess(grid, faces, *Z, EnergyMode.ANISOTROPIC))
     metrics = {"max_violation": float(worst)}
     thresholds = {"max_violation": 1e-10}
     config = {"domain": "disk", "h": h, "pairs": 200, "seed": _SUBMOD_SEED}
     return metrics, thresholds, config
 
 
-def _rand_smooth(rng):
-    """A random smooth field ``sum_k a_k sin(b_k x + c_k) cos(b_k y - c_k)``
-    with five terms."""
+def _rand_smooth(rng, grid: Grid, faces):
+    """A random smooth field ``f = sum_k a_k sin(b_k x + c_k) cos(b_k y - c_k)``
+    with five terms, and its row: its values at the interior cell centers,
+    by broadcasting on the grid's 1D ``xs`` and ``ys`` (bit for bit ``f`` on
+    the full grid, with sin and cos on nx + ny points, not nx ny), then at
+    the face midpoints."""
     a = rng.standard_normal(5)
     b = rng.uniform(0.5, 3.0, 5)
     c = rng.uniform(0, 2 * np.pi, 5)
@@ -338,15 +333,7 @@ def _rand_smooth(rng):
     def f(x, y):
         return sum(a[k] * np.sin(b[k] * x + c[k]) * np.cos(b[k] * y - c[k]) for k in range(5))
 
-    return f
-
-
-def _separable_field(grid: Grid, f) -> ScalarField:
-    """``f`` at the cell centers, evaluated on the grid's 1D ``xs`` and ``ys``
-    by broadcasting.  For a sum of products of a factor in x and a factor in
-    y, each term is then an outer product of 1D factors: bit for bit ``f`` on
-    the full grid, with sin and cos taken on nx + ny points, not nx ny."""
-    return ScalarField(grid, f(grid.xs[:, None], grid.ys))
+    return f, np.concatenate((f(grid.xs[:, None], grid.ys)[grid.interior_mask], f(*faces.midpoint.T)))
 
 
 def _check_vee_wedge_iso(user_cfg):
@@ -357,12 +344,8 @@ def _check_vee_wedge_iso(user_cfg):
         grid = rasterize(_DISK, h)
         faces = boundary_faces(grid)
         for _ in range(60):
-            f1, f2 = _rand_smooth(rng), _rand_smooth(rng)
-            u1 = _separable_field(grid, f1)
-            u2 = _separable_field(grid, f2)
-            d1 = sample_datum(faces, f1)
-            d2 = sample_datum(faces, f2)
-            excess = _vee_wedge_excess(u1, d1, u2, d2)
+            (_, z1), (_, z2) = _rand_smooth(rng, grid, faces), _rand_smooth(rng, grid, faces)
+            excess = _vee_wedge_excess(grid, faces, z1, z2, EnergyMode.ISOTROPIC)
             worst_per_h = max(worst_per_h, max(excess, 0.0) / h)
     metrics = {"violation_per_h": float(worst_per_h)}
     thresholds = {"violation_per_h": 0.5}

@@ -7,16 +7,19 @@ per boundary face.  Two cell norms are supported: the Euclidean norm
 l1 norm (anisotropic, which makes the functional exactly submodular under
 pointwise max/min; evaluated only, as its discrete minimizers are not unique).
 
-The energy and the diagnostics work on interior ``(2, n)`` vectors and
-measure them with the solver's cell norm, which lives in :mod:`harea.fields`
-with :class:`EnergyMode`.  The characteristic set and the duality
-certificate read the solver's own ``K u + X*``; the Euler residual uses
-centered differences, whose stencil follows the package's one neighbor rule
-(``geometry._neighbor``).
+Every evaluation, of one field or a stack, is :func:`_energy_terms`:
+``h * sum_c |hgrad(u)_c + h X*_c|`` plus the face terms, each summed
+pairwise.  The solver's checkpoints (its NumPy block and ``pdloop.c``) round
+alike, so a solve's ``rep.energy == penalized_energy(rep.u, datum)`` by
+bytes.  The diagnostics measure interior ``(2, n)`` vectors with the
+solver's cell norm (:mod:`harea.fields`); the characteristic set reads
+``K u + X*``, and the Euler residual takes centered differences on the
+package's one neighbor rule (``geometry._neighbor``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,33 +71,42 @@ class EnergyBreakdown:
         }
 
 
-def _horizontal(u: ScalarField) -> np.ndarray:
-    """The horizontal vectors K u + X* on the interior cells, (2, n)."""
-    g = u.grid
-    return difference_operator(g).grad(u.interior()) + interior_xstar(g)
+def _energy_terms(U, K, hxs, faces, phi, mode, out=None, scratch=None):
+    """The interior term ``h sum_c |hgrad(U)_c + hxs_c|`` (``hxs`` = h X*) and
+    the penalty ``sum_f measure_f |U_owner(f) - phi_f|`` (0 if ``faces`` is
+    None) of a field U (n,), as floats, or of a stack (n, B) with ``phi``
+    (F,) or (F, B), as (B,) arrays, each column summed pairwise as one row,
+    so to the bytes of its own (n,) call.  ``out`` (C-contiguous, shape
+    (2, *U.shape)) receives ``hgrad(U) + hxs``; ``scratch`` is overwritten."""
+    H = K.hgrad(U, out)
+    np.add(H, hxs.reshape(hxs.shape + (1,) * (U.ndim - 1)), out=H)
+    interior = K.h * np.add.reduce(np.ascontiguousarray(_cell_norms(H, mode, scratch).T), axis=-1)
+    if faces is None:
+        return interior, 0.0
+    return interior, np.add.reduce(np.abs(U.T.take(faces.owner_cell, axis=-1) - phi.T) * faces.measure, axis=-1)
+
+
+def _field_terms(u: ScalarField, datum: BoundaryDatum | None, mode, out=None) -> tuple[float, float]:
+    """:func:`_energy_terms` of a full-grid field, with ``datum``'s faces."""
+    g, (faces, phi) = u.grid, (datum.faces, datum.values) if datum else (None, None)
+    if faces is not None:
+        _check_same_grid(g, faces.grid, EnergyError, "datum faces belong to a different grid")
+    terms = _energy_terms(u.interior(), difference_operator(g), g.h * interior_xstar(g), faces, phi, mode, out)
+    return float(terms[0]), float(terms[1])
 
 
 def area_energy(u: ScalarField, mode: EnergyMode = EnergyMode.ISOTROPIC) -> float:
-    """Interior area term: sum of h^2 * norm(horizontal vector) over cells."""
-    mode = EnergyMode.parse(mode)
-    return float(u.grid.h**2 * np.sum(_cell_norms(_horizontal(u), mode)))
+    """Interior area term: sum of h * norm(h (K u + X*)) over cells."""
+    return _field_terms(u, None, EnergyMode.parse(mode))[0]
 
 
-def penalized_energy(
-    u: ScalarField,
-    datum: BoundaryDatum,
-    mode: EnergyMode = EnergyMode.ISOTROPIC,
-) -> EnergyBreakdown:
-    """Area term plus the boundary penalty sum_f h * |u_owner(f) - value_f|."""
+def penalized_energy(u: ScalarField, datum: BoundaryDatum, mode: EnergyMode = EnergyMode.ISOTROPIC) -> EnergyBreakdown:
+    """Area term plus the boundary penalty sum_f h * |u_owner(f) - value_f|;
+    a solve's report ``rep`` of ``datum`` has ``rep.energy ==
+    penalized_energy(rep.u, datum)``, by bytes."""
     mode = EnergyMode.parse(mode)
-    faces = datum.faces
-    _check_same_grid(u.grid, faces.grid, EnergyError, "datum faces belong to a different grid")
-    interior = area_energy(u, mode)
-    owner_vals = u.values.reshape(-1)[faces.owner_flat]
-    penalty = float(np.sum(faces.measure * np.abs(owner_vals - datum.values)))
-    return EnergyBreakdown(
-        interior=interior, penalty=penalty, total=interior + penalty, mode=mode
-    )
+    interior, penalty = _field_terms(u, datum, mode)
+    return EnergyBreakdown(interior, penalty, interior + penalty, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +130,9 @@ def char_set(u: ScalarField, eps: float | None = None) -> np.ndarray:
         eps = default_char_threshold(u.grid)
     if not (eps >= 0):
         raise EnergyError(f"char threshold must be nonnegative, got {eps}")
-    n = ScalarField.from_interior(u.grid, _cell_norms(_horizontal(u), EnergyMode.ISOTROPIC))
-    return (n.values <= eps) & u.grid.interior_mask
+    g = u.grid
+    n = _cell_norms(difference_operator(g).grad(u.interior()) + interior_xstar(g), EnergyMode.ISOTROPIC)
+    return (ScalarField.from_interior(g, n).values <= eps) & g.interior_mask
 
 
 def _sym_diff(grid: Grid, v: np.ndarray, axis: int) -> np.ndarray:
@@ -147,8 +160,8 @@ def euler_residual(u: ScalarField, eps_reg: float = 1e-12) -> ScalarField:
     degrades to one-sided differences.  Values on or near the degenerate set
     (see :func:`char_set`) are not meaningful.
     """
-    if not (eps_reg > 0):
-        raise EnergyError(f"eps_reg must be positive, got {eps_reg}")
+    if not 0 < eps_reg < math.inf:  # at inf every normalized vector is 0
+        raise EnergyError(f"eps_reg must be positive and finite, got {eps_reg!r}")
     g = u.grid
     H = np.stack([_sym_diff(g, u.values, a)[g.interior_mask] for a in (0, 1)]) + interior_xstar(g)
     N = H / np.maximum(_cell_norms(H, EnergyMode.ISOTROPIC), eps_reg)
@@ -164,19 +177,20 @@ def unit_rotation_certificate(grid: Grid, eps: float = 1e-12) -> VectorField:
     """The normalized drift field X*/max(|X*|, eps), an admissible certificate
     that is asymptotically divergence-free; on a disk centered at the origin it
     calibrates the zero-datum problem."""
+    if not 0 < eps < math.inf:  # at inf the field is 0
+        raise EnergyError(f"eps must be positive and finite, got {eps!r}")
     xs = interior_xstar(grid)
     return VectorField.from_interior(
         grid, (xs / np.maximum(_cell_norms(xs, EnergyMode.ISOTROPIC), eps)).T
     )
 
 
-def certificate_gap(
-    u: ScalarField, V: VectorField, datum: BoundaryDatum
-) -> float:
+def certificate_gap(u: ScalarField, V: VectorField, datum: BoundaryDatum) -> float:
     """Weak-duality gap of an admissible certificate field.
 
-    gap = penalized total - sum_c h^2 <H_c, V_c>; Cauchy-Schwarz per cell
-    gives gap >= 0 up to rounding whenever |V_c| <= 1.  A certificate with
+    gap = penalized total - h sum_c <h H_c, V_c>, with ``h H = hgrad(u) +
+    h X*`` from the energy's own evaluation; Cauchy-Schwarz per cell gives
+    gap >= 0 up to rounding whenever |V_c| <= 1.  A certificate with
     |V_c| > 1 + 1e-12 on some cell, or on another grid than ``u``, is rejected.
     """
     g = u.grid
@@ -185,9 +199,9 @@ def certificate_gap(
     vn = float(np.max(_cell_norms(v, EnergyMode.ISOTROPIC), initial=0.0))
     if vn > 1.0 + 1e-12:
         raise EnergyError(f"inadmissible certificate: cell norm {vn:.6g} exceeds 1")
-    total = penalized_energy(u, datum, EnergyMode.ISOTROPIC).total
-    H = _horizontal(u)
-    return total - float(g.h**2 * np.sum(H[0] * v[0] + H[1] * v[1]))
+    H = np.empty(v.shape)  # v is a transposed view: empty_like would not be C-contiguous
+    interior, penalty = _field_terms(u, datum, EnergyMode.ISOTROPIC, H)
+    return (interior + penalty) - float(g.h * np.sum(H[0] * v[0] + H[1] * v[1]))
 
 
 # ---------------------------------------------------------------------------

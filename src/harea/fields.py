@@ -31,10 +31,11 @@ operator; it enters the model only through the boundary penalty.
 Each kernel is one function: :meth:`DiffOperator.hgrad` and
 :meth:`DiffOperator.hdiv` write into output and scratch arrays when they are
 given and allocate them otherwise, so the solver's NumPy block runs every
-iteration on its own buffers.  The public :func:`gradient` and
-:func:`divergence` apply ``K`` to the interior values of full-grid fields,
-whose interior vectors are ``(n, 2)``; the solver applies it to
-component-major interior vectors directly.
+iteration on its own buffers.  ``hgrad``, which also takes a stack (n, B),
+is the gradient of the energy's one evaluation ``h sum_c |hgrad(u)_c + h
+X*_c|`` (:mod:`harea.energy`), shared by the solver's checkpoints, so a solve
+reports ``penalized_energy`` of its answer by bytes.  The public
+:func:`gradient` and :func:`divergence` apply ``K`` to full-grid fields.
 
 The operator's forward and fallback masks come from the package's one
 neighbor rule, ``geometry._neighbor``.  The one cell norm, ``sqrt(x*x + y*y)``
@@ -246,19 +247,20 @@ class DiffOperator(NamedTuple):
         return self.hdiv(p) / self.h
 
     def hgrad(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """h K u: interior values (n,) to interior gradients (2, n), written
-        into ``out`` (a C-contiguous (2, n) array) when it is given."""
+        """h K u: interior values (n,), or a stack (n, B) of them, to interior
+        gradients (2, n) or (2, n, B), column by column alike, written into
+        ``out`` (a C-contiguous array of that shape) when it is given."""
         if out is None:
-            out = np.empty((2, self.n))
+            out = np.empty((2, *u.shape))
         elif not out.flags.c_contiguous:
-            raise FieldError("hgrad writes into a C-contiguous (2, n) array")
+            raise FieldError("hgrad writes into a C-contiguous array of shape (2, *u.shape)")
         # mode="clip" lets take write straight into out; the indices are in range
-        u.take(self.next0, out=out[0], mode="clip")
+        u.take(self.next0, axis=0, out=out[0], mode="clip")
         np.subtract(out[0], u, out=out[0])
         np.subtract(u[1:], u[:-1], out=out[1, :-1])
-        ends = u.take(self.edge_cells)
+        ends = u.take(self.edge_cells, axis=0)
         # a fancy setitem costs about half as much as ndarray.put here
-        out.reshape(-1)[self.edge] = ends[0] - ends[1]
+        out.reshape(2 * self.n, *u.shape[1:])[self.edge] = ends[0] - ends[1]
         return out
 
     def hdiv(self, p: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:

@@ -48,7 +48,9 @@
      numerator / ., then q * keep + g and u + du * relax;
    - the energies: h times the sum of the cell norms |hgrad(u) + hX*|, and
      the sum of |u[owner] - phi| * measure over the faces, each summed as
-     NumPy's add.reduce sums a contiguous array (pairwise_sum).
+     NumPy's add.reduce sums a contiguous array (pairwise_sum).  That is
+     the functional's one evaluation, _energy_terms in harea/energy.py,
+     which the NumPy block and penalized_energy call.
 
    The state holds all scratch space and the kernel no static data, so
    blocks bound to different solves may run at once.  The loops over the

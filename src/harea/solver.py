@@ -32,9 +32,10 @@ block is :mod:`harea.pdloop`'s compiled kernel where it can be built and
 loaded (that module says how it is built and cached; its buffers are 64-byte
 aligned), and the NumPy block of :func:`_numpy_block` elsewhere.  Both
 allocate the iterate and every buffer of the loop, and the two give the same
-iterates and energies bit for bit.  The NumPy block calls the operator's
-``hdiv``/``hgrad``, the boundary prox, the dual projection and the cell norm
-directly, passing its buffers in; an iteration is about 38 NumPy calls.  The
+iterates and energies bit for bit.  A checkpoint is the energy's one
+evaluation (``energy._energy_terms``), so a report's energy is
+``penalized_energy`` of its ``u``, by bytes.  The NumPy block calls the
+kernels directly on its buffers, about 38 NumPy calls an iteration.  The
 start, the best-iterate copies and the stop test stay in Python.
 
 The iteration is not energy-monotone.  The energy is evaluated at every 10th
@@ -54,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from . import pdloop
-from .energy import EnergyBreakdown, EnergyMode
+from .energy import EnergyBreakdown, EnergyMode, _energy_terms
 from .fields import (
     ScalarField,
     VectorField,
@@ -319,7 +320,8 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     compiled block of :mod:`harea.pdloop` (built on the first estimate or
     solve and cached), or in the NumPy block where it cannot be built; both
     give the same iterates bit for bit, and every energy the report carries
-    comes from the block that ran.  Returns the best evaluated iterate with a
+    comes from the block that ran and equals ``penalized_energy(rep.u,
+    datum)`` by bytes.  Returns the best evaluated iterate with a
     convergence flag; stagnation is the relative decrease of the best energy
     over the last 50 iterations, i.e. over the last five checkpoints.  A
     solve stopped by that test converges only if its best energy fell below
@@ -393,12 +395,11 @@ def _numpy_block(
     keywords and with the same return ``(block, u, Q)``: each ``block(steps)``
     runs ``steps`` iterations on ``u`` and ``Q`` in place and returns the
     interior and penalty energies of the iterate it ends on."""
-    keep, h, n = 1.0 - relax, K.h, K.n
-    owner, measures, phi = datum.faces.owner_cell, datum.faces.measure, datum.values
-    u, Q, hXS = start.copy(), np.zeros((2, n)), h * xstar
+    keep, n = 1.0 - relax, K.n
+    u, Q, hXS = start.copy(), np.zeros((2, n)), K.h * xstar
     G, scratch = np.empty((2, n)), np.empty((2, n))  # G: the dual step, and H at checkpoints
-    u_step, du, d = np.empty(n), np.empty(n), np.empty(phi.size)
-    add, subtract, absolute, multiply = np.add, np.subtract, np.abs, np.multiply
+    u_step, du = np.empty(n), np.empty(n)
+    add, subtract, multiply = np.add, np.subtract, np.multiply
 
     def block(steps: int) -> tuple[float, float]:
         for _ in range(steps):
@@ -419,15 +420,7 @@ def _numpy_block(
             add(Q, G, out=Q)
             multiply(du, relax, out=du)
             add(u, du, out=u)
-        # h^2 |K u + X*| = h |H| per cell
-        K.hgrad(u, G)
-        add(G, hXS, out=G)
-        interior = h * float(add.reduce(_cell_norms(G, EnergyMode.ISOTROPIC, scratch)))
-        u.take(owner, out=d, mode="clip")
-        subtract(d, phi, out=d)
-        absolute(d, out=d)
-        multiply(d, measures, out=d)
-        return interior, float(add.reduce(d))
+        return tuple(map(float, _energy_terms(u, K, hXS, datum.faces, datum.values, EnergyMode.ISOTROPIC, G, scratch)))
 
     return block, u, Q
 

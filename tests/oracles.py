@@ -21,7 +21,9 @@ the slope, hence convex; that structure gives three solver-free referees:
 formula on all n lines at once, with ``n x |cand|`` arrays per sample and
 side.  ``dense_certificates`` runs it over every sample and side as
 ``minimal_Q`` did before constraint generation; the library must match its
-``Q_min``, slopes and slack to rounding.
+``Q_min``, slopes and slack to rounding.  It costs O(n^2) a problem, so it
+runs on up to 200 samples; ``kkt_defects`` checks the slopes of any size in
+O(n) a problem by the optimality conditions of the nearest-point problem.
 
 ``loop_gradient`` referees the difference operator the same way: a per-cell
 Python loop that reads nothing but the interior mask.  ``index_operator``,
@@ -237,6 +239,76 @@ def dense_certificates(samples):
             norms[i] = max(norms[i], norm)
             slack[i] = max(slack[i], float(np.max(G @ a - c)))
     return float(norms.max()), slopes, slack
+
+
+# The KKT referee's tolerances, relative to each line's scale |G_k| |a| + |b_k|
+# (infeasibility, activity) or to |a| (stationarity).  On every case of
+# tests/test_bsc.py, up to 2,000 es1 samples, minimal_Q's slopes read at most
+# 2.4e-16 infeasible and 4.3e-16 from the cone; a slope nudged off its edge by
+# 1e-9 relative reads 3.8e-10 or more infeasible, or 0.99 from the cone.
+KKT_FEASIBLE = 1e-12  # G_k a - b_k above this is infeasible
+KKT_ACTIVE = 1e-11  # a slack b_k - G_k a at most this makes line k active
+KKT_STATIONARY = 1e-11  # -a at most this far from the active normals' cone
+
+
+def _cone_distance(v, N):
+    """Distance from ``v`` (2,) to the cone of nonnegative combinations of
+    the rows of ``N`` (m, 2): zero when a pair of rows spans ``v`` with
+    nonnegative weights, else the distance to the nearest ray, where the
+    nearest point of a planar cone that misses ``v`` lies."""
+    if not len(N):
+        return float(np.hypot(*v))
+    t = np.maximum(0.0, (N @ v) / np.einsum("ij,ij->i", N, N))
+    j, k = np.triu_indices(len(N), 1)
+    det = N[j, 0] * N[k, 1] - N[j, 1] * N[k, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wj = (v[0] * N[k, 1] - v[1] * N[k, 0]) / det
+        wk = (N[j, 0] * v[1] - N[j, 1] * v[0]) / det
+    if np.any((det != 0.0) & (wj >= 0.0) & (wk >= 0.0)):
+        return 0.0
+    return float(np.min(np.hypot(*(v - t[:, None] * N).T)))
+
+
+def kkt_defects(samples, report):
+    """``(infeasibility, stationarity, active)``: the worst relative
+    infeasibility and stationarity defect of ``report``'s slopes, and the
+    most lines active at one slope.
+
+    The slope a of sample i and a side is meant to be the least-norm point of
+    the polygon ``{a : G a <= b}``, with ``G = sign (Z - Z_i)`` and
+    ``b = sign (phi - phi_i)`` plus ``minimal_Q``'s relaxation.  The problem
+    is convex, so a is optimal exactly when it is feasible and either a = 0
+    or -a is a nonnegative combination of the normals G_k of the lines active
+    at a (in the plane, at most two of them).  Infeasibility is
+    ``max_k (G_k a - b_k) / (|G_k| |a| + |b_k|)``; line k is active when its
+    slack over that scale is at most ``KKT_ACTIVE``; the stationarity defect
+    is the distance from -a to the active normals' cone over |a|.  O(n) per
+    problem, and nothing shared with the edge formula.
+    """
+    Z, phi = _sample_arrays(samples)
+    shift = _BSC_RELAX * feasibility_tolerance(phi)
+    infeasible, stationary, active = -np.inf, 0.0, 0
+    for i in range(len(Z)):
+        for sign, a in ((1.0, report.lower[i]), (-1.0, report.upper[i])):
+            if not np.all(np.isfinite(a)):
+                return np.inf, np.inf, active
+            G, b = sign * (Z - Z[i]), sign * (phi - phi[i]) + shift
+            norm = float(np.hypot(*a))
+            excess = (G @ a - b) / (np.hypot(G[:, 0], G[:, 1]) * norm + np.abs(b))
+            infeasible = max(infeasible, float(excess.max()))
+            if norm == 0.0:
+                continue
+            on = excess >= -KKT_ACTIVE
+            active = max(active, int(on.sum()))
+            stationary = max(stationary, _cone_distance(-a, G[on]) / norm)
+    return infeasible, stationary, active
+
+
+def assert_kkt(samples, report):
+    """``report``'s slopes pass the KKT referee within its tolerances."""
+    infeasible, stationary, _ = kkt_defects(samples, report)
+    assert infeasible <= KKT_FEASIBLE, infeasible
+    assert stationary <= KKT_STATIONARY, stationary
 
 
 def loop_gradient(mask, h, values):

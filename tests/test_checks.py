@@ -11,10 +11,9 @@ from harea.checks import (
     _check_lipschitz_bound,
     _es1_reference_solve,
     _rand_smooth,
-    _separable_field,
 )
 from harea.fields import ScalarField
-from harea.geometry import DomainSpec, rasterize
+from harea.geometry import DomainSpec, boundary_faces, rasterize, sample_datum
 from harea.pdloop import loop_info
 
 
@@ -145,12 +144,15 @@ def test_checks_module_keeps_names_perfbench_wraps():
 
 
 def test_vee_wedge_fields_equal_the_full_grid_evaluation_bitwise():
-    """Every field the vee_wedge_iso check draws, evaluated on the grid's 1D
-    coordinates, equals the function evaluated on the whole grid."""
+    """Every field the vee_wedge_iso check draws, as the row it evaluates
+    (broadcast on the grid's 1D coordinates at the interior cells, then at
+    the face midpoints), equals the function on the whole grid at the
+    interior cells followed by its sampled datum."""
     rng = np.random.default_rng(_VEEWEDGE_SEED)
     for h in (1.0 / 16.0, 1.0 / 32.0):
         grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), h)
+        faces = boundary_faces(grid)
         for _ in range(120):
-            f = _rand_smooth(rng)
-            full = ScalarField.from_function(grid, f).values
-            assert np.array_equal(_separable_field(grid, f).values, full)
+            f, row = _rand_smooth(rng, grid, faces)
+            full = ScalarField.from_function(grid, f).interior()
+            assert np.array_equal(row, np.concatenate((full, sample_datum(faces, f).values)))

@@ -232,6 +232,18 @@ def test_energy_reads_back_solution(tmp_path):
     )
 
 
+def test_energy_of_a_solution_is_its_reported_energy_by_bytes(tmp_path):
+    """At h = 1/24, not a power of two, ``harea energy`` on ``harea solve``'s
+    solution.csv gives the total report.json carries, to the last bit."""
+    out = str(tmp_path / "run")
+    cfg = write_cfg(tmp_path, out=out, h=1.0 / 24.0)
+    assert dispatch(["solve", "-c", cfg]) == 0
+    assert dispatch(["energy", "-c", cfg]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    energy = json.loads((tmp_path / "run" / "energy.json").read_text())
+    assert energy["energy"]["total"] == report["result"]["energy"]["total"]
+
+
 @pytest.mark.parametrize(
     "flags, mode, interior, total",
     [

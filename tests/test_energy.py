@@ -251,6 +251,21 @@ def test_char_set_of_es2_is_the_y_band():
     assert np.all(cs[band])
 
 
+def test_euler_residual_rejects_an_infinite_floor():
+    """With eps_reg = inf every normalized vector is 0, and so is the residual."""
+    grid = rasterize(DomainSpec.parabolic(), 1 / 16)
+    u = ScalarField.from_function(grid, es2_surface)
+    with pytest.raises(EnergyError, match="eps_reg must be positive and finite, got inf"):
+        euler_residual(u, eps_reg=np.inf)
+
+
+def test_unit_rotation_certificate_rejects_an_infinite_floor():
+    """With eps = inf the certificate is 0, and its gap is the energy itself."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
+    with pytest.raises(EnergyError, match="eps must be positive and finite, got inf"):
+        unit_rotation_certificate(grid, eps=np.inf)
+
+
 def test_certificate_gap_matches_full_grid_oracle_on_calibration_disk_inputs():
     """The interior (2, n) computation sums the same products in the same
     order as the full-grid formula, so the gap is equal bit for bit: on the
