@@ -33,7 +33,6 @@ _EXPORTS = {
     "gradient": "fields",
     "divergence": "fields",
     "lipschitz_estimate": "fields",
-    "vee_wedge": "fields",
     "operator_norm_sq": "fields",
     # energy
     "EnergyMode": "energy",

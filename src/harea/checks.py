@@ -34,7 +34,7 @@ from .energy import (
     unit_rotation_certificate,
 )
 # Not called here: perfbench's verify workload wraps gradient, divergence and balanced_steps by name.
-from .fields import ScalarField, difference_operator, gradient, divergence, interior_xstar, lipschitz_estimate
+from .fields import ScalarField, _hxstar, difference_operator, gradient, divergence, lipschitz_estimate
 from .geometry import BoundaryDatum, DomainSpec, Grid, boundary_faces, rasterize, sample_datum
 from .geometry import _neighbor, _row_blocks
 from .solver import SolverConfig, SolverError, balanced_steps, refine_study, solve, solver_tolerance
@@ -299,8 +299,7 @@ def _vee_wedge_excess(grid, faces, z1, z2, mode) -> float:
     minimum; the four fields are evaluated as one (n + F, 4) stack."""
     K = difference_operator(grid)
     S = np.stack((np.maximum(z1, z2), np.minimum(z1, z2), z1, z2), axis=-1)
-    interior, penalty = _energy_terms(S[: K.n], K, grid.h * interior_xstar(grid), faces, S[K.n :], mode)
-    vee, wedge, e1, e2 = interior + penalty
+    vee, wedge, e1, e2 = np.add(*_energy_terms(S[: K.n], K, _hxstar(grid), faces, S[K.n :], mode))
     return float((vee + wedge) - (e1 + e2))
 
 

@@ -8,13 +8,13 @@ l1 norm (anisotropic, which makes the functional exactly submodular under
 pointwise max/min; evaluated only, as its discrete minimizers are not unique).
 
 Every evaluation, of one field or a stack, is :func:`_energy_terms`:
-``h * sum_c |hgrad(u)_c + h X*_c|`` plus the face terms, each summed
-pairwise.  The solver's checkpoints (its NumPy block and ``pdloop.c``) round
-alike, so a solve's ``rep.energy == penalized_energy(rep.u, datum)`` by
-bytes.  The diagnostics measure interior ``(2, n)`` vectors with the
-solver's cell norm (:mod:`harea.fields`); the characteristic set reads
-``K u + X*``, and the Euler residual takes centered differences on the
-package's one neighbor rule (``geometry._neighbor``).
+``h * sum_c |hgrad(u)_c + h X*_c|`` (h X* cached on the grid) plus the face
+terms, each summed pairwise.  The solver's checkpoints (its NumPy block and
+``pdloop.c``) round alike, so a solve's ``rep.energy ==
+penalized_energy(rep.u, datum)`` by bytes.  The diagnostics measure interior
+``(2, n)`` vectors with the solver's cell norm (:mod:`harea.fields`); the
+characteristic set reads ``K u + X*``, and the Euler residual takes centered
+differences on the package's one neighbor rule (``geometry._neighbor``).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .fields import (
     VectorField,
     _cell_norms,
     _check_same_grid,
+    _hxstar,
     _share_operator,
     difference_operator,
     interior_xstar,
@@ -72,15 +73,16 @@ class EnergyBreakdown:
 
 
 def _energy_terms(U, K, hxs, faces, phi, mode, out=None, scratch=None):
-    """The interior term ``h sum_c |hgrad(U)_c + hxs_c|`` (``hxs`` = h X*) and
-    the penalty ``sum_f measure_f |U_owner(f) - phi_f|`` (0 if ``faces`` is
-    None) of a field U (n,), as floats, or of a stack (n, B) with ``phi``
-    (F,) or (F, B), as (B,) arrays, each column summed pairwise as one row,
-    so to the bytes of its own (n,) call.  ``out`` (C-contiguous, shape
-    (2, *U.shape)) receives ``hgrad(U) + hxs``; ``scratch`` is overwritten."""
+    """The interior term ``h sum_c |hgrad(U)_c + hxs_c|`` (``hxs`` the grid's
+    cached h X*) and the penalty ``sum_f measure_f |U_owner(f) - phi_f|`` (0
+    if ``faces`` is None) of a field U (n,), as floats, or of a stack (n, B)
+    with ``phi`` (F,) or (F, B), as (B,) arrays, each column summed pairwise
+    as one row, so to the bytes of its own (n,) call.  ``out`` (C-contiguous,
+    shape (2, *U.shape)) receives ``hgrad(U) + hxs``, and without it the
+    norms are taken in place; ``scratch`` is overwritten."""
     H = K.hgrad(U, out)
     np.add(H, hxs.reshape(hxs.shape + (1,) * (U.ndim - 1)), out=H)
-    interior = K.h * np.add.reduce(np.ascontiguousarray(_cell_norms(H, mode, scratch).T), axis=-1)
+    interior = K.h * np.add.reduce(np.ascontiguousarray(_cell_norms(H, mode, H if out is None else scratch).T), axis=-1)
     if faces is None:
         return interior, 0.0
     return interior, np.add.reduce(np.abs(U.T.take(faces.owner_cell, axis=-1) - phi.T) * faces.measure, axis=-1)
@@ -91,8 +93,7 @@ def _field_terms(u: ScalarField, datum: BoundaryDatum | None, mode, out=None) ->
     g, (faces, phi) = u.grid, (datum.faces, datum.values) if datum else (None, None)
     if faces is not None:
         _check_same_grid(g, faces.grid, EnergyError, "datum faces belong to a different grid")
-    terms = _energy_terms(u.interior(), difference_operator(g), g.h * interior_xstar(g), faces, phi, mode, out)
-    return float(terms[0]), float(terms[1])
+    return tuple(map(float, _energy_terms(u.interior(), difference_operator(g), _hxstar(g), faces, phi, mode, out)))
 
 
 def area_energy(u: ScalarField, mode: EnergyMode = EnergyMode.ISOTROPIC) -> float:

@@ -16,7 +16,7 @@ of the dual step.  The same source runs the step rule's power estimate
 NumPy loop rounds it.  Both read the operator's tables (the rim CSR, the
 cells with a rewritten gradient entry, the stencil's reach) from the grid's
 cached :class:`~harea.fields.DiffOperator`, so they are built once per grid;
-:func:`bind` builds only the datum's tables and h X*.
+:func:`bind` builds only the datum's tables; h X* is the grid's cached one.
 
 The source ships with the package.  The first step-size estimate or solve in
 a process compiles it with :data:`CFLAGS` for the host CPU and loads it with
@@ -282,7 +282,7 @@ def power_estimate(K, v: np.ndarray, steps: int) -> float | None:
 
 
 def bind(
-    *, K, datum, pen, start, xstar, factor: float, radius: float, relax: float
+    *, K, datum, pen, start, hxs, factor: float, radius: float, relax: float
 ) -> tuple[Callable[[int], tuple[float, float]], np.ndarray, np.ndarray] | None:
     """The compiled block of one solve, ``(block, u, Q)``: each call
     ``block(steps)`` runs ``steps`` iterations on the primal ``u`` (n,) and
@@ -292,16 +292,15 @@ def bind(
 
     ``K`` is the grid's :class:`~harea.fields.DiffOperator`, ``datum`` the
     boundary datum, ``pen`` its :class:`~harea.solver._Penalty`, ``start``
-    the first iterate, copied into ``u``, and ``xstar`` the grid's interior
-    X* (2, n); the others are folded constants.  Every buffer is allocated
-    here, so blocks of different solves may run in threads at once."""
+    the first iterate, copied into ``u``, and ``hxs`` the grid's h X* (2, n);
+    the others are folded constants.  Every other buffer is allocated here,
+    so blocks of different solves may run in threads at once."""
     kernel = _library()
     if kernel is None:
         return None
     lib, n = kernel[0], K.n
-    u, q, g, u_step, du, hxs = (_aligned(*shape) for shape in ((n,), (2, n), (2, n), (n,), (n,), (2, n)))
+    u, q, g, u_step, du = (_aligned(*shape) for shape in ((n,), (2, n), (2, n), (n,), (n,)))
     u[...], q[...] = start, 0.0
-    np.multiply(K.h, xstar, out=hxs)
     faces = datum.faces
     # each rim cell's index among the owners, -1 for none (an owner is never regular)
     owner_at = np.full(n, -1, dtype=np.intp)

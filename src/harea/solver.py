@@ -61,6 +61,7 @@ from .fields import (
     VectorField,
     _cell_norms,
     _check_same_grid,
+    _hxstar,
     difference_operator,
     interior_xstar,
     operator_norm_sq,
@@ -341,7 +342,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     u0 = float(np.sum(measures * phi) / np.sum(measures)) if len(phi) else 0.0
     start = _prox(np.full(grid.interior_count, u0), pen)
     loop = dict(K=difference_operator(grid), datum=datum, pen=pen, start=start,
-                xstar=interior_xstar(grid), factor=factor, radius=radius, relax=_RELAX)
+                hxs=_hxstar(grid), factor=factor, radius=radius, relax=_RELAX)
     block, u, Q = pdloop.bind(**loop) or _numpy_block(**loop)  # Q is the dual P / sigma_h
     best_interior, best_penalty = block(0)  # the start's energies
     best_total = start_total = best_interior + best_penalty
@@ -389,14 +390,14 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
 
 
 def _numpy_block(
-    *, K, datum, pen: _Penalty, start, xstar, factor: float, radius: float, relax: float
+    *, K, datum, pen: _Penalty, start, hxs, factor: float, radius: float, relax: float
 ) -> tuple[Callable[[int], tuple[float, float]], np.ndarray, np.ndarray]:
-    """The block of :func:`harea.pdloop.bind` run as NumPy calls, on the same
-    keywords and with the same return ``(block, u, Q)``: each ``block(steps)``
-    runs ``steps`` iterations on ``u`` and ``Q`` in place and returns the
-    interior and penalty energies of the iterate it ends on."""
+    """The block of :func:`harea.pdloop.bind` run as NumPy calls, on its
+    keywords (``hxs``, the grid's h X*, read in place) and with its return
+    ``(block, u, Q)``: each ``block(steps)`` runs ``steps`` iterations on
+    ``u`` and ``Q`` in place and returns the two energies of the last one."""
     keep, n = 1.0 - relax, K.n
-    u, Q, hXS = start.copy(), np.zeros((2, n)), K.h * xstar
+    u, Q = start.copy(), np.zeros((2, n))
     G, scratch = np.empty((2, n)), np.empty((2, n))  # G: the dual step, and H at checkpoints
     u_step, du = np.empty(n), np.empty(n)
     add, subtract, multiply = np.add, np.subtract, np.multiply
@@ -412,7 +413,7 @@ def _numpy_block(
             add(u_step, du, out=u_step)
             # G = relax proj(Q + hgrad(2 u~ - u) + hX*) = relax Q~
             K.hgrad(u_step, G)
-            add(G, hXS, out=G)
+            add(G, hxs, out=G)
             add(G, Q, out=G)
             _project_dual(G, radius, relax, scratch)
             # relax both toward the step's end point: Q += relax (Q~ - Q), u += relax (u~ - u)
@@ -420,7 +421,7 @@ def _numpy_block(
             add(Q, G, out=Q)
             multiply(du, relax, out=du)
             add(u, du, out=u)
-        return tuple(map(float, _energy_terms(u, K, hXS, datum.faces, datum.values, EnergyMode.ISOTROPIC, G, scratch)))
+        return tuple(map(float, _energy_terms(u, K, hxs, datum.faces, datum.values, EnergyMode.ISOTROPIC, G, scratch)))
 
     return block, u, Q
 

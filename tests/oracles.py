@@ -41,6 +41,11 @@ array, its length by ``np.hypot``.  The library computes them on interior
 as it was written before its buffers: ``w = -K.div(K.grad(v))`` into fresh
 arrays each step, and no cache.  The library must match it bit for bit.
 
+``dense_normal_matrix`` is K^T K in full, from ``index_operator`` with
+entries +-1/h, and ``checkerboard`` the cells' signs (-1)^(i + j) read off
+the mask; ``np.linalg.eigvalsh`` of the first gives the largest eigenvalue
+that the step rule's estimate and its Collatz-Wielandt bound must reach.
+
 ``dense_lipschitz_bound`` recomputes the ``lipschitz_bound`` check's metrics
 from the whole cell-by-face matrix and the loop gradient.
 
@@ -382,6 +387,23 @@ def allocating_operator_norm_sq(grid):
             break
         v = w / lam
     return max(lam * 1.02, 8.0 / grid.h**2)
+
+
+def dense_normal_matrix(grid):
+    """K^T K (n, n), K the (2n, n) matrix with +1/h at ``plus`` and -1/h at
+    ``minus`` of ``index_operator`` on each row (a zero row where the two
+    are one cell)."""
+    plus, minus = index_operator(grid)
+    rows = np.arange(plus.size)
+    K = np.zeros((plus.size, plus.shape[1]))
+    np.add.at(K, (rows, plus.ravel()), 1.0 / grid.h)
+    np.add.at(K, (rows, minus.ravel()), -1.0 / grid.h)
+    return K.T @ K
+
+
+def checkerboard(grid):
+    """(-1)^(i + j) for the interior cells (i, j), in row-major order."""
+    return np.array([(-1.0) ** (i + j) for i, j in np.argwhere(grid.interior_mask)])
 
 
 def dense_lipschitz_bound(grid, u, datum, Q_min, K, tol):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import harea.energy as energy_module
+import harea.fields as fields_module
+import harea.solver as solver_module
 from harea import (
     BoundaryDatum,
     DomainSpec,
@@ -24,10 +26,10 @@ from harea import (
     solve,
     translate_problem,
     unit_rotation_certificate,
-    vee_wedge,
 )
-from harea.checks import run_check
-from harea.fields import difference_operator, interior_xstar, operator_norm_sq
+from harea import pdloop
+from harea.checks import _vee_wedge_excess, run_check
+from harea.fields import _hxstar, difference_operator, interior_xstar, operator_norm_sq
 from oracles import hypot_certificate_gap, hypot_char_set, hypot_lipschitz
 
 
@@ -100,7 +102,8 @@ def test_anisotropic_submodularity_random():
         u1, u2 = ScalarField(grid, uv1), ScalarField(grid, uv2)
         d1 = BoundaryDatum(faces, rng.standard_normal(len(faces)))
         d2 = BoundaryDatum(faces, rng.standard_normal(len(faces)))
-        vee_u, wedge_u = vee_wedge(u1, u2)
+        vee_u = ScalarField(grid, np.maximum(u1.values, u2.values))
+        wedge_u = ScalarField(grid, np.minimum(u1.values, u2.values))
         vee_d = BoundaryDatum(faces, np.maximum(d1.values, d2.values))
         wedge_d = BoundaryDatum(faces, np.minimum(d1.values, d2.values))
         lhs = (penalized_energy(vee_u, vee_d, mode).total
@@ -176,6 +179,52 @@ def test_translated_grid_shares_the_operator_and_the_step_rule():
     assert operator_norm_sq(grid_t) == L2 == operator_norm_sq(unshared)
     assert np.array_equal(interior_xstar(grid_t), interior_xstar(unshared))
     assert not np.array_equal(interior_xstar(grid_t), interior_xstar(grid))
+
+
+def test_translated_grid_builds_its_own_hxstar():
+    """h X* depends on the cell centers, so a translated grid, which shares
+    its source's operator and estimate, still builds its own, even where the
+    source's is cached already."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
+    datum = sample_datum(boundary_faces(grid), lambda x, y: x * y)
+    u = ScalarField.from_function(grid, lambda x, y: np.sin(2 * x) * y)
+    source = _hxstar(grid)
+    grid_t, _, _ = translate_problem(u, datum, (3 * grid.h, -5 * grid.h))
+    shifted = _hxstar(grid_t)
+    assert shifted is not source and shifted.tobytes() != source.tobytes()
+    assert shifted.tobytes() == (grid_t.h * interior_xstar(grid_t)).tobytes()
+
+
+def test_solves_and_evaluations_read_the_grids_cached_hxstar(monkeypatch):
+    """Once a grid's h X* is cached, both solver blocks, every energy
+    evaluation and the vee-wedge excess run with X* no longer reachable, and
+    the cached array is the one they leave behind: nothing forms h X* per
+    call."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
+    faces = boundary_faces(grid)
+    datum = sample_datum(faces, lambda x, y: x * y)
+    cfg = SolverConfig(max_iters=200)
+    V = unit_rotation_certificate(grid)
+    operator_norm_sq(grid)
+    cached = _hxstar(grid)
+
+    def unreachable(_):
+        raise AssertionError("X* read after h X* was cached")
+
+    for module in (fields_module, energy_module, solver_module):
+        monkeypatch.setattr(module, "interior_xstar", unreachable)
+    reports = [solve(grid, datum, cfg)]
+    with monkeypatch.context() as m:
+        m.setattr(pdloop, "bind", lambda **kw: None)
+        reports.append(solve(grid, datum, cfg))
+    assert reports[0].u.values.tobytes() == reports[1].u.values.tobytes()
+    u = reports[0].u
+    assert penalized_energy(u, datum).total == reports[0].energy.total
+    area_energy(u)
+    certificate_gap(u, V, datum)
+    z = np.random.default_rng(5).standard_normal((2, grid.interior_count + len(faces)))
+    _vee_wedge_excess(grid, faces, *z, EnergyMode.ISOTROPIC)
+    assert _hxstar(grid) is cached
 
 
 def test_translation_covariance_is_unchanged_by_the_shared_operator(monkeypatch):

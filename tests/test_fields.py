@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import harea.fields as fields_module
 from harea import (
     DomainSpec,
     Grid,
@@ -14,10 +15,12 @@ from harea import (
     star,
     xstar_field,
 )
-from harea.fields import FieldError, difference_operator, interior_xstar
+from harea.fields import FieldError, _cw_bound, _hxstar, difference_operator, interior_xstar
 from oracles import (
     allocating_operator_norm_sq,
     bincount_hdiv,
+    checkerboard,
+    dense_normal_matrix,
     index_operator,
     loop_gradient,
     take_hgrad,
@@ -210,13 +213,16 @@ def test_divergence_supported_on_interior():
     "domain, inv_h",
     [(DomainSpec.parabolic(), 32), (DomainSpec.parabolic(), 64),
      (DomainSpec.disk((0.0, 0.0), 1.0), 24), (DomainSpec.disk((0.0, 0.0), 1.0), 64),
-     *(pytest.param(mask, None, id=mask.__name__) for mask in (notched, ragged, tiny, holes))],
+     *(pytest.param(mask, None, id=mask.__name__) for mask in (notched, ragged, tiny, holes)),
+     pytest.param(DomainSpec.disk((0.0, 0.0), 1.0), 40, id="disk-40")],
 )
 def test_operator_norm_sq_matches_the_allocating_loop_bitwise(each_kernel_path, domain, inv_h):
     """The estimate is the same double, by bytes, in the host build, in the
     portable build and in the NumPy loop, on the lens and disk grids and on
     the compiled block's referee masks (test_pdloop): a polygon spike, cells
-    isolated along either axis, two cells, and random holes."""
+    isolated along either axis, two cells, and random holes.  The referee has
+    no guard, so this also shows the guard leaves each estimate as it is,
+    on the h = 1/40 disk too, whose estimate is 0.031% above the true norm."""
     grid_of = (lambda: domain()[0]) if inv_h is None else (lambda: rasterize(domain, 1.0 / inv_h))
     ref = allocating_operator_norm_sq(grid_of())
     for path in each_kernel_path():
@@ -231,6 +237,67 @@ def test_operator_norm_sq_of_one_interior_cell_is_the_floor(each_kernel_path):
     for path in each_kernel_path():
         grid = Grid(h=0.25, origin=np.zeros(2), nx=3, ny=3, interior_mask=mask)
         assert operator_norm_sq(grid) == allocating_operator_norm_sq(grid) == 8.0 / 0.25**2, path
+
+
+def disk16():
+    return rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
+
+
+REFEREE_GRIDS = [*(pytest.param(lambda mask=mask: mask()[0], id=mask.__name__)
+                   for mask in (tiny, ragged, notched, holes)), disk16]
+
+
+@pytest.mark.parametrize("grid_of", REFEREE_GRIDS)
+def test_step_rule_estimate_and_bound_reach_the_dense_spectrum(grid_of):
+    """Against the largest eigenvalue of K^T K from a dense eigensolver: the
+    sign-flipped M = S K^T K S has no negative entry, the shipped estimate
+    is at least that eigenvalue, and so is the Collatz-Wielandt bound, both
+    where it stops under the estimate and after all its steps, where it is
+    within 1% of the eigenvalue."""
+    grid = grid_of()
+    KtK = dense_normal_matrix(grid)
+    S = checkerboard(grid)
+    assert (S[:, None] * KtK * S[None, :]).min() >= 0.0
+    lam = np.linalg.eigvalsh(KtK)[-1]
+    est = operator_norm_sq(grid)
+    assert est >= lam
+    assert lam * (1 - 1e-12) <= _cw_bound(grid, est) <= est
+    assert lam * (1 - 1e-12) <= _cw_bound(grid, 0.0) <= 1.01 * lam
+
+
+def test_step_rule_guard_lifts_an_unsafe_estimate(monkeypatch):
+    """With the power value's 2% margin patched to -2%, the estimate falls
+    below the largest eigenvalue of K^T K; the guard then runs all its steps
+    and returns its bound, which reaches the eigenvalue."""
+    shipped = operator_norm_sq(disk16())
+    calls = []
+
+    def spy(grid, est):
+        calls.append((est, _cw_bound(grid, est)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fields_module, "_POWER_MARGIN", 0.98)
+    monkeypatch.setattr(fields_module, "_cw_bound", spy)
+    grid = disk16()
+    lifted = operator_norm_sq(grid)
+    lam = np.linalg.eigvalsh(dense_normal_matrix(grid))[-1]
+    (est, bound), = calls
+    assert est == pytest.approx(shipped / 1.02 * 0.98, rel=1e-12) and est < lam
+    assert lifted == bound >= lam * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("grid_of", [*REFEREE_GRIDS, pytest.param(
+    lambda: rasterize(DomainSpec.parabolic(), 1 / 32), id="lens32")])
+def test_hxstar_is_cached_read_only_aligned_h_times_xstar(grid_of):
+    """The grid's h X* equals ``grid.h * interior_xstar(grid)`` by bytes, is
+    read-only, C-contiguous and 64-byte aligned (the compiled block reads it
+    in place), and is built once per grid."""
+    grid = grid_of()
+    hxs = _hxstar(grid)
+    assert hxs.tobytes() == (grid.h * interior_xstar(grid)).tobytes()
+    assert hxs.shape == (2, grid.interior_count) and hxs.flags.c_contiguous
+    assert not hxs.flags.writeable and hxs.ctypes.data % 64 == 0
+    assert _hxstar(grid) is hxs
 
 
 def test_operator_norm_sq_bounds():

@@ -37,7 +37,7 @@ from harea import (
 )
 from harea import pdloop
 from harea.checks import _PAIR_SEED, _fourier_datum
-from harea.fields import difference_operator, interior_xstar
+from harea.fields import _hxstar, difference_operator
 from harea.solver import _Penalty
 from harea.surfaces import es1_datum
 
@@ -277,13 +277,14 @@ def bind_keywords(grid, datum):
     _, radius, factor = solver_module._folded_steps(sigma, tau, grid.h)
     start = np.random.default_rng(3).standard_normal(grid.interior_count)
     return dict(K=difference_operator(grid), datum=datum, pen=_Penalty(datum, tau, "penalized"), start=start,
-                xstar=interior_xstar(grid), factor=factor, radius=radius, relax=solver_module._RELAX)
+                hxs=_hxstar(grid), factor=factor, radius=radius, relax=solver_module._RELAX)
 
 
 @pytest.mark.parametrize("problem", [tiny, ragged, notched, comparison_phi])
 def test_c_block_owns_its_buffers_64_byte_aligned(c_block, problem):
     """The compiled block allocates its iterate and working buffers, each on
     a 64-byte boundary, and returns the ``u`` and ``Q`` its state points at;
+    its h X* is the grid's cached array, aligned alike and read in place;
     ``u`` is a copy of the start, and the block runs on it as the NumPy block
     runs on its own."""
     grid, datum = problem()
@@ -293,6 +294,7 @@ def test_c_block_owns_its_buffers_64_byte_aligned(c_block, problem):
                 for name in ("u", "q", "g", "u_step", "du", "hxs")}
     assert all(p % 64 == 0 for p in pointers.values()), pointers
     assert (pointers["u"], pointers["q"]) == (u.ctypes.data, Q.ctypes.data)
+    assert pointers["hxs"] == kw["hxs"].ctypes.data and kw["hxs"] is _hxstar(grid)
     assert u is not kw["start"] and not np.shares_memory(u, kw["start"])
     assert u.tobytes() == kw["start"].tobytes() and not Q.any()
     ref, ref_u, ref_Q = solver_module._numpy_block(**kw)
