@@ -1,14 +1,15 @@
 """Named property checks bundling the library's guarantees into TestReports.
 
-Each check runs a fixed, seeded scenario and reduces it to named metrics with
-recorded thresholds; a report passes iff every metric is at or below its
-threshold.  Checks are independent and deterministic: identical configuration
-reproduces identical metrics on the same machine.  Expensive shared artifacts
-(the certified datum-pair family, the reference solve used by the barrier and
-slope-bound checks) are memoized per solver configuration, so a full-suite
-run does not repeat work and every check solves with the configuration it is
-given.  Without one, each solve runs its check's own budget with the default
-step rule.
+Each check runs a fixed, seeded scenario and reduces it to named metrics,
+each stated with its threshold; a report passes iff every metric is at or
+below its threshold.  Checks are independent and deterministic: identical
+configuration reproduces identical metrics on the same machine.  ``_CHECKS``
+gives each check its default solver budget (none for the checks that solve
+nothing); :func:`run_check` runs every solve of a check with the user's
+configuration or that budget, and echoes the one that ran.  Expensive shared
+artifacts (the certified datum-pair family, the reference solve used by the
+barrier and slope-bound checks) are memoized per solver configuration, so a
+full-suite run does not repeat work.
 """
 
 from __future__ import annotations
@@ -144,13 +145,12 @@ def _is_certified(domain, expr, Q: float, n: int = 160) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _pair_artifacts(user_cfg: SolverConfig | None):
+def _pair_artifacts(cfg: SolverConfig):
     """Twenty certified ordered datum pairs on the disk, solved both ways,
     plus shifted re-solves of the first datum for the equivariance check."""
     h = 1.0 / 24.0
     grid = rasterize(_DISK, h)
     faces = boundary_faces(grid)
-    cfg = user_cfg or SolverConfig(max_iters=20000, tol=1e-9)
     rng = np.random.default_rng(_PAIR_SEED)
     pairs = []
     first = None
@@ -189,20 +189,19 @@ def _pair_artifacts(user_cfg: SolverConfig | None):
     return {
         "h": h,
         "pairs": pairs,
+        "uncertified_pairs": float(sum(1 for p in pairs if not p["certified"])),
         "shift_sup": shift,
         "shift_tol": solver_tolerance(grid, d0),
-        "solver": cfg.to_json(),
     }
 
 
 @lru_cache(maxsize=1)
-def _es1_reference_solve(user_cfg: SolverConfig | None):
+def _es1_reference_solve(cfg: SolverConfig):
     """The es1 solve at h=1/32 with its slope certificate and envelopes,
     shared by the sandwich and slope-bound checks."""
     h = 1.0 / 32.0
     grid = rasterize(_PARABOLIC, h)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    cfg = user_cfg or SolverConfig(max_iters=30000, tol=1e-10)
     rep = solve(grid, datum, cfg)
     samples = boundary_samples(_PARABOLIC, es1_datum, _CURVE_SAMPLES)
     bsc_rep = minimal_Q(samples, grid=grid)
@@ -215,66 +214,58 @@ def _es1_reference_solve(user_cfg: SolverConfig | None):
         "f": f,
         "g": g,
         "tol": solver_tolerance(grid, datum),
-        "solver": cfg.to_json(),
     }
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# individual checks: each takes the resolved solver config (None for a check
+# that solves nothing) and returns ``(gated, config)``, ``gated`` mapping each
+# metric name to ``(value, threshold)``
 
 
-def _check_affine_unique(user_cfg):
+def _check_affine_unique(cfg):
     slope = (1.0, -2.0)
     offset = 0.5
     L = Affine(slope, offset)
     hs = (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)
-    cfg = user_cfg or SolverConfig(max_iters=30000, tol=1e-9)
     rows, _ = refine_study(_DISK, L, hs, cfg, exact=L)
     errs = [r.error for r in rows]
     bound = 0.05 * (1.0 + math.hypot(*slope) + abs(offset))
-    metrics = {
-        "sup_err_h32": errs[1],
-        "sup_err_h64": errs[2],
-        "decrease_violation": max(errs[1] - errs[0], errs[2] - errs[1]),
+    gated = {
+        "sup_err_h32": (errs[1], bound),
+        "sup_err_h64": (errs[2], bound),
+        "decrease_violation": (max(errs[1] - errs[0], errs[2] - errs[1]), 0.0),
     }
-    thresholds = {"sup_err_h32": bound, "sup_err_h64": bound, "decrease_violation": 0.0}
-    config = {"domain": "disk", "slope": slope, "offset": offset, "h": hs}
-    return metrics, thresholds, config
+    return gated, {"domain": "disk", "slope": slope, "offset": offset, "h": hs}
 
 
-def _check_comparison(user_cfg):
-    art = _pair_artifacts(user_cfg)
-    uncert = sum(1 for p in art["pairs"] if not p["certified"])
+def _check_comparison(cfg):
+    art = _pair_artifacts(cfg)
     excess = max(p["comp"] - p["tol"] for p in art["pairs"])
-    metrics = {"uncertified_pairs": float(uncert), "order_excess": excess}
-    thresholds = {"uncertified_pairs": 0.0, "order_excess": 0.0}
-    config = {"h": art["h"], "pairs": 20, "Q": _PAIR_Q, "seed": _PAIR_SEED, "solver": art["solver"]}
-    return metrics, thresholds, config
+    gated = {"uncertified_pairs": (art["uncertified_pairs"], 0.0), "order_excess": (excess, 0.0)}
+    return gated, {"h": art["h"], "pairs": 20, "Q": _PAIR_Q, "seed": _PAIR_SEED}
 
 
-def _check_contraction(user_cfg):
-    art = _pair_artifacts(user_cfg)
-    uncert = sum(1 for p in art["pairs"] if not p["certified"])
+def _check_contraction(cfg):
+    art = _pair_artifacts(cfg)
     excess = max(p["contr"] - p["datum_gap"] - 2.0 * p["tol"] for p in art["pairs"])
-    metrics = {"uncertified_pairs": float(uncert), "contraction_excess": excess}
-    thresholds = {"uncertified_pairs": 0.0, "contraction_excess": 0.0}
-    config = {"h": art["h"], "pairs": 20, "Q": _PAIR_Q, "seed": _PAIR_SEED, "solver": art["solver"]}
-    return metrics, thresholds, config
+    gated = {
+        "uncertified_pairs": (art["uncertified_pairs"], 0.0),
+        "contraction_excess": (excess, 0.0),
+    }
+    return gated, {"h": art["h"], "pairs": 20, "Q": _PAIR_Q, "seed": _PAIR_SEED}
 
 
-def _check_shift_equivariance(user_cfg):
-    art = _pair_artifacts(user_cfg)
-    metrics = {"shift_sup": max(art["shift_sup"])}
-    thresholds = {"shift_sup": art["shift_tol"]}
-    config = {"h": art["h"], "alphas": (-1.0, 0.3), "seed": _PAIR_SEED, "solver": art["solver"]}
-    return metrics, thresholds, config
+def _check_shift_equivariance(cfg):
+    art = _pair_artifacts(cfg)
+    gated = {"shift_sup": (max(art["shift_sup"]), art["shift_tol"])}
+    return gated, {"h": art["h"], "alphas": (-1.0, 0.3), "seed": _PAIR_SEED}
 
 
-def _check_translation_covariance(user_cfg):
+def _check_translation_covariance(cfg):
     h = 1.0 / 32.0
     grid = rasterize(_DISK, h)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    cfg = user_cfg or SolverConfig(max_iters=20000, tol=1e-9)
     rep = solve(grid, datum, cfg)
     tau = (4 * h, -7 * h)
     xi = 0.37
@@ -284,13 +275,11 @@ def _check_translation_covariance(user_cfg):
     rep_t = solve(grid_t, datum_t, cfg)
     tol = solver_tolerance(grid_t, datum_t)
     field_sup = float(np.max(np.abs(rep_t.u.values - u_t.values)[grid_t.interior_mask]))
-    metrics = {
-        "field_sup": field_sup,
-        "energy_rel": abs(E_t - E0) / max(abs(E0), 1e-30),
+    gated = {
+        "field_sup": (field_sup, 2.0 * tol),
+        "energy_rel": (abs(E_t - E0) / max(abs(E0), 1e-30), 1e-8),
     }
-    thresholds = {"field_sup": 2.0 * tol, "energy_rel": 1e-8}
-    config = {"domain": "disk", "h": h, "tau": tau, "xi": xi, "solver": cfg.to_json()}
-    return metrics, thresholds, config
+    return gated, {"domain": "disk", "h": h, "tau": tau, "xi": xi}
 
 
 def _vee_wedge_excess(grid, faces, z1, z2, mode) -> float:
@@ -303,7 +292,7 @@ def _vee_wedge_excess(grid, faces, z1, z2, mode) -> float:
     return float((vee + wedge) - (e1 + e2))
 
 
-def _check_submodularity_aniso(user_cfg):
+def _check_submodularity_aniso(cfg):
     h = 1.0 / 16.0
     grid = rasterize(_DISK, h)
     faces = boundary_faces(grid)
@@ -313,10 +302,8 @@ def _check_submodularity_aniso(user_cfg):
         # the field, its datum, the second field, its datum
         Z = rng.standard_normal((2, grid.interior_count + len(faces)))
         worst = max(worst, _vee_wedge_excess(grid, faces, *Z, EnergyMode.ANISOTROPIC))
-    metrics = {"max_violation": float(worst)}
-    thresholds = {"max_violation": 1e-10}
-    config = {"domain": "disk", "h": h, "pairs": 200, "seed": _SUBMOD_SEED}
-    return metrics, thresholds, config
+    gated = {"max_violation": (float(worst), 1e-10)}
+    return gated, {"domain": "disk", "h": h, "pairs": 200, "seed": _SUBMOD_SEED}
 
 
 def _rand_smooth(rng, grid: Grid, faces):
@@ -335,7 +322,7 @@ def _rand_smooth(rng, grid: Grid, faces):
     return f, np.concatenate((f(grid.xs[:, None], grid.ys)[grid.interior_mask], f(*faces.midpoint.T)))
 
 
-def _check_vee_wedge_iso(user_cfg):
+def _check_vee_wedge_iso(cfg):
     rng = np.random.default_rng(_VEEWEDGE_SEED)
     worst_per_h = 0.0
     hs = (1.0 / 16.0, 1.0 / 32.0)
@@ -346,51 +333,37 @@ def _check_vee_wedge_iso(user_cfg):
             (_, z1), (_, z2) = _rand_smooth(rng, grid, faces), _rand_smooth(rng, grid, faces)
             excess = _vee_wedge_excess(grid, faces, z1, z2, EnergyMode.ISOTROPIC)
             worst_per_h = max(worst_per_h, max(excess, 0.0) / h)
-    metrics = {"violation_per_h": float(worst_per_h)}
-    thresholds = {"violation_per_h": 0.5}
-    config = {"domain": "disk", "h": hs, "pairs_per_level": 60, "seed": _VEEWEDGE_SEED}
-    return metrics, thresholds, config
+    gated = {"violation_per_h": (float(worst_per_h), 0.5)}
+    return gated, {"domain": "disk", "h": hs, "pairs_per_level": 60, "seed": _VEEWEDGE_SEED}
 
 
-def _check_lavrentiev(user_cfg):
+def _check_lavrentiev(cfg):
     h = 1.0 / 64.0
     grid = rasterize(_PARABOLIC, h)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    base = user_cfg or SolverConfig(max_iters=30000, tol=1e-10)
-    rp = solve(grid, datum, replace(base, mode="penalized"))
-    rc = solve(grid, datum, replace(base, mode="constrained"))
+    rp = solve(grid, datum, replace(cfg, mode="penalized"))
+    rc = solve(grid, datum, replace(cfg, mode="constrained"))
     rel = abs(rp.energy.total - rc.energy.total) / max(abs(rp.energy.total), 1e-30)
-    metrics = {"mode_gap_rel": float(rel)}
-    thresholds = {"mode_gap_rel": 0.02}
-    config = {"domain": "parabolic", "datum": "es1", "h": h, "solver": base.to_json()}
-    return metrics, thresholds, config
+    return {"mode_gap_rel": (float(rel), 0.02)}, {"domain": "parabolic", "datum": "es1", "h": h}
 
 
-def _check_barrier_sandwich(user_cfg):
-    art = _es1_reference_solve(user_cfg)
+def _check_barrier_sandwich(cfg):
+    art = _es1_reference_solve(cfg)
     grid, rep = art["grid"], art["report"]
     m = grid.interior_mask
     u = rep.u.values
     below = int(np.sum(u[m] < art["f"].values[m] - art["tol"]))
     above = int(np.sum(u[m] > art["g"].values[m] + art["tol"]))
     envelope_excess = float(np.max((art["f"].values - art["g"].values)[m]))
-    metrics = {
-        "violating_cells": float(below + above),
-        "envelope_excess": envelope_excess,
+    gated = {
+        "violating_cells": (float(below + above), 0.0),
+        "envelope_excess": (envelope_excess, 1e-9),
     }
-    thresholds = {"violating_cells": 0.0, "envelope_excess": 1e-9}
-    config = {
-        "domain": "parabolic",
-        "datum": "es1",
-        "h": grid.h,
-        "Q_min": art["bsc"].Q_min,
-        "solver": art["solver"],
-    }
-    return metrics, thresholds, config
+    return gated, {"domain": "parabolic", "datum": "es1", "h": grid.h, "Q_min": art["bsc"].Q_min}
 
 
-def _check_lipschitz_bound(user_cfg):
-    art = _es1_reference_solve(user_cfg)
+def _check_lipschitz_bound(cfg):
+    art = _es1_reference_solve(cfg)
     grid, rep, datum = art["grid"], art["report"], art["datum"]
     m = grid.interior_mask
     X, Y = grid.cell_centers()
@@ -403,20 +376,12 @@ def _check_lipschitz_bound(user_cfg):
         excess = np.abs(uvals[b, None] - datum.values) - art["bsc"].Q_min * dist
         boundary_excess = max(boundary_excess, float(np.max(excess)))
     lip = lipschitz_estimate(rep.u)
-    metrics = {
-        "boundary_excess": boundary_excess,
-        "lipschitz_excess": float(lip - art["bsc"].K - art["tol"]),
+    gated = {
+        "boundary_excess": (boundary_excess, art["tol"]),
+        "lipschitz_excess": (float(lip - art["bsc"].K - art["tol"]), 0.0),
     }
-    thresholds = {"boundary_excess": art["tol"], "lipschitz_excess": 0.0}
-    config = {
-        "domain": "parabolic",
-        "datum": "es1",
-        "h": grid.h,
-        "Q_min": art["bsc"].Q_min,
-        "K": art["bsc"].K,
-        "solver": art["solver"],
-    }
-    return metrics, thresholds, config
+    bsc = art["bsc"]
+    return gated, {"domain": "parabolic", "datum": "es1", "h": grid.h, "Q_min": bsc.Q_min, "K": bsc.K}
 
 
 def _char_band_metrics(u: ScalarField, in_band: np.ndarray, band: np.ndarray):
@@ -437,95 +402,68 @@ def _char_band_metrics_es1(u: ScalarField):
     return _char_band_metrics(u, in_band, spine)
 
 
-def _check_euler_residual_es1(user_cfg):
+def _check_euler_residual_es1(cfg):
     h = 1.0 / 64.0
     grid = rasterize(_PARABOLIC, h)
     u = ScalarField.from_function(grid, es1_surface)
     res = euler_residual(u)
     X, Y = grid.cell_centers()
     region = _erode(grid.interior_mask, 2) & (Y > 2 * h) & (np.abs(X) > 2 * h)
-    residual_max = float(np.max(np.abs(res.values[region])))
     off_band, missing = _char_band_metrics_es1(u)
-    metrics = {
-        "residual_max": residual_max,
-        "char_off_band_cells": off_band,
-        "char_spine_missing_frac": missing,
+    gated = {
+        "residual_max": (float(np.max(np.abs(res.values[region]))), 1e-6),
+        "char_off_band_cells": (off_band, 0.0),
+        "char_spine_missing_frac": (missing, 0.0),
     }
-    thresholds = {
-        "residual_max": 1e-6,
-        "char_off_band_cells": 0.0,
-        "char_spine_missing_frac": 0.0,
-    }
-    config = {"domain": "parabolic", "surface": "es1", "h": h, "band": "2h", "margin_cells": 2}
-    return metrics, thresholds, config
+    return gated, {"domain": "parabolic", "surface": "es1", "h": h, "band": "2h", "margin_cells": 2}
 
 
-def _check_example_es1(user_cfg):
-    hs = (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0)
-    cfg = user_cfg or SolverConfig(max_iters=30000, tol=1e-10)
-    rows, _ = refine_study(_PARABOLIC, es1_datum, hs, cfg, exact=es1_surface, error_norm="l1")
+_LADDER_HS = (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0)
+
+
+def _example_ladder(domain, datum, exact, cfg):
+    """The solves of ``datum`` at h = 1/32, 1/64 and 1/128 against the closed
+    form ``exact``: the gated relative L1 errors and their decrease, and the
+    h = 1/64 solution."""
+    rows, _ = refine_study(domain, datum, _LADDER_HS, cfg, exact=exact, error_norm="l1")
     errs = [r.error for r in rows]
-    off_band, missing = _char_band_metrics_es1(rows[1].report.u)
-    metrics = {
-        "rel_l1_h64": errs[1],
-        "rel_l1_finest": errs[2],
-        "decrease_violation": max(errs[1] - errs[0], errs[2] - errs[1]),
-        "char_off_band_cells": off_band,
-        "char_spine_missing_frac": missing,
+    gated = {
+        "rel_l1_h64": (errs[1], 0.05),
+        "rel_l1_finest": (errs[2], 0.05),
+        "decrease_violation": (max(errs[1] - errs[0], errs[2] - errs[1]), 0.0),
     }
-    thresholds = {
-        "rel_l1_h64": 0.05,
-        "rel_l1_finest": 0.05,
-        "decrease_violation": 0.0,
-        "char_off_band_cells": 0.0,
-        "char_spine_missing_frac": 0.1,
-    }
-    config = {"domain": "parabolic", "datum": "es1", "h": hs}
-    return metrics, thresholds, config
+    return gated, rows[1].report.u
 
 
-def _check_example_es2(user_cfg):
-    hs = (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0)
-    cfg = user_cfg or SolverConfig(max_iters=25000, tol=1e-9)
-    rows, _ = refine_study(_SQUARE, es2_surface, hs, cfg, exact=es2_surface, error_norm="l1")
-    errs = [r.error for r in rows]
-    # characteristic band of the solved field
-    mid_solve = rows[1].report.u
+def _check_example_es1(cfg):
+    gated, u = _example_ladder(_PARABOLIC, es1_datum, es1_surface, cfg)
+    off_band, missing = _char_band_metrics_es1(u)
+    gated["char_off_band_cells"] = (off_band, 0.0)
+    gated["char_spine_missing_frac"] = (missing, 0.1)
+    return gated, {"domain": "parabolic", "datum": "es1", "h": _LADDER_HS}
+
+
+def _check_example_es2(cfg):
+    gated, mid_solve = _example_ladder(_SQUARE, es2_surface, es2_surface, cfg)
     grid_m = mid_solve.grid
     h_m = grid_m.h
     X, Y = grid_m.cell_centers()
+    # interior equation residual of the closed form itself
+    res = euler_residual(ScalarField.from_function(grid_m, es2_surface))
+    region = _erode(grid_m.interior_mask, 2) & (np.abs(Y) > 2 * h_m)
+    gated["residual_max"] = (float(np.max(np.abs(res.values[region]))), 1e-6)
+    # characteristic band of the solved field
     band = grid_m.interior_mask & (np.abs(Y) <= 2 * h_m) & (np.abs(X) <= 1 - 6 * h_m)
     off_band, missing = _char_band_metrics(mid_solve, np.abs(Y) <= 5 * h_m, band)
-    # interior equation residual of the closed form itself
-    u_exact = ScalarField.from_function(grid_m, es2_surface)
-    res = euler_residual(u_exact)
-    region = _erode(grid_m.interior_mask, 2) & (np.abs(Y) > 2 * h_m)
-    residual_max = float(np.max(np.abs(res.values[region])))
-    metrics = {
-        "rel_l1_h64": errs[1],
-        "rel_l1_finest": errs[2],
-        "decrease_violation": max(errs[1] - errs[0], errs[2] - errs[1]),
-        "residual_max": residual_max,
-        "char_off_band_cells": off_band,
-        "char_band_missing_frac": missing,
-    }
-    thresholds = {
-        "rel_l1_h64": 0.05,
-        "rel_l1_finest": 0.05,
-        "decrease_violation": 0.0,
-        "residual_max": 1e-6,
-        "char_off_band_cells": 0.0,
-        "char_band_missing_frac": 0.1,
-    }
-    config = {"domain": "square", "datum": "es2", "h": hs}
-    return metrics, thresholds, config
+    gated["char_off_band_cells"] = (off_band, 0.0)
+    gated["char_band_missing_frac"] = (missing, 0.1)
+    return gated, {"domain": "square", "datum": "es2", "h": _LADDER_HS}
 
 
-def _check_restriction(user_cfg):
+def _check_restriction(cfg):
     h = 1.0 / 32.0
     grid = rasterize(_DISK, h)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    cfg = user_cfg or SolverConfig(max_iters=30000, tol=1e-10)
     rep = solve(grid, datum, cfg)
 
     sub = DomainSpec.polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
@@ -541,25 +479,15 @@ def _check_restriction(user_cfg):
     rep_s = solve(grid_s, datum_s, cfg)
     parent_patch = U[di : di + grid_s.nx, dj : dj + grid_s.ny]
     sup = float(np.max(np.abs(rep_s.u.values - parent_patch)[grid_s.interior_mask]))
-    tol = solver_tolerance(grid_s, datum_s)
-    metrics = {"agreement_sup": sup}
-    thresholds = {"agreement_sup": 2.0 * tol}
-    config = {
-        "domain": "disk",
-        "sub_rectangle": [-0.5, 0.5],
-        "datum": "es1",
-        "h": h,
-        "solver": cfg.to_json(),
-    }
-    return metrics, thresholds, config
+    gated = {"agreement_sup": (sup, 2.0 * solver_tolerance(grid_s, datum_s))}
+    return gated, {"domain": "disk", "sub_rectangle": [-0.5, 0.5], "datum": "es1", "h": h}
 
 
-def _check_calibration_disk(user_cfg):
+def _check_calibration_disk(cfg):
     h = 1.0 / 64.0
     grid = rasterize(_DISK, h)
     faces = boundary_faces(grid)
     datum = BoundaryDatum(faces, np.zeros(len(faces)))
-    cfg = user_cfg or SolverConfig(max_iters=20000, tol=1e-9)
     rep = solve(grid, datum, cfg)
     target = 4.0 * np.pi / 3.0
     V = unit_rotation_certificate(grid)
@@ -569,69 +497,67 @@ def _check_calibration_disk(user_cfg):
         w = np.zeros((grid.nx, grid.ny))
         w[grid.interior_mask] = rng.standard_normal(grid.interior_count)
         gaps.append(certificate_gap(ScalarField(grid, w), V, datum))
-    metrics = {
-        "energy_rel_err": float(abs(rep.energy.total - target) / target),
-        "gap_negativity": float(-min(gaps)),
+    gated = {
+        "energy_rel_err": (float(abs(rep.energy.total - target) / target), 0.02),
+        "gap_negativity": (float(-min(gaps)), 1e-9),
     }
-    thresholds = {"energy_rel_err": 0.02, "gap_negativity": 1e-9}
-    config = {
-        "domain": "disk",
-        "datum": "zero",
-        "h": h,
-        "random_fields": 20,
-        "seed": _CALIBRATION_SEED,
-        "solver": cfg.to_json(),
-    }
-    return metrics, thresholds, config
+    config = {"domain": "disk", "datum": "zero", "h": h, "random_fields": 20, "seed": _CALIBRATION_SEED}
+    return gated, config
 
 
+# Each check with its default solver budget, None for a check that solves
+# nothing.  The memoized artifacts are keyed on the config, so the checks
+# sharing one keep sharing one solve.
+_PAIRS_CFG = SolverConfig(max_iters=20000, tol=1e-9)
+_ES1_REF_CFG = SolverConfig(max_iters=30000, tol=1e-10)
 _CHECKS = {
-    CheckId.AFFINE_UNIQUE: _check_affine_unique,
-    CheckId.COMPARISON: _check_comparison,
-    CheckId.CONTRACTION: _check_contraction,
-    CheckId.SHIFT_EQUIVARIANCE: _check_shift_equivariance,
-    CheckId.TRANSLATION_COVARIANCE: _check_translation_covariance,
-    CheckId.SUBMODULARITY_ANISO: _check_submodularity_aniso,
-    CheckId.VEE_WEDGE_ISO: _check_vee_wedge_iso,
-    CheckId.LAVRENTIEV: _check_lavrentiev,
-    CheckId.BARRIER_SANDWICH: _check_barrier_sandwich,
-    CheckId.LIPSCHITZ_BOUND: _check_lipschitz_bound,
-    CheckId.EULER_RESIDUAL_ES1: _check_euler_residual_es1,
-    CheckId.EXAMPLE_ES1: _check_example_es1,
-    CheckId.EXAMPLE_ES2: _check_example_es2,
-    CheckId.RESTRICTION: _check_restriction,
-    CheckId.CALIBRATION_DISK: _check_calibration_disk,
+    CheckId.AFFINE_UNIQUE: (_check_affine_unique, SolverConfig(max_iters=30000, tol=1e-9)),
+    CheckId.COMPARISON: (_check_comparison, _PAIRS_CFG),
+    CheckId.CONTRACTION: (_check_contraction, _PAIRS_CFG),
+    CheckId.SHIFT_EQUIVARIANCE: (_check_shift_equivariance, _PAIRS_CFG),
+    CheckId.TRANSLATION_COVARIANCE: (
+        _check_translation_covariance,
+        SolverConfig(max_iters=20000, tol=1e-9),
+    ),
+    CheckId.SUBMODULARITY_ANISO: (_check_submodularity_aniso, None),
+    CheckId.VEE_WEDGE_ISO: (_check_vee_wedge_iso, None),
+    CheckId.LAVRENTIEV: (_check_lavrentiev, SolverConfig(max_iters=30000, tol=1e-10)),
+    CheckId.BARRIER_SANDWICH: (_check_barrier_sandwich, _ES1_REF_CFG),
+    CheckId.LIPSCHITZ_BOUND: (_check_lipschitz_bound, _ES1_REF_CFG),
+    CheckId.EULER_RESIDUAL_ES1: (_check_euler_residual_es1, None),
+    CheckId.EXAMPLE_ES1: (_check_example_es1, SolverConfig(max_iters=30000, tol=1e-10)),
+    CheckId.EXAMPLE_ES2: (_check_example_es2, SolverConfig(max_iters=25000, tol=1e-9)),
+    CheckId.RESTRICTION: (_check_restriction, SolverConfig(max_iters=30000, tol=1e-10)),
+    CheckId.CALIBRATION_DISK: (_check_calibration_disk, SolverConfig(max_iters=20000, tol=1e-9)),
 }
 
 
 def run_check(check_id, solver_cfg: SolverConfig | None = None) -> TestReport:
     """Execute one named check and summarize it as a TestReport.
 
-    Solver divergence or a failed certification is reported as a failed check
+    Every solve of the check runs ``solver_cfg`` or, without one, the check's
+    own budget; a check that solves echoes the config that ran as
+    ``config["solver"]``.  Every metric is gated by its threshold.  Solver
+    divergence or a failed certification is reported as a failed check
     (metric ``aborted`` = 1 against a threshold of 0, with the reason echoed
     in the config), not as an exception.
     """
     cid = CheckId(check_id)
+    check, budget = _CHECKS[cid]
+    cfg = solver_cfg or budget
     start = time.perf_counter()
     try:
-        metrics, thresholds, config = _CHECKS[cid](solver_cfg)
+        gated, config = check(cfg)
     except (SolverError, BscViolation) as exc:
-        runtime = time.perf_counter() - start
-        return TestReport(
-            check_id=cid,
-            passed=False,
-            metrics={"aborted": 1.0},
-            thresholds={"aborted": 0.0},
-            config={"reason": str(exc)},
-            runtime=runtime,
-        )
+        gated, config = {"aborted": (1.0, 0.0)}, {"reason": str(exc)}
     runtime = time.perf_counter() - start
-    passed = all(metrics[k] <= thresholds[k] for k in thresholds)
+    if budget is not None:
+        config["solver"] = cfg.to_json()
     return TestReport(
         check_id=cid,
-        passed=passed,
-        metrics=metrics,
-        thresholds=thresholds,
+        passed=all(value <= bound for value, bound in gated.values()),
+        metrics={k: value for k, (value, _) in gated.items()},
+        thresholds={k: bound for k, (_, bound) in gated.items()},
         config=config,
         runtime=runtime,
     )

@@ -125,6 +125,11 @@ def _read_lattice(path: str, grid: Grid | None, header: str):
         nx, ny = int(meta["nx"]), int(meta["ny"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad metadata line: {exc}") from exc
+    if not (0.0 < h < np.inf and np.isfinite(origin).all() and nx > 0 and ny > 0):
+        raise FormatError(
+            f"{path}: bad lattice h={h} ox={origin[0]} oy={origin[1]} nx={nx} ny={ny}: h must be"
+            " positive and finite, ox and oy finite, nx and ny positive integers"
+        )
     if len(lines) < 2 or lines[1].strip() != header:
         raise FormatError(f"{path}: missing '{header}' header row")
 
@@ -155,7 +160,7 @@ def _read_lattice(path: str, grid: Grid | None, header: str):
     ):
         raise FormatError(
             f"{path}: field lattice (h={h}, {nx}x{ny} at {origin}) does not match "
-            f"the expected grid (h={grid.h}, {grid.nx}x{grid.ny} at {tuple(grid.origin)})"
+            f"the expected grid (h={grid.h}, {grid.nx}x{grid.ny} at {tuple(map(float, grid.origin))})"
         )
     return grid, vals
 
@@ -164,9 +169,11 @@ def read_field(path: str, grid: Grid | None = None) -> ScalarField:
     """Inverse of :func:`write_field`.
 
     The grid is rebuilt from the metadata line and the listed cells; values
-    off the listed cells are zero, as in every solver-produced field.  A cell
-    listed twice raises FormatError naming both lines.  When ``grid`` is
-    supplied the file must describe that exact lattice and mask.
+    off the listed cells are zero, as in every solver-produced field.  The
+    metadata must give a positive finite ``h``, finite ``ox`` and ``oy`` and
+    positive integers ``nx`` and ``ny``.  A cell listed twice raises
+    FormatError naming both lines.  When ``grid`` is supplied the file must
+    describe that exact lattice and mask.
     """
     return ScalarField(*_read_lattice(path, grid, "x,y,value"))
 

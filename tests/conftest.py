@@ -1,13 +1,22 @@
-"""Fixtures shared by the test modules: the compiled kernel's builds.
+"""Fixtures shared by the test modules: the verification suite's reports and
+the compiled kernel's builds.
 
-The loaded kernel is memoized per process (``pdloop._library``); these
-fixtures forget it, point the loader at a build, and forget it again, so the
-next test loads the user's cached object as a normal process would.
+The suite runs once per session.  The loaded kernel is memoized per process
+(``pdloop._library``); the kernel fixtures forget it, point the loader at a
+build, and forget it again, so the next test loads the user's cached object
+as a normal process would.
 """
 
 import pytest
 
-from harea import pdloop
+from harea import pdloop, run_suite
+
+
+@pytest.fixture(scope="session")
+def suite():
+    """The fifteen reports of one ``run_suite()``, by check id, and its summary."""
+    reports, summary = run_suite(None)
+    return {r.check_id: r for r in reports}, summary
 
 
 @pytest.fixture

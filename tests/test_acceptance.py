@@ -2,10 +2,10 @@
 
 Each test pins one externally meaningful guarantee of the package together
 with its numeric tolerance.  The heavy grid computations run once through the
-shared verification-suite fixture; individual tests then interrogate the
-recorded reports.  Two guarantees (operator adjointness, slope certification)
-are exercised directly because they need independent referees rather than the
-suite's own verdict.
+shared verification-suite fixture ``suite`` (in conftest.py); individual tests
+then interrogate the recorded reports.  Two guarantees (operator adjointness,
+slope certification) are exercised directly because they need independent
+referees rather than the suite's own verdict.
 """
 
 import time
@@ -27,17 +27,10 @@ from harea import (
     gradient,
     minimal_Q,
     rasterize,
-    run_suite,
 )
 from oracles import certificate_defects, grid_search_defect, prove_infeasible_below
 
 SQUARE = DomainSpec.polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
-
-
-@pytest.fixture(scope="session")
-def suite():
-    reports, summary = run_suite(None)
-    return {r.check_id: r for r in reports}, summary
 
 
 def test_gradient_divergence_adjoint_on_random_pairs():

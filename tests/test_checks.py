@@ -1,12 +1,16 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import dense_lipschitz_bound
 
+import harea.checks
+import harea.solver
 from harea import CheckId, SolverConfig, run_check, run_suite
 from harea.checks import (
+    _ES1_REF_CFG,
     _VEEWEDGE_SEED,
     _check_lipschitz_bound,
     _es1_reference_solve,
@@ -15,6 +19,9 @@ from harea.checks import (
 from harea.fields import ScalarField
 from harea.geometry import DomainSpec, boundary_faces, rasterize, sample_datum
 from harea.pdloop import loop_info
+
+# The checks that run no solve, and so echo no solver config.
+SOLVELESS = {CheckId.SUBMODULARITY_ANISO, CheckId.VEE_WEDGE_ISO, CheckId.EULER_RESIDUAL_ES1}
 
 
 def test_check_ids_are_exhaustive_and_ordered():
@@ -48,13 +55,17 @@ def test_unknown_id_raises():
         run_check("no_such_check")
 
 
-def test_report_passed_means_all_thresholds_met():
-    rep = run_check(CheckId.SUBMODULARITY_ANISO)
-    assert set(rep.metrics) >= set(rep.thresholds)
-    assert rep.passed == all(
-        rep.metrics[k] <= rep.thresholds[k] for k in rep.thresholds
-    )
-    assert rep.runtime > 0
+def test_report_passed_means_all_thresholds_met(suite):
+    """On every report of the suite: each metric has a threshold and each
+    threshold a metric, the report passes iff every metric meets its
+    threshold, and exactly the twelve checks that solve echo their config."""
+    reports, _ = suite
+    assert list(reports) == list(CheckId)
+    for cid, rep in reports.items():
+        assert set(rep.metrics) == set(rep.thresholds), cid
+        assert rep.passed == all(rep.metrics[k] <= rep.thresholds[k] for k in rep.metrics), cid
+        assert ("solver" in rep.config) == (cid not in SOLVELESS), cid
+        assert rep.runtime > 0
 
 
 def test_report_json_serializable():
@@ -116,18 +127,62 @@ def test_user_solver_config_is_honored():
     assert not rep.passed
 
 
+def test_user_solver_config_reaches_every_solve(monkeypatch):
+    """Every solve of every check runs the user's config, up to the mode
+    lavrentiev sets, and every check that solves echoes that config."""
+    cfg = SolverConfig(max_iters=2, tol=1e-14)
+    seen = []
+
+    def recording(solve):
+        def wrapped(grid, datum, run_cfg=None):
+            seen.append(run_cfg)
+            return solve(grid, datum, run_cfg)
+
+        return wrapped
+
+    # the checks call solve from their own module, refine_study from the solver's
+    monkeypatch.setattr(harea.checks, "solve", recording(harea.checks.solve))
+    monkeypatch.setattr(harea.solver, "solve", recording(harea.solver.solve))
+    memoized = (harea.checks._pair_artifacts, harea.checks._es1_reference_solve)
+    try:
+        for cid in CheckId:
+            for f in memoized:
+                f.cache_clear()
+            seen.clear()
+            rep = run_check(cid, cfg)
+            assert "aborted" not in rep.metrics, cid
+            assert [replace(c, mode=cfg.mode) if c else c for c in seen] == [cfg] * len(seen), cid
+            assert bool(seen) == (cid not in SOLVELESS), cid
+            assert rep.config.get("solver") == (None if cid in SOLVELESS else cfg.to_json()), cid
+    finally:
+        for f in memoized:
+            f.cache_clear()
+
+
+def test_aborted_check_reports_its_reason_and_config():
+    """A user config whose steps break the step condition fails the check
+    with the reason, instead of raising, and is echoed beside it."""
+    cfg = SolverConfig(step_sigma=1.0, step_tau=1.0)
+    rep = run_check(CheckId.TRANSLATION_COVARIANCE, cfg)
+    assert not rep.passed
+    assert rep.metrics == {"aborted": 1.0}
+    assert rep.thresholds == {"aborted": 0.0}
+    assert "step product" in rep.config["reason"]
+    assert rep.config["solver"] == cfg.to_json()
+
+
 def test_lipschitz_bound_matches_dense_referee_in_bounded_memory():
-    art = _es1_reference_solve(None)
+    art = _es1_reference_solve(_ES1_REF_CFG)
     tracemalloc.start()
     try:
-        metrics, _, _ = _check_lipschitz_bound(None)
+        gated, _ = _check_lipschitz_bound(_ES1_REF_CFG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     ref = dense_lipschitz_bound(
         art["grid"], art["report"].u.values, art["datum"], art["bsc"].Q_min, art["bsc"].K, art["tol"]
     )
-    assert (metrics["boundary_excess"], metrics["lipschitz_excess"]) == ref
+    assert (gated["boundary_excess"][0], gated["lipschitz_excess"][0]) == ref
     # the dense cell-by-face matrices peaked at 16 MiB on this 2,728-cell grid
     assert peak < 4 * 2**20
 

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -119,8 +121,55 @@ def test_grid_mismatch_described(grid, tmp_path):
     path = str(tmp_path / "f.csv")
     write_field(random_field(grid, np.random.default_rng(0)), path)
     other = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.2)
-    with pytest.raises(FormatError, match="does not match"):
+    with pytest.raises(FormatError, match="does not match") as exc:
         read_field(path, grid=other)
+    # both origins print as plain floats
+    assert str(exc.value).endswith(f"at {(float(other.origin[0]), float(other.origin[1]))})")
+    assert "np.float64" not in str(exc.value)
+
+
+BAD_LATTICE = {
+    "h-zero": ("h", "0"),
+    "h-nan": ("h", "nan"),
+    "h-inf": ("h", "inf"),
+    "ox-nan": ("ox", "nan"),
+    "nx-negative": ("nx", "-3"),
+}
+
+
+def write_bad_lattice(grid, path, key, value):
+    """A field file on ``grid`` whose metadata line sets ``key`` to ``value``."""
+    write_field(random_field(grid, np.random.default_rng(0)), path)
+    with open(path) as f:
+        lines = f.read().splitlines()
+    lines[0] = " ".join(f"{key}={value}" if t.startswith(f"{key}=") else t for t in lines[0].split(" "))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("key, value", BAD_LATTICE.values(), ids=BAD_LATTICE.keys())
+def test_bad_lattice_metadata_rejected(grid, tmp_path, key, value):
+    path = str(tmp_path / "f.csv")
+    write_bad_lattice(grid, path, key, value)
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: bad lattice .*{key}={value}"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("key, value", BAD_LATTICE.values(), ids=BAD_LATTICE.keys())
+def test_bad_lattice_metadata_is_a_usage_error_in_the_cli(tmp_path, capsys, key, value):
+    from harea.cli import dispatch
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "domain": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+        "h": 0.125,
+        "datum": {"kind": "affine", "a": [1, -2], "b": 0.5},
+        "out": str(tmp_path / "run"),
+    }))
+    path = str(tmp_path / "f.csv")
+    write_bad_lattice(rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.125), path, key, value)
+    assert dispatch(["energy", "-c", str(cfg), path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: bad lattice ")
 
 
 def test_vector_roundtrip(grid, tmp_path):
