@@ -5,7 +5,7 @@ Subcommands
 solve      minimize the penalized area for a configured domain and datum
 energy     evaluate the penalized energy of a stored field
 bsc        certify the smallest slope constant of a boundary datum
-barriers   write the lower/upper envelope fields implied by the certificate
+barriers   the same, and write the lower/upper envelope fields it implies
 verify     run named property checks and write their reports
 reproduce  regenerate a worked example and compare against golden metrics
 refine     solve across grid refinements and tabulate the errors
@@ -17,16 +17,19 @@ overrides.  --mode (penalized or constrained) goes on solve and refine, the
 only subcommands that solve; solves minimize the isotropic area.  --energy
 (iso, the default, or aniso) goes on energy alone and chooses the cell norm
 it evaluates; the anisotropic energy is kept for evaluation only, since its
-discrete minimizers are not unique.
+discrete minimizers are not unique.  bsc and barriers write bsc.json with
+"feasible": true and the certificate, or false with the violating sample
+("witness") and its "slack"; barriers writes its envelopes only when true.
 
-Exit codes: 0 success / all checks passed; 1 a check failed, the solver did
-not converge, a slope certificate was refused, or stdout was closed before
-the report was printed; 2 usage or config errors.
+Exit codes: 0 success / all checks passed; 1 a check failed, a solve (or a
+refine level) did not converge, the slope condition is violated, or stdout was
+closed before the report was printed; 2 usage or config errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import numbers
 import os
@@ -258,56 +261,35 @@ def _cmd_energy(args) -> int:
     return 0
 
 
-def _cmd_bsc(args) -> int:
-    from .bsc import BscViolation, minimal_Q
-    from .fileio import write_json
-    from .geometry import rasterize
-
-    cfg = _load_config(args, required=("domain", "datum"))
-    samples = _bsc_samples(cfg)
-    grid = rasterize(cfg["domain"], cfg["h"]) if cfg["h"] > 0 else None
-    out = _out_dir(cfg["out"])
-    try:
-        rep = minimal_Q(samples, grid=grid)
-    except BscViolation as exc:
-        write_json(
-            {
-                "run": _echo(cfg),
-                "feasible": False,
-                "witness": list(exc.witness),
-                "slack": exc.slack,
-            },
-            os.path.join(out, "bsc.json"),
-        )
-        print(f"slope condition violated at {exc.witness} (slack {exc.slack:.6g})")
-        print(f"wrote {out}/bsc.json")
-        return 1
-    write_json({"run": _echo(cfg), **rep.to_json()}, os.path.join(out, "bsc.json"))
-    print(f"certified: Q_min {rep.Q_min:.9g}, gradient bound K {rep.K:.9g}")
-    print(f"wrote {out}/bsc.json")
-    return 0
-
-
-def _cmd_barriers(args) -> int:
+def _cmd_certify(args, envelopes: bool) -> int:
+    """``bsc`` (a grid, for K, only when h > 0) and, with ``envelopes``,
+    ``barriers`` (h required): certify the slope condition into bsc.json, and
+    write the envelopes when certified.  A violation is exit 1 from both."""
     from .bsc import BscViolation, barriers, minimal_Q
     from .fileio import write_field, write_json
     from .geometry import rasterize
 
-    cfg = _load_config(args)
+    cfg = _load_config(args, ("domain", "h", "datum") if envelopes else ("domain", "datum"))
     samples = _bsc_samples(cfg)
-    grid = rasterize(cfg["domain"], cfg["h"])
+    grid = rasterize(cfg["domain"], cfg["h"]) if envelopes or cfg["h"] > 0 else None
     out = _out_dir(cfg["out"])
+    fields = {}  # file name -> envelope field
     try:
         rep = minimal_Q(samples, grid=grid)
     except BscViolation as exc:
-        print(f"slope condition violated at {exc.witness}; no barriers exist")
-        return 1
-    f, g = barriers(samples, rep, grid)
-    write_field(f, os.path.join(out, "barrier_lower.csv"))
-    write_field(g, os.path.join(out, "barrier_upper.csv"))
-    write_json({"run": _echo(cfg), **rep.to_json()}, os.path.join(out, "bsc.json"))
-    print(f"wrote {out}/barrier_lower.csv, {out}/barrier_upper.csv, {out}/bsc.json")
-    return 0
+        result = {"feasible": False, "witness": list(exc.witness), "slack": exc.slack}
+        said = f"slope condition violated at {exc.witness} (slack {exc.slack:.6g})"
+    else:
+        result = {"feasible": True, **rep.to_json()}
+        said = f"certified: Q_min {rep.Q_min:.9g}, gradient bound K {rep.K:.9g}"
+        if envelopes:
+            fields = dict(zip(("barrier_lower.csv", "barrier_upper.csv"), barriers(samples, rep, grid)))
+    for name, field in fields.items():
+        write_field(field, os.path.join(out, name))
+    write_json({"run": _echo(cfg), **result}, os.path.join(out, "bsc.json"))
+    print(said)
+    print("wrote " + ", ".join(f"{out}/{name}" for name in [*fields, "bsc.json"]))
+    return 0 if result["feasible"] else 1
 
 
 def _cmd_verify(args) -> int:
@@ -446,7 +428,7 @@ def _cmd_refine(args) -> int:
         monotone = "n/a, no closed-form minimizer for this datum"
     print(f"monotone decrease: {monotone}")
     print(f"wrote {out}/refine.csv, {out}/refine.json")
-    return 0
+    return 0 if all(r.converged for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +463,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("field", nargs="?", help="field CSV (default: <out>/solution.csv)")
     sp.set_defaults(func=_cmd_energy)
 
-    sp = sub.add_parser("bsc", help="certify the minimal slope constant")
-    common(sp)
-    sp.set_defaults(func=_cmd_bsc)
-
-    sp = sub.add_parser("barriers", help="write certified lower/upper envelopes")
-    common(sp)
-    sp.set_defaults(func=_cmd_barriers)
+    for name, envelopes, does in (
+        ("bsc", False, "certify the minimal slope constant"),
+        ("barriers", True, "write certified lower/upper envelopes"),
+    ):
+        sp = sub.add_parser(name, help=does)
+        common(sp)
+        sp.set_defaults(func=functools.partial(_cmd_certify, envelopes=envelopes))
 
     sp = sub.add_parser("verify", help="run the named property checks")
     sp.add_argument("--check", action="append", help="check id (repeatable; default: all)")
@@ -513,7 +495,7 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    from .bsc import BscError, BscViolation
+    from .bsc import BscError
     from .energy import EnergyError
     from .fileio import FormatError
     from .geometry import DomainError
@@ -524,7 +506,7 @@ def dispatch(argv=None) -> int:
     except (UsageError, FormatError, DomainError, BscError, EnergyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, BscViolation) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

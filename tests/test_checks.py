@@ -11,9 +11,11 @@ import harea.solver
 from harea import CheckId, SolverConfig, run_check, run_suite
 from harea.checks import (
     _ES1_REF_CFG,
+    _SQUARE,
     _VEEWEDGE_SEED,
     _check_lipschitz_bound,
     _es1_reference_solve,
+    _is_certified,
     _rand_smooth,
 )
 from harea.fields import ScalarField
@@ -169,6 +171,13 @@ def test_aborted_check_reports_its_reason_and_config():
     assert rep.thresholds == {"aborted": 0.0}
     assert "step product" in rep.config["reason"]
     assert rep.config["solver"] == cfg.to_json()
+
+
+def test_is_certified_refuses_a_violated_slope_condition():
+    """x^2 on the square is flat along two sides: no slope constant certifies
+    it, and the violation reads as uncertified rather than raising."""
+    assert _is_certified(_SQUARE, lambda x, y: x + 2.0 * y, 20.0)
+    assert not _is_certified(_SQUARE, lambda x, y: x * x, 20.0)
 
 
 def test_lipschitz_bound_matches_dense_referee_in_bounded_memory():

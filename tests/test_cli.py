@@ -215,6 +215,23 @@ def test_output_path_that_is_a_file_is_a_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and str(taken) in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, raw, message",
+    [
+        ("solve", {"domain": DISK_CFG["domain"], "h": 0.125}, "missing required key 'datum'"),
+        ("barriers", {"domain": DISK_CFG["domain"], "datum": DISK_CFG["datum"]}, "missing required key 'h'"),
+        ("bsc", [DISK_CFG], "top level must be a JSON object"),
+    ],
+    ids=["solve-datum", "barriers-h", "top-level-list"],
+)
+def test_config_shape_errors_are_usage_errors(tmp_path, capsys, command, raw, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert dispatch([command, "-c", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_no_subcommand_is_usage_error():
     assert dispatch([]) == 2
 
@@ -294,32 +311,58 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
         assert argv[1] in capsys.readouterr().err, argv
 
 
-def test_bsc_subcommand_certifies_affine(tmp_path):
+def test_bsc_subcommand_certifies_affine(tmp_path, capsys):
     out = str(tmp_path / "run")
     cfg = write_cfg(tmp_path, out=out)
     assert dispatch(["bsc", "-c", cfg]) == 0
     rep = json.loads((tmp_path / "run" / "bsc.json").read_text())
+    assert rep["feasible"] is True
     assert rep["Q_min"] == pytest.approx(np.sqrt(5.0), abs=1e-2)
+    assert capsys.readouterr().out.splitlines() == [
+        f"certified: Q_min {rep['Q_min']:.9g}, gradient bound K {rep['K']:.9g}",
+        f"wrote {out}/bsc.json",
+    ]
+    # a valid sample count reaches boundary_samples
+    cfg = write_cfg(tmp_path, out=out, samples=64)
+    assert dispatch(["bsc", "-c", cfg]) == 0
+    assert json.loads((tmp_path / "run" / "bsc.json").read_text())["points"] == 64
 
 
-def test_bsc_subcommand_flags_violation(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        domain={"kind": "polygon", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]},
-        datum={"kind": "samples", "path": str(tmp_path / "sq.csv")},
-        out=str(tmp_path / "run"),
-    )
-    # x^2 sampled on the square boundary: flat sides break the slope condition
+def square_x2_cfg(tmp_path, out):
+    """x^2 sampled on the square boundary: flat sides break the slope condition."""
     ts = np.linspace(-1, 1, 41)
     rows = ["x,y,value"]
     for t in ts:
         for x, y in ((t, -1.0), (t, 1.0), (-1.0, t), (1.0, t)):
             rows.append(f"{x},{y},{x * x}")
     (tmp_path / "sq.csv").write_text("\n".join(rows))
+    return write_cfg(
+        tmp_path,
+        domain={"kind": "polygon", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]},
+        datum={"kind": "samples", "path": str(tmp_path / "sq.csv")},
+        out=str(out),
+    )
+
+
+def test_bsc_subcommand_flags_violation(tmp_path):
+    cfg = square_x2_cfg(tmp_path, tmp_path / "run")
     assert dispatch(["bsc", "-c", cfg]) == 1
     rep = json.loads((tmp_path / "run" / "bsc.json").read_text())
     assert rep["feasible"] is False
     assert "witness" in rep
+
+
+def test_barriers_subcommand_writes_the_witness_on_violation(tmp_path, capsys):
+    """barriers refuses a violating datum as bsc does: the same bsc.json,
+    the same printed witness, exit 1, and no envelope written."""
+    assert dispatch(["bsc", "-c", square_x2_cfg(tmp_path, tmp_path / "bsc")]) == 1
+    said = capsys.readouterr().out.splitlines()
+    out = tmp_path / "barriers"
+    assert dispatch(["barriers", "-c", square_x2_cfg(tmp_path, out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [said[0], f"wrote {out}/bsc.json"]
+    assert said[0].startswith("slope condition violated at (") and "(slack " in said[0]
+    assert sorted(os.listdir(out)) == ["bsc.json"]
+    assert (out / "bsc.json").read_bytes() == (tmp_path / "bsc" / "bsc.json").read_bytes()
 
 
 def write_samples(path, pts, vals):
@@ -411,6 +454,10 @@ def test_barriers_subcommand_writes_envelopes(tmp_path):
     out = str(tmp_path / "run")
     cfg = write_cfg(tmp_path, out=out)
     assert dispatch(["barriers", "-c", cfg]) == 0
+    rep = json.loads((tmp_path / "run" / "bsc.json").read_text())
+    assert dispatch(["bsc", "-c", cfg]) == 0  # same config, so the same bsc.json
+    assert json.loads((tmp_path / "run" / "bsc.json").read_text()) == rep
+    assert rep["feasible"] is True
     from harea.fileio import read_field
 
     grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 0.125)
@@ -439,6 +486,23 @@ def test_verify_unknown_check_is_usage_error(tmp_path):
     assert dispatch(["verify", "--check", "nonsense", "--out", str(tmp_path)]) == 2
 
 
+def test_verify_prints_the_exceeded_thresholds_of_a_failed_check(tmp_path, capsys, monkeypatch):
+    import harea.checks
+    from harea import CheckId
+
+    gated = {"defect": (2.0, 1.0), "spread": (0.5, 1.0)}
+    failing = (lambda cfg: (gated, {}), None)
+    monkeypatch.setitem(harea.checks._CHECKS, CheckId.SUBMODULARITY_ANISO, failing)
+    assert dispatch(["verify", "--check", "submodularity_aniso", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL  submodularity_aniso ")
+    assert lines[1:3] == [
+        "        defect = 2 (threshold 1)  <-- exceeded",
+        "        spread = 0.5 (threshold 1)",
+    ]
+    assert lines[3].startswith("0/1 checks passed ")
+
+
 @pytest.mark.parametrize("example", ["es1", "es2"])
 def test_reproduce_matches_golden(tmp_path, example):
     out = str(tmp_path / "rep")
@@ -458,6 +522,44 @@ def test_refine_subcommand(tmp_path):
     assert len(table) == 4  # header + 3 levels
     meta = json.loads((tmp_path / "r" / "refine.json").read_text())
     assert meta["monotone"] is True
+
+
+def test_refine_exits_1_when_a_level_does_not_converge(tmp_path):
+    """Like solve, refine writes its table and then exits 1 when any level
+    stopped at max_iters."""
+    out = tmp_path / "r"
+    cfg = write_cfg(tmp_path, out=str(out), solver={"max_iters": 3}, levels=2)
+    assert dispatch(["refine", "-c", cfg]) == 1
+    rows = (out / "refine.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [["3", "0"], ["3", "0"]]
+    assert (out / "refine.json").exists()
+
+
+def test_refine_without_a_closed_form_minimizer(tmp_path, capsys):
+    out = tmp_path / "r"
+    cfg = write_cfg(tmp_path, h=0.25, out=str(out), datum={"kind": "zero"}, levels=2)
+    assert dispatch(["refine", "-c", cfg]) == 0
+    rows = (out / "refine.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["", ""]
+    assert json.loads((out / "refine.json").read_text())["monotone"] is None
+    said = capsys.readouterr().out
+    assert "monotone decrease: n/a, no closed-form minimizer for this datum\n" in said
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"datum": {"kind": "samples", "path": "s.csv"}}, "refine needs a closed-form datum"),
+        ({"levels": 1}, "refine needs at least 2 levels"),
+    ],
+    ids=["samples-datum", "one-level"],
+)
+def test_refine_usage_errors(tmp_path, capsys, overrides, message):
+    out = tmp_path / "r"
+    cfg = write_cfg(tmp_path, out=str(out), **overrides)
+    assert dispatch(["refine", "-c", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 def test_refine_applies_mode_and_energy_flags(tmp_path):
