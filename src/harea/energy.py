@@ -13,13 +13,14 @@ terms, each summed pairwise.  The solver's checkpoints (its NumPy block and
 ``pdloop.c``) round alike, so a solve's ``rep.energy ==
 penalized_energy(rep.u, datum)`` by bytes.  The diagnostics measure interior
 ``(2, n)`` vectors with the solver's cell norm (:mod:`harea.fields`); the
-characteristic set reads ``K u + X*``, and the Euler residual takes centered
-differences on the package's one neighbor rule (``geometry._neighbor``).
+characteristic set reads ``K u + X*`` against :func:`default_char_threshold`,
+and the Euler residual takes centered differences on the package's one
+neighbor rule (``geometry._neighbor``).  The residual and the unit rotation
+certificate normalize by lengths floored at one constant, 1e-12.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,19 +122,20 @@ def default_char_threshold(grid: Grid) -> float:
     return 10.0 * grid.h * max(1.0, 0.5 * mx)
 
 
-def char_set(u: ScalarField, eps: float | None = None) -> np.ndarray:
-    """Boolean mask of cells whose horizontal vector has norm <= eps.
+def char_set(u: ScalarField) -> np.ndarray:
+    """Boolean mask of cells whose horizontal vector has norm at most
+    :func:`default_char_threshold`.
 
     On such cells the minimal-surface operator degenerates, so residual
     diagnostics are only meaningful away from them.
     """
-    if eps is None:
-        eps = default_char_threshold(u.grid)
-    if not (eps >= 0):
-        raise EnergyError(f"char threshold must be nonnegative, got {eps}")
     g = u.grid
     n = _cell_norms(difference_operator(g).grad(u.interior()) + interior_xstar(g), EnergyMode.ISOTROPIC)
-    return (ScalarField.from_interior(g, n).values <= eps) & g.interior_mask
+    return (ScalarField.from_interior(g, n).values <= default_char_threshold(g)) & g.interior_mask
+
+
+# the least length the Euler residual and the unit rotation divide by
+_FLOOR = 1e-12
 
 
 def _sym_diff(grid: Grid, v: np.ndarray, axis: int) -> np.ndarray:
@@ -152,20 +154,18 @@ def _sym_diff(grid: Grid, v: np.ndarray, axis: int) -> np.ndarray:
     return d / grid.h
 
 
-def euler_residual(u: ScalarField, eps_reg: float = 1e-12) -> ScalarField:
+def euler_residual(u: ScalarField) -> ScalarField:
     """Divergence of the normalized horizontal field, a minimality diagnostic.
 
-    The field N = H / max(|H|, eps_reg) and its divergence are both taken
+    The field N = H / max(|H|, 1e-12) and its divergence are both taken
     with a symmetric (centered) stencil so that the residual is exactly zero
     wherever N is constant on the local stencil; near the mask rim the stencil
     degrades to one-sided differences.  Values on or near the degenerate set
     (see :func:`char_set`) are not meaningful.
     """
-    if not 0 < eps_reg < math.inf:  # at inf every normalized vector is 0
-        raise EnergyError(f"eps_reg must be positive and finite, got {eps_reg!r}")
     g = u.grid
     H = np.stack([_sym_diff(g, u.values, a)[g.interior_mask] for a in (0, 1)]) + interior_xstar(g)
-    N = H / np.maximum(_cell_norms(H, EnergyMode.ISOTROPIC), eps_reg)
+    N = H / np.maximum(_cell_norms(H, EnergyMode.ISOTROPIC), _FLOOR)
     dNx, dNy = (_sym_diff(g, ScalarField.from_interior(g, N[a]).values, a) for a in (0, 1))
     return ScalarField(g, dNx + dNy)
 
@@ -174,16 +174,12 @@ def euler_residual(u: ScalarField, eps_reg: float = 1e-12) -> ScalarField:
 # duality certificate
 
 
-def unit_rotation_certificate(grid: Grid, eps: float = 1e-12) -> VectorField:
-    """The normalized drift field X*/max(|X*|, eps), an admissible certificate
-    that is asymptotically divergence-free; on a disk centered at the origin it
-    calibrates the zero-datum problem."""
-    if not 0 < eps < math.inf:  # at inf the field is 0
-        raise EnergyError(f"eps must be positive and finite, got {eps!r}")
+def unit_rotation_certificate(grid: Grid) -> VectorField:
+    """The normalized drift field X*/max(|X*|, 1e-12), an admissible
+    certificate that is asymptotically divergence-free; on a disk centered at
+    the origin it calibrates the zero-datum problem."""
     xs = interior_xstar(grid)
-    return VectorField.from_interior(
-        grid, (xs / np.maximum(_cell_norms(xs, EnergyMode.ISOTROPIC), eps)).T
-    )
+    return VectorField.from_interior(grid, (xs / np.maximum(_cell_norms(xs, EnergyMode.ISOTROPIC), _FLOOR)).T)
 
 
 def certificate_gap(u: ScalarField, V: VectorField, datum: BoundaryDatum) -> float:
@@ -222,8 +218,8 @@ def translate_problem(
     gain the tilt ``2 <tau*, z> + xi`` evaluated at the new cell centers, and
     each face value gains the tilt evaluated at its owner's center, which is
     the point the penalty compares against.  The shifted grid shares the
-    source grid's difference operator and step-rule estimate, which depend
-    only on the mask and h.
+    source grid's difference operator, and with it the step-rule estimate the
+    operator caches; both depend only on the mask and h.
     """
     g = u.grid
     tau = np.asarray(tau, dtype=float)

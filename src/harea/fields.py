@@ -11,8 +11,9 @@ each component back to the same two cells with opposite signs, so it is
 for every pair.  The operator also carries the compiled kernels' tables of
 :mod:`harea.pdloop` (the rim cells' entries in CSR form, the cells with a
 rewritten gradient entry, the stencil's reach), so they too are built once
-per grid; a grid with another's mask and h, such as a lattice translate,
-shares the other's operator and step-rule estimate (:func:`_share_operator`).
+per grid, and it caches the grid's step-rule estimate; a grid with another's
+mask and h, such as a lattice translate, shares the other's operator, and the
+estimate with it (:func:`_share_operator`).
 
 The kernels read a regular stencil plus an exact rim.  In row-major order
 the axis-1 neighbors of a cell are ``c - 1`` and ``c + 1``, so axis 1 is a
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -146,10 +147,6 @@ class VectorField:
         self.values = out
 
     @staticmethod
-    def zeros(grid: Grid) -> "VectorField":
-        return VectorField(grid, np.zeros((grid.nx, grid.ny, 2)))
-
-    @staticmethod
     def from_interior(grid: Grid, v: np.ndarray) -> "VectorField":
         """Scatter interior vectors (row-major cell order) onto the grid."""
         out = np.zeros((grid.nx, grid.ny, 2))
@@ -188,7 +185,8 @@ def xstar_field(grid: Grid) -> VectorField:
 # difference operators
 
 
-class DiffOperator(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class DiffOperator:
     """The difference operator K on the n interior cells, row-major order.
 
     A regular cell (see the module docstring) is computed from slices and one
@@ -217,7 +215,8 @@ class DiffOperator(NamedTuple):
 
     The last three groups are the compiled kernels' tables
     (:mod:`harea.pdloop`); being part of the cached operator, they are built
-    once per grid.
+    once per grid.  The operator also caches the step-rule estimate of
+    :func:`operator_norm_sq`, which depends on nothing else.
     """
 
     next0: np.ndarray
@@ -342,12 +341,9 @@ def difference_operator(grid: Grid) -> DiffOperator:
 
 def _share_operator(grid: Grid, source: Grid) -> None:
     """Give ``grid`` the difference operator of ``source``, a grid with the
-    same mask and h, and its step-rule estimate where it has one: both
-    depend on nothing else."""
+    same mask and h, and with it the step-rule estimate the operator caches:
+    both depend on nothing else."""
     object.__setattr__(grid, "_K", difference_operator(source))
-    estimate = getattr(source, "_opnorm_sq", None)
-    if estimate is not None:
-        object.__setattr__(grid, "_opnorm_sq", estimate)
 
 
 def interior_xstar(grid: Grid) -> np.ndarray:
@@ -433,7 +429,8 @@ _GUARD_STEPS = 200
 def operator_norm_sq(grid: Grid) -> float:
     """Deterministic power estimate of ||gradient||^2 for the step-size rule,
     ``_POWER_STEPS`` steps from a fixed random start, guarded by an upper
-    bound and cached per grid.
+    bound and cached on the grid's operator, so a grid that shares the
+    operator (:func:`_share_operator`) shares the estimate.
 
     The uniform-grid bound 8/h^2 is used as a floor; the backward fallback at
     the rim can push the true norm slightly above it, and a power value
@@ -445,15 +442,15 @@ def operator_norm_sq(grid: Grid) -> float:
     same estimate bit for bit.  The estimate returned is at least the
     Collatz-Wielandt bound of :func:`_cw_bound`, so at least the true norm;
     on every grid tested the bound falls to or below the estimate and leaves
-    it as it is.
+    it as it is.  The start is normalized by a pairwise sum, as each step
+    is, not by BLAS, whose sum order depends on its thread count.
     """
-    cached = getattr(grid, "_opnorm_sq", None)
+    K = difference_operator(grid)
+    cached = getattr(K, "_norm_sq", None)
     if cached is not None:
         return cached
-    K = difference_operator(grid)
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(K.n)
-    nrm = np.linalg.norm(v)
+    v = np.random.default_rng(1234).standard_normal(K.n)
+    nrm = np.sqrt(np.add.reduce(v * v))
     if nrm == 0:
         return 8.0 / grid.h**2
     v /= nrm
@@ -471,7 +468,7 @@ def operator_norm_sq(grid: Grid) -> float:
             np.divide(w, lam, out=v)
     est = max(lam * _POWER_MARGIN, 8.0 / grid.h**2)
     est = max(est, _cw_bound(grid, est))
-    object.__setattr__(grid, "_opnorm_sq", est)
+    object.__setattr__(K, "_norm_sq", est)
     return est
 
 

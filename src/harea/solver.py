@@ -433,8 +433,6 @@ def _numpy_block(
 @dataclass(frozen=True)
 class RefineRow:
     h: float
-    iterations: int
-    converged: bool
     error: float | None
     report: SolveReport = field(repr=False, compare=False)
 
@@ -474,14 +472,6 @@ def refine_study(
                 ref_l1 = float(np.sum(np.abs(ref.values[grid.interior_mask])))
                 err = float(np.sum(diff) / max(ref_l1, 1e-30))
             errors.append(err)
-        rows.append(
-            RefineRow(
-                h=float(h),
-                iterations=rep.iterations,
-                converged=rep.converged,
-                error=err,
-                report=rep,
-            )
-        )
+        rows.append(RefineRow(h=float(h), error=err, report=rep))
     monotone = None if exact is None else all(b < a for a, b in zip(errors, errors[1:]))
     return rows, monotone

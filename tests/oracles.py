@@ -378,7 +378,7 @@ def allocating_operator_norm_sq(grid):
     """The power estimate of ||K||^2 with a fresh array for every operation."""
     K = difference_operator(grid)
     v = np.random.default_rng(1234).standard_normal(K.n)
-    v /= np.linalg.norm(v)
+    v /= np.sqrt(np.sum(v * v))
     lam = 0.0
     for _ in range(_POWER_STEPS):
         w = -K.div(K.grad(v))
@@ -436,12 +436,11 @@ def hypot_lipschitz(u):
     return float(np.max(hypot_norms(gradient(u).values)[u.grid.interior_mask]))
 
 
-def hypot_char_set(u, eps=None):
-    """Interior cells whose horizontal vector is at most ``eps`` long; by
-    default ``eps`` is ``10 h max(1, max|X*| / 2)``."""
+def hypot_char_set(u):
+    """Interior cells whose horizontal vector is at most ``10 h max(1,
+    max|X*| / 2)`` long."""
     g = u.grid
-    if eps is None:
-        eps = 10.0 * g.h * max(1.0, 0.5 * float(np.max(hypot_norms(xstar_field(g).values))))
+    eps = 10.0 * g.h * max(1.0, 0.5 * float(np.max(hypot_norms(xstar_field(g).values))))
     return (hypot_norms(full_grid_horizontal(u)) <= eps) & g.interior_mask
 
 

@@ -376,6 +376,26 @@ def circle_samples(n, seed):
     return np.stack((np.cos(t), np.sin(t)), axis=1), np.sin(3.0 * t)
 
 
+@pytest.mark.parametrize("command", ["solve", "energy", "bsc", "barriers", "refine"])
+def test_a_sample_count_beside_a_samples_datum_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    """A samples file lists its own points, so no subcommand would read a
+    sample count beside it: the pair stops every subcommand when the config
+    loads, naming the key, before the file is read or the output directory
+    is made."""
+    out = tmp_path / "run"
+    path = write_samples(tmp_path / "s.csv", *circle_samples(50, seed=7))
+    cfg = write_cfg(tmp_path, out=str(out), datum={"kind": "samples", "path": path}, samples=5)
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr("harea.fileio.read_samples", unread)
+    assert dispatch([command, "-c", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "key 'samples'" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_samples_datum_takes_the_first_nearest_sample(tmp_path):
     pts, vals = circle_samples(150, seed=5)
     # every point listed twice with another value: the first copy wins the tie

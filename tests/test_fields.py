@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,12 +11,17 @@ from harea import (
     DomainSpec,
     Grid,
     ScalarField,
+    SolverConfig,
     VectorField,
+    boundary_faces,
     divergence,
+    es1_datum,
     gradient,
     lipschitz_estimate,
     operator_norm_sq,
     rasterize,
+    sample_datum,
+    solve,
     star,
     xstar_field,
 )
@@ -237,6 +247,43 @@ def test_operator_norm_sq_of_one_interior_cell_is_the_floor(each_kernel_path):
     for path in each_kernel_path():
         grid = Grid(h=0.25, origin=np.zeros(2), nx=3, ny=3, interior_mask=mask)
         assert operator_norm_sq(grid) == allocating_operator_norm_sq(grid) == 8.0 / 0.25**2, path
+
+
+ESTIMATES = """
+from harea import DomainSpec, operator_norm_sq, rasterize
+square = DomainSpec.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+for domain, inv_h in ((DomainSpec.parabolic(), 112), (square, 96)):
+    print(float(operator_norm_sq(rasterize(domain, 1 / inv_h))).hex())
+"""
+
+
+def test_operator_norm_sq_is_the_same_at_one_and_two_blas_threads():
+    """The start vector is normalized by a pairwise sum, not by a BLAS dot
+    product, which sums in another order on more threads: on the h = 1/112
+    lens and the h = 1/96 square, where that order moved the estimate by an
+    ulp, one and two OpenBLAS threads give the same bytes."""
+    src = str(Path(fields_module.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run([sys.executable, "-c", ESTIMATES], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        runs.append(run.stdout)
+    assert runs[0] == runs[1] and len(runs[0].split()) == 2
+
+
+def test_the_step_rule_and_a_solve_call_no_blas_norm(monkeypatch):
+    """Neither a fresh grid's estimate nor a solve calls ``np.linalg.norm``."""
+
+    def blas(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", blas)
+    grid = rasterize(DomainSpec.parabolic(), 1 / 16)
+    assert operator_norm_sq(grid) > 8.0 / grid.h**2
+    rep = solve(grid, sample_datum(boundary_faces(grid), es1_datum), SolverConfig(max_iters=100))
+    assert rep.iterations == 100
 
 
 def disk16():

@@ -52,7 +52,7 @@ def test_prox_dual_projects_shifted_point():
     # cell center (1, 2): X* = (-4, 2) of length 2 sqrt(5) > 1 = h^2,
     # so q = 0 lands on the ball surface at (-4, 2)/sqrt(20)
     grid = one_cell_grid((1.0, 2.0))
-    q = VectorField.zeros(grid)
+    q = VectorField(grid, np.zeros((1, 1, 2)))
     out = prox_dual(q, 1.0)
     want = np.array([-4.0, 2.0]) / np.sqrt(20.0)
     assert np.allclose(out.values[0, 0], want, atol=1e-15)
@@ -60,7 +60,7 @@ def test_prox_dual_projects_shifted_point():
 
 def test_prox_dual_zero_drift_identity():
     grid = one_cell_grid((0.0, 0.0))  # X* = 0 at the origin
-    q = VectorField.zeros(grid)
+    q = VectorField(grid, np.zeros((1, 1, 2)))
     assert np.all(prox_dual(q, 1.0).values == 0.0)
 
 
