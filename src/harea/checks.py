@@ -6,10 +6,12 @@ below its threshold.  Checks are independent and deterministic: identical
 configuration reproduces identical metrics on the same machine.  ``_CHECKS``
 gives each check its default solver budget (none for the checks that solve
 nothing); :func:`run_check` runs every solve of a check with the user's
-configuration or that budget, and echoes the one that ran.  Expensive shared
-artifacts (the certified datum-pair family, the reference solve used by the
-barrier and slope-bound checks) are memoized per solver configuration, so a
-full-suite run does not repeat work.
+configuration or that budget, and echoes the one that ran.  Shared work is
+memoized so a full-suite run does not repeat it: the es1 solves by domain,
+h and config (the h = 1/32 disk of translation_covariance and restriction,
+the h = 1/32 lens of barrier_sandwich and lipschitz_bound), es1's slope
+certificate and envelopes once, and the certified datum-pair family by
+config.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ _VEEWEDGE_SEED = 7
 _CALIBRATION_SEED = 99
 _PAIR_Q = 20.0
 _CURVE_SAMPLES = 200
+_ES1_H = 1.0 / 32.0  # the es1 scenarios' shared solves and certificate
 
 
 def _erode(mask: np.ndarray, layers: int) -> np.ndarray:
@@ -195,26 +198,25 @@ def _pair_artifacts(cfg: SolverConfig):
     }
 
 
-@lru_cache(maxsize=1)
-def _es1_reference_solve(cfg: SolverConfig):
-    """The es1 solve at h=1/32 with its slope certificate and envelopes,
-    shared by the sandwich and slope-bound checks."""
-    h = 1.0 / 32.0
-    grid = rasterize(_PARABOLIC, h)
+@lru_cache(maxsize=2)
+def _es1_solve(domain: DomainSpec, h: float, cfg: SolverConfig):
+    """es1 sampled on ``domain`` at ``h`` and solved under ``cfg``, as
+    ``(grid, datum, report)``: the h = 1/32 disk of translation_covariance
+    and restriction, and the h = 1/32 lens of the sandwich and slope-bound
+    checks."""
+    grid = rasterize(domain, h)
     datum = sample_datum(boundary_faces(grid), es1_datum)
-    rep = solve(grid, datum, cfg)
+    return grid, datum, solve(grid, datum, cfg)
+
+
+@lru_cache(maxsize=1)
+def _es1_certificate():
+    """es1's slope certificate on the lens boundary and its two envelopes on
+    the h = 1/32 lens, as ``(bsc, f, g)``; no solver config enters them."""
+    grid = rasterize(_PARABOLIC, _ES1_H)
     samples = boundary_samples(_PARABOLIC, es1_datum, _CURVE_SAMPLES)
-    bsc_rep = minimal_Q(samples, grid=grid)
-    f, g = barriers(samples, bsc_rep, grid)
-    return {
-        "grid": grid,
-        "datum": datum,
-        "report": rep,
-        "bsc": bsc_rep,
-        "f": f,
-        "g": g,
-        "tol": solver_tolerance(grid, datum),
-    }
+    bsc = minimal_Q(samples, grid=grid)
+    return (bsc, *barriers(samples, bsc, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +265,8 @@ def _check_shift_equivariance(cfg):
 
 
 def _check_translation_covariance(cfg):
-    h = 1.0 / 32.0
-    grid = rasterize(_DISK, h)
-    datum = sample_datum(boundary_faces(grid), es1_datum)
-    rep = solve(grid, datum, cfg)
+    h = _ES1_H
+    grid, datum, rep = _es1_solve(_DISK, h, cfg)
     tau = (4 * h, -7 * h)
     xi = 0.37
     grid_t, u_t, datum_t = translate_problem(rep.u, datum, tau, xi)
@@ -348,23 +348,25 @@ def _check_lavrentiev(cfg):
 
 
 def _check_barrier_sandwich(cfg):
-    art = _es1_reference_solve(cfg)
-    grid, rep = art["grid"], art["report"]
+    grid, datum, rep = _es1_solve(_PARABOLIC, _ES1_H, cfg)
+    bsc, f, g = _es1_certificate()
+    tol = solver_tolerance(grid, datum)
     m = grid.interior_mask
     u = rep.u.values
-    below = int(np.sum(u[m] < art["f"].values[m] - art["tol"]))
-    above = int(np.sum(u[m] > art["g"].values[m] + art["tol"]))
-    envelope_excess = float(np.max((art["f"].values - art["g"].values)[m]))
+    below = int(np.sum(u[m] < f.values[m] - tol))
+    above = int(np.sum(u[m] > g.values[m] + tol))
+    envelope_excess = float(np.max((f.values - g.values)[m]))
     gated = {
         "violating_cells": (float(below + above), 0.0),
         "envelope_excess": (envelope_excess, 1e-9),
     }
-    return gated, {"domain": "parabolic", "datum": "es1", "h": grid.h, "Q_min": art["bsc"].Q_min}
+    return gated, {"domain": "parabolic", "datum": "es1", "h": grid.h, "Q_min": bsc.Q_min}
 
 
 def _check_lipschitz_bound(cfg):
-    art = _es1_reference_solve(cfg)
-    grid, rep, datum = art["grid"], art["report"], art["datum"]
+    grid, datum, rep = _es1_solve(_PARABOLIC, _ES1_H, cfg)
+    bsc = _es1_certificate()[0]
+    tol = solver_tolerance(grid, datum)
     m = grid.interior_mask
     X, Y = grid.cell_centers()
     cx, cy, uvals = X[m], Y[m], rep.u.values[m]
@@ -373,14 +375,13 @@ def _check_lipschitz_bound(cfg):
     boundary_excess = -np.inf
     for b in _row_blocks(uvals.size, fx.size):
         dist = np.hypot(cx[b, None] - fx, cy[b, None] - fy)
-        excess = np.abs(uvals[b, None] - datum.values) - art["bsc"].Q_min * dist
+        excess = np.abs(uvals[b, None] - datum.values) - bsc.Q_min * dist
         boundary_excess = max(boundary_excess, float(np.max(excess)))
     lip = lipschitz_estimate(rep.u)
     gated = {
-        "boundary_excess": (boundary_excess, art["tol"]),
-        "lipschitz_excess": (float(lip - art["bsc"].K - art["tol"]), 0.0),
+        "boundary_excess": (boundary_excess, tol),
+        "lipschitz_excess": (float(lip - bsc.K - tol), 0.0),
     }
-    bsc = art["bsc"]
     return gated, {"domain": "parabolic", "datum": "es1", "h": grid.h, "Q_min": bsc.Q_min, "K": bsc.K}
 
 
@@ -461,11 +462,8 @@ def _check_example_es2(cfg):
 
 
 def _check_restriction(cfg):
-    h = 1.0 / 32.0
-    grid = rasterize(_DISK, h)
-    datum = sample_datum(boundary_faces(grid), es1_datum)
-    rep = solve(grid, datum, cfg)
-
+    h = _ES1_H
+    grid, _, rep = _es1_solve(_DISK, h, cfg)
     sub = DomainSpec.polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
     grid_s = rasterize(sub, h)
     faces_s = boundary_faces(grid_s)
@@ -506,28 +504,26 @@ def _check_calibration_disk(cfg):
 
 
 # Each check with its default solver budget, None for a check that solves
-# nothing.  The memoized artifacts are keyed on the config, so the checks
-# sharing one keep sharing one solve.
+# nothing.  The es1 solves are memoized by domain, h and config, the es1
+# certificate once, and the pair family by config, so the checks that share
+# a budget share one solve.
 _PAIRS_CFG = SolverConfig(max_iters=20000, tol=1e-9)
-_ES1_REF_CFG = SolverConfig(max_iters=30000, tol=1e-10)
+_ES1_CFG = SolverConfig(max_iters=30000, tol=1e-10)
 _CHECKS = {
     CheckId.AFFINE_UNIQUE: (_check_affine_unique, SolverConfig(max_iters=30000, tol=1e-9)),
     CheckId.COMPARISON: (_check_comparison, _PAIRS_CFG),
     CheckId.CONTRACTION: (_check_contraction, _PAIRS_CFG),
     CheckId.SHIFT_EQUIVARIANCE: (_check_shift_equivariance, _PAIRS_CFG),
-    CheckId.TRANSLATION_COVARIANCE: (
-        _check_translation_covariance,
-        SolverConfig(max_iters=20000, tol=1e-9),
-    ),
+    CheckId.TRANSLATION_COVARIANCE: (_check_translation_covariance, _ES1_CFG),
     CheckId.SUBMODULARITY_ANISO: (_check_submodularity_aniso, None),
     CheckId.VEE_WEDGE_ISO: (_check_vee_wedge_iso, None),
-    CheckId.LAVRENTIEV: (_check_lavrentiev, SolverConfig(max_iters=30000, tol=1e-10)),
-    CheckId.BARRIER_SANDWICH: (_check_barrier_sandwich, _ES1_REF_CFG),
-    CheckId.LIPSCHITZ_BOUND: (_check_lipschitz_bound, _ES1_REF_CFG),
+    CheckId.LAVRENTIEV: (_check_lavrentiev, _ES1_CFG),
+    CheckId.BARRIER_SANDWICH: (_check_barrier_sandwich, _ES1_CFG),
+    CheckId.LIPSCHITZ_BOUND: (_check_lipschitz_bound, _ES1_CFG),
     CheckId.EULER_RESIDUAL_ES1: (_check_euler_residual_es1, None),
-    CheckId.EXAMPLE_ES1: (_check_example_es1, SolverConfig(max_iters=30000, tol=1e-10)),
+    CheckId.EXAMPLE_ES1: (_check_example_es1, _ES1_CFG),
     CheckId.EXAMPLE_ES2: (_check_example_es2, SolverConfig(max_iters=25000, tol=1e-9)),
-    CheckId.RESTRICTION: (_check_restriction, SolverConfig(max_iters=30000, tol=1e-10)),
+    CheckId.RESTRICTION: (_check_restriction, _ES1_CFG),
     CheckId.CALIBRATION_DISK: (_check_calibration_disk, SolverConfig(max_iters=20000, tol=1e-9)),
 }
 

@@ -18,6 +18,7 @@ if str(ROOT) not in sys.path:
 import harea.checks as checks  # noqa: E402
 from harea import DomainSpec, balanced_steps, boundary_faces, rasterize, sample_datum  # noqa: E402
 from perfbench import workloads  # noqa: E402
+from perfbench.trace import Tracer  # noqa: E402
 
 
 def test_checks_module_carries_every_name_the_verify_workload_wraps():
@@ -48,3 +49,15 @@ def test_priced_public_calls_run_with_the_probe_shapes(monkeypatch):
         ]
     )
     assert len(calls) == 5 and all(result is not None for result in calls)
+
+
+def test_a_verify_pass_makes_seven_solves_and_fails_no_check():
+    """The nine verify checks share the h = 1/32 disk and lens solves: seven
+    solves per pass.  A memo key that splits a shared solve again, or that
+    shares one wrongly, moves the count or fails a check."""
+    tally = workloads.Tally()
+    api = workloads.Api(Tracer(False, "guard"), tally)
+    verify = workloads.Verify()
+    verify.run(api, verify.setup(api, 0))
+    assert (tally.attempted, tally.failed) == (len(workloads.VERIFY_CHECKS), 0), tally.reasons
+    assert len(tally.solves) == 7

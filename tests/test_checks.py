@@ -10,20 +10,36 @@ import harea.checks
 import harea.solver
 from harea import CheckId, SolverConfig, run_check, run_suite
 from harea.checks import (
-    _ES1_REF_CFG,
+    _ES1_CFG,
+    _ES1_H,
+    _PARABOLIC,
     _SQUARE,
     _VEEWEDGE_SEED,
     _check_lipschitz_bound,
-    _es1_reference_solve,
+    _es1_certificate,
+    _es1_solve,
     _is_certified,
     _rand_smooth,
 )
 from harea.fields import ScalarField
 from harea.geometry import DomainSpec, boundary_faces, rasterize, sample_datum
 from harea.pdloop import loop_info
+from harea.solver import solver_tolerance
 
 # The checks that run no solve, and so echo no solver config.
 SOLVELESS = {CheckId.SUBMODULARITY_ANISO, CheckId.VEE_WEDGE_ISO, CheckId.EULER_RESIDUAL_ES1}
+
+# The memoized artifacts of the checks module.
+MEMOS = (harea.checks._pair_artifacts, harea.checks._es1_solve, harea.checks._es1_certificate)
+
+
+def clear_memos():
+    for f in MEMOS:
+        f.cache_clear()
+
+
+def metric_bytes(rep):
+    return {k: float(v).hex() for k, v in rep.metrics.items()}
 
 
 def test_check_ids_are_exhaustive_and_ordered():
@@ -122,8 +138,8 @@ def test_user_solver_config_is_honored():
     rep = run_check(CheckId.AFFINE_UNIQUE, solver_cfg=cfg)
     assert not rep.passed
     assert rep.metrics["sup_err_h64"] > rep.thresholds["sup_err_h64"]
-    # the memoized reference solve is keyed on the config, so the override
-    # reaches it too instead of reusing the default solve
+    # the memoized es1 solve is keyed on the config, so the override reaches
+    # it too instead of reusing the default solve
     rep = run_check(CheckId.BARRIER_SANDWICH, solver_cfg=cfg)
     assert rep.config["solver"]["max_iters"] == 2
     assert not rep.passed
@@ -145,11 +161,9 @@ def test_user_solver_config_reaches_every_solve(monkeypatch):
     # the checks call solve from their own module, refine_study from the solver's
     monkeypatch.setattr(harea.checks, "solve", recording(harea.checks.solve))
     monkeypatch.setattr(harea.solver, "solve", recording(harea.solver.solve))
-    memoized = (harea.checks._pair_artifacts, harea.checks._es1_reference_solve)
     try:
         for cid in CheckId:
-            for f in memoized:
-                f.cache_clear()
+            clear_memos()
             seen.clear()
             rep = run_check(cid, cfg)
             assert "aborted" not in rep.metrics, cid
@@ -157,8 +171,67 @@ def test_user_solver_config_reaches_every_solve(monkeypatch):
             assert bool(seen) == (cid not in SOLVELESS), cid
             assert rep.config.get("solver") == (None if cid in SOLVELESS else cfg.to_json()), cid
     finally:
-        for f in memoized:
-            f.cache_clear()
+        clear_memos()
+
+
+def test_every_memo_of_the_checks_module_is_listed():
+    """The benchmark clears each module-level name with a ``cache_clear``
+    between passes; the tests here clear ``MEMOS``, which must be all of them."""
+    found = {name for name, obj in vars(harea.checks).items() if hasattr(obj, "cache_clear")}
+    assert found == {f.__name__ for f in MEMOS}
+
+
+def test_translation_covariance_metrics_do_not_depend_on_its_old_budget():
+    """translation_covariance runs es1's budget (30000, 1e-10), so that
+    restriction reads its h = 1/32 disk solve; under its old budget
+    (20000, 1e-9) both of its solves stop at the same iterates, and its
+    metrics are the same bytes."""
+    clear_memos()
+    old = run_check("translation_covariance", SolverConfig(max_iters=20000, tol=1e-9))
+    clear_memos()
+    new = run_check("translation_covariance")
+    assert new.config["solver"] == _ES1_CFG.to_json()
+    assert metric_bytes(old) == metric_bytes(new)
+
+
+def test_translation_covariance_and_restriction_share_one_disk_solve(monkeypatch):
+    """Three solves for the two checks: the h = 1/32 disk once, then the
+    translated disk and the sub-rectangle; each check reads what it reads
+    when it runs alone."""
+    clear_memos()
+    calls = []
+    real = harea.checks.solve
+    monkeypatch.setattr(harea.checks, "solve", lambda *args: calls.append(args) or real(*args))
+    try:
+        reports, _ = run_suite(["translation_covariance", "restriction"])
+        assert len(calls) == 3
+        monkeypatch.setattr(harea.checks, "solve", real)
+        for rep in reports:
+            clear_memos()
+            assert metric_bytes(rep) == metric_bytes(run_check(rep.check_id)), rep.check_id
+    finally:
+        clear_memos()
+
+
+def test_es1_certificate_is_computed_once_whatever_the_budget(monkeypatch):
+    """The slope certificate takes no solver config: the sandwich and
+    slope-bound checks share one minimal_Q under different budgets, and
+    report the default run's Q_min and K."""
+    clear_memos()
+    default = run_check("lipschitz_bound").config
+    clear_memos()
+    calls = []
+    real = harea.checks.minimal_Q
+    monkeypatch.setattr(harea.checks, "minimal_Q", lambda *a, **k: calls.append(a) or real(*a, **k))
+    try:
+        sandwich = run_check("barrier_sandwich")
+        bound = run_check("lipschitz_bound", SolverConfig(max_iters=30000, tol=1e-9))
+    finally:
+        clear_memos()
+    assert len(calls) == 1
+    assert sandwich.config["Q_min"] == bound.config["Q_min"] == default["Q_min"]
+    assert bound.config["K"] == default["K"]
+    assert bound.config["solver"]["tol"] == 1e-9
 
 
 def test_aborted_check_reports_its_reason_and_config():
@@ -181,16 +254,15 @@ def test_is_certified_refuses_a_violated_slope_condition():
 
 
 def test_lipschitz_bound_matches_dense_referee_in_bounded_memory():
-    art = _es1_reference_solve(_ES1_REF_CFG)
+    grid, datum, rep = _es1_solve(_PARABOLIC, _ES1_H, _ES1_CFG)
+    bsc = _es1_certificate()[0]
     tracemalloc.start()
     try:
-        gated, _ = _check_lipschitz_bound(_ES1_REF_CFG)
+        gated, _ = _check_lipschitz_bound(_ES1_CFG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ref = dense_lipschitz_bound(
-        art["grid"], art["report"].u.values, art["datum"], art["bsc"].Q_min, art["bsc"].K, art["tol"]
-    )
+    ref = dense_lipschitz_bound(grid, rep.u.values, datum, bsc.Q_min, bsc.K, solver_tolerance(grid, datum))
     assert (gated["boundary_excess"][0], gated["lipschitz_excess"][0]) == ref
     # the dense cell-by-face matrices peaked at 16 MiB on this 2,728-cell grid
     assert peak < 4 * 2**20
