@@ -25,7 +25,7 @@ def main():
     report = minimal_Q(samples)
     print(f"minimal certified slope Q_min = {report.Q_min:.4f}")
     print(f"interior Lipschitz bound   K  = {report.K:.4f}")
-    for (z, _), lo, hi in zip(samples[:3], report.lower, report.upper):
+    for z, lo, hi in zip(samples.points[:3], report.lower, report.upper):
         lo, hi = np.round(lo, 3), np.round(hi, 3)
         print(f"  sample {np.round(z, 3)}: lower slope {lo}, upper slope {hi}")
 

@@ -71,6 +71,7 @@ _EXPORTS = {
     "es1_datum": "surfaces",
     "es1_surface": "surfaces",
     "es2_surface": "surfaces",
+    "Samples": "surfaces",
     # checks
     "CheckId": "checks",
     "TestReport": "checks",

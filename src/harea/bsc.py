@@ -1,5 +1,7 @@
 """Bounded-slope certificates, minimal slope constant, and barrier fields.
 
+Boundary samples are one :class:`~harea.surfaces.Samples`, points ``z_k``
+(n, 2) and values (n,), from :func:`boundary_samples` or a samples file.
 A boundary datum sampled at points ``z_k`` satisfies the bounded slope
 condition with constant Q when every sample point admits affine supports of
 slope at most Q pinching the datum from below and above while matching it at
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import DomainSpec, Grid
+from .geometry import DomainSpec, Grid, _evaluate
+from .surfaces import Samples
 
 __all__ = ["BscError", "BscViolation", "BscReport", "boundary_samples", "minimal_Q", "barriers"]
 
@@ -73,13 +76,6 @@ class BscReport:
         return {"Q_min": self.Q_min, "K": self.K, "points": len(self.slack)}
 
 
-def _samples_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Points (n, 2) and values (n,) of a sequence of ((x, y), value) pairs."""
-    pts = np.array([[s[0][0], s[0][1]] for s in samples], dtype=float)
-    vals = np.array([s[1] for s in samples], dtype=float)
-    return pts, vals
-
-
 def _distinct(Z: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct samples in the order first seen, and each sample's index
     among them.  A repeated sample repeats its line at every anchor, and two
@@ -93,8 +89,13 @@ def _distinct(Z: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse.ravel()]
 
 
-def boundary_samples(domain: DomainSpec, expr, n: int = 200) -> list:
-    """Sample a closed-form datum at n points of the true boundary curve.
+def boundary_samples(domain: DomainSpec, expr, n: int = 200) -> Samples:
+    """Sample a datum at n points of the true boundary curve.
+
+    ``expr`` is called once on the points' coordinate arrays, so it must be
+    vectorized, as for :func:`~harea.geometry.sample_datum`; a scalar return
+    is broadcast to every point.  A :class:`Samples` is itself such an
+    expression: each curve point takes its nearest listed value.
 
     Slope certificates need sample points in convex position; the rasterized
     face midpoints are not (the staircase cuts corners, leaving midpoints
@@ -103,10 +104,7 @@ def boundary_samples(domain: DomainSpec, expr, n: int = 200) -> list:
     while the solver keeps its face-sampled datum of the same expression.
     """
     pts = domain.boundary_points(n)
-    return [
-        ((float(x), float(y)), float(np.asarray(expr(x, y), dtype=float)))
-        for x, y in pts
-    ]
+    return Samples(pts, _evaluate(expr, pts))
 
 
 def feasibility_tolerance(values: np.ndarray) -> float:
@@ -267,7 +265,7 @@ def _least_defect(Z: np.ndarray, phi: np.ndarray, i: int, sign: float, eps: floa
     return a, defect
 
 
-def minimal_Q(samples, grid: Grid | None = None) -> BscReport:
+def minimal_Q(samples: Samples, grid: Grid | None = None) -> BscReport:
     """Smallest slope constant that certifies the datum, with the certificates.
 
     Q_min is the largest, over samples and sides, of the distance from the
@@ -280,7 +278,7 @@ def minimal_Q(samples, grid: Grid | None = None) -> BscReport:
     K adds 4 sup |z| to Q_min, over interior cell centers when a grid is
     given, else over the samples.  A non-finite point or value raises BscError.
     """
-    Z, phi = _samples_arrays(samples)
+    Z, phi = samples.points, samples.values
     if len(Z) < 3:
         raise BscError("underdetermined boundary: need at least 3 samples")
     if not (np.isfinite(Z).all() and np.isfinite(phi).all()):
@@ -318,7 +316,7 @@ def minimal_Q(samples, grid: Grid | None = None) -> BscReport:
     return BscReport(Q, float(Q + 4.0 * sup_z), slopes[0], slopes[1], slack)
 
 
-def barriers(samples, report: BscReport, grid: Grid) -> tuple[ScalarField, ScalarField]:
+def barriers(samples: Samples, report: BscReport, grid: Grid) -> tuple[ScalarField, ScalarField]:
     """Envelope fields at the cell centers: f the max of lower supports, g the
     min of upper supports.
 
@@ -329,7 +327,7 @@ def barriers(samples, report: BscReport, grid: Grid) -> tuple[ScalarField, Scala
     samples at once measured slower on barrier_sandwich's 200 samples and
     h = 1/32 lens (8.0 ms against 6.8).
     """
-    Z, phi = _samples_arrays(samples)
+    Z, phi = samples.points, samples.values
     if len(report.slack) != len(Z):
         raise BscError("report does not match the sample set")
     Al, Au, slack = report.lower, report.upper, report.slack

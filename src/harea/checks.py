@@ -94,6 +94,7 @@ _VEEWEDGE_SEED = 7
 _CALIBRATION_SEED = 99
 _PAIR_Q = 20.0
 _CURVE_SAMPLES = 200
+_PAIR_SAMPLES = 160  # curve samples of each comparison datum's slope certificate
 _ES1_H = 1.0 / 32.0  # the es1 scenarios' shared solves and certificate
 
 
@@ -140,9 +141,9 @@ def _positive_offset(rng):
     return delta
 
 
-def _is_certified(domain, expr, Q: float, n: int = 160) -> bool:
+def _is_certified(domain, expr, Q: float) -> bool:
     try:
-        return minimal_Q(boundary_samples(domain, expr, n)).Q_min <= Q
+        return minimal_Q(boundary_samples(domain, expr, _PAIR_SAMPLES)).Q_min <= Q
     except BscViolation:
         return False
 

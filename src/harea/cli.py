@@ -211,7 +211,7 @@ def _bsc_samples(cfg):
     kind, values = cfg["datum"]
     expr = kind.expression(**values)
     if isinstance(expr, Samples):  # certified at the listed points themselves
-        return list(zip(map(tuple, expr.points.tolist()), expr.values.tolist()))
+        return expr
     n = {"n": cfg["samples"]} if "samples" in cfg else {}  # else boundary_samples' own
     return boundary_samples(cfg["domain"], expr, **n)
 

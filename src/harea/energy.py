@@ -241,5 +241,5 @@ def translate_problem(
     tilt = 2.0 * (taustar[0] * Xt + taustar[1] * Yt) + xi
     u_t = ScalarField(grid_t, u.values + tilt)
     faces_t = boundary_faces(grid_t)
-    datum_t = BoundaryDatum(faces=faces_t, values=datum.values + tilt.ravel()[faces_t.owner_flat])
+    datum_t = BoundaryDatum(faces=faces_t, values=datum.values + tilt[grid_t.interior_mask][faces_t.owner_cell])
     return grid_t, u_t, datum_t

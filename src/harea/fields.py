@@ -382,14 +382,10 @@ class EnergyMode(enum.Enum):
 
     @staticmethod
     def parse(s) -> "EnergyMode":
-        if isinstance(s, EnergyMode):
-            return s
-        key = str(s).lower()
-        if key in ("iso", "isotropic"):
-            return EnergyMode.ISOTROPIC
-        if key in ("aniso", "anisotropic", "l1"):
-            return EnergyMode.ANISOTROPIC
-        raise EnergyError(f"unknown energy mode {s!r} (expected 'iso' or 'aniso')")
+        try:
+            return EnergyMode(s)
+        except ValueError:
+            raise EnergyError(f"unknown energy mode {s!r} (expected 'iso' or 'aniso')") from None
 
 
 def _cell_norms(v: np.ndarray, mode: EnergyMode, scratch: np.ndarray | None = None) -> np.ndarray:

@@ -306,11 +306,9 @@ class BoundaryFaces:
     def __post_init__(self):
         for name in ("owner", "normal", "midpoint", "measure"):
             _lock(getattr(self, name))
-        self.owner_flat = _lock(
-            np.ravel_multi_index((self.owner[:, 0], self.owner[:, 1]), (self.grid.nx, self.grid.ny))
-        )
+        flat = np.ravel_multi_index((self.owner[:, 0], self.owner[:, 1]), (self.grid.nx, self.grid.ny))
         # owner's position among the interior cells in row-major order
-        self.owner_cell = _lock(np.cumsum(self.grid.interior_mask.ravel())[self.owner_flat] - 1)
+        self.owner_cell = _lock(np.cumsum(self.grid.interior_mask.ravel())[flat] - 1)
 
     def __len__(self) -> int:
         return len(self.measure)
@@ -383,9 +381,13 @@ def sample_datum(
     ``expr`` must accept vectorized coordinates and return finite values; a
     non-finite sample raises DomainError naming the offending face.
     """
-    vals = np.asarray(
-        expr(faces.midpoint[:, 0], faces.midpoint[:, 1]), dtype=float
-    )
+    return BoundaryDatum(faces=faces, values=_evaluate(expr, faces.midpoint))
+
+
+def _evaluate(expr, points: np.ndarray) -> np.ndarray:
+    """``expr`` at (n, 2) points, called once on their coordinate arrays, as
+    (n,) floats; a scalar return is broadcast to every point."""
+    vals = np.asarray(expr(points[:, 0], points[:, 1]), dtype=float)
     if vals.shape == ():
-        vals = np.full(len(faces), float(vals))
-    return BoundaryDatum(faces=faces, values=vals)
+        vals = np.full(len(points), float(vals))
+    return vals

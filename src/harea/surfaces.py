@@ -69,8 +69,8 @@ def es2_surface(x, y):
 
 @dataclass(eq=False)
 class Samples:
-    """Values listed at boundary points, as an expression: a point takes the
-    value of its nearest listed point, the first on ties."""
+    """Boundary samples, values listed at points; as an expression, a point
+    takes the value of its nearest listed point, the first on ties."""
 
     points: np.ndarray  # (n, 2)
     values: np.ndarray  # (n,)

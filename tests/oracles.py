@@ -86,15 +86,9 @@ from harea.solver import (
 )
 
 
-def _sample_arrays(samples):
-    pts = np.array([p for p, _ in samples], dtype=float)
-    phi = np.array([v for _, v in samples], dtype=float)
-    return pts, phi
-
-
 def grid_search_defect(samples, i, side, box=10.0, stages=14, pts=41, shrink=0.35):
     """Smallest support defect at anchor ``i`` over slopes in [-box, box]^2."""
-    Z, phi = _sample_arrays(samples)
+    Z, phi = samples.points, samples.values
     dP = Z - Z[i]
     dphi = phi - phi[i]
     sign = 1.0 if side == "lower" else -1.0
@@ -123,7 +117,7 @@ def certificate_defects(samples, report):
     Euclidean slope norm.  ``worst_defect <= eps`` and ``worst_norm <= Q``
     together verify that Q admits a full family of eps-slack supports.
     """
-    Z, phi = _sample_arrays(samples)
+    Z, phi = samples.points, samples.values
     worst_defect = -np.inf
     worst_norm = 0.0
     for i in range(len(Z)):
@@ -177,7 +171,7 @@ def prove_infeasible_below(samples, Q, eps):
     radius Q.  Returns ``(proved, detail)`` with the witnessing anchor index,
     side, and the best defect value encountered during the proof.
     """
-    Z, phi = _sample_arrays(samples)
+    Z, phi = samples.points, samples.values
     for i in range(len(Z)):
         dP = Z - Z[i]
         dphi = phi - phi[i]
@@ -232,7 +226,7 @@ def dense_certificates(samples):
     """``(Q_min, slopes, slack)`` of a certifiable datum by ``_nearest_slope``
     at every sample and side: slopes (n, 2, 2) lower then upper, slack (n,)
     the worst defect of the two, ``max_k <G_k, a> - c_k``."""
-    Z, phi = _sample_arrays(samples)
+    Z, phi = samples.points, samples.values
     relax = _BSC_RELAX * feasibility_tolerance(phi)
     slopes, norms, slack = np.zeros((len(Z), 2, 2)), np.zeros(len(Z)), np.zeros(len(Z))
     for i in range(len(Z)):
@@ -290,7 +284,7 @@ def kkt_defects(samples, report):
     is the distance from -a to the active normals' cone over |a|.  O(n) per
     problem, and nothing shared with the edge formula.
     """
-    Z, phi = _sample_arrays(samples)
+    Z, phi = samples.points, samples.values
     shift = _BSC_RELAX * feasibility_tolerance(phi)
     infeasible, stationary, active = -np.inf, 0.0, 0
     for i in range(len(Z)):

@@ -155,14 +155,13 @@ def test_slope_certification_affine_flat_edge_and_es1():
         minimal_Q(square_samples)
     wx, wy = exc_info.value.witness
     assert exc_info.value.slack > 0.0
-    pts = np.array([p for p, _ in square_samples])
+    pts = square_samples.points
     i0 = int(np.argmin(np.hypot(pts[:, 0] - wx, pts[:, 1] - wy)))
     # independent dense slope search: no upper support exists at the witness
     assert grid_search_defect(square_samples, i0, "upper") > 1e-4
 
     samples = boundary_samples(DomainSpec.parabolic(), es1_datum, 200)
-    phi = np.array([v for _, v in samples])
-    eps = feasibility_tolerance(phi)
+    eps = feasibility_tolerance(samples.values)
     rep = minimal_Q(samples)
     assert np.isfinite(rep.Q_min) and rep.Q_min > 0.0
     # upper probe: the returned certificates themselves verify feasibility at

@@ -61,3 +61,9 @@ def test_a_verify_pass_makes_seven_solves_and_fails_no_check():
     verify.run(api, verify.setup(api, 0))
     assert (tally.attempted, tally.failed) == (len(workloads.VERIFY_CHECKS), 0), tally.reasons
     assert len(tally.solves) == 7
+
+
+def test_the_bsc_probe_prices_all_three_calls():
+    priced = workloads.price_bsc()
+    assert sorted(priced) == ["bsc.barriers.s", "bsc.boundary_samples.s", "bsc.minimal_Q.s"]
+    assert all(np.isfinite(seconds) and seconds >= 0.0 for seconds in priced.values())

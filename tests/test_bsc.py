@@ -15,6 +15,7 @@ from harea import (
     BscError,
     BscViolation,
     DomainSpec,
+    Samples,
     barriers,
     boundary_samples,
     feasibility_tolerance,
@@ -43,11 +44,32 @@ def test_boundary_samples_lie_on_the_curve():
             lambda x, y: abs(y - (x * x - 1.0)) < 1e-9 or abs(y - (1.0 - x * x)) < 1e-9,
         ),
     ):
-        pts = boundary_samples(domain, lambda x, y: 0.0 * x, 64)
-        assert len(pts) == 64
-        for (x, y), v in pts:
+        samples = boundary_samples(domain, lambda x, y: 0.0 * x, 64)
+        assert samples.points.shape == (64, 2) and samples.values.shape == (64,)
+        for x, y in samples.points:
             assert on_curve(x, y)
-            assert v == 0.0
+        assert np.all(samples.values == 0.0)
+
+
+def test_boundary_samples_call_the_expression_once_on_the_curve_points():
+    """The values are the expression on the points' coordinate arrays, bit
+    for bit, from one call; a scalar return is broadcast."""
+    for domain, expr in ((DomainSpec.parabolic(), es1_datum), (DISK, _first_pair()[0])):
+        calls = []
+        samples = boundary_samples(domain, lambda x, y: calls.append(x) or expr(x, y), 200)
+        assert len(calls) == 1
+        assert np.array_equal(samples.points, domain.boundary_points(200))
+        assert samples.values.tobytes() == expr(*samples.points.T).tobytes()
+    assert np.array_equal(boundary_samples(DISK, lambda x, y: 1.5, 10).values, np.full(10, 1.5))
+
+
+def test_boundary_samples_of_listed_samples_take_the_nearest_value():
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.0, 2.0 * np.pi, 37)
+    listed = Samples(np.stack((np.cos(t), np.sin(t)), axis=1), rng.normal(size=37))
+    samples = boundary_samples(DISK, listed, 50)
+    d2 = ((samples.points[:, None, :] - listed.points[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(samples.values, listed.values[np.argmin(d2, axis=1)])
 
 
 def test_feasibility_tolerance_scales_with_range():
@@ -57,20 +79,19 @@ def test_feasibility_tolerance_scales_with_range():
 
 def test_too_few_samples_rejected():
     with pytest.raises(BscError):
-        minimal_Q([((0.0, 0.0), 1.0), ((1.0, 0.0), 2.0)])
+        minimal_Q(Samples(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0])))
 
 
 @pytest.mark.parametrize("bad", ["nan-value", "inf-value", "nan-point"])
 def test_non_finite_samples_rejected(bad):
     samples = boundary_samples(DISK, Affine((1.0, -2.0), 0.5), 20)
-    (x, y), v = samples[3]
-    samples[3] = {
-        "nan-value": ((x, y), np.nan),
-        "inf-value": ((x, y), np.inf),
-        "nan-point": ((np.nan, y), v),
-    }[bad]
+    pts, vals = samples.points.copy(), samples.values.copy()
+    if bad == "nan-point":
+        pts[3, 0] = np.nan
+    else:
+        vals[3] = {"nan-value": np.nan, "inf-value": np.inf}[bad]
     with pytest.raises(BscError, match="non-finite"):
-        minimal_Q(samples)
+        minimal_Q(Samples(pts, vals))
 
 
 def test_affine_datum_certified_at_its_own_slope():
@@ -79,7 +100,7 @@ def test_affine_datum_certified_at_its_own_slope():
     assert rep.Q_min == pytest.approx(np.sqrt(5.0), abs=1e-2)
     # the certificates are supports of norm at most Q_min; they need not be
     # the datum slope (at (1, 0) a flatter upper support exists)
-    eps = feasibility_tolerance(np.array([v for _, v in samples]))
+    eps = feasibility_tolerance(samples.values)
     assert np.max(rep.slack) <= eps
     worst_defect, worst_norm = certificate_defects(samples, rep)
     assert worst_defect <= eps
@@ -98,7 +119,7 @@ def test_feasibility_is_monotone_in_Q():
     rep = certified(samples)
     need = max(np.hypot(*rep.lower[0]), np.hypot(*rep.upper[0]))
     assert 1.0 < need <= 3.0
-    assert rep.slack[0] <= feasibility_tolerance(np.array([v for _, v in samples]))
+    assert rep.slack[0] <= feasibility_tolerance(samples.values)
 
 
 def test_flat_edge_quadratic_is_violated():
@@ -116,8 +137,7 @@ def test_flat_edge_quadratic_is_violated():
     # referee 1: midpoint convexity at the witness is already infeasible for
     # every slope: any upper support averages to phi(z0) over a symmetric
     # sample pair, but the datum averages strictly higher
-    pts = np.array([p for p, _ in samples])
-    phi = np.array([v for _, v in samples])
+    pts, phi = samples.points, samples.values
     i0 = int(np.argmin(np.hypot(pts[:, 0] - wx, pts[:, 1] - wy)))
     same_edge = np.isclose(pts[:, 1], pts[i0, 1]) & ~np.isclose(pts[:, 0], pts[i0, 0])
     if abs(wy) < 0.5:  # witness on a vertical edge instead
@@ -142,7 +162,7 @@ def test_es1_on_the_true_boundary_is_certified():
     samples = boundary_samples(DomainSpec.parabolic(), es1_datum, 100)
     rep = certified(samples)
     assert 9.0 <= rep.Q_min <= 10.5
-    eps = feasibility_tolerance(np.array([v for _, v in samples]))
+    eps = feasibility_tolerance(samples.values)
     assert np.max(rep.slack) <= eps
 
 
@@ -151,7 +171,8 @@ def test_repeated_samples_are_certified_as_the_distinct_ones():
     lines at every anchor; equal lines must not cut each other's edges by
     rounding (the dense edge formula reported a violation here)."""
     distinct = boundary_samples(DISK, lambda x, y: x * y, 9)
-    rep = certified(distinct + distinct[:3])
+    repeated = np.r_[0:9, 0:3]
+    rep = certified(Samples(distinct.points[repeated], distinct.values[repeated]))
     assert rep.Q_min == certified(distinct).Q_min
     for cert in (rep.lower, rep.upper, rep.slack):
         assert np.array_equal(cert[9:], cert[:3])
@@ -160,7 +181,7 @@ def test_repeated_samples_are_certified_as_the_distinct_ones():
 def test_Q_min_scales_linearly_with_the_datum():
     # affine supports scale with the datum, so Q_min must too
     base = boundary_samples(DomainSpec.parabolic(), es1_datum, 80)
-    doubled = [((x, y), 2.0 * v) for (x, y), v in base]
+    doubled = Samples(base.points, 2.0 * base.values)
     q1 = certified(base).Q_min
     q2 = certified(doubled).Q_min
     assert q2 == pytest.approx(2.0 * q1, rel=5e-3)
@@ -211,7 +232,7 @@ def test_report_arrays_are_read_only_and_tied_to_their_samples():
         with pytest.raises(ValueError):
             cert[0] = 0.0
     with pytest.raises(BscError, match="does not match"):
-        barriers(samples[:-1], rep, grid)
+        barriers(Samples(samples.points[:-1], samples.values[:-1]), rep, grid)
 
 
 def test_report_json():
@@ -249,7 +270,7 @@ def test_Q_min_is_tight(case):
         "affine-disk": lambda: boundary_samples(DISK, Affine((1.0, -2.0), 0.5), 120),
         "pair-phi": lambda: boundary_samples(DISK, _first_pair()[0], 160),
     }[case]()
-    eps = feasibility_tolerance(np.array([v for _, v in samples]))
+    eps = feasibility_tolerance(samples.values)
     rep = certified(samples)
     worst_defect, worst_norm = certificate_defects(samples, rep)
     assert worst_defect <= eps
@@ -266,7 +287,7 @@ def _assert_matches_dense(samples):
     assert rep.Q_min == pytest.approx(Q, rel=1e-12, abs=0.0)
     got = np.stack((rep.lower, rep.upper), axis=1)
     assert np.max(np.abs(got - slopes)) <= 1e-12 * Q
-    scale = 1.0 + np.ptp([v for _, v in samples])
+    scale = 1.0 + np.ptp(samples.values)
     assert np.max(np.abs(rep.slack - slack)) <= 1e-12 * scale
 
 

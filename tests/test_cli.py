@@ -396,6 +396,30 @@ def test_a_sample_count_beside_a_samples_datum_is_a_usage_error(tmp_path, capsys
     assert not out.exists()
 
 
+def test_bsc_certifies_a_samples_file_at_its_listed_points(tmp_path, monkeypatch):
+    """``harea bsc`` hands minimal_Q the samples datum's own Samples."""
+    from harea.bsc import minimal_Q
+
+    made, seen = [], []
+    listed = DATUM_KINDS["samples"]
+
+    def expression(**values):
+        made.append(listed.expression(**values))
+        return made[-1]
+
+    def certify(samples, **kw):
+        seen.append(samples)
+        return minimal_Q(samples, **kw)
+
+    monkeypatch.setitem(DATUM_KINDS, "samples", listed._replace(expression=expression))
+    monkeypatch.setattr("harea.bsc.minimal_Q", certify)
+    path = write_samples(tmp_path / "s.csv", *circle_samples(40, seed=3))
+    cfg = write_cfg(tmp_path, out=str(tmp_path / "run"), datum={"kind": "samples", "path": path})
+    assert dispatch(["bsc", "-c", cfg]) == 0
+    assert len(made) == len(seen) == 1 and seen[0] is made[0]
+    assert json.loads((tmp_path / "run" / "bsc.json").read_text())["points"] == 40
+
+
 def test_samples_datum_takes_the_first_nearest_sample(tmp_path):
     pts, vals = circle_samples(150, seed=5)
     # every point listed twice with another value: the first copy wins the tie

@@ -53,6 +53,14 @@ def test_single_cell_area_anisotropic():
     assert area_energy(u, EnergyMode.ANISOTROPIC) == pytest.approx(6.0)
 
 
+def test_energy_mode_parses_its_two_values_only():
+    assert EnergyMode.parse("iso") is EnergyMode.parse(EnergyMode.ISOTROPIC) is EnergyMode.ISOTROPIC
+    assert EnergyMode.parse("aniso") is EnergyMode.ANISOTROPIC
+    for name in ("l1", "isotropic", "anisotropic"):
+        with pytest.raises(EnergyError, match="expected 'iso' or 'aniso'"):
+            EnergyMode.parse(name)
+
+
 def test_zero_datum_disk_quadrature():
     """For u = 0 the area is the Riemann sum of |X*| = 2|z|; the radial
     integral over the unit disk is 4 pi / 3."""
