@@ -270,8 +270,9 @@ def power_estimate(K, v: np.ndarray, steps: int) -> float | None:
     of ``w = -K.div(K.grad(v))``, ``lam = |w|`` and ``v = w / lam`` from the
     unit vector ``v`` (overwritten), and the last ``lam``, 0.0 once a step
     gives ``w = 0``; each element is rounded as
-    :func:`harea.fields.operator_norm_sq`'s NumPy loop rounds it.  None
-    where the kernel cannot be built or loaded."""
+    :func:`harea.fields.operator_norm_sq`'s NumPy loop rounds it, from the
+    same start, the unit checkerboard.  None where the kernel cannot be
+    built or loaded."""
     kernel = _library()
     if kernel is None:
         return None

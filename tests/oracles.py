@@ -38,8 +38,9 @@ array, its length by ``np.hypot``.  The library computes them on interior
 (2, n) vectors with the solver's ``sqrt(x*x + y*y)``.
 
 ``allocating_operator_norm_sq`` is ``operator_norm_sq``'s power iteration
-as it was written before its buffers: ``w = -K.div(K.grad(v))`` into fresh
-arrays each step, and no cache.  The library must match it bit for bit.
+as it was written before its buffers: from the unit ``checkerboard``, ``w =
+-K.div(K.grad(v))`` into fresh arrays each step, and no cache.  The library
+must match it bit for bit.
 
 ``dense_normal_matrix`` is K^T K in full, from ``index_operator`` with
 entries +-1/h, and ``checkerboard`` the cells' signs (-1)^(i + j) read off
@@ -369,9 +370,10 @@ def bincount_hdiv(plus, minus, p):
 
 
 def allocating_operator_norm_sq(grid):
-    """The power estimate of ||K||^2 with a fresh array for every operation."""
+    """The power estimate of ||K||^2 with a fresh array for every operation,
+    from the unit checkerboard."""
     K = difference_operator(grid)
-    v = np.random.default_rng(1234).standard_normal(K.n)
+    v = checkerboard(grid)
     v /= np.sqrt(np.sum(v * v))
     lam = 0.0
     for _ in range(_POWER_STEPS):
