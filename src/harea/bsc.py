@@ -104,7 +104,7 @@ def boundary_samples(domain: DomainSpec, expr, n: int = 200) -> Samples:
     while the solver keeps its face-sampled datum of the same expression.
     """
     pts = domain.boundary_points(n)
-    return Samples(pts, _evaluate(expr, pts))
+    return Samples(pts, _evaluate(expr, *pts.T))
 
 
 def feasibility_tolerance(values: np.ndarray) -> float:
@@ -276,16 +276,17 @@ def minimal_Q(samples: Samples, grid: Grid | None = None) -> BscReport:
     whose least defect inside the cap ball is largest, and that defect is the
     violation's slack.  A sample repeated with its value is certified once.
     K adds 4 sup |z| to Q_min, over interior cell centers when a grid is
-    given, else over the samples.  A non-finite point or value raises BscError.
+    given, else over the samples.  A non-finite point or value, or fewer than
+    3 distinct samples, raises BscError.
     """
     Z, phi = samples.points, samples.values
-    if len(Z) < 3:
-        raise BscError("underdetermined boundary: need at least 3 samples")
     if not (np.isfinite(Z).all() and np.isfinite(phi).all()):
         raise BscError("non-finite boundary sample")
     eps = feasibility_tolerance(phi)
     keep, where = _distinct(Z, phi)
     Zd, phid, n = Z[keep], phi[keep], len(keep)
+    if n < 3:
+        raise BscError("underdetermined boundary: need at least 3 distinct samples")
     blocks = -(-n // _BLOCK)
     slopes, norms, defects = np.zeros((2, n, 2)), np.zeros((2, n)), np.zeros((2, n))
     for j, sign in enumerate((1.0, -1.0)):

@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from . import pdloop
-from .geometry import Grid, _neighbor
+from .geometry import Grid, _evaluate, _neighbor
 
 __all__ = [
     "FieldError",
@@ -113,8 +113,7 @@ class ScalarField:
 
     @staticmethod
     def from_function(grid: Grid, f: Callable) -> "ScalarField":
-        X, Y = grid.cell_centers()
-        return ScalarField(grid, np.asarray(f(X, Y), dtype=float))
+        return ScalarField(grid, _evaluate(f, *grid.cell_centers()))
 
     @staticmethod
     def from_interior(grid: Grid, v: np.ndarray) -> "ScalarField":
@@ -199,7 +198,8 @@ class DiffOperator:
     * ``edge`` with ``edge_cells`` (2, m): the flat indices into a (2, n)
       gradient of the entries that are not forward differences, and the
       cells they difference, row 0 minus row 1: (c, previous) for the
-      backward fallback, (c, c) for a cell isolated along that axis.
+      backward fallback, (c, c) for a cell isolated along that axis.  The
+      compiled kernels write these entries at the same indices.
     * ``rim`` (the cells that are not regular) with ``rim_ptr``,
       ``rim_src`` and ``rim_bins``: rim cell ``r`` adds the entries of a
       (2, n) vector field at the flat indices
@@ -207,16 +207,15 @@ class DiffOperator:
       ``rim_src[rim_ptr[2r + 1]:rim_ptr[2r + 2]]``, each side in ascending
       order; ``rim_bins`` is each entry's bin, ``2r`` or ``2r + 1``, for a
       bincount that sums every side in that order.
-    * ``fix`` with ``fix_slot``: the cells with a rewritten gradient entry,
-      ascending, and each ``edge`` entry's flat index into their (2, len(fix))
-      gradient.
+    * ``fix``: the cells with a rewritten gradient entry, ascending.
     * ``reach``: the stencil's reach, the largest step from a cell to a cell
       its gradient or divergence reads, at least 1.
 
-    The last three groups are the compiled kernels' tables
-    (:mod:`harea.pdloop`); being part of the cached operator, they are built
-    once per grid.  The operator also caches the step-rule estimate of
-    :func:`operator_norm_sq`, which depends on nothing else.
+    The compiled kernels (:mod:`harea.pdloop`) read these tables, and only
+    they read ``rim_ptr``, ``fix`` and ``reach``; being part of the cached
+    operator, all are built once per grid.  The operator also caches the
+    step-rule estimate of :func:`operator_norm_sq`, which depends on nothing
+    else.
     """
 
     next0: np.ndarray
@@ -228,7 +227,6 @@ class DiffOperator:
     rim_src: np.ndarray
     rim_bins: np.ndarray
     fix: np.ndarray
-    fix_slot: np.ndarray
     reach: int
     h: float
 
@@ -314,12 +312,6 @@ def difference_operator(grid: Grid) -> DiffOperator:
     entries, bins = np.concatenate(entries), np.concatenate(bins)
     order = np.argsort(bins, kind="stable")
     edge = np.flatnonzero(~forward)
-    # the cells with a rewritten entry, and each entry's index into their
-    # (2, len(fix)) gradient; np.unique would add about 1.2 MB to peak RSS
-    at = np.zeros(cell.size, dtype=np.intp)
-    at[edge % cell.size] = 1
-    fix = np.flatnonzero(at)
-    at[fix] = np.arange(fix.size)
     K = DiffOperator(
         next0=plus[0].copy(),  # a view would keep all of plus alive
         prev0=prev0,
@@ -329,8 +321,8 @@ def difference_operator(grid: Grid) -> DiffOperator:
         rim_ptr=np.concatenate((np.zeros(1, np.intp), np.cumsum(np.bincount(bins, minlength=2 * rim.size)))),
         rim_src=entries[order],
         rim_bins=bins[order],
-        fix=fix,
-        fix_slot=(edge // cell.size) * fix.size + at[edge % cell.size],
+        # the cells of the edge entries; np.unique(edge % n) would add about 1.2 MB to peak RSS
+        fix=np.flatnonzero(~forward.all(axis=0)),
         # the largest step to a forward neighbor, along axis 0 (next0) or axis 1
         reach=max(1, int((plus[0] - cell).max(initial=0)), int((cell - prev0).max(initial=0))),
         h=grid.h,
@@ -439,9 +431,9 @@ def operator_norm_sq(grid: Grid) -> float:
     approaches it from below, so the estimate carries a 2% safety factor.
     Each step computes ``w = -K.div(K.grad(v))``, its norm and ``v = w /
     |w|``; the steps run in :mod:`harea.pdloop`'s compiled kernel where the
-    solver's block does, and otherwise here, on buffers allocated once,
-    operation by operation.  Both round every element alike and give the
-    same estimate bit for bit.  The estimate returned is at least the
+    solver's block does, and otherwise here, with the operator's own
+    ``grad`` and ``div``.  Both round every element alike and give the same
+    estimate bit for bit.  The estimate returned is at least the
     Collatz-Wielandt bound of :func:`_cw_bound`, so at least the true norm;
     on every grid tested the bound falls to or below the estimate and leaves
     it as it is.  The start is normalized by a pairwise sum, as each step
@@ -456,16 +448,13 @@ def operator_norm_sq(grid: Grid) -> float:
     v /= np.sqrt(np.add.reduce(v * v))
     lam = pdloop.power_estimate(K, v, _POWER_STEPS)
     if lam is None:  # no compiled kernel
-        G, w, back, sq = np.empty((2, K.n)), np.empty(K.n), np.empty(K.n), np.empty(K.n)
         lam = 0.0
         for _ in range(_POWER_STEPS):
-            np.divide(K.hgrad(v, G), K.h, out=G)
-            np.divide(K.hdiv(G, w, back), K.h, out=w)
-            np.negative(w, out=w)
-            lam = float(np.sqrt(np.sum(np.multiply(w, w, out=sq))))
+            w = -K.div(K.grad(v))
+            lam = float(np.sqrt(np.add.reduce(w * w)))
             if lam == 0:
                 break
-            np.divide(w, lam, out=v)
+            v = w / lam
     est = max(lam * _POWER_MARGIN, 8.0 / grid.h**2)
     est = max(est, _cw_bound(grid, est))
     object.__setattr__(K, "_norm_sq", est)
@@ -482,12 +471,12 @@ def _cw_bound(grid: Grid, est: float) -> float:
     Collatz-Wielandt bound max_c (M w)_c / w_c, over the cells whose row of M
     is nonzero (those with (M w)_c > 0), is at least that eigenvalue.  The
     steps w = M w / max(M w) start from all ones and keep w positive on those
-    cells; ``M w = -S hdiv(hgrad(S w) / h) / h`` adds terms of one sign only.
+    cells; ``M w = -S K.div(K.grad(S w))`` adds terms of one sign only.
     """
     K, sign = difference_operator(grid), _checkerboard(grid)
     w, bound = np.ones(K.n), 0.0
     for _ in range(_GUARD_STEPS):
-        Mw = sign * K.hdiv(K.hgrad(sign * w) / K.h) / -K.h
+        Mw = sign * -K.div(K.grad(sign * w))
         rows = Mw > 0
         bound = float(np.max(Mw[rows] / w[rows], initial=0.0))
         if bound <= est:

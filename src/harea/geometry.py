@@ -381,13 +381,11 @@ def sample_datum(
     ``expr`` must accept vectorized coordinates and return finite values; a
     non-finite sample raises DomainError naming the offending face.
     """
-    return BoundaryDatum(faces=faces, values=_evaluate(expr, faces.midpoint))
+    return BoundaryDatum(faces=faces, values=_evaluate(expr, *faces.midpoint.T))
 
 
-def _evaluate(expr, points: np.ndarray) -> np.ndarray:
-    """``expr`` at (n, 2) points, called once on their coordinate arrays, as
-    (n,) floats; a scalar return is broadcast to every point."""
-    vals = np.asarray(expr(points[:, 0], points[:, 1]), dtype=float)
-    if vals.shape == ():
-        vals = np.full(len(points), float(vals))
-    return vals
+def _evaluate(expr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``expr`` called once on the coordinate arrays ``x`` and ``y``, of any
+    one shape, as floats; a scalar return is broadcast to that shape."""
+    vals = np.asarray(expr(x, y), dtype=float)
+    return np.full(np.shape(x), float(vals)) if vals.shape == () else vals

@@ -69,7 +69,7 @@ typedef ptrdiff_t idx_t;
 
 struct pd_state {
     idx_t n, chunk, lead;            /* the sweep's chunk of cells and the lead's offset */
-    double *u, *q, *g, *u_step, *du; /* q is component-major (2, n); g the energy's norms (n) */
+    double *u, *q, *g, *u_step, *du; /* q, g (2, n) component-major; g: fix cells' h grad, norms */
     const double *hxs;               /* h X*, (2, n) */
     /* h div */
     const idx_t *prev0;
@@ -81,10 +81,11 @@ struct pd_state {
     /* h grad */
     const idx_t *next0;
     idx_t n_edge;
-    const idx_t *edge_cells;         /* (2, n_edge) the cells each rewritten entry differences */
+    const idx_t *edge, *edge_cells;  /* the rewritten entries' flat indices into a (2, n)
+                                        gradient, and (2, n_edge) the cells each differences */
     idx_t n_fix;                     /* cells with a rewritten entry */
-    const idx_t *fix, *fix_slot;     /* the cells, ascending; each entry's index in fix_g */
-    double *fix_g, *fix_q;           /* their gradient and saved dual, (2, n_fix) each */
+    const idx_t *fix;                /* the cells, ascending */
+    double *fix_q;                   /* their saved dual, (2, n_fix) */
     /* boundary prox, per owner */
     int constrained;
     const double *lo, *hi, *t, *mean;
@@ -277,19 +278,18 @@ PASS void sweep(const struct pd_state *s, double *restrict q, double *restrict u
     }
 }
 
-/* the gradient h grad(v) at the fix cells: forward differences, then the
-   rewritten entries */
-static void fix_gradient(const struct pd_state *s, const double *v)
+/* h grad(v) at the fix cells into g (2, n), at the flat indices that
+   DiffOperator.hgrad writes: forward differences, then the entries at edge */
+static void fix_gradient(const struct pd_state *s, const double *v, double *g)
 {
-    const idx_t nf = s->n_fix;
-    double *g = s->fix_g;
-    for (idx_t j = 0; j < nf; j++) {
+    const idx_t n = s->n;
+    for (idx_t j = 0; j < s->n_fix; j++) {
         idx_t c = s->fix[j];
-        g[j] = v[s->next0[c]] - v[c];
-        g[nf + j] = c + 1 < s->n ? v[c + 1] - v[c] : 0.0;
+        g[c] = v[s->next0[c]] - v[c];
+        g[n + c] = c + 1 < n ? v[c + 1] - v[c] : 0.0;
     }
     for (idx_t e = 0; e < s->n_edge; e++)
-        g[s->fix_slot[e]] = v[s->edge_cells[e]] - v[s->edge_cells[s->n_edge + e]];
+        g[s->edge[e]] = v[s->edge_cells[e]] - v[s->edge_cells[s->n_edge + e]];
 }
 
 /* out = |hgrad(v) + hX*| per cell from the forward differences */
@@ -305,15 +305,15 @@ PASS void norm_pass(idx_t n, const double *restrict v, const idx_t *restrict nex
 
 static void energy(const struct pd_state *s, double *out)
 {
-    const idx_t n = s->n, nf = s->n_fix;
+    const idx_t n = s->n;
     const double *u = s->u, *x0 = s->hxs, *x1 = s->hxs + n;
     double *norms = s->g;
     norm_pass(n, u, s->next0, x0, x1, norms);
-    fix_gradient(s, u);
-    for (idx_t j = 0; j < nf; j++) {
+    fix_gradient(s, u, s->g);
+    for (idx_t j = 0; j < s->n_fix; j++) {
         idx_t c = s->fix[j];
-        double a0 = s->fix_g[j] + x0[c], a1 = s->fix_g[nf + j] + x1[c];
-        norms[c] = sqrt(a0 * a0 + a1 * a1);
+        double a0 = s->g[c] + x0[c], a1 = s->g[n + c] + x1[c];
+        norms[c] = sqrt(a0 * a0 + a1 * a1);  /* over g[c], after both entries are read */
     }
     out[0] = s->h * add_reduce(norms, n);
     for (idx_t f = 0; f < s->n_face; f++)
@@ -349,18 +349,18 @@ PASS void div_pass(idx_t n, const double *restrict g0, const double *restrict g1
    entries rewritten, / h, h div with each rim side summed from 0.0 in
    bincount's order, / h, negated, the squares summed as add.reduce sums
    them, the square root, and v = w / lambda.  Reads only the operator's
-   fields of the state (n, h, the h div and h grad tables) and writes fix_g. */
+   fields of the state (n, h, the h div and h grad tables). */
 double pd_power(const struct pd_state *s, idx_t steps, double *v, double *g, double *w)
 {
-    const idx_t n = s->n, nf = s->n_fix;
+    const idx_t n = s->n;
     const double h = s->h;
     double *g0 = g, *g1 = g + n, lambda = 0.0;
     for (idx_t k = 0; k < steps; k++) {
         grad_pass(n, v, s->next0, h, g0, g1);
-        fix_gradient(s, v);
-        for (idx_t j = 0; j < nf; j++) {
-            g0[s->fix[j]] = s->fix_g[j] / h;
-            g1[s->fix[j]] = s->fix_g[nf + j] / h;
+        fix_gradient(s, v, g);
+        for (idx_t j = 0; j < s->n_fix; j++) {
+            g0[s->fix[j]] /= h;
+            g1[s->fix[j]] /= h;
         }
         div_pass(n, g0, g1, s->prev0, h, w);
         for (idx_t r = 0; r < s->n_rim; r++)
@@ -392,12 +392,12 @@ void pd_run(const struct pd_state *s, idx_t steps, double *energies)
            + hX*), u += relax (u~ - u) */
         sweep(s, s->q, u, u_step, du, s->hxs, s->prev0, s->next0);
         /* the fix cells: from their saved dual and their true gradient */
-        fix_gradient(s, u_step);
+        fix_gradient(s, u_step, s->g);
         for (idx_t j = 0; j < nf; j++) {
             idx_t c = s->fix[j];
             q0[c] = s->fix_q[j];
             q1[c] = s->fix_q[nf + j];
-            dual_cell(s->fix_g[j], s->fix_g[nf + j], x0[c], x1[c], &q0[c], &q1[c],
+            dual_cell(s->g[c], s->g[n + c], x0[c], x1[c], &q0[c], &q1[c],
                       s->numerator, s->radius, s->keep);
         }
     }

@@ -14,7 +14,7 @@ h div and the primal step :data:`_CHUNK` cells and the stencil's reach ahead
 of the dual step.  The same source runs the step rule's power estimate
 (:func:`power_estimate`), rounded as :func:`harea.fields.operator_norm_sq`'s
 NumPy loop rounds it.  Both read the operator's tables (the rim CSR, the
-cells with a rewritten gradient entry, the stencil's reach) from the grid's
+rewritten gradient entries, the stencil's reach) from the grid's
 cached :class:`~harea.fields.DiffOperator`, so they are built once per grid;
 :func:`bind` builds only the datum's tables; h X* is the grid's cached one.
 
@@ -84,10 +84,10 @@ class _State(ctypes.Structure):
         ("n_rim", ctypes.c_ssize_t),
         *((name, _idx) for name in ("rim", "rim_ptr", "rim_src", "rim_owner", "next0")),
         ("n_edge", ctypes.c_ssize_t),
-        ("edge_cells", _idx),
+        *((name, _idx) for name in ("edge", "edge_cells")),
         ("n_fix", ctypes.c_ssize_t),
-        *((name, _idx) for name in ("fix", "fix_slot")),
-        *((name, _f64) for name in ("fix_g", "fix_q")),
+        ("fix", _idx),
+        ("fix_q", _f64),
         ("constrained", ctypes.c_int),
         *((name, _f64) for name in ("lo", "hi", "t", "mean")),
         *((name, _idx) for name in ("owner_multi", "multi_m", "multi_off")),
@@ -261,7 +261,7 @@ def _operator(K) -> dict:
     return dict(
         n=K.n, n_rim=K.rim.size, n_edge=K.edge.size, n_fix=K.fix.size, h=K.h,
         **{name: _pointer(getattr(K, name), ctypes.c_ssize_t)
-           for name in ("prev0", "rim", "rim_ptr", "rim_src", "next0", "edge_cells", "fix", "fix_slot")},
+           for name in ("prev0", "rim", "rim_ptr", "rim_src", "next0", "edge", "edge_cells", "fix")},
     )
 
 
@@ -276,9 +276,8 @@ def power_estimate(K, v: np.ndarray, steps: int) -> float | None:
     kernel = _library()
     if kernel is None:
         return None
-    fix_g, g, w = np.empty(2 * K.fix.size), np.empty(2 * K.n), np.empty(K.n)
-    state = _State(**_operator(K), fix_g=_pointer(fix_g, ctypes.c_double))
-    f64 = ctypes.c_double
+    g, w, f64 = np.empty(2 * K.n), np.empty(K.n), ctypes.c_double
+    state = _State(**_operator(K))
     return kernel[0].pd_power(ctypes.byref(state), steps, _pointer(v, f64), _pointer(g, f64), _pointer(w, f64))
 
 
@@ -327,7 +326,7 @@ def bind(
     }
     # scratch space
     floats.update(
-        fix_g=np.empty(2 * K.fix.size), fix_q=np.empty(2 * K.fix.size), terms=np.empty(len(faces.owner_cell)),
+        fix_q=np.empty(2 * K.fix.size), terms=np.empty(len(faces.owner_cell)),
         select=np.empty(2 * int(ints["multi_m"].max(initial=0)) + 1),
     )
     floats.update(u=u, q=q, g=g, u_step=u_step, du=du, hxs=hxs)

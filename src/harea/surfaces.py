@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import _row_blocks
+from .geometry import DomainError, _row_blocks
 
 __all__ = [
     "Affine",
@@ -70,10 +70,18 @@ def es2_surface(x, y):
 @dataclass(eq=False)
 class Samples:
     """Boundary samples, values listed at points; as an expression, a point
-    takes the value of its nearest listed point, the first on ties."""
+    takes the value of its nearest listed point, the first on ties.  Both
+    are stored as floats; other shapes than points (n, 2) and values (n,)
+    with n >= 1 raise DomainError."""
 
     points: np.ndarray  # (n, 2)
     values: np.ndarray  # (n,)
+
+    def __post_init__(self):
+        points, values = np.asarray(self.points, dtype=float), np.asarray(self.values, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 2 or values.shape != (len(points),) or not len(points):
+            raise DomainError(f"samples need points (n, 2) and values (n,), n >= 1: {points.shape}, {values.shape}")
+        self.points, self.values = points, values
 
     def __call__(self, x, y):
         """Values at 1-d coordinate arrays, found by row blocks of points."""

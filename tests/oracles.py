@@ -46,6 +46,9 @@ must match it bit for bit.
 entries +-1/h, and ``checkerboard`` the cells' signs (-1)^(i + j) read off
 the mask; ``np.linalg.eigvalsh`` of the first gives the largest eigenvalue
 that the step rule's estimate and its Collatz-Wielandt bound must reach.
+``index_cw_bound`` is that bound's loop, ``fields._cw_bound``, on the
+index form (``take_hgrad`` and ``bincount_hdiv``) and ``checkerboard``,
+with no library kernel; the library must match it bit for bit.
 
 ``dense_lipschitz_bound`` recomputes the ``lipschitz_bound`` check's metrics
 from the whole cell-by-face matrix and the loop gradient.
@@ -71,6 +74,7 @@ from harea import EnergyMode, feasibility_tolerance, gradient, penalized_energy,
 from harea.bsc import _RELAX as _BSC_RELAX
 from harea.energy import EnergyBreakdown, _cell_norms
 from harea.fields import (
+    _GUARD_STEPS,
     _POWER_STEPS,
     ScalarField,
     VectorField,
@@ -400,6 +404,23 @@ def dense_normal_matrix(grid):
 def checkerboard(grid):
     """(-1)^(i + j) for the interior cells (i, j), in row-major order."""
     return np.array([(-1.0) ** (i + j) for i, j in np.argwhere(grid.interior_mask)])
+
+
+def index_cw_bound(grid, est):
+    """The Collatz-Wielandt bound on the largest eigenvalue of K^T K, from
+    all ones, stepped by M w = -S K^T K S w until it is at or below ``est``
+    or for ``_GUARD_STEPS`` steps, with K applied by the index form."""
+    plus, minus = index_operator(grid)
+    sign, h = checkerboard(grid), grid.h
+    w, bound = np.ones(plus.shape[1]), 0.0
+    for _ in range(_GUARD_STEPS):
+        Mw = sign * -(bincount_hdiv(plus, minus, take_hgrad(plus, minus, sign * w) / h) / h)
+        rows = Mw > 0
+        bound = float(np.max(Mw[rows] / w[rows], initial=0.0))
+        if bound <= est:
+            break
+        w = Mw / Mw.max()
+    return bound
 
 
 def dense_lipschitz_bound(grid, u, datum, Q_min, K, tol):

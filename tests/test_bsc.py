@@ -14,6 +14,7 @@ from harea import checks
 from harea import (
     BscError,
     BscViolation,
+    DomainError,
     DomainSpec,
     Samples,
     barriers,
@@ -80,6 +81,22 @@ def test_feasibility_tolerance_scales_with_range():
 def test_too_few_samples_rejected():
     with pytest.raises(BscError):
         minimal_Q(Samples(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0])))
+
+
+def test_repeated_copies_of_too_few_samples_rejected():
+    """Five copies of one sample are one sample: too few to certify."""
+    with pytest.raises(BscError, match="at least 3 distinct samples"):
+        minimal_Q(Samples(np.tile([[0.5, 0.5]], (5, 1)), np.full(5, 1.0)))
+
+
+@pytest.mark.parametrize("points, values", [
+    pytest.param(np.zeros((5, 2)), np.zeros(8), id="more-values"),
+    pytest.param(np.zeros((5, 2)), np.zeros(3), id="fewer-values"),
+    pytest.param(np.zeros((0, 2)), np.zeros(0), id="empty"),
+])
+def test_samples_of_mismatched_shapes_rejected(points, values):
+    with pytest.raises(DomainError, match="samples need points"):
+        Samples(points, values)
 
 
 @pytest.mark.parametrize("bad", ["nan-value", "inf-value", "nan-point"])

@@ -31,6 +31,7 @@ from oracles import (
     bincount_hdiv,
     checkerboard,
     dense_normal_matrix,
+    index_cw_bound,
     index_operator,
     loop_gradient,
     take_hgrad,
@@ -310,6 +311,20 @@ def test_step_rule_estimate_and_bound_reach_the_dense_spectrum(grid_of):
     assert est >= lam
     assert lam * (1 - 1e-12) <= _cw_bound(grid, est) <= est
     assert lam * (1 - 1e-12) <= _cw_bound(grid, 0.0) <= 1.01 * lam
+
+
+@pytest.mark.parametrize("grid_of", [
+    *REFEREE_GRIDS,
+    pytest.param(lambda: rasterize(DomainSpec.parabolic(), 1 / 32), id="lens32"),
+    pytest.param(lambda: rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 40), id="disk40"),
+])
+def test_step_rule_guard_equals_the_index_referee_bitwise(grid_of):
+    """The guard's bound is the index referee's double, by bytes: after all
+    its steps (``est`` = 0) and where it stops under the shipped estimate."""
+    grid = grid_of()
+    for est in (0.0, operator_norm_sq(grid)):
+        bound = np.float64(_cw_bound(grid, est)).tobytes()
+        assert bound == np.float64(index_cw_bound(grid, est)).tobytes(), est
 
 
 def test_step_rule_guard_lifts_an_unsafe_estimate(monkeypatch):

@@ -304,10 +304,11 @@ def test_c_block_owns_its_buffers_64_byte_aligned(c_block, problem):
 
 
 def test_second_solve_reuses_the_grids_operator_tables(c_block, monkeypatch):
-    """The operator's tables (the rim CSR, the fix cells and their slots)
-    are built once per grid: the blocks of two solves on one grid point at
-    the same arrays of the grid's cached operator, and both solves equal the
-    NumPy block bit for bit."""
+    """The operator's tables (the rim CSR, the rewritten gradient entries'
+    flat indices and their cells, the fix cells) are built once per grid:
+    the blocks of two solves on one grid point at the same arrays of the
+    grid's cached operator, and both solves equal the NumPy block bit for
+    bit."""
     grid, datum = holes()
     cfg = SolverConfig(max_iters=400)
     K, bind, states = difference_operator(grid), pdloop.bind, []
@@ -322,7 +323,7 @@ def test_second_solve_reuses_the_grids_operator_tables(c_block, monkeypatch):
         c, ref = both_blocks(monkeypatch, grid, datum, cfg)
         assert_bitwise_equal(c, ref)
     assert len(states) == 2 and difference_operator(grid) is K
-    for name in ("prev0", "rim", "rim_ptr", "rim_src", "next0", "edge_cells", "fix", "fix_slot"):
+    for name in ("prev0", "rim", "rim_ptr", "rim_src", "next0", "edge", "edge_cells", "fix"):
         pointers = {ctypes.cast(getattr(state, name), ctypes.c_void_p).value for state in states}
         assert pointers == {getattr(K, name).ctypes.data}, name
     assert all(state.lead == pdloop._CHUNK + K.reach for state in states)

@@ -640,6 +640,17 @@ def test_refine_study_monotone_for_affine():
     assert errs[0] > errs[1] > errs[2]
 
 
+def test_refine_study_takes_a_constant_reference():
+    """A reference that returns a scalar is broadcast over the cells, as a
+    datum's expression is over the faces."""
+    one = lambda x, y: 1.0  # noqa: E731
+    rows, _ = refine_study(DomainSpec.disk((0.0, 0.0), 1.0), one, [1 / 8, 1 / 16], tuned(), exact=one)
+    assert [r.h for r in rows] == [1 / 8, 1 / 16]
+    for r in rows:
+        u = r.report.u
+        assert r.error == float(np.max(np.abs(u.values - 1.0)[u.grid.interior_mask]))
+
+
 def test_report_json_roundtrips():
     grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 8)
     datum = sample_datum(boundary_faces(grid), lambda x, y: x)
