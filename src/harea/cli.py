@@ -240,7 +240,8 @@ def _cmd_solve(args) -> int:
     )
     print(
         f"solved {grid.interior_count} cells: energy {rep.energy.total:.9g}, "
-        f"{rep.iterations} iterations, converged={rep.converged}"
+        f"{rep.iterations} iterations, converged={rep.converged} "
+        f"(set-up {rep.seconds['setup']:.3f} s, block {rep.seconds['block']:.3f} s)"
     )
     print(f"wrote {out}/solution.csv, {out}/dual.csv, {out}/solution.pgm, {out}/report.json")
     return 0 if rep.converged else 1

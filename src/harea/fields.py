@@ -17,7 +17,9 @@ estimate with it (:func:`_share_operator`).
 
 The kernels read a regular stencil plus an exact rim.  In row-major order
 the axis-1 neighbors of a cell are ``c - 1`` and ``c + 1``, so axis 1 is a
-slice difference and only the axis-0 neighbors need an index array.  A cell
+slice difference and only the axis-0 neighbors need an index array; the
+compiled kernels read those at the constant step of a run of cells
+instead (``DiffOperator.next0_runs`` and ``prev0_runs``).  A cell
 is *regular* when it differences forward on both axes, both its predecessors
 are interior, and no backward fallback lands on it; its divergence is then
 ``(p0[c] + p1[c]) - (p0[prev0[c]] + p1[c - 1])``.  The gradient entries that
@@ -210,10 +212,20 @@ class DiffOperator:
     * ``fix``: the cells with a rewritten gradient entry, ascending.
     * ``reach``: the stencil's reach, the largest step from a cell to a cell
       its gradient or divergence reads, at least 1.
+    * ``next0_runs`` and ``prev0_runs`` (2, k): the cells split into runs
+      of one axis-0 step, ``next0[c] - c`` and ``c - prev0[c]``; row 0 holds
+      each run's end (exclusive, the last is n) and row 1 its step.  A fix
+      cell (for ``next0``) or a rim cell (for ``prev0``), whose entry the
+      kernels rewrite, carries on the step of the cell before it, 0 before
+      the first such step or where it would read past the last cell, so a
+      row of a convex mask is one run.  Every step is in [0, ``reach``] and
+      every cell it reads in [0, n) (:func:`_runs`).
 
     The compiled kernels (:mod:`harea.pdloop`) read these tables, and only
-    they read ``rim_ptr``, ``fix`` and ``reach``; being part of the cached
-    operator, all are built once per grid.  The operator also caches the
+    they read ``rim_ptr``, ``fix``, ``reach`` and the runs; their cell
+    loops read the axis-0 neighbor at a run's constant step, and ``next0``
+    only at the fix cells.  Being part of the cached operator, all are
+    built once per grid.  The operator also caches the
     step-rule estimate of :func:`operator_norm_sq`, which depends on nothing
     else.
     """
@@ -228,6 +240,8 @@ class DiffOperator:
     rim_bins: np.ndarray
     fix: np.ndarray
     reach: int
+    next0_runs: np.ndarray
+    prev0_runs: np.ndarray
     h: float
 
     @property
@@ -312,6 +326,9 @@ def difference_operator(grid: Grid) -> DiffOperator:
     entries, bins = np.concatenate(entries), np.concatenate(bins)
     order = np.argsort(bins, kind="stable")
     edge = np.flatnonzero(~forward)
+    fix = ~forward.all(axis=0)
+    # the largest step to a forward neighbor, along axis 0 (next0) or axis 1
+    reach = max(1, int((plus[0] - cell).max(initial=0)), int((cell - prev0).max(initial=0)))
     K = DiffOperator(
         next0=plus[0].copy(),  # a view would keep all of plus alive
         prev0=prev0,
@@ -322,13 +339,30 @@ def difference_operator(grid: Grid) -> DiffOperator:
         rim_src=entries[order],
         rim_bins=bins[order],
         # the cells of the edge entries; np.unique(edge % n) would add about 1.2 MB to peak RSS
-        fix=np.flatnonzero(~forward.all(axis=0)),
-        # the largest step to a forward neighbor, along axis 0 (next0) or axis 1
-        reach=max(1, int((plus[0] - cell).max(initial=0)), int((cell - prev0).max(initial=0))),
+        fix=np.flatnonzero(fix),
+        reach=reach,
+        next0_runs=_runs(plus[0] - cell, fix, 1, reach),
+        prev0_runs=_runs(cell - prev0, ~regular, -1, reach),
         h=grid.h,
     )
     object.__setattr__(grid, "_K", K)
     return K
+
+
+def _runs(step: np.ndarray, free: np.ndarray, sign: int, reach: int) -> np.ndarray:
+    """The runs of one axis-0 ``step`` (n,) over the cells, (2, k): each
+    run's end, then its step.  A ``free`` cell carries on the step of the
+    cell before it, or 0 where there is none or the cell ``c + sign * step``
+    it would read is not one of the n."""
+    cell = np.arange(step.size)
+    last = np.maximum.accumulate(np.where(free, -1, cell))
+    step = np.where(last >= 0, step[last], 0)
+    read = cell + sign * step
+    step[(read < 0) | (read >= step.size)] = 0
+    # pdloop.c's sweep needs every step within the reach: see its header
+    assert ((0 <= step) & (step <= reach)).all()
+    ends = np.flatnonzero(np.diff(step, append=-1)) + 1
+    return np.stack((ends, step[ends - 1]))
 
 
 def _share_operator(grid: Grid, source: Grid) -> None:

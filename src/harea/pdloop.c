@@ -17,6 +17,20 @@
    boundary prox.  The cells with a rewritten gradient entry are redone from
    their saved dual after the sweep.
 
+   Every loop over the cells reads a cell's axis-0 neighbor at a constant
+   offset, not through an index array: the operator's run tables split the
+   cells into runs of one step, next0 - c for the lag, the energy and h
+   grad, c - prev0 for the lead and h div, and a loop runs over a stretch of
+   cells inside one run of each table it reads (and inside one chunk of the
+   sweep).  So its loads are plain vector loads; GCC compiles an indexed
+   load to a gather (vgatherqpd with AVX2), which made the host build's
+   block 2.1-2.8 times as slow on a Sapphire Rapids Xeon (BENCH_41.json).  At a
+   fix cell a run carries on the lag's step of the cell before it, and at a
+   rim cell the lead's, because the kernel rewrites the value there after
+   the sweep or the pass; either way the step is in [0, s] and the cell it
+   reads in [0, n), as fields._runs asserts, so the argument below holds for
+   those reads too.  next0 itself is read only at the fix cells.
+
    The lead is the chunk plus the stencil's reach s, the largest step from a
    cell to its forward neighbor along axis 0 (next0 - c) or axis 1 (1).
    h div at a cell, regular or rim, reads q at cells at most s away
@@ -72,14 +86,17 @@ struct pd_state {
     double *u, *q, *g, *u_step, *du; /* q, g (2, n) component-major; g: fix cells' h grad, norms */
     const double *hxs;               /* h X*, (2, n) */
     /* h div */
-    const idx_t *prev0;
+    idx_t n_prev0_run;
+    const idx_t *prev0_runs;         /* (2, n_prev0_run): each run's end, then its step c - prev0 */
     idx_t n_rim;
     const idx_t *rim;                /* the cells that are not regular, ascending */
     const idx_t *rim_ptr, *rim_src;  /* rim cell r adds q at rim_src[rim_ptr[2r]:rim_ptr[2r+1]] and
                                         subtracts q at rim_src[rim_ptr[2r+1]:rim_ptr[2r+2]] */
     const idx_t *rim_owner;          /* the owner index of each rim cell, -1 for none */
     /* h grad */
-    const idx_t *next0;
+    idx_t n_next0_run;
+    const idx_t *next0_runs;         /* (2, n_next0_run): each run's end, then its step next0 - c */
+    const idx_t *next0;              /* read at the fix cells only */
     idx_t n_edge;
     const idx_t *edge, *edge_cells;  /* the rewritten entries' flat indices into a (2, n)
                                         gradient, and (2, n_edge) the cells each differences */
@@ -178,15 +195,40 @@ static double prox(const struct pd_state *s, idx_t i, double p)
     return order_statistic(s->select, 2 * m + 1, m);
 }
 
-/* the lead at a regular cell j: h div, then p = hdiv * factor + u,
-   du = p - u and u_step = p + du */
-static inline void lead_cell(idx_t j, const double *q0, const double *q1, const idx_t *prev0,
+static inline idx_t min_idx(idx_t a, idx_t b) { return a < b ? a : b; }
+
+/* the end of the run of `runs` (each run's end, then its step) that holds
+   cell c, moving the run index *k forward to that run */
+static inline idx_t run_end(const idx_t *runs, idx_t *k, idx_t c)
+{
+    while (runs[*k] <= c)
+        ++*k;
+    return runs[*k];
+}
+
+/* the lead at a regular cell j, whose axis-0 predecessor is j - back: h div,
+   then p = hdiv * factor + u, du = p - u and u_step = p + du */
+static inline void lead_cell(idx_t j, idx_t back, const double *q0, const double *q1,
                              const double *u, double *u_step, double *du, double factor)
 {
-    double p = ((q0[j] + q1[j]) - (q0[prev0[j]] + q1[j - 1])) * factor + u[j];
+    double p = ((q0[j] + q1[j]) - (q0[j - back] + q1[j - 1])) * factor + u[j];
     double d = p - u[j];
     du[j] = d;
     u_step[j] = p + d;
+}
+
+/* the lead alone at the cells [j, end), run by run of the n_run runs
+   `back` from run *run on */
+static inline void lead_alone(idx_t j, idx_t end, const idx_t *back, idx_t n_run, idx_t *run,
+                              const double *q0, const double *q1, const double *u, double *u_step,
+                              double *du, double factor)
+{
+    for (idx_t e; j < end; j = e) {
+        e = min_idx(run_end(back, run, j), end);
+        const idx_t step = back[n_run + *run];
+        for (idx_t i = j; i < e; i++)
+            lead_cell(i, step, q0, q1, u, u_step, du, factor);
+    }
 }
 
 /* q <- q * keep + relax proj(q + g + hX*) for one cell */
@@ -200,13 +242,13 @@ static inline void dual_cell(double g0, double g1, double x0, double x1, double 
     *q1 = *q1 * keep + a1 * f;
 }
 
-/* the lag at a cell c < n - 1: the dual step from the forward differences
-   of u_step, then u += du * relax */
-static inline void lag_cell(idx_t c, const double *u_step, const idx_t *next0, const double *x0,
+/* the lag at a cell c < n - 1, whose axis-0 successor is c + fwd: the dual
+   step from the forward differences of u_step, then u += du * relax */
+static inline void lag_cell(idx_t c, idx_t fwd, const double *u_step, const double *x0,
                             const double *x1, double *q0, double *q1, double *u, double *du,
                             double numerator, double radius, double keep, double relax)
 {
-    dual_cell(u_step[next0[c]] - u_step[c], u_step[c + 1] - u_step[c], x0[c], x1[c], &q0[c], &q1[c],
+    dual_cell(u_step[c + fwd] - u_step[c], u_step[c + 1] - u_step[c], x0[c], x1[c], &q0[c], &q1[c],
               numerator, radius, keep);
     double d = du[c] * relax;
     du[c] = d;
@@ -245,32 +287,42 @@ static idx_t finish_rim(const struct pd_state *s, idx_t r, idx_t end, const doub
 }
 
 /* one iteration's sweep over the cells, the lead `lead` cells ahead of
-   the lag; no iteration of a chunk's loop depends on another (see the top) */
+   the lag; each loop runs over a stretch of cells where the lead's and the
+   lag's axis-0 steps are constant, and no iteration of a chunk's loop
+   depends on another (see the top) */
 PASS void sweep(const struct pd_state *s, double *restrict q, double *restrict u,
-                double *restrict u_step, double *restrict du, const double *restrict hxs,
-                const idx_t *restrict prev0, const idx_t *restrict next0)
+                double *restrict u_step, double *restrict du, const double *restrict hxs)
 {
-    const idx_t n = s->n, chunk = s->chunk, lead = s->lead, fill = lead < n ? lead : n;
+    const idx_t n = s->n, chunk = s->chunk, lead = s->lead, fill = min_idx(lead, n);
     const double factor = s->factor, numerator = s->numerator, radius = s->radius, keep = s->keep;
     const double relax = s->relax;
+    const idx_t *back = s->prev0_runs, *fwd = s->next0_runs;
+    const idx_t *back_step = back + s->n_prev0_run, *fwd_step = fwd + s->n_next0_run;
+    idx_t kb = 0, kf = 0;  /* the runs of the lead's cell and of the lag's, both only ascending */
     double *q0 = q, *q1 = q + n;
     const double *x0 = hxs, *x1 = hxs + n;
-    for (idx_t j = 1; j < fill; j++)  /* cell 0 is on the rim */
-        lead_cell(j, q0, q1, prev0, u, u_step, du, factor);
+    lead_alone(1, fill, back, s->n_prev0_run, &kb, q0, q1, u, u_step, du, factor);  /* cell 0 is on the rim */
     idx_t r = finish_rim(s, 0, fill, q, u, u_step, du), b = 0;
     for (; b + chunk + lead <= n; b += chunk) {
+        for (idx_t c = b, e; c < b + chunk; c = e) {
+            e = min_idx(min_idx(run_end(fwd, &kf, c), run_end(back, &kb, c + lead) - lead), b + chunk);
+            const idx_t fs = fwd_step[kf], bs = back_step[kb];
 #pragma GCC ivdep
-        for (idx_t c = b; c < b + chunk; c++) {
-            lead_cell(c + lead, q0, q1, prev0, u, u_step, du, factor);
-            lag_cell(c, u_step, next0, x0, x1, q0, q1, u, du, numerator, radius, keep, relax);
+            for (idx_t i = c; i < e; i++) {
+                lead_cell(i + lead, bs, q0, q1, u, u_step, du, factor);
+                lag_cell(i, fs, u_step, x0, x1, q0, q1, u, du, numerator, radius, keep, relax);
+            }
         }
         r = finish_rim(s, r, b + chunk + lead, q, u, u_step, du);
     }
-    for (idx_t j = b + lead; j < n; j++)
-        lead_cell(j, q0, q1, prev0, u, u_step, du, factor);
+    lead_alone(b + lead, n, back, s->n_prev0_run, &kb, q0, q1, u, u_step, du, factor);
     finish_rim(s, r, n, q, u, u_step, du);
-    for (idx_t c = b; c < n - 1; c++)
-        lag_cell(c, u_step, next0, x0, x1, q0, q1, u, du, numerator, radius, keep, relax);
+    for (idx_t c = b, e; c < n - 1; c = e) {
+        e = min_idx(run_end(fwd, &kf, c), n - 1);
+        const idx_t fs = fwd_step[kf];
+        for (idx_t i = c; i < e; i++)
+            lag_cell(i, fs, u_step, x0, x1, q0, q1, u, du, numerator, radius, keep, relax);
+    }
     if (n > 0) {  /* cell n - 1 has no forward difference along axis 1 and is a fix cell */
         double d = du[n - 1] * relax;
         du[n - 1] = d;
@@ -292,14 +344,18 @@ static void fix_gradient(const struct pd_state *s, const double *v, double *g)
         g[s->edge[e]] = v[s->edge_cells[e]] - v[s->edge_cells[s->n_edge + e]];
 }
 
-/* out = |hgrad(v) + hX*| per cell from the forward differences */
-PASS void norm_pass(idx_t n, const double *restrict v, const idx_t *restrict next0,
+/* out = |hgrad(v) + hX*| per cell from the forward differences, along axis
+   0 at the steps of the k runs `fwd` (each run's end, then its step) */
+PASS void norm_pass(idx_t n, const double *restrict v, const idx_t *restrict fwd, idx_t k,
                     const double *restrict x0, const double *restrict x1, double *restrict out)
 {
-    for (idx_t c = 0; c + 1 < n; c++) {
-        double a0 = (v[next0[c]] - v[c]) + x0[c];
-        double a1 = (v[c + 1] - v[c]) + x1[c];
-        out[c] = sqrt(a0 * a0 + a1 * a1);
+    for (idx_t run = 0, c = 0; run < k; run++) {
+        const idx_t end = min_idx(fwd[run], n - 1), step = fwd[k + run];
+        for (; c < end; c++) {
+            double a0 = (v[c + step] - v[c]) + x0[c];
+            double a1 = (v[c + 1] - v[c]) + x1[c];
+            out[c] = sqrt(a0 * a0 + a1 * a1);
+        }
     }
 }
 
@@ -308,7 +364,7 @@ static void energy(const struct pd_state *s, double *out)
     const idx_t n = s->n;
     const double *u = s->u, *x0 = s->hxs, *x1 = s->hxs + n;
     double *norms = s->g;
-    norm_pass(n, u, s->next0, x0, x1, norms);
+    norm_pass(n, u, s->next0_runs, s->n_next0_run, x0, x1, norms);
     fix_gradient(s, u, s->g);
     for (idx_t j = 0; j < s->n_fix; j++) {
         idx_t c = s->fix[j];
@@ -321,24 +377,30 @@ static void energy(const struct pd_state *s, double *out)
     out[1] = add_reduce(s->terms, s->n_face);
 }
 
-/* g = h grad(v) / h from the forward differences; the fix cells are
-   rewritten after */
-PASS void grad_pass(idx_t n, const double *restrict v, const idx_t *restrict next0, double h,
+/* g = h grad(v) / h from the forward differences, along axis 0 at the
+   steps of the k runs `fwd`; the fix cells are rewritten after */
+PASS void grad_pass(idx_t n, const double *restrict v, const idx_t *restrict fwd, idx_t k, double h,
                     double *restrict g0, double *restrict g1)
 {
-    for (idx_t c = 0; c + 1 < n; c++) {
-        g0[c] = (v[next0[c]] - v[c]) / h;
-        g1[c] = (v[c + 1] - v[c]) / h;
+    for (idx_t run = 0, c = 0; run < k; run++) {
+        const idx_t end = min_idx(fwd[run], n - 1), step = fwd[k + run];
+        for (; c < end; c++) {
+            g0[c] = (v[c + step] - v[c]) / h;
+            g1[c] = (v[c + 1] - v[c]) / h;
+        }
     }
 }
 
-/* w = -(h div(g) / h) from cell 1 on; the rim cells, cell 0 among them,
-   are rewritten after */
-PASS void div_pass(idx_t n, const double *restrict g0, const double *restrict g1,
-                   const idx_t *restrict prev0, double h, double *restrict w)
+/* w = -(h div(g) / h) from cell 1 on, along axis 0 at the steps of the k
+   runs `back`; the rim cells, cell 0 among them, are rewritten after */
+PASS void div_pass(const double *restrict g0, const double *restrict g1, const idx_t *restrict back,
+                   idx_t k, double h, double *restrict w)
 {
-    for (idx_t c = 1; c < n; c++)
-        w[c] = -(((g0[c] + g1[c]) - (g0[prev0[c]] + g1[c - 1])) / h);
+    for (idx_t run = 0, c = 1; run < k; run++) {
+        const idx_t end = back[run], step = back[k + run];
+        for (; c < end; c++)
+            w[c] = -(((g0[c] + g1[c]) - (g0[c - step] + g1[c - 1])) / h);
+    }
 }
 
 /* The step rule's power estimate: `steps` steps of w = -div(grad(v)) with
@@ -356,13 +418,13 @@ double pd_power(const struct pd_state *s, idx_t steps, double *v, double *g, dou
     const double h = s->h;
     double *g0 = g, *g1 = g + n, lambda = 0.0;
     for (idx_t k = 0; k < steps; k++) {
-        grad_pass(n, v, s->next0, h, g0, g1);
+        grad_pass(n, v, s->next0_runs, s->n_next0_run, h, g0, g1);
         fix_gradient(s, v, g);
         for (idx_t j = 0; j < s->n_fix; j++) {
             g0[s->fix[j]] /= h;
             g1[s->fix[j]] /= h;
         }
-        div_pass(n, g0, g1, s->prev0, h, w);
+        div_pass(g0, g1, s->prev0_runs, s->n_prev0_run, h, w);
         for (idx_t r = 0; r < s->n_rim; r++)
             w[s->rim[r]] = -(rim_hdiv(s, r, g) / h);
         for (idx_t c = 0; c < n; c++)  /* g is free again: the squares */
@@ -390,7 +452,7 @@ void pd_run(const struct pd_state *s, idx_t steps, double *energies)
         /* lead: u~ = prox(u + factor hdiv(q)), kept as du = u~ - u and
            u_step = 2 u~ - u; lag: q = keep q + relax proj(q + hgrad(2 u~ - u)
            + hX*), u += relax (u~ - u) */
-        sweep(s, s->q, u, u_step, du, s->hxs, s->prev0, s->next0);
+        sweep(s, s->q, u, u_step, du, s->hxs);
         /* the fix cells: from their saved dual and their true gradient */
         fix_gradient(s, u_step, s->g);
         for (idx_t j = 0; j < nf; j++) {

@@ -13,10 +13,14 @@ one makes a single sweep over the cells, compiled to vector instructions, with
 h div and the primal step :data:`_CHUNK` cells and the stencil's reach ahead
 of the dual step.  The same source runs the step rule's power estimate
 (:func:`power_estimate`), rounded as :func:`harea.fields.operator_norm_sq`'s
-NumPy loop rounds it.  Both read the operator's tables (the rim CSR, the
-rewritten gradient entries, the stencil's reach) from the grid's
-cached :class:`~harea.fields.DiffOperator`, so they are built once per grid;
-:func:`bind` builds only the datum's tables; h X* is the grid's cached one.
+NumPy loop rounds it.  Both read the operator's tables (the runs of one
+axis-0 step, the rim CSR, the rewritten gradient entries, the stencil's
+reach) from the grid's cached :class:`~harea.fields.DiffOperator`, so they
+are built once per grid; :func:`bind` builds only the datum's tables; h X*
+is the grid's cached one.  Every loop over the cells reads a cell's axis-0
+neighbor at its run's constant step, so it compiles to plain vector loads:
+read through ``next0`` and ``prev0``, GCC compiles it to gathers, which made
+the host build's block 2.1-2.8 times as slow on an AVX-512 Xeon.
 
 The source ships with the package.  The first step-size estimate or solve in
 a process compiles it with :data:`CFLAGS` for the host CPU and loads it with
@@ -80,9 +84,12 @@ class _State(ctypes.Structure):
     _fields_ = [
         *((name, ctypes.c_ssize_t) for name in ("n", "chunk", "lead")),
         *((name, _f64) for name in ("u", "q", "g", "u_step", "du", "hxs")),
-        ("prev0", _idx),
+        ("n_prev0_run", ctypes.c_ssize_t),
+        ("prev0_runs", _idx),
         ("n_rim", ctypes.c_ssize_t),
-        *((name, _idx) for name in ("rim", "rim_ptr", "rim_src", "rim_owner", "next0")),
+        *((name, _idx) for name in ("rim", "rim_ptr", "rim_src", "rim_owner")),
+        ("n_next0_run", ctypes.c_ssize_t),
+        *((name, _idx) for name in ("next0_runs", "next0")),
         ("n_edge", ctypes.c_ssize_t),
         *((name, _idx) for name in ("edge", "edge_cells")),
         ("n_fix", ctypes.c_ssize_t),
@@ -259,9 +266,10 @@ def _operator(K) -> dict:
     """The fields of ``struct pd_state`` that describe the operator ``K``,
     pointing into the tables it carries, which are built once per grid."""
     return dict(
-        n=K.n, n_rim=K.rim.size, n_edge=K.edge.size, n_fix=K.fix.size, h=K.h,
-        **{name: _pointer(getattr(K, name), ctypes.c_ssize_t)
-           for name in ("prev0", "rim", "rim_ptr", "rim_src", "next0", "edge", "edge_cells", "fix")},
+        n=K.n, n_prev0_run=K.prev0_runs.shape[1], n_rim=K.rim.size, n_next0_run=K.next0_runs.shape[1],
+        n_edge=K.edge.size, n_fix=K.fix.size, h=K.h,
+        **{name: _pointer(getattr(K, name), ctypes.c_ssize_t) for name in
+           ("prev0_runs", "rim", "rim_ptr", "rim_src", "next0_runs", "next0", "edge", "edge_cells", "fix")},
     )
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -185,7 +186,12 @@ class SolveReport:
     """Returned by :func:`solve`.
 
     ``u`` is the best-energy iterate among those evaluated (every 10th and
-    the last) and ``dual`` the dual iterate paired with it.
+    the last) and ``dual`` the dual iterate paired with it.  ``seconds``
+    holds the solve's wall time by ``time.perf_counter``: ``setup``, from
+    the call to the first call of the block (the operator and step rule
+    where the grid has none yet, the penalty, the start and binding the
+    block), and ``block``, inside the block's calls.  It takes no part in
+    comparing reports.
     """
 
     u: ScalarField
@@ -194,6 +200,7 @@ class SolveReport:
     converged: bool
     stagnation: float
     energy: EnergyBreakdown
+    seconds: dict = field(compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -202,6 +209,7 @@ class SolveReport:
             # a solve stopped before the window fills has no stagnation yet
             "stagnation": self.stagnation if math.isfinite(self.stagnation) else None,
             "energy": self.energy.to_json(),
+            "seconds": self.seconds,
         }
 
 
@@ -330,6 +338,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     non-convergence does not raise, it is reported through
     ``converged=False``.
     """
+    started = time.perf_counter()
     cfg = cfg or SolverConfig()
     _check_same_grid(grid, datum.faces.grid, SolverError, "datum faces belong to a different grid")
     every, window, max_iters, tol = _CHECK_EVERY, _STAGNATION_WINDOW, cfg.max_iters, cfg.tol
@@ -344,7 +353,10 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     loop = dict(K=difference_operator(grid), datum=datum, pen=pen, start=start,
                 hxs=_hxstar(grid), factor=factor, radius=radius, relax=_RELAX)
     block, u, Q = pdloop.bind(**loop) or _numpy_block(**loop)  # Q is the dual P / sigma_h
+    mark = time.perf_counter()
+    setup = mark - started
     best_interior, best_penalty = block(0)  # the start's energies
+    in_block = time.perf_counter() - mark
     best_total = start_total = best_interior + best_penalty
     best_u, best_Q = u.copy(), Q.copy()
     # the best energies at the last window / every + 1 checkpoints, oldest first
@@ -356,7 +368,9 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     while k < max_iters:
         # up to the next checkpoint: the next multiple of every, or max_iters
         steps = min(every - k % every, max_iters - k)
+        mark = time.perf_counter()
         ei, ep = block(steps)
+        in_block += time.perf_counter() - mark
         k += steps
         total = ei + ep
         if not math.isfinite(total):
@@ -386,6 +400,7 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
         converged=converged,
         stagnation=float(stagnation),
         energy=EnergyBreakdown(best_interior, best_penalty, best_total, EnergyMode.ISOTROPIC),
+        seconds={"setup": setup, "block": in_block},
     )
 
 

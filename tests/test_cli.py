@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -49,6 +50,15 @@ def test_solve_happy_path_affine(tmp_path):
         assert (tmp_path / "run" / name).exists()
     rep = json.loads((tmp_path / "run" / "report.json").read_text())
     assert rep["result"]["converged"] is True
+    assert set(rep["result"]["seconds"]) == {"setup", "block"}
+
+
+def test_solve_prints_its_seconds_which_no_config_sets(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, out=str(tmp_path / "run"))
+    assert dispatch(["solve", "-c", cfg]) == 0
+    assert re.search(r"\(set-up \d+\.\d{3} s, block \d+\.\d{3} s\)$", capsys.readouterr().out.splitlines()[0])
+    cfg = write_cfg(tmp_path, out=str(tmp_path / "run"), solver={"seconds": 1.0})
+    assert dispatch(["solve", "-c", cfg]) == 2
 
 
 def test_solve_report_is_strict_json_when_stopped_early(tmp_path):

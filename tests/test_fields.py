@@ -36,7 +36,7 @@ from oracles import (
     loop_gradient,
     take_hgrad,
 )
-from test_pdloop import holes, notched, ragged, tiny
+from test_pdloop import holes, notched, one_cell_rows, ragged, small_disk, staggered, tiny
 
 
 def full_grid(n, h=1.0, origin=(0.0, 0.0)):
@@ -224,14 +224,16 @@ def test_divergence_supported_on_interior():
     "domain, inv_h",
     [(DomainSpec.parabolic(), 32), (DomainSpec.parabolic(), 64),
      (DomainSpec.disk((0.0, 0.0), 1.0), 24), (DomainSpec.disk((0.0, 0.0), 1.0), 64),
-     *(pytest.param(mask, None, id=mask.__name__) for mask in (notched, ragged, tiny, holes)),
+     *(pytest.param(mask, None, id=mask.__name__)
+       for mask in (notched, ragged, tiny, holes, staggered, one_cell_rows, small_disk)),
      pytest.param(DomainSpec.disk((0.0, 0.0), 1.0), 40, id="disk-40")],
 )
 def test_operator_norm_sq_matches_the_allocating_loop_bitwise(each_kernel_path, domain, inv_h):
     """The estimate is the same double, by bytes, in the host build, in the
     portable build and in the NumPy loop, on the lens and disk grids and on
     the compiled block's referee masks (test_pdloop): a polygon spike, cells
-    isolated along either axis, two cells, and random holes.  The referee has
+    isolated along either axis, two cells, random holes, run ends on chunk
+    ends, one-cell rows, and fewer cells than the sweep's lead.  The referee has
     no guard, so this also shows the guard leaves each estimate as it is,
     on the h = 1/40 disk too, whose estimate is 0.031% above the true norm."""
     grid_of = (lambda: domain()[0]) if inv_h is None else (lambda: rasterize(domain, 1.0 / inv_h))

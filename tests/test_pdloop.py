@@ -36,7 +36,7 @@ from harea import (
     solve,
 )
 from harea import pdloop
-from harea.checks import _PAIR_SEED, _fourier_datum
+from harea.checks import _PAIR_SEED, _SQUARE, _fourier_datum
 from harea.fields import _hxstar, difference_operator
 from harea.solver import _Penalty
 from harea.surfaces import es1_datum
@@ -134,6 +134,39 @@ def holes():
     return grid, sample_datum(boundary_faces(grid), lambda x, y: np.sin(9 * x) * np.cos(7 * y) + x)
 
 
+def staggered():
+    """16 rows of 32 cells, the even ones a column right of the odd ones:
+    the axis-0 step changes at every row, and a run of the lag's table and
+    one of the lead's end on each chunk end of the sweep's chunk loop
+    (test_run_table_cases_cover_the_sweeps_edges)."""
+    mask = np.zeros((16, 33), dtype=bool)
+    for i in range(16):
+        mask[i, (i + 1) % 2:(i + 1) % 2 + 32] = True
+    grid = Grid(h=1 / 32, origin=np.zeros(2), nx=16, ny=33, interior_mask=mask)
+    return grid, sample_datum(boundary_faces(grid), lambda x, y: np.sin(3 * x) + y)
+
+
+def one_cell_rows():
+    """60 rows, every third a single cell, which is a fix cell and a rim
+    cell: the runs carry on over it, inside the sweep's chunk loop."""
+    mask = np.zeros((60, 9), dtype=bool)
+    for i in range(60):
+        if i % 3 == 2:
+            mask[i, i // 3 % 9] = True
+        else:
+            mask[i, 1 + i % 2:8 - i % 3] = True
+    grid = Grid(h=1 / 32, origin=np.zeros(2), nx=60, ny=9, interior_mask=mask)
+    return grid, sample_datum(boundary_faces(grid), lambda x, y: np.cos(5 * x) * y)
+
+
+def small_disk():
+    """The h = 1/5 disk: fewer cells than the sweep's lead, so its chunk loop
+    never runs, and the lead alone and the lag alone each cross several
+    runs."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 5)
+    return grid, sample_datum(boundary_faces(grid), lambda x, y: x * x - np.sin(2 * y))
+
+
 CASES = {
     "lens-penalized": (lens, SolverConfig(max_iters=30000, tol=1e-10)),
     "lens-constrained": (lens, SolverConfig(mode="constrained", max_iters=30000, tol=1e-10)),
@@ -147,6 +180,9 @@ CASES = {
     "cut-at-137-h64": (lens64, SolverConfig(max_iters=137, tol=1e-300)),
     "holes-penalized": (holes, SolverConfig(max_iters=20000, tol=1e-9)),
     "holes-constrained": (holes, SolverConfig(mode="constrained", max_iters=20000, tol=1e-9)),
+    "staggered-rows": (staggered, SolverConfig(max_iters=2000, tol=1e-9)),
+    "one-cell-rows": (one_cell_rows, SolverConfig(max_iters=2000, tol=1e-9)),
+    "fewer-cells-than-the-lead": (small_disk, SolverConfig(max_iters=2000, tol=1e-9)),
 }
 
 
@@ -270,6 +306,69 @@ def test_holes_mask_covers_every_chunk_of_the_sweep():
     assert sorted(faces.shape[1] for _, faces, _ in pen.multi) == [3, 4]
 
 
+def run_steps(runs):
+    """The step of each cell from a run table (2, k): each run's end, then
+    its step."""
+    return np.repeat(runs[1], np.diff(runs[0], prepend=0))
+
+
+SUITE_GRIDS = {
+    **{f"disk-{k}": (DomainSpec.disk((0.0, 0.0), 1.0), 1 / k) for k in (16, 24, 32, 64)},
+    **{f"lens-{k}": (DomainSpec.parabolic(), 1 / k) for k in (32, 64, 128)},
+    **{f"square-{k}": (_SQUARE, 1 / k) for k in (32, 64, 128)},
+}
+REFEREE_MASKS = (holes, notched, ragged, tiny, staggered, one_cell_rows, small_disk)
+
+
+@pytest.mark.parametrize("grid_of", [
+    *(pytest.param(lambda mask=mask: mask()[0], id=mask.__name__) for mask in REFEREE_MASKS),
+    *(pytest.param(lambda spec=spec: rasterize(*spec), id=name) for name, spec in SUITE_GRIDS.items()),
+])
+def test_run_tables_give_each_cell_its_axis0_neighbor(grid_of):
+    """The compiled loops read the axis-0 neighbor at their run's step: it is
+    next0 at every cell but the fix cells and prev0 at every regular cell,
+    where the kernels keep what they compute.  Every step is in [0, reach]
+    and every cell read is one of the n, the two facts the sweep's
+    independence of a chunk's cells rests on; the runs tile the cells and
+    each is as long as it can be."""
+    K = difference_operator(grid_of())
+    cells = np.arange(K.n)
+    fwd, back = run_steps(K.next0_runs), run_steps(K.prev0_runs)
+    assert fwd.size == back.size == K.n
+    kept = np.ones(K.n, dtype=bool)
+    kept[K.fix] = False
+    assert np.array_equal((cells + fwd)[kept], K.next0[kept])
+    regular = np.ones(K.n, dtype=bool)
+    regular[K.rim] = False
+    assert np.array_equal((cells - back)[regular], K.prev0[regular])
+    for steps, read in ((fwd, cells + fwd), (back, cells - back)):
+        assert ((0 <= steps) & (steps <= K.reach)).all()
+        assert ((0 <= read) & (read < K.n)).all()
+    for runs in (K.next0_runs, K.prev0_runs):
+        assert (np.diff(runs[0]) > 0).all() and (np.diff(runs[1]) != 0).all()
+
+
+def test_run_table_cases_cover_the_sweeps_edges():
+    """On the staggered rows a run of the lag's table (ending at c) and a run
+    of the lead's (ending at c + lead) end on every chunk end of the
+    sweep's chunk loop; the lag and the lead each meet a one-cell row in
+    that loop; the small disk has fewer cells than the lead, and several
+    runs of each table."""
+    K = difference_operator(staggered()[0])
+    lead = pdloop._CHUNK + K.reach
+    ends = list(range(pdloop._CHUNK, K.n - lead, pdloop._CHUNK))
+    assert len(ends) == 2
+    assert set(ends) <= set(K.next0_runs[0]) and set(ends) <= set(K.prev0_runs[0] - lead)
+    grid = one_cell_rows()[0]
+    K, counts = difference_operator(grid), grid.interior_mask.sum(axis=1)
+    lead = pdloop._CHUNK + K.reach
+    single = (np.cumsum(counts) - counts)[counts == 1]  # the cells of the one-cell rows
+    assert (single < K.n - lead).any() and (single >= lead).any()
+    K = difference_operator(small_disk()[0])
+    assert K.n < pdloop._CHUNK + K.reach
+    assert K.next0_runs.shape[1] > 2 and K.prev0_runs.shape[1] > 2
+
+
 def bind_keywords(grid, datum):
     """The keywords both blocks take, as ``solve`` builds them, with a random
     start."""
@@ -304,8 +403,9 @@ def test_c_block_owns_its_buffers_64_byte_aligned(c_block, problem):
 
 
 def test_second_solve_reuses_the_grids_operator_tables(c_block, monkeypatch):
-    """The operator's tables (the rim CSR, the rewritten gradient entries'
-    flat indices and their cells, the fix cells) are built once per grid:
+    """The operator's tables (the axis-0 step runs, the rim CSR, the
+    rewritten gradient entries' flat indices and their cells, the fix cells)
+    are built once per grid:
     the blocks of two solves on one grid point at the same arrays of the
     grid's cached operator, and both solves equal the NumPy block bit for
     bit."""
@@ -323,7 +423,7 @@ def test_second_solve_reuses_the_grids_operator_tables(c_block, monkeypatch):
         c, ref = both_blocks(monkeypatch, grid, datum, cfg)
         assert_bitwise_equal(c, ref)
     assert len(states) == 2 and difference_operator(grid) is K
-    for name in ("prev0", "rim", "rim_ptr", "rim_src", "next0", "edge", "edge_cells", "fix"):
+    for name in ("prev0_runs", "rim", "rim_ptr", "rim_src", "next0_runs", "next0", "edge", "edge_cells", "fix"):
         pointers = {ctypes.cast(getattr(state, name), ctypes.c_void_p).value for state in states}
         assert pointers == {getattr(K, name).ctypes.data}, name
     assert all(state.lead == pdloop._CHUNK + K.reach for state in states)
@@ -622,7 +722,7 @@ def assert_sweep_vectorized(flags, tmp_path):
         pytest.skip(f"{compiler} is not GCC")
     major = subprocess.run([compiler, "-dumpversion"], capture_output=True, text=True).stdout
     if int(major.split(".")[0]) < 12:
-        pytest.skip("GCC vectorizes the sweep's indexed loads from version 12")
+        pytest.skip("the vectorizer's report is checked with GCC 12 and later")
     source = Path(pdloop.__file__).with_name("pdloop.c")
     lines = source.read_text().splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("PASS void sweep("))
@@ -640,6 +740,36 @@ def assert_sweep_vectorized(flags, tmp_path):
 
 def test_sweep_is_vectorized(tmp_path):
     assert_sweep_vectorized(pdloop.CFLAGS, tmp_path)
+
+
+def test_cell_loops_load_no_gathers(tmp_path):
+    """The host build's loops over the cells (the sweep, the checkpoint
+    energy's norm_pass, and the power estimate's grad_pass and div_pass)
+    read each axis-0 neighbor at a run's constant step, so objdump finds no
+    gather instruction in them: GCC compiles an indexed load to vgatherqpd,
+    which made the block 2.1-2.8 times as slow on an AVX-512 host."""
+    if platform.machine().lower() not in ("x86_64", "amd64", "i386", "i686"):
+        pytest.skip("gather instructions are x86's")
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("objdump is not installed")
+    compiler = compiler_or_skip()
+    obj = tmp_path / "k.so"
+    built = subprocess.run([compiler, *pdloop.CFLAGS, "-o", str(obj), str(pdloop._SOURCE)],
+                           capture_output=True, text=True)
+    if built.returncode:
+        pytest.skip(f"the compiler rejects the host build: {built.stderr}")
+    listing = subprocess.run([objdump, "-d", str(obj)], capture_output=True, text=True, check=True).stdout
+    bodies, name = {}, None
+    for line in listing.splitlines():
+        label = re.fullmatch(r"[0-9a-f]+ <([\w.]+)>:", line)
+        if label:  # GCC may name a specialized copy sweep.constprop.0, or the like
+            name = label.group(1).split(".")[0]
+        elif name:
+            bodies.setdefault(name, []).append(line)
+    for loop in ("sweep", "norm_pass", "grad_pass", "div_pass"):
+        assert loop in bodies, loop
+        assert not [line for line in bodies[loop] if "vgather" in line], loop
 
 
 def test_sweep_is_vectorized_in_the_portable_build(tmp_path):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -656,7 +657,37 @@ def test_report_json_roundtrips():
     datum = sample_datum(boundary_faces(grid), lambda x, y: x)
     rep = solve(grid, datum, tuned(max_iters=200))
     d = rep.to_json()
-    assert set(d) >= {"iterations", "converged", "stagnation", "energy"}
+    assert set(d) >= {"iterations", "converged", "stagnation", "energy", "seconds"}
+    assert d["seconds"] == rep.seconds and set(rep.seconds) == {"setup", "block"}
     import json
 
     json.dumps(d)  # must be serializable as-is
+
+
+def test_report_seconds_split_the_set_up_from_the_block_calls(monkeypatch):
+    """``seconds["setup"]`` runs to the first call of the block and
+    ``seconds["block"]`` sums the block's calls: a block built in 0.05 s
+    whose three calls take 0.2 s each reads at least those, and no call is
+    counted in the set-up.  Reports that differ only in their seconds are
+    equal."""
+    grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 8)
+    datum = sample_datum(boundary_faces(grid), lambda x, y: x)
+    numpy_block, calls = solver_module._numpy_block, []
+
+    def slow(**kw):
+        time.sleep(0.05)
+        block, u, Q = numpy_block(**kw)
+
+        def timed(steps):
+            calls.append(steps)
+            time.sleep(0.2)
+            return block(steps)
+
+        return timed, u, Q
+
+    monkeypatch.setattr(harea.pdloop, "bind", lambda **kw: None)
+    monkeypatch.setattr(solver_module, "_numpy_block", slow)
+    rep = solve(grid, datum, tuned(max_iters=20))
+    assert calls == [0, 10, 10]
+    assert 0.05 <= rep.seconds["setup"] < 0.25 and rep.seconds["block"] >= 0.6
+    assert replace(rep, seconds={"setup": 0.0, "block": 0.0}) == rep
