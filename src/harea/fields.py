@@ -44,8 +44,10 @@ The operator's forward and fallback masks come from the package's one
 neighbor rule, ``geometry._neighbor``.  The one cell norm, ``sqrt(x*x + y*y)``
 or ``|x| + |y|`` as :class:`EnergyMode` selects, is :func:`_cell_norms` on
 ``(2, n)`` vectors; the solver and every diagnostic measure lengths with it.
-The step rule's power estimate :func:`operator_norm_sq` runs in the compiled
-kernel where the solver's block does and in NumPy elsewhere, bit for bit.
+The step rule :func:`operator_norm_sq` is one power loop whose iterate
+proves its own estimate (:func:`_step_rule`); it applies K^T K in the
+compiled kernel where the solver's block runs and in NumPy elsewhere, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -442,9 +444,9 @@ def lipschitz_estimate(u: ScalarField) -> float:
 
 
 _POWER_STEPS = 60
-_POWER_MARGIN = 1.02  # the power value's safety factor, which _cw_bound checks
-# the guard's step cap: it proves the estimate in 7 to 10 steps on the disk,
-# lens and square at h = 1/16 to 1/128 (11 sizes each, h = 1/40 and 1/80 among them)
+_POWER_MARGIN = 1.02  # the power value's safety factor, which the bound checks
+# the loop's step cap; the bound proves the estimate at step 60 on every
+# grid tested, the disk, lens and square at h = 1/4 to 1/256 among them
 _GUARD_STEPS = 200
 
 
@@ -454,66 +456,53 @@ def _checkerboard(grid: Grid) -> np.ndarray:
 
 
 def operator_norm_sq(grid: Grid) -> float:
-    """Deterministic power estimate of ||gradient||^2 for the step-size rule,
-    ``_POWER_STEPS`` steps from the unit checkerboard (:func:`_checkerboard`,
-    the top eigenvector of K^T K on a periodic grid), guarded by an upper
-    bound and cached on the grid's operator, so a grid that shares the
-    operator (:func:`_share_operator`) shares the estimate.
-
-    The uniform-grid bound 8/h^2 is used as a floor; the backward fallback at
-    the rim can push the true norm slightly above it, and a power value
-    approaches it from below, so the estimate carries a 2% safety factor.
-    Each step computes ``w = -K.div(K.grad(v))``, its norm and ``v = w /
-    |w|``; the steps run in :mod:`harea.pdloop`'s compiled kernel where the
-    solver's block does, and otherwise here, with the operator's own
-    ``grad`` and ``div``.  Both round every element alike and give the same
-    estimate bit for bit.  The estimate returned is at least the
-    Collatz-Wielandt bound of :func:`_cw_bound`, so at least the true norm;
-    on every grid tested the bound falls to or below the estimate and leaves
-    it as it is.  The start is normalized by a pairwise sum, as each step
-    is, not by BLAS, whose sum order depends on its thread count; it draws
-    no random numbers, so no solve imports ``numpy.random``.
-    """
+    """The step rule's proven upper bound on ||gradient||^2, the estimate
+    of :func:`_step_rule`, cached on the grid's operator, so a grid that
+    shares the operator (:func:`_share_operator`) shares the estimate."""
     K = difference_operator(grid)
     cached = getattr(K, "_norm_sq", None)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _step_rule(grid)[0]
+        object.__setattr__(K, "_norm_sq", cached)
+    return cached
+
+
+def _step_rule(grid: Grid, until: float | None = None) -> tuple[float, float]:
+    """``(estimate, bound)``: the step rule's estimate of the largest
+    eigenvalue of K^T K and the Collatz-Wielandt bound that proves it, from
+    one power loop.
+
+    Each step applies ``w = -K.div(K.grad(v))`` (in :mod:`harea.pdloop`'s
+    kernel where it loads, rounded alike), then ``v = w / |w|``, from the
+    unit checkerboard (:func:`_checkerboard`, the top eigenvector of K^T K
+    on a periodic grid).  The estimate is ``|w|`` at step ``_POWER_STEPS``,
+    or where ``w = 0``, times the 2% margin, floored at the uniform-grid
+    8/h^2: a power value approaches the norm from below.  With S the
+    checkerboard signs, S K^T K S has no negative entry, since every nonzero
+    row of K differences two axis neighbors, which have opposite signs; so
+    every iterate is S times a nonnegative vector, and from step
+    ``_POWER_STEPS`` on, max w_c / v_c over the cells with ``v_c != 0`` is
+    at least the eigenvalue.  (v is 0 exactly at the cells isolated along
+    both axes, which K leaves out.)  The loop stops once that bound is at
+    or below ``until``, the estimate by default; after ``_GUARD_STEPS``
+    steps it lifts the estimate to the bound.  The start is normalized by a
+    pairwise sum, as each step is, not by BLAS, whose order depends on its
+    thread count, and draws no random numbers (no solve imports
+    ``numpy.random``).
+    """
+    K = difference_operator(grid)
+    apply = pdloop.normal_operator(K) or (lambda v: -K.div(K.grad(v)))
     v = _checkerboard(grid)
     v /= np.sqrt(np.add.reduce(v * v))
-    lam = pdloop.power_estimate(K, v, _POWER_STEPS)
-    if lam is None:  # no compiled kernel
-        lam = 0.0
-        for _ in range(_POWER_STEPS):
-            w = -K.div(K.grad(v))
-            lam = float(np.sqrt(np.add.reduce(w * w)))
-            if lam == 0:
-                break
-            v = w / lam
-    est = max(lam * _POWER_MARGIN, 8.0 / grid.h**2)
-    est = max(est, _cw_bound(grid, est))
-    object.__setattr__(K, "_norm_sq", est)
-    return est
-
-
-def _cw_bound(grid: Grid, est: float) -> float:
-    """An upper bound on the largest eigenvalue of K^T K, refined until it is
-    at or below ``est`` or for ``_GUARD_STEPS`` steps; 0.0 where K = 0.
-
-    With S the diagonal of checkerboard signs, M = S K^T K S has the
-    spectrum of K^T K and no negative entry, since every nonzero row of K
-    differences two axis neighbors, which have opposite signs.  For w > 0 the
-    Collatz-Wielandt bound max_c (M w)_c / w_c, over the cells whose row of M
-    is nonzero (those with (M w)_c > 0), is at least that eigenvalue.  The
-    steps w = M w / max(M w) start from all ones and keep w positive on those
-    cells; ``M w = -S K.div(K.grad(S w))`` adds terms of one sign only.
-    """
-    K, sign = difference_operator(grid), _checkerboard(grid)
-    w, bound = np.ones(K.n), 0.0
-    for _ in range(_GUARD_STEPS):
-        Mw = sign * -K.div(K.grad(sign * w))
-        rows = Mw > 0
-        bound = float(np.max(Mw[rows] / w[rows], initial=0.0))
-        if bound <= est:
-            break
-        w = Mw / Mw.max()
-    return bound
+    squares = np.empty(K.n)
+    for step in range(1, _GUARD_STEPS + 1):
+        w = apply(v)
+        lam = float(np.sqrt(np.add.reduce(np.multiply(w, w, out=squares))))
+        if step <= _POWER_STEPS:
+            est = max(lam * _POWER_MARGIN, 8.0 / grid.h**2)
+        if step >= _POWER_STEPS or lam == 0:
+            bound = float(np.max(w[v != 0] / v[v != 0], initial=0.0))
+            if bound <= (est if until is None else until):
+                return est, bound
+        np.divide(w, lam, out=v)
+    return max(est, bound), bound

@@ -3,9 +3,9 @@
    pd_run(state, steps, energies) runs `steps` iterations in place on the
    buffers of one solve, which harea/pdloop.py packs into `struct pd_state`,
    and then writes the checkpoint's interior and penalty energies into
-   energies[0] and energies[1].  pd_power(state, steps, v, g, w) runs the
-   step rule's power estimate of ||K||^2 on the operator's fields of the
-   state alone (see its comment).
+   energies[0] and energies[1].  pd_normal(state, v, g, w) applies K^T K
+   once, for the step rule's estimate of ||K||^2, on the operator's fields
+   of the state alone (see its comment).
 
    An iteration is one sweep over the cells in row-major order, a lead
    `lead` cells ahead of a lag.  The lead at a cell takes h div and the
@@ -403,39 +403,25 @@ PASS void div_pass(const double *restrict g0, const double *restrict g1, const i
     }
 }
 
-/* The step rule's power estimate: `steps` steps of w = -div(grad(v)) with
-   the operator's h, lambda = |w| and v = w / lambda, from the unit vector v
-   (overwritten) with g (2, n) and w (n) as scratch; returns the last
-   lambda, or 0.0 from the step where w = 0.  Each element is rounded as
-   fields.operator_norm_sq's NumPy loop rounds it: h grad with the edge
+/* w = -div(grad v) with the operator's h, g (2, n) as scratch: the one
+   application of K^T K in the step rule's loop, fields._step_rule.  Each
+   element is rounded as -K.div(K.grad(v)) rounds it: h grad with the edge
    entries rewritten, / h, h div with each rim side summed from 0.0 in
-   bincount's order, / h, negated, the squares summed as add.reduce sums
-   them, the square root, and v = w / lambda.  Reads only the operator's
-   fields of the state (n, h, the h div and h grad tables). */
-double pd_power(const struct pd_state *s, idx_t steps, double *v, double *g, double *w)
+   bincount's order, / h, negated.  Reads only the operator's fields of the
+   state (n, h, the h div and h grad tables). */
+void pd_normal(const struct pd_state *s, const double *v, double *g, double *w)
 {
-    const idx_t n = s->n;
     const double h = s->h;
-    double *g0 = g, *g1 = g + n, lambda = 0.0;
-    for (idx_t k = 0; k < steps; k++) {
-        grad_pass(n, v, s->next0_runs, s->n_next0_run, h, g0, g1);
-        fix_gradient(s, v, g);
-        for (idx_t j = 0; j < s->n_fix; j++) {
-            g0[s->fix[j]] /= h;
-            g1[s->fix[j]] /= h;
-        }
-        div_pass(g0, g1, s->prev0_runs, s->n_prev0_run, h, w);
-        for (idx_t r = 0; r < s->n_rim; r++)
-            w[s->rim[r]] = -(rim_hdiv(s, r, g) / h);
-        for (idx_t c = 0; c < n; c++)  /* g is free again: the squares */
-            g[c] = w[c] * w[c];
-        lambda = sqrt(add_reduce(g, n));
-        if (lambda == 0.0)
-            break;
-        for (idx_t c = 0; c < n; c++)
-            v[c] = w[c] / lambda;
+    double *g0 = g, *g1 = g + s->n;
+    grad_pass(s->n, v, s->next0_runs, s->n_next0_run, h, g0, g1);
+    fix_gradient(s, v, g);
+    for (idx_t j = 0; j < s->n_fix; j++) {
+        g0[s->fix[j]] /= h;
+        g1[s->fix[j]] /= h;
     }
-    return lambda;
+    div_pass(g0, g1, s->prev0_runs, s->n_prev0_run, h, w);
+    for (idx_t r = 0; r < s->n_rim; r++)
+        w[s->rim[r]] = -(rim_hdiv(s, r, g) / h);
 }
 
 void pd_run(const struct pd_state *s, idx_t steps, double *energies)

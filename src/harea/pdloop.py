@@ -11,16 +11,16 @@ give the same iterates and energies bit for bit.  Where the NumPy block makes
 about 38 NumPy calls an iteration, each a pass over its arrays, the compiled
 one makes a single sweep over the cells, compiled to vector instructions, with
 h div and the primal step :data:`_CHUNK` cells and the stencil's reach ahead
-of the dual step.  The same source runs the step rule's power estimate
-(:func:`power_estimate`), rounded as :func:`harea.fields.operator_norm_sq`'s
-NumPy loop rounds it.  Both read the operator's tables (the runs of one
-axis-0 step, the rim CSR, the rewritten gradient entries, the stencil's
-reach) from the grid's cached :class:`~harea.fields.DiffOperator`, so they
-are built once per grid; :func:`bind` builds only the datum's tables; h X*
-is the grid's cached one.  Every loop over the cells reads a cell's axis-0
-neighbor at its run's constant step, so it compiles to plain vector loads:
-read through ``next0`` and ``prev0``, GCC compiles it to gathers, which made
-the host build's block 2.1-2.8 times as slow on an AVX-512 Xeon.
+of the dual step.  The same source applies K^T K, once per call, for the
+step rule's loop (:func:`normal_operator`), rounded as ``-K.div(K.grad(v))``
+rounds it.  Both read the operator's tables (the runs of one axis-0 step,
+the rim CSR, the rewritten gradient entries, the stencil's reach) from the
+grid's cached :class:`~harea.fields.DiffOperator`, so they are built once
+per grid; :func:`bind` builds only the datum's tables; h X* is the grid's
+cached one.  Every loop over the cells reads a cell's axis-0 neighbor at
+its run's constant step, so it compiles to plain vector loads: read through
+``next0`` and ``prev0``, GCC compiles it to gathers, which made the host
+build's block 2.1-2.8 times as slow on an AVX-512 Xeon.
 
 The source ships with the package.  The first step-size estimate or solve in
 a process compiles it with :data:`CFLAGS` for the host CPU and loads it with
@@ -40,8 +40,8 @@ again by the next process.  Where that directory cannot be written the
 object is built in a private temporary directory instead.  Where no C
 compiler is found, the source is missing, the portable build fails too, a
 build runs past :data:`_COMPILE_TIMEOUT` seconds or the object cannot be
-loaded, :func:`bind` and :func:`power_estimate` return None and their
-callers run the NumPy loops; nothing else selects between the two.
+loaded, :func:`bind` and :func:`normal_operator` return None and their
+callers run NumPy; nothing else selects between the two.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["CFLAGS", "bind", "loop_info", "power_estimate"]
+__all__ = ["CFLAGS", "bind", "loop_info", "normal_operator"]
 
 # -ffast-math and -Ofast would reorder and contract the arithmetic the NumPy
 # block rounds step by step, and GCC contracts a * b + c into a fused
@@ -141,8 +141,8 @@ def _load(path: Path):
     if lib.pd_state_size() != ctypes.sizeof(_State):
         raise OSError(f"{path}: struct pd_state does not match the loader's layout")
     lib.pd_run.argtypes, lib.pd_run.restype = (ctypes.POINTER(_State), ctypes.c_ssize_t, _f64), None
-    lib.pd_power.argtypes = (ctypes.POINTER(_State), ctypes.c_ssize_t, _f64, _f64, _f64)
-    lib.pd_power.restype = ctypes.c_double
+    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")  # ctypes checks v on each call
+    lib.pd_normal.argtypes, lib.pd_normal.restype = (ctypes.POINTER(_State), vector, _f64, _f64), None
     return lib
 
 
@@ -273,20 +273,26 @@ def _operator(K) -> dict:
     )
 
 
-def power_estimate(K, v: np.ndarray, steps: int) -> float | None:
-    """The step rule's power estimate on the operator ``K``: ``steps`` steps
-    of ``w = -K.div(K.grad(v))``, ``lam = |w|`` and ``v = w / lam`` from the
-    unit vector ``v`` (overwritten), and the last ``lam``, 0.0 once a step
-    gives ``w = 0``; each element is rounded as
-    :func:`harea.fields.operator_norm_sq`'s NumPy loop rounds it, from the
-    same start, the unit checkerboard.  None where the kernel cannot be
-    built or loaded."""
+def normal_operator(K) -> Callable[[np.ndarray], np.ndarray] | None:
+    """``apply(v) -> w``, K^T K on the operator ``K``: ``w = -K.div(K.grad(v))``
+    of interior values ``v`` (n,), rounded alike, in a buffer of its own that
+    the next call overwrites; the step rule binds it once per grid.  None
+    where the kernel cannot be built or loaded."""
     kernel = _library()
     if kernel is None:
         return None
     g, w, f64 = np.empty(2 * K.n), np.empty(K.n), ctypes.c_double
     state = _State(**_operator(K))
-    return kernel[0].pd_power(ctypes.byref(state), steps, _pointer(v, f64), _pointer(g, f64), _pointer(w, f64))
+    normal, ref, g_ptr, w_ptr = kernel[0].pd_normal, ctypes.byref(state), _pointer(g, f64), _pointer(w, f64)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        if v.shape != w.shape:
+            raise ValueError(f"K^T K takes interior values of shape {w.shape}, got {v.shape}")
+        normal(ref, v, g_ptr, w_ptr)
+        return w
+
+    apply.arrays = (K, g)  # the state points into these
+    return apply
 
 
 def bind(

@@ -98,7 +98,8 @@ class SolverConfig:
     ``step_sigma``/``step_tau`` are set together or not at all; left out, they
     come from :func:`balanced_steps`.  ``mode`` selects the penalized boundary
     term or hard pinning of boundary-owner cells; the cell norm is always the
-    isotropic one.
+    isotropic one.  ``tol`` is the stagnation threshold of :func:`solve`'s
+    stop, which no positive ``tol`` switches off, 1e-300 included.
     """
 
     mode: str = "penalized"
@@ -332,9 +333,12 @@ def solve(grid: Grid, datum: BoundaryDatum, cfg: SolverConfig | None = None) -> 
     comes from the block that ran and equals ``penalized_energy(rep.u,
     datum)`` by bytes.  Returns the best evaluated iterate with a
     convergence flag; stagnation is the relative decrease of the best energy
-    over the last 50 iterations, i.e. over the last five checkpoints.  A
-    solve stopped by that test converges only if its best energy fell below
-    that of its start.  A non-finite energy aborts with SolverError; plain
+    over the last 50 iterations, i.e. over the last five checkpoints, and
+    the solve stops once it is at or below ``tol``, the stagnation
+    threshold.  A best energy that does not move for 50 iterations reads
+    exactly 0, so ``tol=1e-300`` does not switch the stop off.  A solve
+    stopped by that test converges only if its best energy fell below that
+    of its start.  A non-finite energy aborts with SolverError; plain
     non-convergence does not raise, it is reported through
     ``converged=False``.
     """

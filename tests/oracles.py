@@ -37,18 +37,14 @@ the diagnostics' former full-grid formulas: the horizontal vector as
 array, its length by ``np.hypot``.  The library computes them on interior
 (2, n) vectors with the solver's ``sqrt(x*x + y*y)``.
 
-``allocating_operator_norm_sq`` is ``operator_norm_sq``'s power iteration
-as it was written before its buffers: from the unit ``checkerboard``, ``w =
--K.div(K.grad(v))`` into fresh arrays each step, and no cache.  The library
-must match it bit for bit.
-
 ``dense_normal_matrix`` is K^T K in full, from ``index_operator`` with
 entries +-1/h, and ``checkerboard`` the cells' signs (-1)^(i + j) read off
 the mask; ``np.linalg.eigvalsh`` of the first gives the largest eigenvalue
 that the step rule's estimate and its Collatz-Wielandt bound must reach.
-``index_cw_bound`` is that bound's loop, ``fields._cw_bound``, on the
-index form (``take_hgrad`` and ``bincount_hdiv``) and ``checkerboard``,
-with no library kernel; the library must match it bit for bit.
+``index_step_rule`` is the step rule's loop, ``fields._step_rule``, with K
+applied by the index form (``take_hgrad`` and ``bincount_hdiv``) into fresh
+arrays each step, from ``checkerboard``, and no library kernel or cache;
+the library's estimate and bound must match it bit for bit.
 
 ``dense_lipschitz_bound`` recomputes the ``lipschitz_bound`` check's metrics
 from the whole cell-by-face matrix and the loop gradient.
@@ -374,22 +370,6 @@ def bincount_hdiv(plus, minus, p):
     return out
 
 
-def allocating_operator_norm_sq(grid):
-    """The power estimate of ||K||^2 with a fresh array for every operation,
-    from the unit checkerboard."""
-    K = difference_operator(grid)
-    v = checkerboard(grid)
-    v /= np.sqrt(np.sum(v * v))
-    lam = 0.0
-    for _ in range(_POWER_STEPS):
-        w = -K.div(K.grad(v))
-        lam = float(np.sqrt(np.sum(w * w)))
-        if lam == 0:
-            break
-        v = w / lam
-    return max(lam * 1.02, 8.0 / grid.h**2)
-
-
 def dense_normal_matrix(grid):
     """K^T K (n, n), K the (2n, n) matrix with +1/h at ``plus`` and -1/h at
     ``minus`` of ``index_operator`` on each row (a zero row where the two
@@ -407,21 +387,32 @@ def checkerboard(grid):
     return np.array([(-1.0) ** (i + j) for i, j in np.argwhere(grid.interior_mask)])
 
 
-def index_cw_bound(grid, est):
-    """The Collatz-Wielandt bound on the largest eigenvalue of K^T K, from
-    all ones, stepped by M w = -S K^T K S w until it is at or below ``est``
-    or for ``_GUARD_STEPS`` steps, with K applied by the index form."""
+def index_step_rule(grid, until=None):
+    """The step rule's estimate of the largest eigenvalue of K^T K and its
+    Collatz-Wielandt bound, ``(estimate, bound)``, with K applied by the
+    index form and a fresh array for every operation: power steps w = K^T K
+    v, v = w / |w| from the unit ``checkerboard``; the estimate is 1.02 |w|
+    at step ``_POWER_STEPS`` (or where w = 0) floored at 8/h^2; from that
+    step on the bound max w_c / v_c over the cells with v_c != 0, until it
+    is at or below ``until`` (the estimate by default) or for
+    ``_GUARD_STEPS`` steps in all, after which the estimate is lifted to
+    it."""
     plus, minus = index_operator(grid)
-    sign, h = checkerboard(grid), grid.h
-    w, bound = np.ones(plus.shape[1]), 0.0
-    for _ in range(_GUARD_STEPS):
-        Mw = sign * -(bincount_hdiv(plus, minus, take_hgrad(plus, minus, sign * w) / h) / h)
-        rows = Mw > 0
-        bound = float(np.max(Mw[rows] / w[rows], initial=0.0))
-        if bound <= est:
-            break
-        w = Mw / Mw.max()
-    return bound
+    h = grid.h
+    v = checkerboard(grid)
+    v /= np.sqrt(np.sum(v * v))
+    est = bound = 0.0
+    for step in range(1, _GUARD_STEPS + 1):
+        w = -(bincount_hdiv(plus, minus, take_hgrad(plus, minus, v) / h) / h)
+        lam = float(np.sqrt(np.sum(w * w)))
+        if step <= _POWER_STEPS:
+            est = max(lam * 1.02, 8.0 / h**2)
+        if step >= _POWER_STEPS or lam == 0:
+            bound = float(np.max(w[v != 0] / v[v != 0], initial=0.0))
+            if bound <= (est if until is None else until):
+                return est, bound
+        v = w / lam
+    return max(est, bound), bound
 
 
 def dense_lipschitz_bound(grid, u, datum, Q_min, K, tol):

@@ -191,18 +191,19 @@ def test_translated_grid_shares_the_operator_and_the_step_rule():
 
 def test_a_translated_grid_and_its_source_run_the_step_rule_once(monkeypatch):
     """The estimate is cached on the operator the two grids share, so the
-    power steps and the guard run once in all, even where the translate is
-    made before the source's estimate and asks for its own first."""
+    step rule runs once in all and binds K^T K once, even where the
+    translate is made before the source's estimate and asks for its own
+    first."""
     calls = []
-    power, guard = pdloop.power_estimate, fields_module._cw_bound
-    monkeypatch.setattr(pdloop, "power_estimate", lambda *args: calls.append("power") or power(*args))
-    monkeypatch.setattr(fields_module, "_cw_bound", lambda *args: calls.append("guard") or guard(*args))
+    rule, bind = fields_module._step_rule, pdloop.normal_operator
+    monkeypatch.setattr(fields_module, "_step_rule", lambda *args: calls.append("rule") or rule(*args))
+    monkeypatch.setattr(pdloop, "normal_operator", lambda K: calls.append("K^T K") or bind(K))
     grid = rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 16)
     datum = sample_datum(boundary_faces(grid), lambda x, y: x * y)
     u = ScalarField.from_function(grid, lambda x, y: np.sin(2 * x) * y)
     grid_t, _, _ = translate_problem(u, datum, (3 * grid.h, -5 * grid.h))
     assert operator_norm_sq(grid_t) == operator_norm_sq(grid)
-    assert calls == ["power", "guard"]
+    assert calls == ["rule", "K^T K"]
 
 
 def test_translated_grid_builds_its_own_hxstar():

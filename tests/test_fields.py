@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -25,14 +26,14 @@ from harea import (
     star,
     xstar_field,
 )
-from harea.fields import FieldError, _cw_bound, _hxstar, difference_operator, interior_xstar
+from harea import pdloop
+from harea.fields import FieldError, _hxstar, _step_rule, difference_operator, interior_xstar
 from oracles import (
-    allocating_operator_norm_sq,
     bincount_hdiv,
     checkerboard,
     dense_normal_matrix,
-    index_cw_bound,
     index_operator,
+    index_step_rule,
     loop_gradient,
     take_hgrad,
 )
@@ -220,36 +221,83 @@ def test_divergence_supported_on_interior():
     assert np.all(d.values[~grid.interior_mask] == 0.0)
 
 
+SQUARE = DomainSpec.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+SUB_SQUARE = DomainSpec.polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
+DISK = DomainSpec.disk((0.0, 0.0), 1.0)
+
+
 @pytest.mark.parametrize(
     "domain, inv_h",
-    [(DomainSpec.parabolic(), 32), (DomainSpec.parabolic(), 64),
-     (DomainSpec.disk((0.0, 0.0), 1.0), 24), (DomainSpec.disk((0.0, 0.0), 1.0), 64),
+    [(DomainSpec.parabolic(), 32), (DomainSpec.parabolic(), 64), (DISK, 24), (DISK, 64),
      *(pytest.param(mask, None, id=mask.__name__)
        for mask in (notched, ragged, tiny, holes, staggered, one_cell_rows, small_disk)),
-     pytest.param(DomainSpec.disk((0.0, 0.0), 1.0), 40, id="disk-40")],
+     pytest.param(DISK, 40, id="disk-40"),
+     # the rest of the grids run_suite() solves on
+     *(pytest.param(domain, inv_h, id=f"{name}-{inv_h}") for name, domain, inv_h in (
+         ("lens", DomainSpec.parabolic(), 128), ("square", SQUARE, 128), ("square", SQUARE, 64),
+         ("square", SQUARE, 32), ("sub-square", SUB_SQUARE, 32), ("disk", DISK, 32), ("disk", DISK, 16)))],
 )
-def test_operator_norm_sq_matches_the_allocating_loop_bitwise(each_kernel_path, domain, inv_h):
-    """The estimate is the same double, by bytes, in the host build, in the
-    portable build and in the NumPy loop, on the lens and disk grids and on
-    the compiled block's referee masks (test_pdloop): a polygon spike, cells
-    isolated along either axis, two cells, random holes, run ends on chunk
-    ends, one-cell rows, and fewer cells than the sweep's lead.  The referee has
-    no guard, so this also shows the guard leaves each estimate as it is,
-    on the h = 1/40 disk too, whose estimate is 0.031% above the true norm."""
+def test_operator_norm_sq_matches_the_allocating_loop_bitwise(each_kernel_path, monkeypatch, domain, inv_h):
+    """The estimate and its bound are the index referee's doubles, by bytes,
+    in the host build, in the portable build and in the NumPy loop, on every
+    grid run_suite() solves on and on the compiled block's referee masks
+    (test_pdloop): a polygon spike, cells isolated along either axis, two
+    cells, random holes, run ends on chunk ends, one-cell rows, and fewer
+    cells than the sweep's lead.  On each, the bound proves the estimate at
+    the last power step, so the estimate is the power value's, also on the
+    h = 1/40 disk, where it is 0.031% above the true norm."""
     grid_of = (lambda: domain()[0]) if inv_h is None else (lambda: rasterize(domain, 1.0 / inv_h))
-    ref = allocating_operator_norm_sq(grid_of())
+    est, bound = index_step_rule(grid_of())
+    ref = np.float64([est, bound]).tobytes()
     for path in each_kernel_path():
-        assert np.float64(operator_norm_sq(grid_of())).tobytes() == np.float64(ref).tobytes(), path
+        assert np.float64(operator_norm_sq(grid_of())).tobytes() == np.float64(est).tobytes(), path
+        assert np.float64(_step_rule(grid_of())).tobytes() == ref, path
+    monkeypatch.setattr(fields_module, "_GUARD_STEPS", fields_module._POWER_STEPS)
+    assert np.float64(_step_rule(grid_of())).tobytes() == ref and bound <= est
 
 
 def test_operator_norm_sq_of_one_interior_cell_is_the_floor(each_kernel_path):
-    """One interior cell has no difference, so the first power step ends the
-    loop at lambda = 0 and every path returns the floor 8/h^2."""
+    """One interior cell has no difference, so the first power step gives
+    w = 0, the bound 0 proves the estimate, and every path returns the
+    floor 8/h^2."""
     mask = np.zeros((3, 3), dtype=bool)
     mask[1, 1] = True
     for path in each_kernel_path():
         grid = Grid(h=0.25, origin=np.zeros(2), nx=3, ny=3, interior_mask=mask)
-        assert operator_norm_sq(grid) == allocating_operator_norm_sq(grid) == 8.0 / 0.25**2, path
+        assert _step_rule(grid) == index_step_rule(grid) == (8.0 / 0.25**2, 0.0), path
+        assert operator_norm_sq(grid) == 8.0 / 0.25**2, path
+
+
+@pytest.mark.parametrize("grid_of", [
+    *(pytest.param(lambda mask=mask: mask()[0], id=mask.__name__)
+      for mask in (notched, ragged, tiny, holes, staggered, one_cell_rows, small_disk)),
+    pytest.param(lambda: rasterize(DomainSpec.parabolic(), 1 / 64), id="lens64"),
+])
+def test_compiled_normal_operator_equals_the_numpy_and_index_forms_bitwise(each_kernel_path, grid_of):
+    """Call by call, in the host and the portable build, the step rule's
+    compiled K^T K equals ``-K.div(K.grad(v))`` and the index form by bytes,
+    on checkerboard-signed vectors of magnitudes 1e-5 to 1e5, and it refuses
+    a vector of the wrong shape or layout; where the kernel does not load
+    there is none, and the step rule runs NumPy."""
+    grid = grid_of()
+    K, (plus, minus), h = difference_operator(grid), index_operator(grid), grid.h
+    rng = np.random.default_rng(43)
+    vs = [checkerboard(grid) * 10.0 ** rng.uniform(-5.0, 5.0, K.n) for _ in range(3)]
+    for path in each_kernel_path():
+        apply = pdloop.normal_operator(K)
+        if path == "numpy":
+            assert apply is None
+            continue
+        if apply is None:
+            pytest.skip("the C block cannot be built here (no compiler, or the build failed)")
+        with pytest.raises(ValueError, match="shape"):
+            apply(vs[0][1:])
+        with pytest.raises(ctypes.ArgumentError):
+            apply(vs[0][::-1])
+        for v in vs:
+            w = apply(v).tobytes()
+            assert w == (-K.div(K.grad(v))).tobytes(), path
+            assert w == (-(bincount_hdiv(plus, minus, take_hgrad(plus, minus, v) / h) / h)).tobytes(), path
 
 
 ESTIMATES = """
@@ -300,19 +348,18 @@ REFEREE_GRIDS = [*(pytest.param(lambda mask=mask: mask()[0], id=mask.__name__)
 @pytest.mark.parametrize("grid_of", REFEREE_GRIDS)
 def test_step_rule_estimate_and_bound_reach_the_dense_spectrum(grid_of):
     """Against the largest eigenvalue of K^T K from a dense eigensolver: the
-    sign-flipped M = S K^T K S has no negative entry, the shipped estimate
-    is at least that eigenvalue, and so is the Collatz-Wielandt bound, both
-    where it stops under the estimate and after all its steps, where it is
-    within 1% of the eigenvalue."""
+    sign-flipped M = S K^T K S has no negative entry, and the Collatz-Wielandt
+    bound is at least that eigenvalue and proves the shipped estimate; run
+    to the step cap (``until`` = 0), the bound is within 1% of it."""
     grid = grid_of()
     KtK = dense_normal_matrix(grid)
     S = checkerboard(grid)
     assert (S[:, None] * KtK * S[None, :]).min() >= 0.0
     lam = np.linalg.eigvalsh(KtK)[-1]
-    est = operator_norm_sq(grid)
-    assert est >= lam
-    assert lam * (1 - 1e-12) <= _cw_bound(grid, est) <= est
-    assert lam * (1 - 1e-12) <= _cw_bound(grid, 0.0) <= 1.01 * lam
+    est, bound = _step_rule(grid)
+    assert est == operator_norm_sq(grid)
+    assert lam * (1 - 1e-12) <= bound <= est
+    assert lam * (1 - 1e-12) <= _step_rule(grid, until=0.0)[1] <= 1.01 * lam
 
 
 @pytest.mark.parametrize("grid_of", [
@@ -321,32 +368,34 @@ def test_step_rule_estimate_and_bound_reach_the_dense_spectrum(grid_of):
     pytest.param(lambda: rasterize(DomainSpec.disk((0.0, 0.0), 1.0), 1 / 40), id="disk40"),
 ])
 def test_step_rule_guard_equals_the_index_referee_bitwise(grid_of):
-    """The guard's bound is the index referee's double, by bytes: after all
-    its steps (``est`` = 0) and where it stops under the shipped estimate."""
+    """The step rule's estimate and bound are the index referee's doubles,
+    by bytes: where the bound stops under the estimate and after all the
+    loop's steps (``until`` = 0)."""
     grid = grid_of()
-    for est in (0.0, operator_norm_sq(grid)):
-        bound = np.float64(_cw_bound(grid, est)).tobytes()
-        assert bound == np.float64(index_cw_bound(grid, est)).tobytes(), est
+    for until in (None, 0.0):
+        ref = np.float64(index_step_rule(grid, until)).tobytes()
+        assert np.float64(_step_rule(grid, until)).tobytes() == ref, until
 
 
 def test_step_rule_guard_lifts_an_unsafe_estimate(monkeypatch):
     """With the power value's 2% margin patched to -2%, the estimate falls
-    below the largest eigenvalue of K^T K; the guard then runs all its steps
-    and returns its bound, which reaches the eigenvalue."""
+    below the largest eigenvalue of K^T K, so no bound proves it: the loop
+    runs all ``_GUARD_STEPS`` steps and lifts the estimate to its bound,
+    which reaches the eigenvalue."""
     shipped = operator_norm_sq(disk16())
-    calls = []
+    steps, bind = [], pdloop.normal_operator
 
-    def spy(grid, est):
-        calls.append((est, _cw_bound(grid, est)))
-        return calls[-1][1]
+    def counted(K):
+        apply = bind(K) or (lambda v: -K.div(K.grad(v)))
+        return lambda v: steps.append(1) or apply(v)
 
+    monkeypatch.setattr(pdloop, "normal_operator", counted)
     monkeypatch.setattr(fields_module, "_POWER_MARGIN", 0.98)
-    monkeypatch.setattr(fields_module, "_cw_bound", spy)
     grid = disk16()
-    lifted = operator_norm_sq(grid)
     lam = np.linalg.eigvalsh(dense_normal_matrix(grid))[-1]
-    (est, bound), = calls
-    assert est == pytest.approx(shipped / 1.02 * 0.98, rel=1e-12) and est < lam
+    assert shipped / 1.02 * 0.98 < lam
+    lifted, bound = _step_rule(grid)
+    assert len(steps) == fields_module._GUARD_STEPS
     assert lifted == bound >= lam * (1 - 1e-12)
 
 

@@ -744,7 +744,7 @@ def test_sweep_is_vectorized(tmp_path):
 
 def test_cell_loops_load_no_gathers(tmp_path):
     """The host build's loops over the cells (the sweep, the checkpoint
-    energy's norm_pass, and the power estimate's grad_pass and div_pass)
+    energy's norm_pass, and the step rule's K^T K, grad_pass and div_pass)
     read each axis-0 neighbor at a run's constant step, so objdump finds no
     gather instruction in them: GCC compiles an indexed load to vgatherqpd,
     which made the block 2.1-2.8 times as slow on an AVX-512 host."""
